@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .automata import (
     AE_ATTACKED,
@@ -34,6 +35,9 @@ from .automata import (
     parallel_compose,
     state_name,
 )
+
+if TYPE_CHECKING:
+    from .diagnosis import Analysis
 
 AE_SUFFIX = "#a"
 SE_SUFFIX = "#e"
@@ -140,6 +144,9 @@ class AttackedModel:
     in memory; models loaded from files carry a `components` map instead.
     `plant_attacked`/`supervisor_attacked` keep the construction inputs so
     weaker attackers can be re-derived; they are None for loaded models.
+    `analysis` is built from the fields on first use and kept for the
+    life of the instance; models derived with `dataclasses.replace` or
+    `sub_attacker` are new instances and build their own.
     """
 
     model: Automaton
@@ -172,6 +179,13 @@ class AttackedModel:
 
     def uncontrollable_events(self) -> frozenset[str]:
         return self.alphabet.uncontrollable_events()
+
+    @cached_property
+    def analysis(self) -> Analysis:
+        """Event classes and labeled model shared by every decision route."""
+        from .diagnosis import analyze
+
+        return analyze(self)
 
 
 def _check_inputs(plant: Automaton, supervisor: Automaton, alphabet: Alphabet) -> None:

@@ -69,6 +69,34 @@ def label_compose(model: AttackedModel, max_states: int = DEFAULT_STATE_LIMIT) -
     return LabeledAutomaton(labeled, model.attack_events)
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """Per-model structures that every decision route needs.
+
+    Reached through `AttackedModel.analysis`, which builds it once.  Only
+    the event classes and the labeled model live here: diagnosers,
+    verifier artifacts and detector tables are rebuilt per call, so a
+    model kept alive does not keep their memory alive too.
+    """
+
+    observable: frozenset[str]
+    unobservable: frozenset[str]
+    controllable: frozenset[str]
+    uncontrollable: frozenset[str]
+    labeled: LabeledAutomaton
+
+
+def analyze(model: AttackedModel) -> Analysis:
+    alphabet = model.alphabet
+    return Analysis(
+        observable=alphabet.observable_events(),
+        unobservable=alphabet.unobservable_events(),
+        controllable=alphabet.controllable_events(),
+        uncontrollable=alphabet.uncontrollable_events(),
+        labeled=label_compose(model),
+    )
+
+
 def classify(estimate: Iterable[tuple]) -> str:
     """normal if all labels N, certain if all Y, uncertain otherwise."""
     labels = {label for _, label in estimate}
@@ -126,6 +154,38 @@ def diagnoser_step(
     if not targets:
         raise KeyError(f"event {event!r} is infeasible at the current estimate")
     return unobservable_reach(labeled.automaton, targets, unobservable)
+
+
+class Detector:
+    """The online detector's estimate over one labeled model, memoized.
+
+    Each (estimate, event) step and each estimate's class is computed once
+    per instance, so replaying many runs that revisit the same estimates
+    pays for one unobservable closure per distinct step.
+    """
+
+    def __init__(self, analysis: Analysis):
+        self.labeled = analysis.labeled
+        self.observable = analysis.observable
+        self.unobservable = analysis.unobservable
+        self.initial = diagnoser_initial(self.labeled, self.unobservable)
+        self._steps: dict[tuple[frozenset, str], frozenset] = {}
+        self._classes: dict[frozenset, str] = {}
+
+    def step(self, estimate: frozenset, event: str) -> frozenset:
+        """`diagnoser_step` of an observed event."""
+        key = (estimate, event)
+        target = self._steps.get(key)
+        if target is None:
+            target = diagnoser_step(self.labeled, self.unobservable, estimate, event)
+            self._steps[key] = target
+        return target
+
+    def classify(self, estimate: frozenset) -> str:
+        kind = self._classes.get(estimate)
+        if kind is None:
+            kind = self._classes[estimate] = classify(estimate)
+        return kind
 
 
 def first_entered_certain(diagnoser: Diagnoser) -> frozenset:
@@ -227,16 +287,31 @@ def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
 def build_verifier(
     model: AttackedModel, max_states: int = DEFAULT_STATE_LIMIT
 ) -> VerifierArtifacts:
-    """Run the full verifier pipeline for a closed-loop attack model."""
-    labeled = label_compose(model, max_states=max_states)
+    """Run the full verifier pipeline for a closed-loop attack model.
+
+    At the default budget the labeled model comes from `model.analysis`;
+    a different budget composes it afresh so the budget applies to it too.
+    """
+    if max_states == DEFAULT_STATE_LIMIT:
+        labeled = model.analysis.labeled
+    else:
+        labeled = label_compose(model, max_states=max_states)
     attacked = _attacked_part(labeled)
     normal = _normal_part(model, labeled)
     if attacked is None:
         return VerifierArtifacts(normal, None, None, None, None)
     verifier = parallel_compose(normal, attacked.automaton, max_states=max_states)
+    completed = _complete(verifier, model.observable_events(), model.uncontrollable_events())
+    tracker = parallel_compose(completed, attacked.automaton, max_states=max_states)
+    return VerifierArtifacts(normal, attacked, verifier, completed, tracker)
 
-    observable = model.observable_events()
-    uncontrollable = model.uncontrollable_events()
+
+def _complete(verifier: Automaton, observable, uncontrollable) -> Automaton:
+    """The verifier plus the sink that unexplained observations lead to.
+
+    A function of its own so that its scratch transition table is freed
+    before the tracker, the largest automaton of the pipeline, is built.
+    """
     states = set(verifier.states) | {SINK}
     transitions = dict(verifier.transitions)
     for state in verifier.states:
@@ -245,16 +320,13 @@ def build_verifier(
             transitions[(state, event)] = SINK
     for event in uncontrollable:
         transitions[(SINK, event)] = SINK
-    completed = Automaton(
+    return Automaton(
         frozenset(states),
         verifier.events | observable | uncontrollable,
         transitions,
         verifier.initial,
         verifier.marked,
     )
-
-    tracker = parallel_compose(completed, attacked.automaton, max_states=max_states)
-    return VerifierArtifacts(normal, attacked, verifier, completed, tracker)
 
 
 def strip_renamed(trace: Iterable[str]) -> Trace:

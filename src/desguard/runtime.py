@@ -19,11 +19,11 @@ from .attacks import AttackedModel
 from .automata import ResourceLimitError, Trace, state_name
 from .diagnosis import (
     CERTAIN,
+    Detector,
     LabeledAutomaton,
     classify,
     diagnoser_initial,
     diagnoser_step,
-    label_compose,
 )
 
 ALL_OUT = "all-out"
@@ -111,7 +111,7 @@ class ExecutionState:
 
 def initial_state(model: AttackedModel, labeled: LabeledAutomaton | None = None) -> ExecutionState:
     if labeled is None:
-        labeled = label_compose(model)
+        labeled = model.analysis.labeled
     estimate = diagnoser_initial(labeled, model.unobservable_events())
     composed = model.model.initial
     return ExecutionState(
@@ -160,7 +160,7 @@ def step(
     as soon as the estimate becomes certain.
     """
     if labeled is None:
-        labeled = label_compose(model)
+        labeled = model.analysis.labeled
     enabled = enabled_choices(state, model, policy)
     had_opportunity = bool(_split_enabled(state, model)[1])
     if choice is None:
@@ -200,8 +200,6 @@ def run(
     labeled: LabeledAutomaton | None = None,
 ) -> list[ExecutionState]:
     """Auto-step until nothing is enabled or `max_steps` events occurred."""
-    if labeled is None:
-        labeled = label_compose(model)
     states = [initial_state(model, labeled)]
     for _ in range(max_steps):
         current = states[-1]
@@ -213,13 +211,18 @@ def run(
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of exhaustively exploring all runs under a policy."""
+    """Outcome of exhaustively exploring all runs under a policy.
+
+    `detector` is the memoized detector the exploration ran, for
+    replaying estimates along the reported runs without recomputing them.
+    """
 
     explored: int
     unsafe_runs: tuple[Trace, ...]
     stuck_runs: tuple[tuple[Trace, object], ...]
     detection_latencies: tuple[int, ...]
     attack_transitions: int
+    detector: Detector = field(repr=False, compare=False)
 
     @property
     def defense_breached(self) -> bool:
@@ -246,12 +249,15 @@ def run_exhaustive(
         policy = AttackerPolicy.all_out()
     if policy.kind != ALL_OUT:
         raise ValueError("exhaustive exploration requires the all-out policy")
-    labeled = label_compose(model)
-    aut = labeled.automaton
-    unobservable = model.unobservable_events()
-    controllable = model.controllable_events()
+    analysis = model.analysis
+    aut = analysis.labeled.automaton
+    observable = analysis.observable
+    controllable = analysis.controllable
+    attack_events = model.attack_events
+    unsafe_states = model.unsafe_states
+    detector = Detector(analysis)
 
-    start = (aut.initial, diagnoser_initial(labeled, unobservable))
+    start = (aut.initial, detector.initial)
     parents: dict[tuple, tuple | None] = {start: None}
     queue = deque([start])
     unsafe_nodes: list[tuple] = []
@@ -259,15 +265,15 @@ def run_exhaustive(
     detected_nodes: list[tuple] = []
     attack_transitions = 0
 
-    if model.model.initial in model.unsafe_states:
+    if model.model.initial in unsafe_states:
         unsafe_nodes.append(start)
-    if classify(start[1]) == CERTAIN:
+    if detector.classify(start[1]) == CERTAIN:
         detected_nodes.append(start)
 
     while queue:
         node = queue.popleft()
         lstate, estimate = node
-        safe_mode = classify(estimate) == CERTAIN
+        safe_mode = detector.classify(estimate) == CERTAIN
         moves = []
         for event, target in aut.out_edges(lstate):
             if safe_mode and event in controllable:
@@ -277,11 +283,11 @@ def run_exhaustive(
             stuck_nodes.append(node)
             continue
         for event, target in moves:
-            if event in model.attack_events:
+            if event in attack_events:
                 attack_transitions += 1
             next_estimate = estimate
-            if event in model.observable_events():
-                next_estimate = diagnoser_step(labeled, unobservable, estimate, event)
+            if event in observable:
+                next_estimate = detector.step(estimate, event)
             nxt = (target, next_estimate)
             if nxt not in parents:
                 if len(parents) >= max_nodes:
@@ -290,9 +296,9 @@ def run_exhaustive(
                     )
                 parents[nxt] = (node, event)
                 queue.append(nxt)
-                if target[0] in model.unsafe_states:
+                if target[0] in unsafe_states:
                     unsafe_nodes.append(nxt)
-                if classify(next_estimate) == CERTAIN and classify(estimate) != CERTAIN:
+                if not safe_mode and detector.classify(next_estimate) == CERTAIN:
                     detected_nodes.append(nxt)
 
     def tree_trace(node) -> Trace:
@@ -307,7 +313,7 @@ def run_exhaustive(
     for node in detected_nodes:
         trace = tree_trace(node)
         first_attack = next(
-            (i for i, e in enumerate(trace) if e in model.attack_events), None
+            (i for i, e in enumerate(trace) if e in attack_events), None
         )
         if first_attack is not None:
             latencies.append(len(trace) - 1 - first_attack)
@@ -318,6 +324,7 @@ def run_exhaustive(
         stuck_runs=tuple((tree_trace(n), n[0][0]) for n in stuck_nodes),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,
+        detector=detector,
     )
 
 

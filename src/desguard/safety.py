@@ -27,15 +27,13 @@ from .diagnosis import (
     NORMAL,
     SINK,
     UNCERTAIN,
+    Detector,
     Diagnoser,
     LabeledAutomaton,
     VerifierArtifacts,
     build_diagnoser,
     build_verifier,
     classify,
-    diagnoser_initial,
-    diagnoser_step,
-    label_compose,
     strip_renamed,
 )
 from .runtime import AttackerPolicy, run_exhaustive
@@ -119,10 +117,7 @@ def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser):
     """
     aut = labeled.automaton
     entries = []
-    for (src, event), dst in sorted(
-        diagnoser.automaton.transitions.items(),
-        key=lambda item: (state_name(item[0][0]), item[0][1]),
-    ):
+    for (src, event), dst in diagnoser.automaton.transitions.items():
         if diagnoser.classification[dst] != CERTAIN:
             continue
         if diagnoser.classification[src] not in (NORMAL, UNCERTAIN):
@@ -145,8 +140,9 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     that only appear in an estimate through post-detection controllable
     moves are already covered by the defense.
     """
-    labeled = label_compose(model)
-    unobservable = model.unobservable_events()
+    analysis = model.analysis
+    labeled = analysis.labeled
+    unobservable = analysis.unobservable
     diagnoser = build_diagnoser(labeled, unobservable)
     unsafe = model.unsafe_states
 
@@ -197,7 +193,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         )
 
     # Condition 3: uncontrollable continuation from a detection point.
-    uncontrollable = model.uncontrollable_events()
+    uncontrollable = analysis.uncontrollable
     x_uc: set = set()
     breached = False
     for _src, _event, _dst, entry in entries:
@@ -348,7 +344,7 @@ def oracle_defense_simulation(model: AttackedModel, max_nodes: int = 200_000) ->
     if not report.defense_breached:
         return Verdict(safe=True, method=ORACLE)
     trace = min(report.unsafe_runs, key=len)
-    condition = _classify_breach(model, trace)
+    condition = _classify_breach(report.detector, trace)
     return Verdict(
         safe=False,
         method=ORACLE,
@@ -357,19 +353,21 @@ def oracle_defense_simulation(model: AttackedModel, max_nodes: int = 200_000) ->
     )
 
 
-def _classify_breach(model: AttackedModel, trace: Trace) -> str:
-    """Name the defense failure a breached run exhibits."""
-    labeled = label_compose(model)
-    unobservable = model.unobservable_events()
-    estimate = diagnoser_initial(labeled, unobservable)
+def _classify_breach(detector: Detector, trace: Trace) -> str:
+    """Name the defense failure a breached run exhibits.
+
+    `detector` is the one the exploration used, so the replay finds
+    every step it needs already computed.
+    """
+    estimate = detector.initial
     previous = estimate
     for event in trace:
-        if event in model.observable_events():
+        if event in detector.observable:
             previous = estimate
-            estimate = diagnoser_step(labeled, unobservable, estimate, event)
-    if classify(estimate) in (UNCERTAIN, NORMAL):
+            estimate = detector.step(estimate, event)
+    if detector.classify(estimate) in (UNCERTAIN, NORMAL):
         return UNCERTAIN_UNSAFE
-    if classify(previous) != CERTAIN:
+    if detector.classify(previous) != CERTAIN:
         return FIRST_CERTAIN_UNSAFE
     return UNCONTROLLABLE_UNSAFE
 
