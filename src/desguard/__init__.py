@@ -4,134 +4,27 @@ Build closed-loop models of a plant and its partial-observation supervisor
 under actuator-enablement, sensor-erasure, or sensor-insertion attacks;
 diagnose attacks online; and decide whether the detect-then-freeze defense
 keeps the plant out of its unsafe states.
+
+The package exports the names of the README's library tour; everything
+else lives in its module.  Importing the package imports every analysis
+module, so each is reachable as an attribute; the worked examples
+(`desguard.systems`) and the command line (`desguard.cli`) load on demand.
 """
 
 __version__ = "0.1.0"
 
-from .automata import (
-    Alphabet,
-    AttributeConflictError,
-    Automaton,
-    EventInfo,
-    ResourceLimitError,
-    accessible,
-    blocking_states,
-    deadlock_states,
-    is_blocking,
-    observer,
-    parallel_compose,
-    project,
-    reach,
-    state_name,
-)
-from .attacks import (
-    AttackedModel,
-    UnsupportedModeError,
-    VulnerabilityError,
-    VulnerabilitySpec,
-    attack_sites,
-    build_ae_model,
-    build_model,
-    build_se_model,
-    build_si_model,
-    compress,
-    dilate,
-    sub_attacker,
-)
-from .diagnosis import (
-    Diagnoser,
-    LabeledAutomaton,
-    VerifierArtifacts,
-    build_diagnoser,
-    build_verifier,
-    confusion_witness,
-    diagnoser_initial,
-    diagnoser_step,
-    first_entered_certain,
-    label_compose,
-)
-from .safety import (
-    MonotonicityReport,
-    Verdict,
-    check_ae_safe_verifier,
-    check_gf_safe_diagnoser,
-    check_model,
-    check_sub_attacker_monotonicity,
-    oracle_defense_simulation,
-)
-from .synthesis import (
-    RealizationError,
-    check_observability,
-    realize_supervisor,
-    supremal_controllable,
-)
-from .runtime import (
-    AttackerPolicy,
-    ExecutionState,
-    IllegalEventError,
-    RunReport,
-    enabled_choices,
-    initial_state,
-    run,
-    run_exhaustive,
-    step,
-)
+from . import attacks, automata, diagnosis, modelio, runtime, safety, synthesis
+from .attacks import MODE_AE, VulnerabilitySpec, build_model
+from .automata import Alphabet, Automaton
+from .safety import check_ae_safe_verifier, check_gf_safe_diagnoser, oracle_defense_simulation
 
 __all__ = [
+    "MODE_AE",
     "Alphabet",
-    "AttackedModel",
-    "AttackerPolicy",
-    "AttributeConflictError",
     "Automaton",
-    "Diagnoser",
-    "EventInfo",
-    "ExecutionState",
-    "IllegalEventError",
-    "LabeledAutomaton",
-    "MonotonicityReport",
-    "RealizationError",
-    "ResourceLimitError",
-    "RunReport",
-    "UnsupportedModeError",
-    "Verdict",
-    "VerifierArtifacts",
-    "VulnerabilityError",
     "VulnerabilitySpec",
-    "accessible",
-    "attack_sites",
-    "blocking_states",
-    "build_ae_model",
-    "build_diagnoser",
     "build_model",
-    "build_se_model",
-    "build_si_model",
-    "build_verifier",
     "check_ae_safe_verifier",
     "check_gf_safe_diagnoser",
-    "check_model",
-    "check_observability",
-    "check_sub_attacker_monotonicity",
-    "compress",
-    "confusion_witness",
-    "deadlock_states",
-    "diagnoser_initial",
-    "diagnoser_step",
-    "dilate",
-    "enabled_choices",
-    "first_entered_certain",
-    "initial_state",
-    "is_blocking",
-    "label_compose",
-    "observer",
     "oracle_defense_simulation",
-    "parallel_compose",
-    "project",
-    "reach",
-    "realize_supervisor",
-    "run",
-    "run_exhaustive",
-    "state_name",
-    "step",
-    "sub_attacker",
-    "supremal_controllable",
 ]

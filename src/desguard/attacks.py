@@ -1,7 +1,7 @@
 """Closed-loop attack models.
 
-Three builders turn a plant, a supervisor realization, and a vulnerability
-description into the closed-loop automaton under attack:
+`build_model` turns a plant, a supervisor realization, and a vulnerability
+description into the closed-loop automaton under one of three attacks:
 
 * actuator-enablement: the attacker fires vulnerable controllable events
   that the supervisor currently disables (artifact suffix ``#a``);
@@ -11,8 +11,10 @@ description into the closed-loop automaton under attack:
   occurrences of vulnerable observable events it expects (onset suffix
   ``#i``, followed by the genuine-looking event).
 
-All builders assume the worst case: the attack happens at every
-opportunity.  `sub_attacker` derives weaker attackers from an
+The modes differ only in the artifact event and where the supervisor
+self-loops it (the `_RULES` table), and in that an insertion gives the
+plant fresh states.  The attack happens at every opportunity (the worst
+case).  `sub_attacker` derives weaker attackers from an
 actuator-enablement model by dropping attack opportunities.
 """
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from .automata import (
     AE_ATTACKED,
@@ -199,254 +201,54 @@ def _check_inputs(plant: Automaton, supervisor: Automaton, alphabet: Alphabet) -
             raise VulnerabilityError(f"reserved artifact suffix in event name {event!r}")
 
 
-def _mirror_vulnerable(plant: Automaton, vulnerable: frozenset[str], suffix: str,
-                       extra_events: frozenset[str]) -> Automaton:
-    """Add an artifact transition beside every vulnerable transition."""
-    transitions = dict(plant.transitions)
-    for (src, event), dst in plant.transitions.items():
-        if event in vulnerable:
-            transitions[(src, event + suffix)] = dst
-    return Automaton(
-        plant.states,
-        plant.events | extra_events,
-        transitions,
-        plant.initial,
-        plant.marked,
-    )
+@dataclass(frozen=True)
+class _Rule:
+    """How one attack mode extends the plant, the supervisor and the alphabet."""
+
+    suffix: str
+    kind: str
+    on_sensors: bool  # the vulnerable set: sensors, else actuators
+    artifact_info: Callable[[EventInfo], tuple[bool, bool]]  # -> (observable, controllable)
+    self_loop: Callable[[bool, EventInfo], bool]  # (genuine event active, its info)
 
 
-def _finish(
-    mode: str,
-    plant_attacked: Automaton,
-    supervisor_attacked: Automaton,
-    alphabet: Alphabet,
-    attack_events: frozenset[str],
-    unsafe_plant_states: frozenset,
-    max_states: int,
-) -> AttackedModel:
-    closed_loop = parallel_compose(
-        supervisor_attacked, plant_attacked, max_states=max_states
-    )
-    unsafe = frozenset(s for s in closed_loop.states if s[1] in unsafe_plant_states)
-    return AttackedModel(
-        model=closed_loop,
-        alphabet=alphabet,
-        attack_events=attack_events,
-        unsafe_states=unsafe,
-        mode=mode,
-        plant_attacked=plant_attacked,
-        supervisor_attacked=supervisor_attacked,
-    )
-
-
-def build_ae_model(
-    plant: Automaton,
-    supervisor: Automaton,
-    vuln: VulnerabilitySpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> AttackedModel:
-    """Closed loop under actuator-enablement attacks.
-
-    The attacked plant mirrors every vulnerable transition with its ``#a``
-    artifact.  The attacked supervisor self-loops an artifact exactly where
-    the genuine event is disabled (enabling an enabled event gains the
-    attacker nothing), and self-loops every uncontrollable event that is
-    not in the active set, since after an attack the plant may have moved
-    without the supervisor's knowledge.  Artifacts are uncontrollable and
-    inherit the observability of their genuine event.
-    """
-    alphabet = vuln.alphabet
-    _check_inputs(plant, supervisor, alphabet)
-    vulnerable = vuln.vulnerable_actuators
-    attack_events = frozenset(e + AE_SUFFIX for e in vulnerable)
-    uncontrollable = alphabet.uncontrollable_events() & plant.events
-
-    plant_attacked = _mirror_vulnerable(plant, vulnerable, AE_SUFFIX, attack_events)
-
-    transitions = dict(supervisor.transitions)
-    for state in supervisor.states:
-        active = supervisor.active_events(state)
-        for event in vulnerable:
-            if event not in active:
-                transitions[(state, event + AE_SUFFIX)] = state
-        for event in uncontrollable:
-            if event not in active:
-                transitions[(state, event)] = state
-    supervisor_attacked = Automaton(
-        supervisor.states,
-        supervisor.events | plant.events | attack_events,
-        transitions,
-        supervisor.initial,
-        supervisor.marked,
-    )
-
-    model_alphabet = alphabet.with_vulnerable(vulnerable).extended(
-        {
-            e + AE_SUFFIX: EventInfo(
-                observable=alphabet[e].observable,
-                controllable=False,
-                kind=AE_ATTACKED,
-                base=e,
-            )
-            for e in vulnerable
-        }
-    )
-    return _finish(
-        MODE_AE,
-        plant_attacked,
-        supervisor_attacked,
-        model_alphabet,
-        attack_events,
-        vuln.unsafe_plant_states,
-        max_states,
-    )
-
-
-def build_se_model(
-    plant: Automaton,
-    supervisor: Automaton,
-    vuln: VulnerabilitySpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> AttackedModel:
-    """Closed loop under sensor-erasure attacks.
-
-    Erased variants (``#e``) are unobservable and inherit controllability.
-    The attacked supervisor self-loops an erased event where the genuine
-    event is enabled (the plant moved, the supervisor saw nothing), and
-    additionally wherever the erased variant is uncontrollable, because an
-    out-of-sync plant may produce uncontrollable events the supervisor
-    does not expect.  Genuine uncontrollable events self-loop where they
-    are not in the active set, for the same reason.
-    """
-    alphabet = vuln.alphabet
-    _check_inputs(plant, supervisor, alphabet)
-    vulnerable = vuln.vulnerable_sensors
-    attack_events = frozenset(e + SE_SUFFIX for e in vulnerable)
-    uncontrollable = alphabet.uncontrollable_events() & plant.events
-
-    plant_attacked = _mirror_vulnerable(plant, vulnerable, SE_SUFFIX, attack_events)
-
-    transitions = dict(supervisor.transitions)
-    for state in supervisor.states:
-        active = supervisor.active_events(state)
-        for event in vulnerable:
-            erased_uncontrollable = event not in alphabet.controllable_events()
-            if event in active or erased_uncontrollable:
-                transitions[(state, event + SE_SUFFIX)] = state
-        for event in uncontrollable:
-            if event not in active:
-                transitions[(state, event)] = state
-    supervisor_attacked = Automaton(
-        supervisor.states,
-        supervisor.events | plant.events | attack_events,
-        transitions,
-        supervisor.initial,
-        supervisor.marked,
-    )
-
-    model_alphabet = alphabet.with_vulnerable(vulnerable).extended(
-        {
-            e + SE_SUFFIX: EventInfo(
-                observable=False,
-                controllable=alphabet[e].controllable,
-                kind=SE_ERASED,
-                base=e,
-            )
-            for e in vulnerable
-        }
-    )
-    return _finish(
-        MODE_SE,
-        plant_attacked,
-        supervisor_attacked,
-        model_alphabet,
-        attack_events,
-        vuln.unsafe_plant_states,
-        max_states,
-    )
+_RULES = {
+    # Actuator enablement: each vulnerable transition gains an ``#a`` twin.
+    # The supervisor self-loops it where the genuine event is disabled
+    # (enabling an enabled event gains the attacker nothing).  Artifacts
+    # are uncontrollable and keep the genuine event's observability.
+    MODE_AE: _Rule(
+        AE_SUFFIX, AE_ATTACKED, False,
+        lambda info: (info.observable, False),
+        lambda active, info: not active,
+    ),
+    # Sensor erasure: each vulnerable transition gains an unobservable
+    # ``#e`` twin with the genuine event's controllability.  The supervisor
+    # self-loops it where the genuine event is enabled (the plant moved,
+    # the supervisor saw nothing) and wherever it is uncontrollable, since
+    # an out-of-sync plant may produce events the supervisor does not expect.
+    MODE_SE: _Rule(
+        SE_SUFFIX, SE_ERASED, True,
+        lambda info: (False, info.controllable),
+        lambda active, info: active or not info.controllable,
+    ),
+    # Sensor insertion: every plant state j gains j -e#i-> fresh -e-> j per
+    # vulnerable e, the onset of a fictitious occurrence that looks genuine
+    # to the supervisor and leaves the plant where it was.  The supervisor
+    # self-loops e#i where e is active: inserting an event it does not
+    # expect would only reveal the attacker.  Onsets are unobservable and
+    # uncontrollable.
+    MODE_SI: _Rule(
+        SI_SUFFIX, SI_ONSET, True,
+        lambda info: (False, False),
+        lambda active, info: active,
+    ),
+}
 
 
 def insertion_state(plant_state, event: str) -> str:
     """Deterministic name for the fresh plant state of an insertion."""
     return f"ins({state_name(plant_state)},{event})"
-
-
-def build_si_model(
-    plant: Automaton,
-    supervisor: Automaton,
-    vuln: VulnerabilitySpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> AttackedModel:
-    """Closed loop under sensor-insertion attacks.
-
-    For every plant state j and vulnerable event e the attacked plant gains
-    a fresh state with j -e#i-> fresh -e-> j: the onset of the insertion
-    followed by the fictitious occurrence, which looks genuine to the
-    supervisor and leaves the plant where it was.  The attacked supervisor
-    self-loops e#i exactly at states whose active set contains e; inserting
-    an event the supervisor does not expect would only reveal the attacker.
-    Onset events are unobservable and uncontrollable.
-    """
-    alphabet = vuln.alphabet
-    _check_inputs(plant, supervisor, alphabet)
-    vulnerable = vuln.vulnerable_sensors
-    attack_events = frozenset(e + SI_SUFFIX for e in vulnerable)
-    uncontrollable = alphabet.uncontrollable_events() & plant.events
-
-    states = set(plant.states)
-    transitions = dict(plant.transitions)
-    for state in sorted(plant.states, key=state_name):
-        for event in sorted(vulnerable):
-            fresh = insertion_state(state, event)
-            if fresh in states:
-                raise VulnerabilityError(f"state name collision on {fresh!r}")
-            states.add(fresh)
-            transitions[(state, event + SI_SUFFIX)] = fresh
-            transitions[(fresh, event)] = state
-    plant_attacked = Automaton(
-        frozenset(states),
-        plant.events | attack_events,
-        transitions,
-        plant.initial,
-        plant.marked,
-    )
-
-    sup_transitions = dict(supervisor.transitions)
-    for state in supervisor.states:
-        active = supervisor.active_events(state)
-        for event in vulnerable & active:
-            sup_transitions[(state, event + SI_SUFFIX)] = state
-        for event in uncontrollable:
-            if event not in active:
-                sup_transitions[(state, event)] = state
-    supervisor_attacked = Automaton(
-        supervisor.states,
-        supervisor.events | plant.events | attack_events,
-        sup_transitions,
-        supervisor.initial,
-        supervisor.marked,
-    )
-
-    model_alphabet = alphabet.with_vulnerable(vulnerable).extended(
-        {
-            e + SI_SUFFIX: EventInfo(
-                observable=False,
-                controllable=False,
-                kind=SI_ONSET,
-                base=e,
-            )
-            for e in vulnerable
-        }
-    )
-    return _finish(
-        MODE_SI,
-        plant_attacked,
-        supervisor_attacked,
-        model_alphabet,
-        attack_events,
-        vuln.unsafe_plant_states,
-        max_states,
-    )
 
 
 def build_model(
@@ -456,15 +258,74 @@ def build_model(
     vuln: VulnerabilitySpec,
     max_states: int = DEFAULT_STATE_LIMIT,
 ) -> AttackedModel:
-    """Dispatch to the builder for `mode`."""
-    builders = {
-        MODE_AE: build_ae_model,
-        MODE_SE: build_se_model,
-        MODE_SI: build_si_model,
-    }
-    if mode not in builders:
+    """Closed loop of `plant` and `supervisor` under the `mode` attacker.
+
+    The attacked plant and attacked supervisor follow the mode's row in
+    `_RULES`.  In every mode the supervisor also self-loops each
+    uncontrollable event outside its active set, because under attack the
+    plant may have moved without the supervisor's knowledge.
+    """
+    rule = _RULES.get(mode)
+    if rule is None:
         raise UnsupportedModeError(f"unknown attack mode {mode!r}")
-    return builders[mode](plant, supervisor, vuln, max_states=max_states)
+    alphabet = vuln.alphabet
+    _check_inputs(plant, supervisor, alphabet)
+    vulnerable = vuln.vulnerable_sensors if rule.on_sensors else vuln.vulnerable_actuators
+    artifact = {e: e + rule.suffix for e in vulnerable}
+    attack_events = frozenset(artifact.values())
+
+    states = set(plant.states)
+    transitions = dict(plant.transitions)
+    if mode == MODE_SI:
+        for state in sorted(plant.states, key=state_name):
+            for event in sorted(vulnerable):
+                fresh = insertion_state(state, event)
+                if fresh in states:
+                    raise VulnerabilityError(f"state name collision on {fresh!r}")
+                states.add(fresh)
+                transitions[(state, artifact[event])] = fresh
+                transitions[(fresh, event)] = state
+    else:
+        for (src, event), dst in plant.transitions.items():
+            if event in vulnerable:
+                transitions[(src, artifact[event])] = dst
+    plant_attacked = Automaton(
+        frozenset(states), plant.events | attack_events, transitions, plant.initial, plant.marked
+    )
+
+    uncontrollable = alphabet.uncontrollable_events() & plant.events
+    transitions = dict(supervisor.transitions)
+    for state in supervisor.states:
+        active = supervisor.active_events(state)
+        for event in vulnerable:
+            if rule.self_loop(event in active, alphabet[event]):
+                transitions[(state, artifact[event])] = state
+        for event in uncontrollable - active:
+            transitions[(state, event)] = state
+    supervisor_attacked = Automaton(
+        supervisor.states,
+        supervisor.events | plant.events | attack_events,
+        transitions,
+        supervisor.initial,
+        supervisor.marked,
+    )
+
+    infos = {}
+    for event in vulnerable:
+        observable, controllable = rule.artifact_info(alphabet[event])
+        infos[artifact[event]] = EventInfo(observable, controllable, kind=rule.kind, base=event)
+    closed_loop = parallel_compose(supervisor_attacked, plant_attacked, max_states=max_states)
+    return AttackedModel(
+        model=closed_loop,
+        alphabet=alphabet.with_vulnerable(vulnerable).extended(infos),
+        attack_events=attack_events,
+        unsafe_states=frozenset(
+            s for s in closed_loop.states if s[1] in vuln.unsafe_plant_states
+        ),
+        mode=mode,
+        plant_attacked=plant_attacked,
+        supervisor_attacked=supervisor_attacked,
+    )
 
 
 def attack_sites(model: AttackedModel) -> list[tuple]:

@@ -278,6 +278,19 @@ def project(trace: Iterable[str], observable: Iterable[str]) -> Trace:
     return tuple(e for e in trace if e in observable)
 
 
+def path_to(parents: Mapping, node: State) -> Trace:
+    """Events along the search path to `node`.
+
+    `parents` maps each reached node to its (predecessor, event) and the
+    search root to None, as a breadth-first search records them.
+    """
+    trace = []
+    while parents[node] is not None:
+        node, event = parents[node]
+        trace.append(event)
+    return tuple(reversed(trace))
+
+
 def reach(automaton: Automaton, source: State, allowed: Iterable[str]) -> frozenset:
     """States reachable from `source` using only events in `allowed`."""
     if source not in automaton.states:
@@ -440,6 +453,3 @@ def blocking_states(automaton: Automaton) -> frozenset:
     reachable = reach(automaton, automaton.initial, automaton.events)
     return frozenset(reachable - coreachable)
 
-
-def is_blocking(automaton: Automaton) -> bool:
-    return bool(blocking_states(automaton))

@@ -2,11 +2,12 @@
 
 Exit codes: 0 success (or verdict safe), 1 verdict unsafe / refused
 realization, 2 validation or usage error, 3 method disagreement with
---method all.
+--method all, 4 state budget exceeded (no verdict).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -20,7 +21,7 @@ from .attacks import (
     VulnerabilitySpec,
     build_model,
 )
-from .automata import blocking_states, deadlock_states, state_name
+from .automata import ResourceLimitError, blocking_states, deadlock_states, state_name
 from .modelio import (
     ModelDocument,
     ModelFormatError,
@@ -39,6 +40,19 @@ from .synthesis import RealizationError, realize_supervisor, supremal_controllab
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _within_budget(command):
+    """Report a state budget overflow as exit code 4, never as a verdict."""
+
+    @functools.wraps(command)
+    def guarded(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except ResourceLimitError as exc:
+            _fail(str(exc), code=4)
+
+    return guarded
 
 
 def _load(path: str):
@@ -82,6 +96,7 @@ def main():
 @click.option("--mode", type=click.Choice(MODES), required=True)
 @click.option("--vulnerable", required=True, help="Comma-separated vulnerable events.")
 @click.option("--out", default=None, help="Output path (default: stdout).")
+@_within_budget
 def build(plant_file, supervisor_file, mode, vulnerable, out):
     """Build the closed-loop attack model from plant and supervisor files."""
     plant_doc = _load_plain(plant_file)
@@ -111,8 +126,10 @@ def build(plant_file, supervisor_file, mode, vulnerable, out):
     show_default=True,
 )
 @click.option("--out", default=None)
+@_within_budget
 def check(model_file, method, out):
-    """Decide safe controllability; exit 0 if safe, 1 if unsafe."""
+    """Decide safe controllability; exit 0 if safe, 1 if unsafe, 4 if a
+    state budget is exceeded before a verdict."""
     model = _load_attacked(model_file)
     deadlocks = sorted(
         {state_name(model.plant_component(s)) for s in deadlock_states(model.model)}
@@ -185,6 +202,7 @@ def _parse_policy(spec: str) -> AttackerPolicy:
               help="all-out, random:p, or a path to a JSON decision script.")
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--max-steps", default=100, show_default=True, type=int)
+@_within_budget
 def simulate(model_file, policy, seed, max_steps):
     """Run the closed loop once, printing one JSON record per step."""
     model = _load_attacked(model_file)

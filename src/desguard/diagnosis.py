@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .attacks import RENAME_SUFFIX, AttackedModel
 from .automata import (
@@ -24,6 +24,7 @@ from .automata import (
     accessible,
     observer,
     parallel_compose,
+    path_to,
     unobservable_reach,
 )
 
@@ -188,16 +189,13 @@ class Detector:
         return kind
 
 
-def first_entered_certain(diagnoser: Diagnoser) -> frozenset:
-    """Certain diagnoser states with an incoming edge from a normal or uncertain state."""
-    result = set()
-    for (src, _event), dst in diagnoser.automaton.transitions.items():
-        if (
-            diagnoser.classification[dst] == CERTAIN
-            and diagnoser.classification[src] in (NORMAL, UNCERTAIN)
-        ):
-            result.add(dst)
-    return frozenset(result)
+def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, State]]:
+    """Diagnoser edges (src, event, dst) from a normal or uncertain state
+    into a certain one: the points where detection first becomes certain."""
+    classification = diagnoser.classification
+    for (src, event), dst in diagnoser.automaton.transitions.items():
+        if classification[dst] == CERTAIN and classification[src] in (NORMAL, UNCERTAIN):
+            yield src, event, dst
 
 
 @dataclass(frozen=True)
@@ -380,12 +378,7 @@ def confusion_witness(
         else:
             satisfied_here = satisfied
         if state[1][1] == ATTACKED and satisfied_here:
-            trace = []
-            cursor = node
-            while parents[cursor] is not None:
-                cursor, event = parents[cursor]
-                trace.append(event)
-            trace.reverse()
+            trace = path_to(parents, node)
             attacked_trace = strip_renamed(trace)
             normal_trace = recover_normal(
                 trace, model.attack_events, model.observable_events()

@@ -20,7 +20,11 @@ from .attacks import (
     artifact_suffix,
 )
 from .automata import (
+    AE_ATTACKED,
     GENUINE,
+    RENAMED,
+    SE_ERASED,
+    SI_ONSET,
     Alphabet,
     Automaton,
     EventInfo,
@@ -30,7 +34,7 @@ from .automata import (
 ATTACKED_MODEL_FORMAT = "attacked-model"
 AUTOMATON_FORMAT = "automaton"
 
-EVENT_KINDS = (GENUINE, "ae-attacked", "se-erased", "si-onset", "renamed")
+EVENT_KINDS = (GENUINE, AE_ATTACKED, SE_ERASED, SI_ONSET, RENAMED)
 
 
 class ModelFormatError(ValueError):
@@ -238,11 +242,6 @@ def load_path(path: str):
     return parse_model(doc, where=path)
 
 
-def save_path(path: str, doc: dict) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_doc(doc))
-
-
 VERDICT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -306,12 +305,13 @@ def to_dot(
     """Graphviz rendering: unsafe states are boxes, marked states are
     double circles, attack-artifact transitions are dashed."""
     unsafe_names = {state_name(s) for s in unsafe}
+    marked_names = {state_name(s) for s in automaton.marked}
     lines = [f"digraph \"{title}\" {{", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append("  __start [shape=point, label=\"\"];")
     for name in sorted(state_name(s) for s in automaton.states):
         if name in unsafe_names:
             shape = "box"
-        elif name in {state_name(s) for s in automaton.marked}:
+        elif name in marked_names:
             shape = "doublecircle"
         else:
             shape = "circle"

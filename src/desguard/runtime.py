@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .attacks import AttackedModel
-from .automata import ResourceLimitError, Trace, state_name
+from .automata import ResourceLimitError, Trace, path_to, state_name
 from .diagnosis import (
     CERTAIN,
     Detector,
@@ -301,17 +301,9 @@ def run_exhaustive(
                 if not safe_mode and detector.classify(next_estimate) == CERTAIN:
                     detected_nodes.append(nxt)
 
-    def tree_trace(node) -> Trace:
-        trace = []
-        cursor = node
-        while parents[cursor] is not None:
-            cursor, event = parents[cursor]
-            trace.append(event)
-        return tuple(reversed(trace))
-
     latencies = []
     for node in detected_nodes:
-        trace = tree_trace(node)
+        trace = path_to(parents, node)
         first_attack = next(
             (i for i, e in enumerate(trace) if e in attack_events), None
         )
@@ -320,8 +312,8 @@ def run_exhaustive(
 
     return RunReport(
         explored=len(parents),
-        unsafe_runs=tuple(tree_trace(n) for n in unsafe_nodes),
-        stuck_runs=tuple((tree_trace(n), n[0][0]) for n in stuck_nodes),
+        unsafe_runs=tuple(path_to(parents, n) for n in unsafe_nodes),
+        stuck_runs=tuple((path_to(parents, n), n[0][0]) for n in stuck_nodes),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,
         detector=detector,

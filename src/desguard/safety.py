@@ -19,8 +19,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .attacks import MODE_AE, AttackedModel, sub_attacker
-from .automata import Trace, reach, state_name
+from .attacks import AttackedModel
+from .automata import Trace, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
@@ -34,6 +34,7 @@ from .diagnosis import (
     build_diagnoser,
     build_verifier,
     classify,
+    first_entered_certain,
     strip_renamed,
 )
 from .runtime import AttackerPolicy, run_exhaustive
@@ -97,17 +98,9 @@ class _Product:
                     self.parents[nxt] = (node, event)
                     queue.append(nxt)
 
-    def trace_to(self, node) -> Trace:
-        trace = []
-        cursor = node
-        while self.parents[cursor] is not None:
-            cursor, event = self.parents[cursor]
-            trace.append(event)
-        return tuple(reversed(trace))
 
-
-def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser):
-    """Per-edge entry states of first-entered certain estimates.
+def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser) -> list[frozenset]:
+    """Entry states of each edge on which detection first becomes certain.
 
     For an edge q -e-> q' from a normal/uncertain estimate into a certain
     one, the entry set holds the states reached exactly on e, before the
@@ -116,17 +109,10 @@ def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser):
     and those are subject to the defense.
     """
     aut = labeled.automaton
-    entries = []
-    for (src, event), dst in diagnoser.automaton.transitions.items():
-        if diagnoser.classification[dst] != CERTAIN:
-            continue
-        if diagnoser.classification[src] not in (NORMAL, UNCERTAIN):
-            continue
-        entry = frozenset(
-            t for member in src if (t := aut.successor(member, event)) is not None
-        )
-        entries.append((src, event, dst, entry))
-    return entries
+    return [
+        frozenset(t for member in src if (t := aut.successor(member, event)) is not None)
+        for src, event, _dst in first_entered_certain(diagnoser)
+    ]
 
 
 def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
@@ -162,7 +148,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
                 and lstate[0] in unsafe
                 and classify(estimate) == UNCERTAIN
             ):
-                trace = product.trace_to(node)
+                trace = path_to(product.parents, node)
                 if witness is None or len(trace) < len(witness[0]):
                     witness = (trace, estimate)
         trace, estimate = witness if witness else ((), None)
@@ -177,9 +163,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     entries = _entry_sets(labeled, diagnoser)
 
     # Condition 2: an unsafe state is reached exactly at first detection.
-    condition2 = any(
-        any(s[0] in unsafe for s in entry) for _, _, _, entry in entries
-    )
+    condition2 = any(s[0] in unsafe for entry in entries for s in entry)
     if condition2:
         trace, estimate = _detection_edge_witness(
             model, labeled, diagnoser, unobservable, lambda lstate: lstate[0] in unsafe
@@ -196,7 +180,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     uncontrollable = analysis.uncontrollable
     x_uc: set = set()
     breached = False
-    for _src, _event, _dst, entry in entries:
+    for entry in entries:
         for lstate in entry:
             reached = reach(model.model, lstate[0], uncontrollable)
             x_uc |= reached
@@ -216,7 +200,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             goal = sorted(
                 reach(model.model, end, uncontrollable) & unsafe, key=state_name
             )[0]
-            tail = _uncontrollable_tail(model, end, goal, uncontrollable)
+            tail, _ = _shortest_to(model.model, end, {goal}, uncontrollable)
         return Verdict(
             safe=False,
             method=DIAGNOSER,
@@ -238,30 +222,10 @@ def _detection_edge_witness(model, labeled, diagnoser, unobservable, arrival_ok)
             continue
         if not arrival_ok(to_node[0]):
             continue
-        trace = product.trace_to(from_node) + (event,)
+        trace = path_to(product.parents, from_node) + (event,)
         if best is None or len(trace) < len(best[0]):
             best = (trace, state_name(to_node[1]))
     return best if best else (None, None)
-
-
-def _uncontrollable_tail(model, source, goal, uncontrollable) -> Trace:
-    """Shortest uncontrollable event path from source to goal in the closed loop."""
-    aut = model.model
-    parents: dict = {source: None}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        if current == goal:
-            tail = []
-            while parents[current] is not None:
-                current, event = parents[current]
-                tail.append(event)
-            return tuple(reversed(tail))
-        for event, target in aut.out_edges(current):
-            if event in uncontrollable and target not in parents:
-                parents[target] = (current, event)
-                queue.append(target)
-    return ()
 
 
 def check_ae_safe_verifier(
@@ -286,7 +250,7 @@ def check_ae_safe_verifier(
             if s[1][1] == ATTACKED and s[1][0] in unsafe
         )
         if hits:
-            trace, hit = _shortest_to(artifacts.verifier, hits)
+            trace, hit = _shortest_to(artifacts.verifier, artifacts.verifier.initial, hits)
             return Verdict(
                 safe=False,
                 method=VERIFIER,
@@ -302,7 +266,7 @@ def check_ae_safe_verifier(
             if s[0] == SINK and s[1][1] == ATTACKED and s[1][0] in unsafe
         )
         if hits:
-            trace, hit = _shortest_to(artifacts.tracker, hits)
+            trace, hit = _shortest_to(artifacts.tracker, artifacts.tracker.initial, hits)
             return Verdict(
                 safe=False,
                 method=VERIFIER,
@@ -313,20 +277,18 @@ def check_ae_safe_verifier(
     return Verdict(safe=True, method=VERIFIER)
 
 
-def _shortest_to(automaton, goals: frozenset) -> tuple[Trace, object]:
-    parents: dict = {automaton.initial: None}
-    queue = deque([automaton.initial])
+def _shortest_to(automaton, source, goals, allowed=None) -> tuple[Trace, object]:
+    """Shortest path from `source` to a state in `goals`, and the state
+    reached, using only `allowed` events (all when None); ((), None) when
+    no goal is reachable."""
+    parents: dict = {source: None}
+    queue = deque([source])
     while queue:
         current = queue.popleft()
         if current in goals:
-            goal = current
-            trace = []
-            while parents[current] is not None:
-                current, event = parents[current]
-                trace.append(event)
-            return tuple(reversed(trace)), goal
+            return path_to(parents, current), current
         for event, target in automaton.out_edges(current):
-            if target not in parents:
+            if (allowed is None or event in allowed) and target not in parents:
                 parents[target] = (current, event)
                 queue.append(target)
     return (), None
@@ -370,43 +332,6 @@ def _classify_breach(detector: Detector, trace: Trace) -> str:
     if detector.classify(previous) != CERTAIN:
         return FIRST_CERTAIN_UNSAFE
     return UNCONTROLLABLE_UNSAFE
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Result of sampling weaker attackers against a safe all-out model."""
-
-    skipped: bool
-    reason: str | None
-    trials: int
-    violations: tuple[tuple, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.skipped and not self.violations
-
-
-def check_sub_attacker_monotonicity(
-    model: AttackedModel, trials: int = 20, seed: int = 0
-) -> MonotonicityReport:
-    """A safe all-out model must stay safe under every weaker attacker.
-
-    Samples `trials` random subsets of the attack opportunities; any
-    weaker attacker found unsafe is reported as a violation (which would
-    indicate a modeling bug, not a property of the system).
-    """
-    if model.mode != MODE_AE:
-        return MonotonicityReport(True, "requires an actuator-enablement model", 0, ())
-    base = check_gf_safe_diagnoser(model)
-    if not base.safe:
-        return MonotonicityReport(True, "all-out model is not safe controllable", 0, ())
-    violations = []
-    for trial in range(trials):
-        weaker = sub_attacker(model, seed=seed + trial)
-        verdict = check_gf_safe_diagnoser(weaker)
-        if not verdict.safe:
-            violations.append((trial, verdict.violated_condition))
-    return MonotonicityReport(False, None, trials, tuple(violations))
 
 
 def check_model(model: AttackedModel, method: str = DIAGNOSER) -> Verdict:

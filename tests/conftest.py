@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from desguard.attacks import build_ae_model, build_se_model, build_si_model
+from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, build_model
 from desguard.systems import (
     actuator_demo_system,
     erasure_blocking_system,
@@ -22,7 +22,7 @@ def actuator_demo():
 
 @pytest.fixture(scope="session")
 def actuator_model(actuator_demo):
-    return build_ae_model(actuator_demo.plant, actuator_demo.supervisor, actuator_demo.vuln)
+    return build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, actuator_demo.vuln)
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +32,7 @@ def erasure_demo():
 
 @pytest.fixture(scope="session")
 def erasure_model(erasure_demo):
-    return build_se_model(erasure_demo.plant, erasure_demo.supervisor, erasure_demo.vuln)
+    return build_model(MODE_SE, erasure_demo.plant, erasure_demo.supervisor, erasure_demo.vuln)
 
 
 @pytest.fixture(scope="session")
@@ -42,7 +42,7 @@ def blocking_demo():
 
 @pytest.fixture(scope="session")
 def blocking_model(blocking_demo):
-    return build_se_model(blocking_demo.plant, blocking_demo.supervisor, blocking_demo.vuln)
+    return build_model(MODE_SE, blocking_demo.plant, blocking_demo.supervisor, blocking_demo.vuln)
 
 
 @pytest.fixture(scope="session")
@@ -52,7 +52,9 @@ def insertion_demo():
 
 @pytest.fixture(scope="session")
 def insertion_model(insertion_demo):
-    return build_si_model(insertion_demo.plant, insertion_demo.supervisor, insertion_demo.vuln)
+    return build_model(
+        MODE_SI, insertion_demo.plant, insertion_demo.supervisor, insertion_demo.vuln
+    )
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +64,7 @@ def traffic_ae():
 
 @pytest.fixture(scope="session")
 def traffic_ae_model(traffic_ae):
-    return build_ae_model(traffic_ae.plant, traffic_ae.supervisor, traffic_ae.vuln)
+    return build_model(MODE_AE, traffic_ae.plant, traffic_ae.supervisor, traffic_ae.vuln)
 
 
 @pytest.fixture(scope="session")
@@ -72,7 +74,7 @@ def traffic_se():
 
 @pytest.fixture(scope="session")
 def traffic_se_model(traffic_se):
-    return build_se_model(traffic_se.plant, traffic_se.supervisor, traffic_se.vuln)
+    return build_model(MODE_SE, traffic_se.plant, traffic_se.supervisor, traffic_se.vuln)
 
 
 @pytest.fixture(scope="session")
@@ -82,4 +84,4 @@ def traffic_si():
 
 @pytest.fixture(scope="session")
 def traffic_si_model(traffic_si):
-    return build_si_model(traffic_si.plant, traffic_si.supervisor, traffic_si.vuln)
+    return build_model(MODE_SI, traffic_si.plant, traffic_si.supervisor, traffic_si.vuln)

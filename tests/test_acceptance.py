@@ -13,7 +13,6 @@ from click.testing import CliRunner
 
 from desguard.attacks import (
     MODE_AE,
-    build_ae_model,
     build_model,
     compress,
     dilate,
@@ -92,7 +91,7 @@ def _cli_build(tmp, plant_path, supervisor_path, mode, vulnerable):
 def test_criterion_1_actuator_demo_pipeline():
     start = time.monotonic()
     system = actuator_demo_system()
-    model = build_ae_model(system.plant, system.supervisor, system.vuln)
+    model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
     verdict = check_gf_safe_diagnoser(model)
     assert not verdict.safe
     assert verdict.violated_condition == UNCONTROLLABLE_UNSAFE
@@ -105,7 +104,7 @@ def test_criterion_1_actuator_demo_pipeline():
 def test_criterion_2_verifier_agreement_on_demo():
     start = time.monotonic()
     system = actuator_demo_system()
-    model = build_ae_model(system.plant, system.supervisor, system.vuln)
+    model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
     verifier_verdict = check_ae_safe_verifier(model)
     diagnoser_verdict = check_gf_safe_diagnoser(model)
     assert not verifier_verdict.safe

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,20 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desguard.attacks import (
+    MODE_AE,
+    MODE_SE,
+    MODE_SI,
     SE_SUFFIX,
     UnsupportedModeError,
     VulnerabilityError,
     VulnerabilitySpec,
     attack_sites,
     base_event,
-    build_ae_model,
-    build_se_model,
-    build_si_model,
+    build_model,
     compress,
     dilate,
     sub_attacker,
 )
 from desguard.automata import Alphabet, Automaton, parallel_compose, state_name
+from desguard.modelio import attacked_to_doc, dumps_doc
 
 from langtools import enumerate_traces
 
@@ -125,7 +128,7 @@ class TestActuatorModel:
             actuator_demo.vuln.alphabet,
             unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
         )
-        model = build_ae_model(actuator_demo.plant, actuator_demo.supervisor, vuln)
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
         nominal = parallel_compose(actuator_demo.supervisor, actuator_demo.plant)
         # No artifacts appear and the language matches the nominal loop.
         assert not any(base_event(e) != e for t in enumerate_traces(model.model, K) for e in t)
@@ -147,7 +150,7 @@ class TestActuatorModel:
         alphabet = Alphabet.from_sets(["x#a"], observable=["x#a"], controllable=["x#a"])
         plant = Automaton.build("1", [("1", "x#a", "2")])
         with pytest.raises(VulnerabilityError):
-            build_ae_model(plant, plant, VulnerabilitySpec(alphabet))
+            build_model(MODE_AE, plant, plant, VulnerabilitySpec(alphabet))
 
 
 class TestErasureModel:
@@ -164,12 +167,23 @@ class TestErasureModel:
         # b is uncontrollable in the erasure demo, so its erased twin is too.
         assert not info.controllable
 
+    def test_uncontrollable_erasure_self_loops_where_disabled(self):
+        # u is uncontrollable but inactive at supervisor state 2: an
+        # out-of-sync plant may still erase it there.
+        plant = Automaton.build("1", [("1", "a", "2"), ("2", "u", "3")])
+        supervisor = Automaton.build("1", [("1", "a", "2")], events=["a", "u"])
+        alphabet = Alphabet.from_sets(["a", "u"], observable=["a", "u"], controllable=["a"])
+        vuln = VulnerabilitySpec(alphabet, vulnerable_sensors={"u"})
+        model = build_model(MODE_SE, plant, supervisor, vuln)
+        assert model.supervisor_attacked.successor("2", "u#e") == "2"
+        assert model.model.run(("a", "u#e")) == ("2", "3")
+
     def test_empty_vulnerable_set_is_nominal(self, erasure_demo):
         vuln = VulnerabilitySpec(
             erasure_demo.vuln.alphabet,
             unsafe_plant_states=erasure_demo.vuln.unsafe_plant_states,
         )
-        model = build_se_model(erasure_demo.plant, erasure_demo.supervisor, vuln)
+        model = build_model(MODE_SE, erasure_demo.plant, erasure_demo.supervisor, vuln)
         nominal = parallel_compose(erasure_demo.supervisor, erasure_demo.plant)
         assert enumerate_traces(model.model, K) == enumerate_traces(nominal, K)
 
@@ -194,7 +208,7 @@ class TestInsertionModel:
             insertion_demo.vuln.alphabet,
             unsafe_plant_states=insertion_demo.vuln.unsafe_plant_states,
         )
-        model = build_si_model(insertion_demo.plant, insertion_demo.supervisor, vuln)
+        model = build_model(MODE_SI, insertion_demo.plant, insertion_demo.supervisor, vuln)
         nominal = parallel_compose(insertion_demo.supervisor, insertion_demo.plant)
         assert enumerate_traces(model.model, K) == enumerate_traces(nominal, K)
 
@@ -251,6 +265,26 @@ class TestBuilderInvariants:
             if skip is not None:
                 continue  # onset still pending its fictitious event
             assert tuple(cleaned) in plant_lang
+
+
+# sha256 of the canonical document of each conftest model.  The CLI build
+# test compares `desguard build` with the same builder, so only a pinned
+# digest catches a change in what the builder produces.
+BUILT_DOC_SHA256 = {
+    "actuator_model": "1f566afd8363f6efaaf6dd1df3733393c59e0de20d6db3b2a6171ac654560c9b",
+    "blocking_model": "c238c53d7b70f12d89f041efb52d2a8382fdff1011d4ae1a1b2226ea597d1813",
+    "erasure_model": "e45bd219580c5db246f293518599bcccc874fd15f6547c018f6252034472b35e",
+    "insertion_model": "0f8e4520da7ef8fbb5e20b311d2eb94413e5153cb1b18f7207b165682092ff61",
+    "traffic_ae_model": "41bc3cdb96d954c7db988ae23f45f7f1cceac02a419628ae11f3402dbbb25391",
+    "traffic_se_model": "2451ca259b8f9044f8b31ee59ff86051918614b0ef00bbdbc0a5eca1e56c829a",
+    "traffic_si_model": "4810dc1298f8b5a14357c6b4aa6987ee84ce13b49a3eb8dc64a1eba9969bbcc2",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(BUILT_DOC_SHA256))
+def test_built_document_is_pinned(fixture, request):
+    text = dumps_doc(attacked_to_doc(request.getfixturevalue(fixture)))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUILT_DOC_SHA256[fixture]
 
 
 class TestSubAttacker:

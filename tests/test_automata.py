@@ -15,6 +15,7 @@ from desguard.automata import (
     deadlock_states,
     observer,
     parallel_compose,
+    path_to,
     project,
     reach,
     state_name,
@@ -185,6 +186,15 @@ class TestReach:
         extra = frozenset(data.draw(st.sets(st.sampled_from(events), max_size=len(events))))
         source = data.draw(st.sampled_from(sorted(a.states)))
         assert reach(a, source, small) <= reach(a, source, small | extra)
+
+
+
+class TestPathTo:
+    def test_walks_parents_back_to_the_root(self):
+        parents = {"r": None, "x": ("r", "a"), "y": ("x", "b"), "z": ("r", "c")}
+        assert path_to(parents, "y") == ("a", "b")
+        assert path_to(parents, "z") == ("c",)
+        assert path_to(parents, "r") == ()
 
 
 class TestProject:

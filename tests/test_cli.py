@@ -3,6 +3,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from desguard import cli
+from desguard.automata import ResourceLimitError
 from desguard.cli import main
 from desguard.modelio import dumps_doc, model_to_doc
 from desguard.systems import (
@@ -65,15 +67,17 @@ class TestBuild:
         assert doc["attack_events"] == ["b#a"]
 
     def test_build_matches_library_construction(self, demo_model_file):
-        from desguard.attacks import build_ae_model
+        from desguard.attacks import MODE_AE, build_model
         from desguard.modelio import attacked_to_doc
 
         system = actuator_demo_system()
-        expected = attacked_to_doc(build_ae_model(system.plant, system.supervisor, system.vuln))
+        expected = attacked_to_doc(
+            build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
+        )
         assert json.loads(demo_model_file.read_text()) == expected
 
     def test_traffic_erasure_build_matches_library(self, runner, traffic_files, tmp_path):
-        from desguard.attacks import build_se_model
+        from desguard.attacks import MODE_SE, build_model
         from desguard.modelio import attacked_to_doc
         from desguard.systems import traffic_system
 
@@ -90,7 +94,7 @@ class TestBuild:
         ).exit_code == 0
         system = traffic_system(vulnerable_sensors={"a3", "b3"})
         expected = attacked_to_doc(
-            build_se_model(system.plant, system.supervisor, system.vuln)
+            build_model(MODE_SE, system.plant, system.supervisor, system.vuln)
         )
         assert json.loads(model_path.read_text()) == expected
 
@@ -163,6 +167,32 @@ class TestCheck:
         doc = json.loads((tmp_path / "v.json").read_text())
         assert doc["safe"] is True
         assert doc["deadlocks"] == ["(0,3)", "(3,0)", "(3,5)", "(5,3)"]
+
+
+
+class TestStateBudget:
+    @pytest.mark.parametrize("command, route", [
+        ("build", "build_model"),
+        ("check", "check_model"),
+        ("simulate", "run"),
+    ])
+    def test_overflow_exits_4_without_a_verdict(
+        self, runner, demo_files, demo_model_file, monkeypatch, command, route
+    ):
+        def exceed(*args, **kwargs):
+            raise ResourceLimitError("composition exceeded 10 states")
+
+        monkeypatch.setattr(cli, route, exceed)
+        plant, supervisor = demo_files
+        args = {
+            "build": ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "b"],
+            "check": ["check", str(demo_model_file), "--method", "all"],
+            "simulate": ["simulate", str(demo_model_file)],
+        }[command]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4
+        assert "error: composition exceeded 10 states" in result.output
+        assert not isinstance(result.exception, ResourceLimitError)
 
 
 class TestExport:

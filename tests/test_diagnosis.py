@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from desguard.attacks import VulnerabilitySpec, build_ae_model
+from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model
 from desguard.automata import project, state_name
 from desguard.diagnosis import (
     ATTACKED,
@@ -36,7 +36,7 @@ class TestLabelCompose:
 
     def test_no_attack_events_all_clean(self, actuator_demo):
         vuln = VulnerabilitySpec(actuator_demo.vuln.alphabet)
-        model = build_ae_model(actuator_demo.plant, actuator_demo.supervisor, vuln)
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
         labeled = label_compose(model)
         assert all(label == CLEAN for _, label in labeled.automaton.states)
 
@@ -117,18 +117,19 @@ class TestFirstEnteredCertain:
     def test_empty_without_certain_states(self, insertion_model):
         labeled = label_compose(insertion_model)
         diag = build_diagnoser(labeled, insertion_model.unobservable_events())
-        assert first_entered_certain(diag) == frozenset()
+        assert {dst for _, _, dst in first_entered_certain(diag)} == set()
 
     def test_demo_first_certain(self, actuator_model):
         labeled = label_compose(actuator_model)
         diag = build_diagnoser(labeled, actuator_model.unobservable_events())
-        assert {state_name(q) for q in first_entered_certain(diag)} == {"{((2,3),Y)}"}
+        targets = {state_name(dst) for _, _, dst in first_entered_certain(diag)}
+        assert targets == {"{((2,3),Y)}"}
 
     def test_certain_after_certain_excluded(self, actuator_model):
         # ((2,4),Y) is certain but only entered from the certain ((2,3),Y).
         labeled = label_compose(actuator_model)
         diag = build_diagnoser(labeled, actuator_model.unobservable_events())
-        names = {state_name(q) for q in first_entered_certain(diag)}
+        names = {state_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert "{((2,4),Y)}" not in names
 
 
@@ -192,7 +193,7 @@ class TestVerifier:
             actuator_demo.vuln.alphabet,
             unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
         )
-        model = build_ae_model(actuator_demo.plant, actuator_demo.supervisor, vuln)
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
         artifacts = build_verifier(model)
         assert artifacts.attacked_part is None
         assert artifacts.verifier is None

@@ -152,6 +152,14 @@ class TestDotExport:
         dot = to_dot(loaded.automaton, loaded.alphabet, loaded.unsafe)
         assert "doublecircle" not in dot
 
+    def test_marked_state_is_doublecircle(self):
+        doc = demo_doc()
+        doc["marked"] = ["2", "4"]
+        loaded = parse_model(doc)
+        dot = to_dot(loaded.automaton, loaded.alphabet, loaded.unsafe)
+        assert '"2" [shape=doublecircle];' in dot
+        assert '"4" [shape=box];' in dot  # unsafe takes precedence over marked
+
     def test_attack_edges_dashed(self, traffic_si_model):
         dot = to_dot(
             traffic_si_model.model,

@@ -1,6 +1,6 @@
 import pytest
 
-from desguard.attacks import VulnerabilitySpec, build_ae_model
+from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model
 from desguard.automata import state_name
 from desguard.runtime import (
     AttackerPolicy,
@@ -99,7 +99,7 @@ class TestRunExhaustive:
             actuator_demo.vuln.alphabet,
             unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
         )
-        model = build_ae_model(actuator_demo.plant, actuator_demo.supervisor, vuln)
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
         report = run_exhaustive(model)
         assert report.attack_transitions == 0
         assert not report.defense_breached

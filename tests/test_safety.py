@@ -1,4 +1,4 @@
-from desguard.attacks import VulnerabilitySpec, build_ae_model
+from desguard.attacks import MODE_AE, MODE_SE, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, diagnoser_initial, diagnoser_step, label_compose
 from desguard.safety import (
@@ -8,7 +8,6 @@ from desguard.safety import (
     VERIFIER_POST_DETECTION_UNSAFE,
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
-    check_sub_attacker_monotonicity,
     oracle_defense_simulation,
 )
 from desguard.systems import System
@@ -54,7 +53,7 @@ class TestActuatorDemoVerdicts:
 
     def test_defense_works_when_continuation_controllable(self):
         system = safe_actuator_system()
-        model = build_ae_model(system.plant, system.supervisor, system.vuln)
+        model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
         for check in ALL_CHECKS:
             assert check(model).safe
 
@@ -92,7 +91,7 @@ class TestSmallFixtureVerdicts:
             actuator_demo.vuln.alphabet,
             unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
         )
-        model = build_ae_model(actuator_demo.plant, actuator_demo.supervisor, vuln)
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
         for check in ALL_CHECKS:
             assert check(model).safe
 
@@ -194,7 +193,7 @@ def controllable_sensor_corner_system() -> System:
 class TestDefenseCornerCases:
     def test_observable_attack_with_blockable_continuation_is_safe(self):
         system = observable_actuator_corner_system()
-        model = build_ae_model(system.plant, system.supervisor, system.vuln)
+        model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
         # The raw closed loop does reach the unsafe state...
         assert model.model.run(("s#a", "d")) in model.unsafe_states
         # ...but detection on the observable artifact lets the defense cut it.
@@ -202,10 +201,8 @@ class TestDefenseCornerCases:
             assert check(model).safe
 
     def test_erased_controllable_event_is_blocked_after_detection(self):
-        from desguard.attacks import build_se_model
-
         system = controllable_sensor_corner_system()
-        model = build_se_model(system.plant, system.supervisor, system.vuln)
+        model = build_model(MODE_SE, system.plant, system.supervisor, system.vuln)
         assert model.model.run(("b#e", "d", "b")) in model.unsafe_states
         assert model.model.run(("b#e", "d", "b#e")) in model.unsafe_states
         for check in ALL_CHECKS:
@@ -259,21 +256,3 @@ class TestMethodAgreement:
             verdicts = {check(model).safe for check in ALL_CHECKS}
             assert len(verdicts) == 1
 
-
-class TestMonotonicity:
-    def test_skipped_for_unsafe_base(self, actuator_model):
-        report = check_sub_attacker_monotonicity(actuator_model, trials=5)
-        assert report.skipped
-        assert not report.passed
-
-    def test_skipped_for_wrong_mode(self, erasure_model):
-        report = check_sub_attacker_monotonicity(erasure_model, trials=5)
-        assert report.skipped
-
-    def test_safe_base_stays_safe(self):
-        system = safe_actuator_system()
-        model = build_ae_model(system.plant, system.supervisor, system.vuln)
-        report = check_sub_attacker_monotonicity(model, trials=100, seed=7)
-        assert report.passed
-        assert report.trials == 100
-        assert not report.violations
