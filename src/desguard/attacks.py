@@ -29,7 +29,6 @@ from .automata import (
     AE_ATTACKED,
     SE_ERASED,
     SI_ONSET,
-    DEFAULT_STATE_LIMIT,
     Alphabet,
     Automaton,
     EventInfo,
@@ -256,7 +255,6 @@ def build_model(
     plant: Automaton,
     supervisor: Automaton,
     vuln: VulnerabilitySpec,
-    max_states: int = DEFAULT_STATE_LIMIT,
 ) -> AttackedModel:
     """Closed loop of `plant` and `supervisor` under the `mode` attacker.
 
@@ -314,7 +312,7 @@ def build_model(
     for event in vulnerable:
         observable, controllable = rule.artifact_info(alphabet[event])
         infos[artifact[event]] = EventInfo(observable, controllable, kind=rule.kind, base=event)
-    closed_loop = parallel_compose(supervisor_attacked, plant_attacked, max_states=max_states)
+    closed_loop = parallel_compose(supervisor_attacked, plant_attacked)
     return AttackedModel(
         model=closed_loop,
         alphabet=alphabet.with_vulnerable(vulnerable).extended(infos),
@@ -345,7 +343,6 @@ def sub_attacker(
     keep: Iterable[tuple] | None = None,
     seed: int | None = None,
     keep_probability: float = 0.5,
-    max_states: int = DEFAULT_STATE_LIMIT,
 ) -> AttackedModel:
     """Weaker attacker: retain only the selected attack self-loop sites.
 
@@ -377,7 +374,7 @@ def sub_attacker(
         supervisor.initial,
         supervisor.marked,
     )
-    closed_loop = parallel_compose(weakened, model.plant_attacked, max_states=max_states)
+    closed_loop = parallel_compose(weakened, model.plant_attacked)
     unsafe_plant = frozenset(model.plant_component(s) for s in model.unsafe_states)
     unsafe = frozenset(s for s in closed_loop.states if s[1] in unsafe_plant)
     return AttackedModel(

@@ -5,13 +5,19 @@ models, tuples for composed states, frozensets for observer states.
 Every value in this module is immutable after construction and every
 operation is a pure function, so automata can be shared freely between
 concurrent workers.
+
+The package has three searches, all here: `explore`, the one
+breadth-first search with parent pointers (composition, observers,
+witnesses, the defended-run exploration); `reach`, the forward closure
+under a set of events; and `coreach`, the backward closure to a set of
+states.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 State = Hashable
 Trace = tuple[str, ...]
@@ -147,16 +153,6 @@ class Alphabet:
             }
         )
 
-    @staticmethod
-    def check_compatible(a: "Alphabet", b: "Alphabet") -> None:
-        """Raise AttributeConflictError if the tables disagree on a shared event."""
-        for name in a.events() & b.events():
-            if a[name] != b[name]:
-                raise AttributeConflictError(
-                    f"conflicting attributes for shared event {name!r}: "
-                    f"{a[name]} vs {b[name]}"
-                )
-
 
 @dataclass(frozen=True)
 class Automaton:
@@ -291,25 +287,73 @@ def path_to(parents: Mapping, node: State) -> Trace:
     return tuple(reversed(trace))
 
 
-def reach(automaton: Automaton, source: State, allowed: Iterable[str]) -> frozenset:
-    """States reachable from `source` using only events in `allowed`."""
-    if source not in automaton.states:
-        raise KeyError(f"unknown state {state_name(source)!r}")
-    allowed = frozenset(allowed)
-    seen = {source}
-    queue = deque([source])
+def explore(
+    starts: Iterable[State],
+    successors: Callable[[State], Iterable[tuple[object, State]]],
+    goal: Callable[[State], bool] | None = None,
+    limit: int = DEFAULT_STATE_LIMIT,
+    overflow: str = "search exceeded {limit} states",
+) -> tuple[dict, State | None]:
+    """Breadth-first search from `starts`; returns (parents, found).
+
+    `successors(node)` yields (label, next) pairs.  `parents` maps every
+    reached node, in discovery order, to its (predecessor, label) and each
+    start to None, ready for `path_to`.  `found` is the first dequeued
+    node satisfying `goal`, where the search stops, or None.  Reaching
+    more than `limit` nodes raises ResourceLimitError with the `overflow`
+    message.
+    """
+    parents: dict = dict.fromkeys(starts)
+    queue = deque(parents)
     while queue:
-        current = queue.popleft()
-        for event, target in automaton.out_edges(current):
+        node = queue.popleft()
+        if goal is not None and goal(node):
+            return parents, node
+        for label, nxt in successors(node):
+            if nxt not in parents:
+                if len(parents) >= limit:
+                    raise ResourceLimitError(overflow.format(limit=limit))
+                parents[nxt] = (node, label)
+                queue.append(nxt)
+    return parents, None
+
+
+def reach(automaton: Automaton, sources: Iterable[State], allowed: Iterable[str]) -> frozenset:
+    """States reachable from any of `sources` using only events in `allowed`.
+
+    A plain loop rather than `explore`: it is the inner step of every
+    state estimate, where a callback per state costs measurable time.
+    """
+    allowed = frozenset(allowed)
+    out = automaton._out
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for event, target in out[stack.pop()].items():
             if event in allowed and target not in seen:
                 seen.add(target)
-                queue.append(target)
+                stack.append(target)
+    return frozenset(seen)
+
+
+def coreach(automaton: Automaton, targets: Iterable[State]) -> frozenset:
+    """States from which some state in `targets` is reachable."""
+    backward: dict[State, list] = {s: [] for s in automaton.states}
+    for (src, _event), dst in automaton.transitions.items():
+        backward[dst].append(src)
+    seen = set(targets)
+    stack = list(seen)
+    while stack:
+        for pred in backward[stack.pop()]:
+            if pred not in seen:
+                seen.add(pred)
+                stack.append(pred)
     return frozenset(seen)
 
 
 def accessible(automaton: Automaton) -> Automaton:
     """Restrict to the part reachable from the initial state."""
-    keep = reach(automaton, automaton.initial, automaton.events)
+    keep = reach(automaton, (automaton.initial,), automaton.events)
     return Automaton(
         keep,
         automaton.events,
@@ -320,11 +364,7 @@ def accessible(automaton: Automaton) -> Automaton:
 
 
 def parallel_compose(
-    a: Automaton,
-    b: Automaton,
-    alphabet_a: Alphabet | None = None,
-    alphabet_b: Alphabet | None = None,
-    max_states: int = DEFAULT_STATE_LIMIT,
+    a: Automaton, b: Automaton, max_states: int = DEFAULT_STATE_LIMIT
 ) -> Automaton:
     """Parallel composition: shared events synchronize, private ones interleave.
 
@@ -333,54 +373,34 @@ def parallel_compose(
     a pair is marked when both components are.  Only the accessible part is
     returned.
     """
-    if alphabet_a is not None and alphabet_b is not None:
-        Alphabet.check_compatible(alphabet_a, alphabet_b)
     shared = a.events & b.events
-    initial = (a.initial, b.initial)
-    states = {initial}
     transitions: dict[tuple[State, str], State] = {}
-    queue = deque([initial])
-    while queue:
-        sa, sb = queue.popleft()
-        moves: list[tuple[str, State]] = []
+
+    def moves(node):
+        sa, sb = node
         for event, ta in a.out_edges(sa):
-            if event in shared:
-                tb = b.successor(sb, event)
-                if tb is not None:
-                    moves.append((event, (ta, tb)))
+            if event not in shared:
+                target = (ta, sb)
+            elif (tb := b._out[sb].get(event)) is not None:
+                target = (ta, tb)
             else:
-                moves.append((event, (ta, sb)))
+                continue
+            transitions[(node, event)] = target
+            yield event, target
         for event, tb in b.out_edges(sb):
             if event not in shared:
-                moves.append((event, (sa, tb)))
-        for event, target in moves:
-            transitions[((sa, sb), event)] = target
-            if target not in states:
-                if len(states) >= max_states:
-                    raise ResourceLimitError(
-                        f"composition exceeded {max_states} states"
-                    )
-                states.add(target)
-                queue.append(target)
+                target = (sa, tb)
+                transitions[(node, event)] = target
+                yield event, target
+
+    initial = (a.initial, b.initial)
+    states, _ = explore(
+        (initial,), moves, limit=max_states, overflow="composition exceeded {limit} states"
+    )
     marked = frozenset(
         (sa, sb) for sa, sb in states if sa in a.marked and sb in b.marked
     )
     return Automaton(frozenset(states), a.events | b.events, transitions, initial, marked)
-
-
-def unobservable_reach(
-    automaton: Automaton, states: Iterable[State], hidden: frozenset[str]
-) -> frozenset:
-    """Closure of `states` under transitions labeled by `hidden` events."""
-    seen = set(states)
-    queue = deque(seen)
-    while queue:
-        current = queue.popleft()
-        for event, target in automaton.out_edges(current):
-            if event in hidden and target not in seen:
-                seen.add(target)
-                queue.append(target)
-    return frozenset(seen)
 
 
 def observer(
@@ -398,32 +418,30 @@ def observer(
     if not hidden <= automaton.events:
         raise ValueError("hidden events must belong to the automaton")
     visible = automaton.events - hidden
-    initial = unobservable_reach(automaton, {automaton.initial}, hidden)
-    states = {initial}
     transitions: dict[tuple[State, str], State] = {}
-    queue = deque([initial])
-    while queue:
-        current = queue.popleft()
-        successors: dict[str, set] = {}
+
+    def moves(current):
+        targets: dict[str, set] = {}
         for member in current:
-            for event, target in automaton.out_edges(member):
+            for event, target in automaton._out[member].items():
                 if event not in hidden:
-                    successors.setdefault(event, set()).add(target)
-        for event in sorted(successors):
-            target = unobservable_reach(automaton, successors[event], hidden)
+                    targets.setdefault(event, set()).add(target)
+        for event in sorted(targets):
+            target = reach(automaton, targets[event], hidden)
             transitions[(current, event)] = target
-            if target not in states:
-                if len(states) >= max_states:
-                    raise ResourceLimitError(f"observer exceeded {max_states} states")
-                states.add(target)
-                queue.append(target)
+            yield event, target
+
+    initial = reach(automaton, (automaton.initial,), hidden)
+    states, _ = explore(
+        (initial,), moves, limit=max_states, overflow="observer exceeded {limit} states"
+    )
     marked = frozenset(s for s in states if s & automaton.marked)
     return Automaton(frozenset(states), visible, transitions, initial, marked)
 
 
 def deadlock_states(automaton: Automaton) -> frozenset:
     """Reachable unmarked states with an empty active event set."""
-    reachable = reach(automaton, automaton.initial, automaton.events)
+    reachable = reach(automaton, (automaton.initial,), automaton.events)
     return frozenset(
         s
         for s in reachable
@@ -439,17 +457,5 @@ def blocking_states(automaton: Automaton) -> frozenset:
     """
     if not automaton.marked:
         return frozenset()
-    backward: dict[State, set] = {s: set() for s in automaton.states}
-    for (src, _event), dst in automaton.transitions.items():
-        backward[dst].add(src)
-    coreachable = set(automaton.marked)
-    queue = deque(coreachable)
-    while queue:
-        current = queue.popleft()
-        for pred in backward[current]:
-            if pred not in coreachable:
-                coreachable.add(pred)
-                queue.append(pred)
-    reachable = reach(automaton, automaton.initial, automaton.events)
-    return frozenset(reachable - coreachable)
-
+    reachable = reach(automaton, (automaton.initial,), automaton.events)
+    return reachable - coreach(automaton, automaton.marked)

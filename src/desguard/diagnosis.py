@@ -11,21 +11,21 @@ observation-equivalent string pairs become joint states.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .attacks import RENAME_SUFFIX, AttackedModel
 from .automata import (
-    DEFAULT_STATE_LIMIT,
     Automaton,
     State,
     Trace,
     accessible,
+    coreach,
+    explore,
     observer,
     parallel_compose,
     path_to,
-    unobservable_reach,
+    reach,
 )
 
 CLEAN = "N"
@@ -62,11 +62,9 @@ def flag_automaton(label_events: Iterable[str]) -> Automaton:
     )
 
 
-def label_compose(model: AttackedModel, max_states: int = DEFAULT_STATE_LIMIT) -> LabeledAutomaton:
+def label_compose(model: AttackedModel) -> LabeledAutomaton:
     """Attach attack labels to the closed loop; states become (state, label)."""
-    labeled = parallel_compose(
-        model.model, flag_automaton(model.attack_events), max_states=max_states
-    )
+    labeled = parallel_compose(model.model, flag_automaton(model.attack_events))
     return LabeledAutomaton(labeled, model.attack_events)
 
 
@@ -119,20 +117,14 @@ class Diagnoser:
         return frozenset(s for s, c in self.classification.items() if c == kind)
 
 
-def build_diagnoser(
-    labeled: LabeledAutomaton,
-    unobservable: Iterable[str],
-    max_states: int = DEFAULT_STATE_LIMIT,
-) -> Diagnoser:
-    obs = observer(labeled.automaton, unobservable, max_states=max_states)
+def build_diagnoser(labeled: LabeledAutomaton, unobservable: Iterable[str]) -> Diagnoser:
+    obs = observer(labeled.automaton, unobservable)
     return Diagnoser(obs, {s: classify(s) for s in obs.states})
 
 
 def diagnoser_initial(labeled: LabeledAutomaton, unobservable: Iterable[str]) -> frozenset:
     """Initial state estimate, for incremental (on-the-fly) diagnosis."""
-    return unobservable_reach(
-        labeled.automaton, {labeled.automaton.initial}, frozenset(unobservable)
-    )
+    return reach(labeled.automaton, (labeled.automaton.initial,), unobservable)
 
 
 def diagnoser_step(
@@ -146,7 +138,6 @@ def diagnoser_step(
     Raises KeyError when no member of the estimate can execute the event;
     the caller is then observing something inconsistent with the model.
     """
-    unobservable = frozenset(unobservable)
     targets = set()
     for member in estimate:
         successor = labeled.automaton.successor(member, event)
@@ -154,7 +145,7 @@ def diagnoser_step(
             targets.add(successor)
     if not targets:
         raise KeyError(f"event {event!r} is infeasible at the current estimate")
-    return unobservable_reach(labeled.automaton, targets, unobservable)
+    return reach(labeled.automaton, targets, unobservable)
 
 
 class Detector:
@@ -258,17 +249,7 @@ def _normal_part(model: AttackedModel, labeled: LabeledAutomaton) -> Automaton |
 def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
     """Sub-automaton of states co-reachable to an attacked (Y) label."""
     aut = labeled.automaton
-    backward: dict[State, set] = {s: set() for s in aut.states}
-    for (src, _event), dst in aut.transitions.items():
-        backward[dst].add(src)
-    keep = {s for s in aut.states if s[1] == ATTACKED}
-    queue = deque(keep)
-    while queue:
-        current = queue.popleft()
-        for pred in backward[current]:
-            if pred not in keep:
-                keep.add(pred)
-                queue.append(pred)
+    keep = coreach(aut, [s for s in aut.states if s[1] == ATTACKED])
     if aut.initial not in keep:
         return None
     transitions = {
@@ -277,30 +258,21 @@ def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
         if src in keep and dst in keep
     }
     trimmed = accessible(
-        Automaton(frozenset(keep), aut.events, transitions, aut.initial, aut.marked & keep)
+        Automaton(keep, aut.events, transitions, aut.initial, aut.marked & keep)
     )
     return LabeledAutomaton(trimmed, labeled.label_events)
 
 
-def build_verifier(
-    model: AttackedModel, max_states: int = DEFAULT_STATE_LIMIT
-) -> VerifierArtifacts:
-    """Run the full verifier pipeline for a closed-loop attack model.
-
-    At the default budget the labeled model comes from `model.analysis`;
-    a different budget composes it afresh so the budget applies to it too.
-    """
-    if max_states == DEFAULT_STATE_LIMIT:
-        labeled = model.analysis.labeled
-    else:
-        labeled = label_compose(model, max_states=max_states)
+def build_verifier(model: AttackedModel) -> VerifierArtifacts:
+    """Run the full verifier pipeline for a closed-loop attack model."""
+    labeled = model.analysis.labeled
     attacked = _attacked_part(labeled)
     normal = _normal_part(model, labeled)
     if attacked is None:
         return VerifierArtifacts(normal, None, None, None, None)
-    verifier = parallel_compose(normal, attacked.automaton, max_states=max_states)
+    verifier = parallel_compose(normal, attacked.automaton)
     completed = _complete(verifier, model.observable_events(), model.uncontrollable_events())
-    tracker = parallel_compose(completed, attacked.automaton, max_states=max_states)
+    tracker = parallel_compose(completed, attacked.automaton)
     return VerifierArtifacts(normal, attacked, verifier, completed, tracker)
 
 
@@ -367,26 +339,23 @@ def confusion_witness(
     verifier = artifacts.verifier
     if verifier is None:
         return None
-    start = (verifier.initial, require_event is None)
-    parents: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
+
+    def moves(node):
         state, satisfied = node
-        if unsafe_only and state[1][0] not in model.unsafe_states:
-            satisfied_here = False
-        else:
-            satisfied_here = satisfied
-        if state[1][1] == ATTACKED and satisfied_here:
-            trace = path_to(parents, node)
-            attacked_trace = strip_renamed(trace)
-            normal_trace = recover_normal(
-                trace, model.attack_events, model.observable_events()
-            )
-            return normal_trace, attacked_trace
         for event, target in verifier.out_edges(state):
-            nxt = (target, satisfied or event == require_event)
-            if nxt not in parents:
-                parents[nxt] = (node, event)
-                queue.append(nxt)
-    return None
+            yield event, (target, satisfied or event == require_event)
+
+    def confused(node):
+        (_, (attacked, label)), satisfied = node
+        return (
+            label == ATTACKED
+            and satisfied
+            and (not unsafe_only or attacked in model.unsafe_states)
+        )
+
+    parents, found = explore([(verifier.initial, require_event is None)], moves, confused)
+    if found is None:
+        return None
+    trace = path_to(parents, found)
+    normal_trace = recover_normal(trace, model.attack_events, model.observable_events())
+    return normal_trace, strip_renamed(trace)

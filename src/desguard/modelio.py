@@ -10,6 +10,7 @@ reloaded models without the original inputs.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -137,15 +138,25 @@ def parse_model(doc: dict, where: str = "model") -> ModelDocument:
     return ModelDocument(automaton, alphabet, frozenset(unsafe))
 
 
+def _names(automaton: Automaton) -> dict:
+    """Each state's display name, rendered once."""
+    return {s: state_name(s) for s in automaton.states}
+
+
 def model_to_doc(
     automaton: Automaton, alphabet: Alphabet, unsafe: frozenset = frozenset()
 ) -> dict:
     """Canonical plain document for a plant/supervisor."""
+    return _model_doc(automaton, alphabet, unsafe, _names(automaton))
+
+
+def _model_doc(automaton, alphabet, unsafe, name) -> dict:
+    """`model_to_doc` with each state's name already in `name`."""
     events = []
-    for name in sorted(automaton.events):
-        info = alphabet[name]
+    for event in sorted(automaton.events):
+        info = alphabet[event]
         entry = {
-            "name": name,
+            "name": event,
             "observable": info.observable,
             "controllable": info.controllable,
         }
@@ -157,17 +168,16 @@ def model_to_doc(
         events.append(entry)
     return {
         "format": AUTOMATON_FORMAT,
-        "states": sorted(state_name(s) for s in automaton.states),
-        "initial": state_name(automaton.initial),
-        "marked": sorted(state_name(s) for s in automaton.marked),
+        "states": sorted(name.values()),
+        "initial": name[automaton.initial],
+        "marked": sorted(name[s] for s in automaton.marked),
         "events": events,
-        "transitions": sorted(
-            (
-                {"from": state_name(s), "event": e, "to": state_name(d)}
-                for (s, e), d in automaton.transitions.items()
-            ),
-            key=lambda t: (t["from"], t["event"], t["to"]),
-        ),
+        "transitions": [
+            {"from": src, "event": event, "to": dst}
+            for src, event, dst in sorted(
+                (name[s], e, name[d]) for (s, e), d in automaton.transitions.items()
+            )
+        ],
         "unsafe": sorted(state_name(s) for s in unsafe),
     }
 
@@ -175,7 +185,8 @@ def model_to_doc(
 def attacked_to_doc(model: AttackedModel) -> dict:
     """Canonical document for a built attack model, with provenance."""
     aut = model.model
-    doc = model_to_doc(aut, model.alphabet, model.unsafe_states)
+    name = _names(aut)
+    doc = _model_doc(aut, model.alphabet, model.unsafe_states, name)
     doc["format"] = ATTACKED_MODEL_FORMAT
     doc["tool_version"] = __version__
     doc["mode"] = model.mode
@@ -183,12 +194,13 @@ def attacked_to_doc(model: AttackedModel) -> dict:
         e for e in model.alphabet if model.alphabet[e].vulnerable
     )
     doc["attack_events"] = sorted(model.attack_events)
+    part = functools.cache(state_name)  # component states recur across pairs
     doc["components"] = {
-        state_name(s): {
-            "supervisor": state_name(model.supervisor_component(s)),
-            "plant": state_name(model.plant_component(s)),
+        name[s]: {
+            "supervisor": part(model.supervisor_component(s)),
+            "plant": part(model.plant_component(s)),
         }
-        for s in sorted(aut.states, key=state_name)
+        for s in sorted(aut.states, key=name.__getitem__)
     }
     return doc
 
@@ -304,22 +316,22 @@ def to_dot(
 ) -> str:
     """Graphviz rendering: unsafe states are boxes, marked states are
     double circles, attack-artifact transitions are dashed."""
+    name = _names(automaton)
     unsafe_names = {state_name(s) for s in unsafe}
-    marked_names = {state_name(s) for s in automaton.marked}
+    marked_names = {name[s] for s in automaton.marked}
     lines = [f"digraph \"{title}\" {{", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append("  __start [shape=point, label=\"\"];")
-    for name in sorted(state_name(s) for s in automaton.states):
-        if name in unsafe_names:
+    for state in sorted(name.values()):
+        if state in unsafe_names:
             shape = "box"
-        elif name in marked_names:
+        elif state in marked_names:
             shape = "doublecircle"
         else:
             shape = "circle"
-        lines.append(f'  "{name}" [shape={shape}];')
-    lines.append(f'  __start -> "{state_name(automaton.initial)}";')
+        lines.append(f'  "{state}" [shape={shape}];')
+    lines.append(f'  __start -> "{name[automaton.initial]}";')
     edges = sorted(
-        (state_name(s), e, state_name(d))
-        for (s, e), d in automaton.transitions.items()
+        (name[s], e, name[d]) for (s, e), d in automaton.transitions.items()
     )
     for src, event, dst in edges:
         style = ""

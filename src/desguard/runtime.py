@@ -11,20 +11,12 @@ generation, and the exhaustive defense check.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .attacks import AttackedModel
-from .automata import ResourceLimitError, Trace, path_to, state_name
-from .diagnosis import (
-    CERTAIN,
-    Detector,
-    LabeledAutomaton,
-    classify,
-    diagnoser_initial,
-    diagnoser_step,
-)
+from .automata import Trace, explore, path_to, state_name
+from .diagnosis import CERTAIN, Detector, classify, diagnoser_initial, diagnoser_step
 
 ALL_OUT = "all-out"
 SCRIPTED = "scripted"
@@ -109,10 +101,9 @@ class ExecutionState:
     decisions_used: int = 0
 
 
-def initial_state(model: AttackedModel, labeled: LabeledAutomaton | None = None) -> ExecutionState:
-    if labeled is None:
-        labeled = model.analysis.labeled
-    estimate = diagnoser_initial(labeled, model.unobservable_events())
+def initial_state(model: AttackedModel) -> ExecutionState:
+    analysis = model.analysis
+    estimate = diagnoser_initial(analysis.labeled, analysis.unobservable)
     composed = model.model.initial
     return ExecutionState(
         composed=composed,
@@ -152,15 +143,12 @@ def step(
     model: AttackedModel,
     policy: AttackerPolicy,
     choice: str | None = None,
-    labeled: LabeledAutomaton | None = None,
 ) -> ExecutionState:
     """Advance one event; `choice` of None picks deterministically.
 
     The estimate advances only on observable events, and safe mode latches
     as soon as the estimate becomes certain.
     """
-    if labeled is None:
-        labeled = model.analysis.labeled
     enabled = enabled_choices(state, model, policy)
     had_opportunity = bool(_split_enabled(state, model)[1])
     if choice is None:
@@ -178,8 +166,9 @@ def step(
     composed = model.model.successor(state.composed, choice)
     estimate = state.estimate
     observed = state.observed
-    if choice in model.observable_events():
-        estimate = diagnoser_step(labeled, model.unobservable_events(), estimate, choice)
+    analysis = model.analysis
+    if choice in analysis.observable:
+        estimate = diagnoser_step(analysis.labeled, analysis.unobservable, estimate, choice)
         observed = observed + (choice,)
     return ExecutionState(
         composed=composed,
@@ -193,19 +182,14 @@ def step(
     )
 
 
-def run(
-    model: AttackedModel,
-    policy: AttackerPolicy,
-    max_steps: int,
-    labeled: LabeledAutomaton | None = None,
-) -> list[ExecutionState]:
+def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[ExecutionState]:
     """Auto-step until nothing is enabled or `max_steps` events occurred."""
-    states = [initial_state(model, labeled)]
+    states = [initial_state(model)]
     for _ in range(max_steps):
         current = states[-1]
         if not enabled_choices(current, model, policy):
             break
-        states.append(step(current, model, policy, labeled=labeled))
+        states.append(step(current, model, policy))
     return states
 
 
@@ -229,11 +213,7 @@ class RunReport:
         return bool(self.unsafe_runs)
 
 
-def run_exhaustive(
-    model: AttackedModel,
-    policy: AttackerPolicy | None = None,
-    max_nodes: int = 200_000,
-) -> RunReport:
+def run_exhaustive(model: AttackedModel) -> RunReport:
     """Explore every run of the closed loop under the online defense.
 
     Nodes are (labeled model state, estimate) pairs; safe mode is implied
@@ -242,67 +222,49 @@ def run_exhaustive(
     get stuck, and the detection latency (events between the first attack
     artifact and certainty) along the exploration tree.
 
-    Only the all-out policy is supported: randomized and scripted policies
-    do not define a run tree independent of exploration order.
+    The attacker is all-out: randomized and scripted policies do not
+    define a run tree independent of exploration order.
     """
-    if policy is None:
-        policy = AttackerPolicy.all_out()
-    if policy.kind != ALL_OUT:
-        raise ValueError("exhaustive exploration requires the all-out policy")
     analysis = model.analysis
     aut = analysis.labeled.automaton
     observable = analysis.observable
     controllable = analysis.controllable
     attack_events = model.attack_events
-    unsafe_states = model.unsafe_states
     detector = Detector(analysis)
-
-    start = (aut.initial, detector.initial)
-    parents: dict[tuple, tuple | None] = {start: None}
-    queue = deque([start])
-    unsafe_nodes: list[tuple] = []
     stuck_nodes: list[tuple] = []
-    detected_nodes: list[tuple] = []
     attack_transitions = 0
 
-    if model.model.initial in unsafe_states:
-        unsafe_nodes.append(start)
-    if detector.classify(start[1]) == CERTAIN:
-        detected_nodes.append(start)
-
-    while queue:
-        node = queue.popleft()
+    def moves(node):
+        nonlocal attack_transitions
         lstate, estimate = node
         safe_mode = detector.classify(estimate) == CERTAIN
-        moves = []
+        stuck = True
         for event, target in aut.out_edges(lstate):
             if safe_mode and event in controllable:
                 continue
-            moves.append((event, target))
-        if not moves:
-            stuck_nodes.append(node)
-            continue
-        for event, target in moves:
+            stuck = False
             if event in attack_events:
                 attack_transitions += 1
-            next_estimate = estimate
             if event in observable:
-                next_estimate = detector.step(estimate, event)
-            nxt = (target, next_estimate)
-            if nxt not in parents:
-                if len(parents) >= max_nodes:
-                    raise ResourceLimitError(
-                        f"exhaustive exploration exceeded {max_nodes} nodes"
-                    )
-                parents[nxt] = (node, event)
-                queue.append(nxt)
-                if target[0] in unsafe_states:
-                    unsafe_nodes.append(nxt)
-                if not safe_mode and detector.classify(next_estimate) == CERTAIN:
-                    detected_nodes.append(nxt)
+                yield event, (target, detector.step(estimate, event))
+            else:
+                yield event, (target, estimate)
+        if stuck:
+            stuck_nodes.append(node)
+
+    parents, _ = explore(
+        [(aut.initial, detector.initial)],
+        moves,
+        overflow="exhaustive exploration exceeded {limit} nodes",
+    )
+
+    def certain(node):
+        return detector.classify(node[1]) == CERTAIN
 
     latencies = []
-    for node in detected_nodes:
+    for node, parent in parents.items():
+        if not certain(node) or (parent is not None and certain(parent[0])):
+            continue
         trace = path_to(parents, node)
         first_attack = next(
             (i for i, e in enumerate(trace) if e in attack_events), None
@@ -312,7 +274,9 @@ def run_exhaustive(
 
     return RunReport(
         explored=len(parents),
-        unsafe_runs=tuple(path_to(parents, n) for n in unsafe_nodes),
+        unsafe_runs=tuple(
+            path_to(parents, n) for n in parents if n[0][0] in model.unsafe_states
+        ),
         stuck_runs=tuple((path_to(parents, n), n[0][0]) for n in stuck_nodes),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,

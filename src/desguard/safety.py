@@ -16,11 +16,10 @@ are checked against.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .attacks import AttackedModel
-from .automata import Trace, path_to, reach, state_name
+from .automata import Trace, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
@@ -33,11 +32,10 @@ from .diagnosis import (
     VerifierArtifacts,
     build_diagnoser,
     build_verifier,
-    classify,
     first_entered_certain,
     strip_renamed,
 )
-from .runtime import AttackerPolicy, run_exhaustive
+from .runtime import run_exhaustive
 
 DIAGNOSER = "diagnoser"
 VERIFIER = "verifier"
@@ -70,33 +68,22 @@ class Verdict:
     witness_state: str | None = None
 
 
-class _Product:
-    """Reachable (labeled state, estimate) pairs of a model, with BFS parents.
+def _estimate_moves(labeled: LabeledAutomaton, diagnoser: Diagnoser, unobservable):
+    """Successors of (labeled state, estimate) nodes, the estimate replaying
+    the detector; no defense pruning, so paths describe what can happen
+    before and at detection."""
+    aut = labeled.automaton
+    dag = diagnoser.automaton
 
-    The estimate component replays the detector; no defense pruning is
-    applied, so paths describe what can happen before and at detection.
-    """
+    def moves(node):
+        lstate, estimate = node
+        for event, lnext in aut.out_edges(lstate):
+            if event in unobservable:
+                yield event, (lnext, estimate)
+            else:
+                yield event, (lnext, dag.successor(estimate, event))
 
-    def __init__(self, labeled: LabeledAutomaton, diagnoser: Diagnoser, unobservable):
-        aut = labeled.automaton
-        dag = diagnoser.automaton
-        self.start = (aut.initial, dag.initial)
-        self.parents: dict = {self.start: None}
-        self.edges: list[tuple] = []  # (from_node, event, to_node) in BFS order
-        queue = deque([self.start])
-        while queue:
-            node = queue.popleft()
-            lstate, estimate = node
-            for event, lnext in aut.out_edges(lstate):
-                if event in unobservable:
-                    enext = estimate
-                else:
-                    enext = dag.successor(estimate, event)
-                nxt = (lnext, enext)
-                self.edges.append((node, event, nxt))
-                if nxt not in self.parents:
-                    self.parents[nxt] = (node, event)
-                    queue.append(nxt)
+    return (aut.initial, dag.initial), moves
 
 
 def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser) -> list[frozenset]:
@@ -139,25 +126,26 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         for estimate in diagnoser.automaton.states
     )
     if condition1:
-        product = _Product(labeled, diagnoser, unobservable)
-        witness = None
-        for node in product.parents:
+        classification = diagnoser.classification
+
+        def confused(node):
             lstate, estimate = node
-            if (
+            return (
                 lstate[1] == ATTACKED
                 and lstate[0] in unsafe
-                and classify(estimate) == UNCERTAIN
-            ):
-                trace = path_to(product.parents, node)
-                if witness is None or len(trace) < len(witness[0]):
-                    witness = (trace, estimate)
-        trace, estimate = witness if witness else ((), None)
+                and classification[estimate] == UNCERTAIN
+            )
+
+        # Every member of a reachable estimate is reachable paired with
+        # it, so the search finds a witness.
+        start, moves = _estimate_moves(labeled, diagnoser, unobservable)
+        parents, found = explore([start], moves, confused)
         return Verdict(
             safe=False,
             method=DIAGNOSER,
             violated_condition=UNCERTAIN_UNSAFE,
-            counterexample=trace or None,
-            witness_state=state_name(estimate) if estimate is not None else None,
+            counterexample=path_to(parents, found) or None,
+            witness_state=state_name(found[1]),
         )
 
     entries = _entry_sets(labeled, diagnoser)
@@ -166,66 +154,66 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     condition2 = any(s[0] in unsafe for entry in entries for s in entry)
     if condition2:
         trace, estimate = _detection_edge_witness(
-            model, labeled, diagnoser, unobservable, lambda lstate: lstate[0] in unsafe
+            labeled, diagnoser, unobservable, lambda lstate: lstate[0] in unsafe
         )
         return Verdict(
             safe=False,
             method=DIAGNOSER,
             violated_condition=FIRST_CERTAIN_UNSAFE,
-            counterexample=trace or None,
+            counterexample=trace,
             witness_state=estimate,
         )
 
     # Condition 3: uncontrollable continuation from a detection point.
     uncontrollable = analysis.uncontrollable
-    x_uc: set = set()
-    breached = False
-    for entry in entries:
-        for lstate in entry:
-            reached = reach(model.model, lstate[0], uncontrollable)
-            x_uc |= reached
-            breached = breached or bool(reached & unsafe)
-    x_uc = frozenset(x_uc)
+    x_uc = reach(model.model, {s[0] for entry in entries for s in entry}, uncontrollable)
+    breached = bool(x_uc & unsafe)
     if breached:
         trace, estimate = _detection_edge_witness(
-            model,
             labeled,
             diagnoser,
             unobservable,
-            lambda lstate: bool(reach(model.model, lstate[0], uncontrollable) & unsafe),
+            lambda lstate: bool(reach(model.model, (lstate[0],), uncontrollable) & unsafe),
         )
-        tail: Trace = ()
-        if trace is not None:
-            end = model.model.run(trace)
-            goal = sorted(
-                reach(model.model, end, uncontrollable) & unsafe, key=state_name
-            )[0]
-            tail, _ = _shortest_to(model.model, end, {goal}, uncontrollable)
+        end = model.model.run(trace)
+        goal = sorted(reach(model.model, (end,), uncontrollable) & unsafe, key=state_name)[0]
+        tail, _ = _shortest_to(model.model, end, {goal}, uncontrollable)
         return Verdict(
             safe=False,
             method=DIAGNOSER,
             violated_condition=UNCONTROLLABLE_UNSAFE,
-            counterexample=((trace or ()) + tail) or None,
+            counterexample=trace + tail,
             x_uc=x_uc,
             witness_state=estimate,
         )
     return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
 
 
-def _detection_edge_witness(model, labeled, diagnoser, unobservable, arrival_ok):
+def _detection_edge_witness(labeled, diagnoser, unobservable, arrival_ok):
     """Shortest trace whose last event first makes the estimate certain,
-    arriving at a labeled state accepted by `arrival_ok`."""
-    product = _Product(labeled, diagnoser, unobservable)
-    best = None
-    for from_node, event, to_node in product.edges:
-        if classify(from_node[1]) == CERTAIN or classify(to_node[1]) != CERTAIN:
-            continue
-        if not arrival_ok(to_node[0]):
-            continue
-        trace = path_to(product.parents, from_node) + (event,)
-        if best is None or len(trace) < len(best[0]):
-            best = (trace, state_name(to_node[1]))
-    return best if best else (None, None)
+    arriving at a labeled state accepted by `arrival_ok`, and the name of
+    the certain estimate it enters.
+
+    The first dequeued non-certain node with such an edge ends the
+    search; its first such edge, in `out_edges` order, ends the trace.
+    The caller has seen such an edge among the diagnoser's detection
+    edges, and every member of an estimate is reachable paired with it,
+    so the search always finds one.
+    """
+    classification = diagnoser.classification
+    start, moves = _estimate_moves(labeled, diagnoser, unobservable)
+
+    def detection_edge(node):
+        if classification[node[1]] == CERTAIN:
+            return None
+        for event, (lnext, enext) in moves(node):
+            if classification[enext] == CERTAIN and arrival_ok(lnext):
+                return event, enext
+        return None
+
+    parents, found = explore([start], moves, lambda node: detection_edge(node) is not None)
+    event, estimate = detection_edge(found)
+    return path_to(parents, found) + (event,), state_name(estimate)
 
 
 def check_ae_safe_verifier(
@@ -281,20 +269,19 @@ def _shortest_to(automaton, source, goals, allowed=None) -> tuple[Trace, object]
     """Shortest path from `source` to a state in `goals`, and the state
     reached, using only `allowed` events (all when None); ((), None) when
     no goal is reachable."""
-    parents: dict = {source: None}
-    queue = deque([source])
-    while queue:
-        current = queue.popleft()
-        if current in goals:
-            return path_to(parents, current), current
-        for event, target in automaton.out_edges(current):
-            if (allowed is None or event in allowed) and target not in parents:
-                parents[target] = (current, event)
-                queue.append(target)
-    return (), None
+
+    def moves(state):
+        for event, target in automaton.out_edges(state):
+            if allowed is None or event in allowed:
+                yield event, target
+
+    parents, found = explore([source], moves, goals.__contains__)
+    if found is None:
+        return (), None
+    return path_to(parents, found), found
 
 
-def oracle_defense_simulation(model: AttackedModel, max_nodes: int = 200_000) -> Verdict:
+def oracle_defense_simulation(model: AttackedModel) -> Verdict:
     """Ground-truth check: exhaustively run the closed loop under the defense.
 
     Safe iff no run reaches an unsafe state once controllable events are
@@ -302,7 +289,7 @@ def oracle_defense_simulation(model: AttackedModel, max_nodes: int = 200_000) ->
     closed loop avoids the unsafe states (the supervisor is taken to be
     correct in the absence of attacks).
     """
-    report = run_exhaustive(model, AttackerPolicy.all_out(), max_nodes=max_nodes)
+    report = run_exhaustive(model)
     if not report.defense_breached:
         return Verdict(safe=True, method=ORACLE)
     trace = min(report.unsafe_runs, key=len)

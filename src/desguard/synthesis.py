@@ -9,16 +9,9 @@ unobservable events appear as self-loops.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable
 
-from .automata import (
-    Automaton,
-    Trace,
-    accessible,
-    observer,
-    parallel_compose,
-)
+from .automata import Automaton, accessible, explore, observer, parallel_compose, path_to
 
 
 class RealizationError(ValueError):
@@ -47,6 +40,12 @@ def supremal_controllable(
     uncontrollable = frozenset(uncontrollable)
     product = parallel_compose(admissible, plant)
     good = set(product.states)
+
+    def inside(state):
+        for event, target in product.out_edges(state):
+            if target in good:
+                yield event, target
+
     while True:
         bad = set()
         for state in good:
@@ -64,15 +63,7 @@ def supremal_controllable(
         if product.initial not in good:
             return None
         # Keep only what is still reachable inside the surviving states.
-        frontier = deque([product.initial])
-        reachable = {product.initial}
-        while frontier:
-            current = frontier.popleft()
-            for _event, target in product.out_edges(current):
-                if target in good and target not in reachable:
-                    reachable.add(target)
-                    frontier.append(target)
-        good = reachable
+        good = set(explore([product.initial], inside)[0])
     transitions = {
         (src, event): dst
         for (src, event), dst in product.transitions.items()
@@ -98,53 +89,44 @@ def check_observability(
     returns a witness (trace needing disable, trace needing enable, event).
     """
     observable = frozenset(observable)
-    controllable = frozenset(controllable)
+    controllable = sorted(set(controllable))
     product = parallel_compose(admissible, plant)
     unobservable = product.events - observable
 
-    start = (product.initial, product.initial)
-    parents: dict = {start: None}
-    queue = deque([start])
-
-    def traces(node) -> tuple[Trace, Trace]:
-        first: list = []
-        second: list = []
-        cursor = node
-        while parents[cursor] is not None:
-            cursor, (event, side) = parents[cursor]
-            if side in ("both", "first"):
-                first.append(event)
-            if side in ("both", "second"):
-                second.append(event)
-        return tuple(reversed(first)), tuple(reversed(second))
-
-    while queue:
-        node = queue.popleft()
+    def conflict(node):
+        """A controllable event `node`'s first string must keep disabled
+        while its second needs it enabled, or None."""
         one, two = node
-        for event in sorted(controllable):
+        for event in controllable:
             forbidden = (
                 product.successor(one, event) is None
                 and plant.successor(one[1], event) is not None
             )
             if forbidden and product.successor(two, event) is not None:
-                first, second = traces(node)
-                return False, (first, second, event)
-        moves = []
+                return event
+        return None
+
+    def moves(node):
+        one, two = node
         for event, target in product.out_edges(one):
             if event in observable:
                 other = product.successor(two, event)
                 if other is not None:
-                    moves.append(((target, other), (event, "both")))
+                    yield (event, "both"), (target, other)
             else:
-                moves.append(((target, two), (event, "first")))
+                yield (event, "first"), (target, two)
         for event, target in product.out_edges(two):
             if event in unobservable:
-                moves.append(((one, target), (event, "second")))
-        for nxt, label in moves:
-            if nxt not in parents:
-                parents[nxt] = (node, label)
-                queue.append(nxt)
-    return True, None
+                yield (event, "second"), (one, target)
+
+    start = (product.initial, product.initial)
+    parents, found = explore([start], moves, lambda node: conflict(node) is not None)
+    if found is None:
+        return True, None
+    labels = path_to(parents, found)
+    first = tuple(event for event, side in labels if side != "second")
+    second = tuple(event for event, side in labels if side != "first")
+    return False, (first, second, conflict(found))
 
 
 def realize_supervisor(

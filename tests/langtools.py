@@ -69,5 +69,17 @@ def naive_reach(automaton: Automaton, source, allowed) -> frozenset:
         current = nxt
 
 
+def naive_coreach(automaton: Automaton, targets) -> frozenset:
+    """Fixpoint of one-step predecessor closure, as an independent coreach oracle."""
+    current = frozenset(targets)
+    while True:
+        nxt = current | {
+            src for (src, _event), dst in automaton.transitions.items() if dst in current
+        }
+        if nxt == current:
+            return current
+        current = nxt
+
+
 def language_equal(a: Automaton, b: Automaton, max_len: int) -> bool:
     return enumerate_traces(a, max_len) == enumerate_traces(b, max_len)

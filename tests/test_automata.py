@@ -12,7 +12,9 @@ from desguard.automata import (
     ResourceLimitError,
     accessible,
     blocking_states,
+    coreach,
     deadlock_states,
+    explore,
     observer,
     parallel_compose,
     path_to,
@@ -23,7 +25,13 @@ from desguard.automata import (
 from desguard.systems import traffic_plant, vehicle_chain
 
 from generators import random_automaton
-from langtools import enumerate_traces, has_preimage, naive_reach, projected_language
+from langtools import (
+    enumerate_traces,
+    has_preimage,
+    naive_coreach,
+    naive_reach,
+    projected_language,
+)
 
 
 def chain(*events, marked=()):
@@ -43,6 +51,13 @@ class TestAlphabet:
             Alphabet({"u#r": EventInfo(True, False, kind=RENAMED, base="u")})
         with pytest.raises(ValueError):
             Alphabet({"b#e": EventInfo(False, False, kind=SE_ERASED)})
+
+    def test_attribute_conflict_raises(self):
+        one = Alphabet.from_sets(["a"], observable=["a"], controllable=[])
+        other = Alphabet.from_sets(["a"], observable=[], controllable=[])
+        with pytest.raises(AttributeConflictError):
+            one.extended({"a": other["a"]})
+        assert one.extended({"a": one["a"]}) == one
 
     def test_partitions(self):
         alphabet = Alphabet.from_sets(
@@ -76,13 +91,6 @@ class TestParallelCompose:
         assert composed.generates(("x", "y"))
         assert composed.generates(("y", "x"))
         assert len(composed.states) == 4
-
-    def test_attribute_conflict_raises(self):
-        one = Alphabet.from_sets(["a"], observable=["a"], controllable=[])
-        other = Alphabet.from_sets(["a"], observable=[], controllable=[])
-        a = Automaton.build("1", [("1", "a", "1")])
-        with pytest.raises(AttributeConflictError):
-            parallel_compose(a, a, alphabet_a=one, alphabet_b=other)
 
     def test_marking_requires_both(self):
         a = chain("x", marked=["2"])
@@ -159,22 +167,22 @@ class TestObserver:
 class TestReach:
     def test_empty_allowed_is_self(self):
         a = chain("a", "b")
-        assert reach(a, "2", frozenset()) == frozenset({"2"})
+        assert reach(a, ["2"], frozenset()) == frozenset({"2"})
 
     def test_closed_loop_uncontrollable_reach(self, actuator_model):
-        got = reach(actuator_model.model, ("2", "3"), {"c", "b#a"})
+        got = reach(actuator_model.model, [("2", "3")], {"c", "b#a"})
         assert got == frozenset({("2", "3"), ("2", "4")})
 
     def test_unknown_state_raises(self):
         with pytest.raises(KeyError):
-            reach(chain("a"), "99", {"a"})
+            reach(chain("a"), ["99"], {"a"})
 
     def test_matches_naive_fixpoint_oracle(self):
         rng = random.Random(5)
         a = random_automaton(rng, 50, ["a", "b", "c", "d"], density=0.15)
         for source in sorted(a.states)[:10]:
             for allowed in ({"a"}, {"a", "b"}, a.events):
-                assert reach(a, source, allowed) == naive_reach(a, source, allowed)
+                assert reach(a, [source], allowed) == naive_reach(a, source, allowed)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -185,8 +193,81 @@ class TestReach:
         small = frozenset(data.draw(st.sets(st.sampled_from(events), max_size=len(events))))
         extra = frozenset(data.draw(st.sets(st.sampled_from(events), max_size=len(events))))
         source = data.draw(st.sampled_from(sorted(a.states)))
-        assert reach(a, source, small) <= reach(a, source, small | extra)
+        assert reach(a, [source], small) <= reach(a, [source], small | extra)
 
+    def test_multi_source_is_union_of_single_sources(self):
+        rng = random.Random(13)
+        for _ in range(20):
+            a = random_automaton(rng, rng.randint(2, 12), ["a", "b", "c"], density=0.3)
+            states = sorted(a.states)
+            for allowed in ({"a"}, {"b", "c"}, a.events):
+                sources = rng.sample(states, rng.randint(0, len(states)))
+                union = frozenset().union(*(reach(a, [s], allowed) for s in sources))
+                assert reach(a, sources, allowed) == union
+
+
+class TestCoreach:
+    def test_chain(self):
+        assert coreach(chain("a", "b"), ["2"]) == frozenset({"1", "2"})
+        assert coreach(chain("a", "b"), []) == frozenset()
+
+    def test_matches_naive_fixpoint_oracle(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            a = random_automaton(rng, rng.randint(2, 15), ["a", "b", "c"], density=0.25)
+            targets = rng.sample(sorted(a.states), rng.randint(0, min(3, len(a.states))))
+            assert coreach(a, targets) == naive_coreach(a, targets)
+
+
+def graph_moves(edges):
+    """Successor function of a labeled digraph given as (src, label, dst)."""
+    out = {}
+    for src, label, dst in edges:
+        out.setdefault(src, []).append((label, dst))
+    return lambda node: out.get(node, [])
+
+
+class TestExplore:
+    EDGES = [("r", "a", "x"), ("r", "b", "y"), ("x", "c", "z"), ("y", "d", "z"), ("z", "e", "r")]
+
+    def test_parents_in_discovery_order(self):
+        parents, found = explore(["r"], graph_moves(self.EDGES))
+        assert found is None
+        assert list(parents.items()) == [
+            ("r", None), ("x", ("r", "a")), ("y", ("r", "b")), ("z", ("x", "c")),
+        ]
+        assert path_to(parents, "z") == ("a", "c")
+
+    def test_every_start_is_a_root(self):
+        parents, _ = explore(["y", "x", "y"], graph_moves(self.EDGES))
+        assert list(parents.items()) == [
+            ("y", None), ("x", None), ("z", ("y", "d")), ("r", ("z", "e")),
+        ]
+
+    def test_goal_stops_at_first_dequeued_match(self):
+        expanded = []
+
+        def moves(node):
+            expanded.append(node)
+            return graph_moves(self.EDGES)(node)
+
+        parents, found = explore(["r"], moves, goal=lambda n: n in {"y", "z"})
+        assert found == "y"
+        assert expanded == ["r", "x"]
+        assert "z" in parents  # discovered from x before y was dequeued
+
+    def test_goal_can_be_a_start(self):
+        parents, found = explore(["r"], graph_moves(self.EDGES), goal=lambda n: n == "r")
+        assert found == "r"
+        assert parents == {"r": None}
+
+    def test_limit_raises(self):
+        with pytest.raises(ResourceLimitError, match="walk exceeded 3 states"):
+            explore(
+                ["r"], graph_moves(self.EDGES), limit=3, overflow="walk exceeded {limit} states"
+            )
+        parents, _ = explore(["r"], graph_moves(self.EDGES), limit=4)
+        assert len(parents) == 4
 
 
 class TestPathTo:

@@ -134,10 +134,6 @@ class TestRunExhaustive:
             verdict = check_gf_safe_diagnoser(model)
             assert report.defense_breached == (not verdict.safe)
 
-    def test_rejects_non_all_out_policies(self, actuator_model):
-        with pytest.raises(ValueError):
-            run_exhaustive(actuator_model, AttackerPolicy.seeded_random(0.5))
-
 
 class TestLogs:
     def test_log_shape(self, actuator_model):
