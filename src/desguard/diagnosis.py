@@ -6,7 +6,14 @@ absorbing Y/N label to every closed-loop state; the diagnoser is the
 observer of the labeled model and classifies each estimate as normal,
 uncertain, or certain.  The verifier offers a polynomial alternative: it
 pairs the renamed attack-free behavior with the attacked behavior so that
-observation-equivalent string pairs become joint states.
+observation-equivalent string pairs become joint states, and a tracker
+follows the attacked behavior past detection.
+
+`tracker_moves` is that pairing on the fly: the start node and successor
+function of the tracker product, read straight off the closed loop and
+the labeled model, which the verifier test and `confusion_witness`
+search without building any automaton.  `build_verifier` materializes
+the same structures step by step, for inspection and tests.
 """
 
 from __future__ import annotations
@@ -36,6 +43,11 @@ CERTAIN = "certain"
 UNCERTAIN = "uncertain"
 
 SINK = "A"
+
+
+# Sink marker of `tracker_moves` nodes.  Not a string, so it cannot be
+# mistaken for a closed-loop state named like `SINK`, as in a loaded model.
+DETECTED = object()
 
 
 @dataclass(frozen=True)
@@ -74,7 +86,7 @@ class Analysis:
 
     Reached through `AttackedModel.analysis`, which builds it once.  Only
     the event classes and the labeled model live here: diagnosers,
-    verifier artifacts and detector tables are rebuilt per call, so a
+    verifier searches and detector tables are rebuilt per call, so a
     model kept alive does not keep their memory alive too.
     """
 
@@ -191,7 +203,11 @@ def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, St
 
 @dataclass(frozen=True)
 class VerifierArtifacts:
-    """Intermediate automata of the verifier pipeline.
+    """Intermediate automata of the verifier pipeline, materialized.
+
+    The decision procedures never build these; they search the same
+    product on the fly through `tracker_moves`.  This is the view for
+    inspecting and testing the construction.
 
     `normal_part` is the attack-free behavior with its unobservable events
     renamed (suffix ``#r``) so they become private; `attacked_part` keeps
@@ -299,6 +315,64 @@ def _complete(verifier: Automaton, observable, uncontrollable) -> Automaton:
     )
 
 
+def tracker_moves(model: AttackedModel, detection: bool = True):
+    """Start node and successor function of the tracker product, on the fly.
+
+    Nodes are (attack-free state, attacked labeled state) pairs, exactly
+    the states of `build_verifier`'s verifier, and, when `detection` is
+    set, (DETECTED, attacked labeled state) nodes, the tracker's
+    (SINK, .) states.  Unobservable non-attack events of the attack-free
+    side are private ``#r`` moves, observable non-attack events
+    synchronize, and the attacked side stays among the states co-reachable
+    to an attacked label.  An observable event the attacked side can take
+    but the pair cannot leads to DETECTED, from where only uncontrollable
+    events continue.  Successors come sorted by event, the `out_edges`
+    order of the materialized automata, so a breadth-first search visits
+    nodes in the same order as one over them.  None when the model has no
+    attacked behavior.
+    """
+    analysis = model.analysis
+    labeled = analysis.labeled.automaton
+    keep = coreach(labeled, [s for s in labeled.states if s[1] == ATTACKED])
+    if labeled.initial not in keep:
+        return None
+    normal_out = model.model._out
+    attacked_out = labeled._out
+    attack_events = model.attack_events
+    observable = analysis.observable
+    uncontrollable = analysis.uncontrollable
+
+    def moves(node):
+        normal, attacked = node
+        edges = []
+        if normal is DETECTED:
+            for event, target in attacked_out[attacked].items():
+                if event in uncontrollable and target in keep:
+                    edges.append((event, (DETECTED, target)))
+        else:
+            normal_edges = normal_out[normal]
+            attacked_edges = attacked_out[attacked]
+            for event, target in normal_edges.items():
+                if event in attack_events:
+                    continue
+                if event not in observable:
+                    edges.append((event + RENAME_SUFFIX, (target, attacked)))
+                elif (joint := attacked_edges.get(event)) in keep:
+                    edges.append((event, (target, joint)))
+            for event, target in attacked_edges.items():
+                if target not in keep:
+                    continue
+                if event not in observable:
+                    edges.append((event, (normal, target)))
+                elif detection and (event in attack_events or event not in normal_edges):
+                    edges.append((event, (DETECTED, target)))
+        # Events are distinct, so sorting never compares nodes.
+        edges.sort()
+        return edges
+
+    return (model.model.initial, labeled.initial), moves
+
+
 def strip_renamed(trace: Iterable[str]) -> Trace:
     """Project a verifier trace onto the attacked side (drop renamed events)."""
     return tuple(e for e in trace if not e.endswith(RENAME_SUFFIX))
@@ -323,26 +397,25 @@ def recover_normal(
 
 def confusion_witness(
     model: AttackedModel,
-    artifacts: VerifierArtifacts | None = None,
     require_event: str | None = None,
     unsafe_only: bool = False,
 ) -> tuple[Trace, Trace] | None:
     """A pair (attack-free trace, attacked trace) with equal observations.
 
-    Searches the verifier for a state whose attacked component is labeled,
-    optionally insisting that the attacked trace contain `require_event`
-    and/or end in an unsafe state.  Returns None when the attacked behavior
-    is never observation-equivalent to attack-free behavior.
+    Searches the verifier pairs for one whose attacked component is
+    labeled, optionally insisting that the attacked trace contain
+    `require_event` and/or end in an unsafe state.  Returns None when the
+    attacked behavior is never observation-equivalent to attack-free
+    behavior.
     """
-    if artifacts is None:
-        artifacts = build_verifier(model)
-    verifier = artifacts.verifier
-    if verifier is None:
+    product = tracker_moves(model, detection=False)
+    if product is None:
         return None
+    start, pair_moves = product
 
     def moves(node):
-        state, satisfied = node
-        for event, target in verifier.out_edges(state):
+        pair, satisfied = node
+        for event, target in pair_moves(pair):
             yield event, (target, satisfied or event == require_event)
 
     def confused(node):
@@ -353,7 +426,7 @@ def confusion_witness(
             and (not unsafe_only or attacked in model.unsafe_states)
         )
 
-    parents, found = explore([(verifier.initial, require_event is None)], moves, confused)
+    parents, found = explore([(start, require_event is None)], moves, confused)
     if found is None:
         return None
     trace = path_to(parents, found)

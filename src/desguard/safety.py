@@ -7,7 +7,8 @@ independent routes decide the property:
 
 * the diagnoser test inspects the detector's estimate structure,
 * the verifier test inspects observation-equivalent string pairs and the
-  post-detection tracker,
+  post-detection tracker, in one on-the-fly search that stops at the
+  first violation,
 * the exhaustive simulation literally runs the defense over every run.
 
 All three must agree; the simulation is the ground truth the other two
@@ -23,17 +24,17 @@ from .automata import Trace, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
+    DETECTED,
     NORMAL,
     SINK,
     UNCERTAIN,
     Detector,
     Diagnoser,
     LabeledAutomaton,
-    VerifierArtifacts,
     build_diagnoser,
-    build_verifier,
     first_entered_certain,
     strip_renamed,
+    tracker_moves,
 )
 from .runtime import run_exhaustive
 
@@ -177,7 +178,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         )
         end = model.model.run(trace)
         goal = sorted(reach(model.model, (end,), uncontrollable) & unsafe, key=state_name)[0]
-        tail, _ = _shortest_to(model.model, end, {goal}, uncontrollable)
+        tail = _shortest_to(model.model, end, goal, uncontrollable)
         return Verdict(
             safe=False,
             method=DIAGNOSER,
@@ -216,9 +217,7 @@ def _detection_edge_witness(labeled, diagnoser, unobservable, arrival_ok):
     return path_to(parents, found) + (event,), state_name(estimate)
 
 
-def check_ae_safe_verifier(
-    model: AttackedModel, artifacts: VerifierArtifacts | None = None
-) -> Verdict:
+def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     """Verifier-based safe-controllability test.
 
     Unsafe iff (1) some verifier state pairs attack-free behavior with an
@@ -226,59 +225,59 @@ def check_ae_safe_verifier(
     (2) the post-detection tracker reaches an unsafe attacked state at
     the sink, meaning uncontrollable events finish the job after
     detection.  Applies to all three attack modes.
+
+    One breadth-first search of the tracker product (`tracker_moves`)
+    decides both: it stops at the first pair that violates (1), and
+    otherwise the first sink node it discovered that violates (2) is the
+    witness.  Sink nodes never lead back to pairs, so each trace is the
+    shortest one the verifier or the tracker alone would give.
     """
-    if artifacts is None:
-        artifacts = build_verifier(model)
+    product = tracker_moves(model)
+    if product is None:
+        return Verdict(safe=True, method=VERIFIER)
+    start, moves = product
     unsafe = model.unsafe_states
 
-    if artifacts.verifier is not None:
-        hits = frozenset(
-            s
-            for s in artifacts.verifier.states
-            if s[1][1] == ATTACKED and s[1][0] in unsafe
+    def unsafe_attacked(node):
+        attacked = node[1]
+        return attacked[1] == ATTACKED and attacked[0] in unsafe
+
+    parents, found = explore(
+        [start],
+        moves,
+        lambda node: node[0] is not DETECTED and unsafe_attacked(node),
+        overflow="verifier search exceeded {limit} states",
+    )
+    if found is not None:
+        condition, witness = VERIFIER_PAIR_UNSAFE, found
+    else:
+        found = next(
+            (node for node in parents if node[0] is DETECTED and unsafe_attacked(node)),
+            None,
         )
-        if hits:
-            trace, hit = _shortest_to(artifacts.verifier, artifacts.verifier.initial, hits)
-            return Verdict(
-                safe=False,
-                method=VERIFIER,
-                violated_condition=VERIFIER_PAIR_UNSAFE,
-                counterexample=strip_renamed(trace) or None,
-                witness_state=state_name(hit),
-            )
-
-    if artifacts.tracker is not None:
-        hits = frozenset(
-            s
-            for s in artifacts.tracker.states
-            if s[0] == SINK and s[1][1] == ATTACKED and s[1][0] in unsafe
-        )
-        if hits:
-            trace, hit = _shortest_to(artifacts.tracker, artifacts.tracker.initial, hits)
-            return Verdict(
-                safe=False,
-                method=VERIFIER,
-                violated_condition=VERIFIER_POST_DETECTION_UNSAFE,
-                counterexample=strip_renamed(trace) or None,
-                witness_state=state_name(hit),
-            )
-    return Verdict(safe=True, method=VERIFIER)
+        if found is None:
+            return Verdict(safe=True, method=VERIFIER)
+        condition, witness = VERIFIER_POST_DETECTION_UNSAFE, (SINK, found[1])
+    return Verdict(
+        safe=False,
+        method=VERIFIER,
+        violated_condition=condition,
+        counterexample=strip_renamed(path_to(parents, found)) or None,
+        witness_state=state_name(witness),
+    )
 
 
-def _shortest_to(automaton, source, goals, allowed=None) -> tuple[Trace, object]:
-    """Shortest path from `source` to a state in `goals`, and the state
-    reached, using only `allowed` events (all when None); ((), None) when
-    no goal is reachable."""
+def _shortest_to(automaton, source, goal, allowed) -> Trace:
+    """Shortest path from `source` to `goal`, a state reachable from it
+    using only `allowed` events."""
 
     def moves(state):
         for event, target in automaton.out_edges(state):
-            if allowed is None or event in allowed:
+            if event in allowed:
                 yield event, target
 
-    parents, found = explore([source], moves, goals.__contains__)
-    if found is None:
-        return (), None
-    return path_to(parents, found), found
+    parents, found = explore([source], moves, lambda state: state == goal)
+    return path_to(parents, found)
 
 
 def oracle_defense_simulation(model: AttackedModel) -> Verdict:

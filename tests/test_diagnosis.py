@@ -3,11 +3,12 @@ import random
 import pytest
 
 from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model
-from desguard.automata import project, state_name
+from desguard.automata import explore, project, state_name
 from desguard.diagnosis import (
     ATTACKED,
     CERTAIN,
     CLEAN,
+    DETECTED,
     NORMAL,
     SINK,
     UNCERTAIN,
@@ -18,6 +19,7 @@ from desguard.diagnosis import (
     diagnoser_step,
     first_entered_certain,
     label_compose,
+    tracker_moves,
 )
 
 from generators import random_model
@@ -223,3 +225,67 @@ class TestVerifier:
                 _normal_component, (base, label) = state
                 assert label in (CLEAN, ATTACKED)
                 assert base in model.model.states
+
+
+FIXTURES = (
+    "actuator_model",
+    "erasure_model",
+    "blocking_model",
+    "insertion_model",
+    "traffic_ae_model",
+    "traffic_se_model",
+    "traffic_si_model",
+)
+
+
+def _random_models():
+    for seed in range(40):
+        for mode in ("ae", "se", "si"):
+            yield random_model(random.Random(seed), mode)
+
+
+class TestTrackerMoves:
+    """The on-the-fly product against the materialized verifier pipeline."""
+
+    def _agrees(self, model):
+        artifacts = build_verifier(model)
+        product = tracker_moves(model)
+        if product is None:
+            assert artifacts.verifier is None and artifacts.tracker is None
+            assert confusion_witness(model) is None
+            return False
+        start, moves = product
+        parents, _ = explore([start], moves)
+        pairs = {node for node in parents if node[0] is not DETECTED}
+        sinks = {(SINK, node[1]) for node in parents if node[0] is DETECTED}
+        assert pairs == artifacts.verifier.states
+        assert sinks == {s for s in artifacts.tracker.states if s[0] == SINK}
+
+        # Every edge is a tracker edge, in the tracker's out_edges order.
+        def tracked(node):
+            return (SINK, node[1]) if node[0] is DETECTED else (node, node[1])
+
+        for node in parents:
+            edges = [(event, tracked(target)) for event, target in moves(node)]
+            assert edges == artifacts.tracker.out_edges(tracked(node))
+        without_sink = tracker_moves(model, detection=False)[1]
+        for node in pairs:
+            assert list(without_sink(node)) == artifacts.verifier.out_edges(node)
+        return True
+
+    def test_fixtures(self, request):
+        for name in FIXTURES:
+            assert self._agrees(request.getfixturevalue(name))
+
+    def test_random_models(self):
+        paired = [self._agrees(model) for model in _random_models()]
+        assert any(paired) and not all(paired)
+
+    def test_no_attacked_behavior(self, actuator_demo):
+        vuln = VulnerabilitySpec(
+            actuator_demo.vuln.alphabet,
+            unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
+        )
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
+        assert tracker_moves(model) is None
+        assert not self._agrees(model)

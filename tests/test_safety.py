@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 from desguard.attacks import MODE_AE, MODE_SE, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, diagnoser_initial, diagnoser_step, label_compose
@@ -5,11 +8,13 @@ from desguard.safety import (
     FIRST_CERTAIN_UNSAFE,
     UNCERTAIN_UNSAFE,
     UNCONTROLLABLE_UNSAFE,
+    VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
     oracle_defense_simulation,
 )
+from desguard.modelio import load_path
 from desguard.systems import System
 
 ALL_CHECKS = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
@@ -256,3 +261,54 @@ class TestMethodAgreement:
             verdicts = {check(model).safe for check in ALL_CHECKS}
             assert len(verdicts) == 1
 
+
+
+def sink_named_model_doc(name: str) -> dict:
+    """Loaded ae model whose attack-free loop passes through a state `name`.
+
+    0 -b-> name -a#a-> X with X unsafe: the unobservable attack leaves the
+    attack-free side at `name` while the attacked side is unsafe.
+    """
+    events = [
+        {"name": "a", "observable": False, "controllable": True, "vulnerable": True},
+        {"name": "a#a", "observable": False, "controllable": False,
+         "kind": "ae-attacked", "base": "a"},
+        {"name": "b", "observable": True, "controllable": False},
+    ]
+    return {
+        "format": "attacked-model",
+        "mode": "ae",
+        "states": ["0", name, "X"],
+        "initial": "0",
+        "events": events,
+        "transitions": [
+            {"from": "0", "event": "b", "to": name},
+            {"from": name, "event": "a#a", "to": "X"},
+        ],
+        "unsafe": ["X"],
+        "attack_events": ["a#a"],
+        "components": {
+            "0": {"supervisor": "s0", "plant": "0"},
+            name: {"supervisor": "s1", "plant": "1"},
+            "X": {"supervisor": "s1", "plant": "2"},
+        },
+    }
+
+
+class TestSinkNamedState:
+    """A closed-loop state may carry the tracker sink's display name."""
+
+    def _load(self, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(sink_named_model_doc(name)))
+        return load_path(str(path))
+
+    def test_verdict_independent_of_state_name(self, tmp_path):
+        named = self._load(tmp_path, "A")
+        renamed = self._load(tmp_path, "S")
+        verdict = check_ae_safe_verifier(named)
+        assert verdict.violated_condition == VERIFIER_PAIR_UNSAFE
+        assert verdict.counterexample == ("b", "a#a")
+        assert verdict.witness_state == "(A,(X,Y))"
+        assert check_ae_safe_verifier(renamed) == replace(verdict, witness_state="(S,(X,Y))")
+        assert verdict.safe == oracle_defense_simulation(named).safe
