@@ -4,7 +4,9 @@ States are arbitrary hashable values: plain strings for hand-written
 models, tuples for composed states, frozensets for observer states.
 Every value in this module is immutable after construction and every
 operation is a pure function, so automata can be shared freely between
-concurrent workers.
+concurrent workers.  The one exception is `EstimateTable`, a memo that
+fills as it is read; each entry is a pure function of the automaton, so
+a concurrent reader at worst computes one twice.
 
 The package has three searches, all here: `explore`, the one
 breadth-first search with parent pointers (composition, observers,
@@ -403,37 +405,104 @@ def parallel_compose(
     return Automaton(frozenset(states), a.events | b.events, transitions, initial, marked)
 
 
+class EstimateTable:
+    """State estimates of one automaton under one hidden event set.
+
+    An estimate is a frozenset of states closed under hidden events.  The
+    table holds the hidden-event closure of each state, computed on first
+    use and at most once.  One estimate step is then the union of the
+    closures of its members' successors on the event; the union is exact
+    because the closure distributes over union.  `step` also remembers
+    each (estimate, event) result, because the searches over (state,
+    estimate) pairs take the same step once per member.
+    """
+
+    def __init__(self, automaton: Automaton, hidden: Iterable[str]):
+        self.automaton = automaton
+        self.hidden = frozenset(hidden)
+        self._closures: dict[State, frozenset] = {}
+        self._steps: dict[tuple[frozenset, str], frozenset] = {}
+        self.initial = self.closure(automaton.initial)
+
+    def closure(self, state: State) -> frozenset:
+        """States reachable from `state` through hidden events."""
+        closure = self._closures.get(state)
+        if closure is None:
+            closure = self._closures[state] = reach(self.automaton, (state,), self.hidden)
+        return closure
+
+    def step(self, estimate: frozenset, event: str) -> frozenset:
+        """The estimate after observing `event`.
+
+        Raises KeyError when no member of the estimate can execute the
+        event; the caller is then observing something inconsistent with
+        the automaton.
+        """
+        key = (estimate, event)
+        result = self._steps.get(key)
+        if result is None:
+            out = self.automaton._out
+            parts = [
+                self.closure(target)
+                for member in estimate
+                if (target := out[member].get(event)) is not None
+            ]
+            if not parts:
+                raise KeyError(f"event {event!r} is infeasible at the current estimate")
+            result = self._steps[key] = frozenset().union(*parts)
+        return result
+
+    def moves(self, estimate: frozenset) -> list[tuple[str, frozenset]]:
+        """Every (visible event, next estimate) from `estimate`, sorted by event."""
+        hidden = self.hidden
+        targets: dict[str, set] = {}
+        for member in estimate:
+            for event, target in self.automaton._out[member].items():
+                if event not in hidden:
+                    targets.setdefault(event, set()).add(target)
+        return [
+            (event, frozenset().union(*map(self.closure, targets[event])))
+            for event in sorted(targets)
+        ]
+
+
 def observer(
     automaton: Automaton,
     hidden: Iterable[str],
     max_states: int = DEFAULT_STATE_LIMIT,
+    estimates: EstimateTable | None = None,
+    stop: Callable[[frozenset], bool] | None = None,
 ) -> Automaton:
     """Subset-construction observer with respect to a hidden event set.
 
     Observer states are frozensets of source states (canonical, so two runs
     produce byte-identical serializations).  The initial observer state is
-    the hidden-event closure of the source initial state.
+    the hidden-event closure of the source initial state.  Steps come from
+    `estimates`, the table of `automaton` and `hidden` a caller keeps for
+    reuse, or from a table of this call's own.  With `stop`, the search
+    ends at the first observer state it dequeues that satisfies it: the
+    result then holds only the states discovered so far and the
+    transitions of the states already expanded.
     """
     hidden = frozenset(hidden)
     if not hidden <= automaton.events:
         raise ValueError("hidden events must belong to the automaton")
+    if estimates is None:
+        estimates = EstimateTable(automaton, hidden)
+    elif estimates.automaton is not automaton or estimates.hidden != hidden:
+        raise ValueError("estimate table belongs to another automaton or hidden set")
     visible = automaton.events - hidden
     transitions: dict[tuple[State, str], State] = {}
 
     def moves(current):
-        targets: dict[str, set] = {}
-        for member in current:
-            for event, target in automaton._out[member].items():
-                if event not in hidden:
-                    targets.setdefault(event, set()).add(target)
-        for event in sorted(targets):
-            target = reach(automaton, targets[event], hidden)
+        edges = estimates.moves(current)
+        for event, target in edges:
             transitions[(current, event)] = target
-            yield event, target
+        return edges
 
-    initial = reach(automaton, (automaton.initial,), hidden)
+    initial = estimates.initial
     states, _ = explore(
-        (initial,), moves, limit=max_states, overflow="observer exceeded {limit} states"
+        (initial,), moves, stop, limit=max_states, overflow="observer exceeded {limit} states"
     )
     marked = frozenset(s for s in states if s & automaton.marked)
     return Automaton(frozenset(states), visible, transitions, initial, marked)

@@ -3,6 +3,10 @@
 Exit codes: 0 success (or verdict safe), 1 verdict unsafe / refused
 realization, 2 validation or usage error, 3 method disagreement with
 --method all, 4 state budget exceeded (no verdict).
+
+`check` exits 2 without a verdict when the model's attack-free closed
+loop already reaches an unsafe state: every route assumes a supervisor
+that is safe without attacks, so none can judge the defense there.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .modelio import (
     verdict_to_doc,
 )
 from .runtime import ALL_OUT, RANDOM, SCRIPTED, AttackerPolicy, log_records, run
-from .safety import DIAGNOSER, ORACLE, VERIFIER, check_model
+from .safety import DIAGNOSER, ORACLE, VERIFIER, NominalUnsafeError, check_model
 from .synthesis import RealizationError, realize_supervisor, supremal_controllable
 
 
@@ -128,27 +132,29 @@ def build(plant_file, supervisor_file, mode, vulnerable, out):
 @click.option("--out", default=None)
 @_within_budget
 def check(model_file, method, out):
-    """Decide safe controllability; exit 0 if safe, 1 if unsafe, 4 if a
-    state budget is exceeded before a verdict."""
+    """Decide safe controllability; exit 0 if safe, 1 if unsafe, 2 if the
+    attack-free loop is already unsafe, 4 if a state budget is exceeded
+    before a verdict."""
     model = _load_attacked(model_file)
     deadlocks = sorted(
         {state_name(model.plant_component(s)) for s in deadlock_states(model.model)}
     )
     blocking = bool(blocking_states(model.model))
+    methods = (DIAGNOSER, VERIFIER, ORACLE) if method == "all" else (method,)
+    try:
+        verdicts = [check_model(model, m) for m in methods]
+    except NominalUnsafeError as exc:
+        _fail(str(exc))
+    verdict = verdicts[0]
     if method == "all":
-        verdicts = [check_model(model, m) for m in (DIAGNOSER, VERIFIER, ORACLE)]
         agree = len({v.safe for v in verdicts}) == 1
-        doc = verdict_to_doc(
-            verdicts[0], deadlocks=deadlocks, blocking=blocking, methods_agree=agree
-        )
+        doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking, methods_agree=agree)
         doc["method"] = "all"
         _emit(dumps_doc(doc), out)
         if not agree:
             click.echo("error: methods disagree", err=True)
             sys.exit(3)
-        verdict = verdicts[0]
     else:
-        verdict = check_model(model, method)
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking)
         _emit(dumps_doc(doc), out)
     if deadlocks:

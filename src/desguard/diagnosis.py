@@ -9,6 +9,12 @@ pairs the renamed attack-free behavior with the attacked behavior so that
 observation-equivalent string pairs become joint states, and a tracker
 follows the attacked behavior past detection.
 
+Every estimate the package computes comes from one `EstimateTable` per
+model, held on `Analysis`: the diagnoser, the online detector of
+`runtime` and the defended-run oracle step estimates through it, so each
+unobservable closure is computed at most once per model.
+`build_diagnoser` can end at the first estimate a predicate accepts.
+
 `tracker_moves` is that pairing on the fly: the start node and successor
 function of the tracker product, read straight off the closed loop and
 the labeled model, which the verifier test and `confusion_witness`
@@ -19,11 +25,12 @@ the same structures step by step, for inspection and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .attacks import RENAME_SUFFIX, AttackedModel
 from .automata import (
     Automaton,
+    EstimateTable,
     State,
     Trace,
     accessible,
@@ -32,7 +39,6 @@ from .automata import (
     observer,
     parallel_compose,
     path_to,
-    reach,
 )
 
 CLEAN = "N"
@@ -84,10 +90,15 @@ def label_compose(model: AttackedModel) -> LabeledAutomaton:
 class Analysis:
     """Per-model structures that every decision route needs.
 
-    Reached through `AttackedModel.analysis`, which builds it once.  Only
-    the event classes and the labeled model live here: diagnosers,
-    verifier searches and detector tables are rebuilt per call, so a
-    model kept alive does not keep their memory alive too.
+    Reached through `AttackedModel.analysis`, which builds it once: the
+    event classes, the labeled model, the unsafe states the attack-free
+    closed loop already reaches, and the detector's estimate table.  The
+    table fills lazily and is shared by the observer, the defended-run
+    exploration and step-by-step runs, so between them each unobservable
+    closure is computed at most once per model; it keeps the estimate
+    steps taken for as long as the model lives.  Diagnosers and verifier
+    searches are rebuilt per call, so a model kept alive does not keep
+    their memory alive too.
     """
 
     observable: frozenset[str]
@@ -95,16 +106,25 @@ class Analysis:
     controllable: frozenset[str]
     uncontrollable: frozenset[str]
     labeled: LabeledAutomaton
+    nominal_unsafe: frozenset
+    estimates: EstimateTable
 
 
 def analyze(model: AttackedModel) -> Analysis:
     alphabet = model.alphabet
+    unobservable = alphabet.unobservable_events()
+    labeled = label_compose(model)
+    # The label latches on the first attack event, so a closed-loop state
+    # appears labeled clean exactly when an attack-free string reaches it.
+    reached = labeled.automaton.states
     return Analysis(
         observable=alphabet.observable_events(),
-        unobservable=alphabet.unobservable_events(),
+        unobservable=unobservable,
         controllable=alphabet.controllable_events(),
         uncontrollable=alphabet.uncontrollable_events(),
-        labeled=label_compose(model),
+        labeled=labeled,
+        nominal_unsafe=frozenset(s for s in model.unsafe_states if (s, CLEAN) in reached),
+        estimates=EstimateTable(labeled.automaton, unobservable),
     )
 
 
@@ -129,67 +149,20 @@ class Diagnoser:
         return frozenset(s for s, c in self.classification.items() if c == kind)
 
 
-def build_diagnoser(labeled: LabeledAutomaton, unobservable: Iterable[str]) -> Diagnoser:
-    obs = observer(labeled.automaton, unobservable)
-    return Diagnoser(obs, {s: classify(s) for s in obs.states})
-
-
-def diagnoser_initial(labeled: LabeledAutomaton, unobservable: Iterable[str]) -> frozenset:
-    """Initial state estimate, for incremental (on-the-fly) diagnosis."""
-    return reach(labeled.automaton, (labeled.automaton.initial,), unobservable)
-
-
-def diagnoser_step(
+def build_diagnoser(
     labeled: LabeledAutomaton,
     unobservable: Iterable[str],
-    estimate: frozenset,
-    event: str,
-) -> frozenset:
-    """Advance a state estimate by one observed event.
+    estimates: EstimateTable | None = None,
+    stop: Callable[[frozenset], bool] | None = None,
+) -> Diagnoser:
+    """Observer of the labeled model, with each estimate classified.
 
-    Raises KeyError when no member of the estimate can execute the event;
-    the caller is then observing something inconsistent with the model.
+    `estimates` and `stop` go to `observer`: a shared estimate table, and
+    a predicate at whose first satisfying estimate the construction ends,
+    leaving a partial diagnoser.
     """
-    targets = set()
-    for member in estimate:
-        successor = labeled.automaton.successor(member, event)
-        if successor is not None:
-            targets.add(successor)
-    if not targets:
-        raise KeyError(f"event {event!r} is infeasible at the current estimate")
-    return reach(labeled.automaton, targets, unobservable)
-
-
-class Detector:
-    """The online detector's estimate over one labeled model, memoized.
-
-    Each (estimate, event) step and each estimate's class is computed once
-    per instance, so replaying many runs that revisit the same estimates
-    pays for one unobservable closure per distinct step.
-    """
-
-    def __init__(self, analysis: Analysis):
-        self.labeled = analysis.labeled
-        self.observable = analysis.observable
-        self.unobservable = analysis.unobservable
-        self.initial = diagnoser_initial(self.labeled, self.unobservable)
-        self._steps: dict[tuple[frozenset, str], frozenset] = {}
-        self._classes: dict[frozenset, str] = {}
-
-    def step(self, estimate: frozenset, event: str) -> frozenset:
-        """`diagnoser_step` of an observed event."""
-        key = (estimate, event)
-        target = self._steps.get(key)
-        if target is None:
-            target = diagnoser_step(self.labeled, self.unobservable, estimate, event)
-            self._steps[key] = target
-        return target
-
-    def classify(self, estimate: frozenset) -> str:
-        kind = self._classes.get(estimate)
-        if kind is None:
-            kind = self._classes[estimate] = classify(estimate)
-        return kind
+    obs = observer(labeled.automaton, unobservable, estimates=estimates, stop=stop)
+    return Diagnoser(obs, {s: classify(s) for s in obs.states})
 
 
 def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, State]]:

@@ -5,7 +5,11 @@ co-tracking the detector's state estimate.  The moment the estimate
 becomes certain the loop switches to safe mode: every controllable event
 is disabled from then on.  Attack opportunities are filtered through an
 attacker policy, so the same engine serves demonstrations, trace
-generation, and the exhaustive defense check.
+generation, and the exhaustive defense check.  Every estimate step reads
+the model's shared estimate table (`Analysis.estimates`), so runs and
+the diagnoser compute each unobservable closure once between them.  The
+exhaustive check either reports every defended run or, for a verdict,
+stops at the first unsafe one.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Iterable
 
 from .attacks import AttackedModel
 from .automata import Trace, explore, path_to, state_name
-from .diagnosis import CERTAIN, Detector, classify, diagnoser_initial, diagnoser_step
+from .diagnosis import CERTAIN, classify
 
 ALL_OUT = "all-out"
 SCRIPTED = "scripted"
@@ -102,8 +106,7 @@ class ExecutionState:
 
 
 def initial_state(model: AttackedModel) -> ExecutionState:
-    analysis = model.analysis
-    estimate = diagnoser_initial(analysis.labeled, analysis.unobservable)
+    estimate = model.analysis.estimates.initial
     composed = model.model.initial
     return ExecutionState(
         composed=composed,
@@ -168,7 +171,7 @@ def step(
     observed = state.observed
     analysis = model.analysis
     if choice in analysis.observable:
-        estimate = diagnoser_step(analysis.labeled, analysis.unobservable, estimate, choice)
+        estimate = analysis.estimates.step(estimate, choice)
         observed = observed + (choice,)
     return ExecutionState(
         composed=composed,
@@ -195,25 +198,20 @@ def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[Ex
 
 @dataclass(frozen=True)
 class RunReport:
-    """Outcome of exhaustively exploring all runs under a policy.
-
-    `detector` is the memoized detector the exploration ran, for
-    replaying estimates along the reported runs without recomputing them.
-    """
+    """Outcome of exhaustively exploring all runs under a policy."""
 
     explored: int
     unsafe_runs: tuple[Trace, ...]
     stuck_runs: tuple[tuple[Trace, object], ...]
     detection_latencies: tuple[int, ...]
     attack_transitions: int
-    detector: Detector = field(repr=False, compare=False)
 
     @property
     def defense_breached(self) -> bool:
         return bool(self.unsafe_runs)
 
 
-def run_exhaustive(model: AttackedModel) -> RunReport:
+def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunReport:
     """Explore every run of the closed loop under the online defense.
 
     Nodes are (labeled model state, estimate) pairs; safe mode is implied
@@ -222,22 +220,32 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
     get stuck, and the detection latency (events between the first attack
     artifact and certainty) along the exploration tree.
 
+    With `stop_at_breach` the search ends at the first unsafe node it
+    dequeues.  The report then counts the nodes reached so far, and its
+    only run is the one to that node, the shortest unsafe run and the
+    first of that length in discovery order; stuck runs and latencies are
+    not collected.
+
     The attacker is all-out: randomized and scripted policies do not
     define a run tree independent of exploration order.
     """
     analysis = model.analysis
     aut = analysis.labeled.automaton
+    estimates = analysis.estimates
     observable = analysis.observable
     controllable = analysis.controllable
     attack_events = model.attack_events
-    detector = Detector(analysis)
+    unsafe = model.unsafe_states
     stuck_nodes: list[tuple] = []
     attack_transitions = 0
+
+    def certain(estimate):
+        return classify(estimate) == CERTAIN
 
     def moves(node):
         nonlocal attack_transitions
         lstate, estimate = node
-        safe_mode = detector.classify(estimate) == CERTAIN
+        safe_mode = certain(estimate)
         stuck = True
         for event, target in aut.out_edges(lstate):
             if safe_mode and event in controllable:
@@ -246,24 +254,30 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
             if event in attack_events:
                 attack_transitions += 1
             if event in observable:
-                yield event, (target, detector.step(estimate, event))
+                yield event, (target, estimates.step(estimate, event))
             else:
                 yield event, (target, estimate)
         if stuck:
             stuck_nodes.append(node)
 
-    parents, _ = explore(
-        [(aut.initial, detector.initial)],
+    parents, breach = explore(
+        [(aut.initial, estimates.initial)],
         moves,
+        (lambda node: node[0][0] in unsafe) if stop_at_breach else None,
         overflow="exhaustive exploration exceeded {limit} nodes",
     )
-
-    def certain(node):
-        return detector.classify(node[1]) == CERTAIN
+    if stop_at_breach:
+        return RunReport(
+            explored=len(parents),
+            unsafe_runs=() if breach is None else (path_to(parents, breach),),
+            stuck_runs=(),
+            detection_latencies=(),
+            attack_transitions=attack_transitions,
+        )
 
     latencies = []
     for node, parent in parents.items():
-        if not certain(node) or (parent is not None and certain(parent[0])):
+        if not certain(node[1]) or (parent is not None and certain(parent[0][1])):
             continue
         trace = path_to(parents, node)
         first_attack = next(
@@ -274,13 +288,10 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
 
     return RunReport(
         explored=len(parents),
-        unsafe_runs=tuple(
-            path_to(parents, n) for n in parents if n[0][0] in model.unsafe_states
-        ),
+        unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0][0] in unsafe),
         stuck_runs=tuple((path_to(parents, n), n[0][0]) for n in stuck_nodes),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,
-        detector=detector,
     )
 
 

@@ -5,14 +5,19 @@ A closed-loop attack model is safe controllable when the online defense
 plant out of the unsafe states no matter what the attacker does.  Three
 independent routes decide the property:
 
-* the diagnoser test inspects the detector's estimate structure,
+* the diagnoser test inspects the detector's estimate structure, and its
+  observer stops at the first estimate that violates the first condition,
 * the verifier test inspects observation-equivalent string pairs and the
   post-detection tracker, in one on-the-fly search that stops at the
   first violation,
-* the exhaustive simulation literally runs the defense over every run.
+* the exhaustive simulation literally runs the defense over every run,
+  up to the first one that reaches an unsafe state.
 
 All three must agree; the simulation is the ground truth the other two
-are checked against.
+are checked against.  All three read the model's one estimate table and
+assume a supervisor that is safe without attacks: on a model whose
+attack-free closed loop already reaches an unsafe state, each raises
+`NominalUnsafeError` instead of answering.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ from .diagnosis import (
     NORMAL,
     SINK,
     UNCERTAIN,
-    Detector,
+    Analysis,
     Diagnoser,
-    LabeledAutomaton,
     build_diagnoser,
+    classify,
     first_entered_certain,
     strip_renamed,
     tracker_moves,
@@ -47,6 +52,25 @@ FIRST_CERTAIN_UNSAFE = "first-certain-unsafe"
 UNCONTROLLABLE_UNSAFE = "uncontrollable-unsafe"
 VERIFIER_PAIR_UNSAFE = "verifier-pair-unsafe"
 VERIFIER_POST_DETECTION_UNSAFE = "verifier-post-detection-unsafe"
+
+
+class NominalUnsafeError(ValueError):
+    """The attack-free closed loop already reaches an unsafe state.
+
+    Every route assumes a supervisor that is safe without attacks; on
+    such a model none of them can judge the defense, so each refuses.
+    """
+
+
+def _require_safe_nominal(model: AttackedModel) -> None:
+    reached = model.analysis.nominal_unsafe
+    if reached:
+        names = sorted({state_name(model.plant_component(s)) for s in reached})
+        raise NominalUnsafeError(
+            "the attack-free closed loop already reaches unsafe plant state(s) "
+            f"{', '.join(names)}; safe controllability assumes a supervisor "
+            "that is safe without attacks"
+        )
 
 
 @dataclass(frozen=True)
@@ -69,12 +93,13 @@ class Verdict:
     witness_state: str | None = None
 
 
-def _estimate_moves(labeled: LabeledAutomaton, diagnoser: Diagnoser, unobservable):
+def _estimate_moves(analysis: Analysis):
     """Successors of (labeled state, estimate) nodes, the estimate replaying
     the detector; no defense pruning, so paths describe what can happen
     before and at detection."""
-    aut = labeled.automaton
-    dag = diagnoser.automaton
+    aut = analysis.labeled.automaton
+    estimates = analysis.estimates
+    unobservable = analysis.unobservable
 
     def moves(node):
         lstate, estimate = node
@@ -82,12 +107,12 @@ def _estimate_moves(labeled: LabeledAutomaton, diagnoser: Diagnoser, unobservabl
             if event in unobservable:
                 yield event, (lnext, estimate)
             else:
-                yield event, (lnext, dag.successor(estimate, event))
+                yield event, (lnext, estimates.step(estimate, event))
 
-    return (aut.initial, dag.initial), moves
+    return (aut.initial, estimates.initial), moves
 
 
-def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser) -> list[frozenset]:
+def _entry_sets(analysis: Analysis, diagnoser: Diagnoser) -> list[frozenset]:
     """Entry states of each edge on which detection first becomes certain.
 
     For an edge q -e-> q' from a normal/uncertain estimate into a certain
@@ -96,7 +121,7 @@ def _entry_sets(labeled: LabeledAutomaton, diagnoser: Diagnoser) -> list[frozens
     beyond the entry set still needs post-detection events to be reached,
     and those are subject to the defense.
     """
-    aut = labeled.automaton
+    aut = analysis.labeled.automaton
     return [
         frozenset(t for member in src if (t := aut.successor(member, event)) is not None)
         for src, event, _dst in first_entered_certain(diagnoser)
@@ -113,33 +138,32 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     2 and 3 are evaluated from the detection-instant entry states: states
     that only appear in an estimate through post-detection controllable
     moves are already covered by the defense.
+
+    Condition 1 takes precedence, so the observer stops at the first
+    estimate that violates it.  Only when none does is the diagnoser
+    complete, as conditions 2 and 3 and the reported `x_uc` need.
     """
+    _require_safe_nominal(model)
     analysis = model.analysis
-    labeled = analysis.labeled
-    unobservable = analysis.unobservable
-    diagnoser = build_diagnoser(labeled, unobservable)
     unsafe = model.unsafe_states
+    attacked_unsafe = frozenset((state, ATTACKED) for state in unsafe)
 
     # Condition 1: unsafe state inside an uncertain estimate, label attacked.
-    condition1 = any(
-        diagnoser.classification[estimate] == UNCERTAIN
-        and any(s[1] == ATTACKED and s[0] in unsafe for s in estimate)
-        for estimate in diagnoser.automaton.states
+    def condition1(estimate):
+        return not attacked_unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
+
+    diagnoser = build_diagnoser(
+        analysis.labeled, analysis.unobservable, analysis.estimates, condition1
     )
-    if condition1:
-        classification = diagnoser.classification
+    if any(map(condition1, diagnoser.automaton.states)):
 
         def confused(node):
             lstate, estimate = node
-            return (
-                lstate[1] == ATTACKED
-                and lstate[0] in unsafe
-                and classification[estimate] == UNCERTAIN
-            )
+            return lstate in attacked_unsafe and classify(estimate) == UNCERTAIN
 
         # Every member of a reachable estimate is reachable paired with
         # it, so the search finds a witness.
-        start, moves = _estimate_moves(labeled, diagnoser, unobservable)
+        start, moves = _estimate_moves(analysis)
         parents, found = explore([start], moves, confused)
         return Verdict(
             safe=False,
@@ -149,13 +173,13 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             witness_state=state_name(found[1]),
         )
 
-    entries = _entry_sets(labeled, diagnoser)
+    entries = _entry_sets(analysis, diagnoser)
 
     # Condition 2: an unsafe state is reached exactly at first detection.
     condition2 = any(s[0] in unsafe for entry in entries for s in entry)
     if condition2:
         trace, estimate = _detection_edge_witness(
-            labeled, diagnoser, unobservable, lambda lstate: lstate[0] in unsafe
+            analysis, diagnoser, lambda lstate: lstate[0] in unsafe
         )
         return Verdict(
             safe=False,
@@ -171,9 +195,8 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     breached = bool(x_uc & unsafe)
     if breached:
         trace, estimate = _detection_edge_witness(
-            labeled,
+            analysis,
             diagnoser,
-            unobservable,
             lambda lstate: bool(reach(model.model, (lstate[0],), uncontrollable) & unsafe),
         )
         end = model.model.run(trace)
@@ -190,7 +213,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
 
 
-def _detection_edge_witness(labeled, diagnoser, unobservable, arrival_ok):
+def _detection_edge_witness(analysis, diagnoser, arrival_ok):
     """Shortest trace whose last event first makes the estimate certain,
     arriving at a labeled state accepted by `arrival_ok`, and the name of
     the certain estimate it enters.
@@ -202,7 +225,7 @@ def _detection_edge_witness(labeled, diagnoser, unobservable, arrival_ok):
     so the search always finds one.
     """
     classification = diagnoser.classification
-    start, moves = _estimate_moves(labeled, diagnoser, unobservable)
+    start, moves = _estimate_moves(analysis)
 
     def detection_edge(node):
         if classification[node[1]] == CERTAIN:
@@ -232,6 +255,7 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     witness.  Sink nodes never lead back to pairs, so each trace is the
     shortest one the verifier or the tracker alone would give.
     """
+    _require_safe_nominal(model)
     product = tracker_moves(model)
     if product is None:
         return Verdict(safe=True, method=VERIFIER)
@@ -284,15 +308,15 @@ def oracle_defense_simulation(model: AttackedModel) -> Verdict:
     """Ground-truth check: exhaustively run the closed loop under the defense.
 
     Safe iff no run reaches an unsafe state once controllable events are
-    pruned from the moment detection is certain.  Assumes the attack-free
-    closed loop avoids the unsafe states (the supervisor is taken to be
-    correct in the absence of attacks).
+    pruned from the moment detection is certain.  The exploration stops at
+    its first unsafe node, which ends the shortest breached run.
     """
-    report = run_exhaustive(model)
+    _require_safe_nominal(model)
+    report = run_exhaustive(model, stop_at_breach=True)
     if not report.defense_breached:
         return Verdict(safe=True, method=ORACLE)
-    trace = min(report.unsafe_runs, key=len)
-    condition = _classify_breach(report.detector, trace)
+    (trace,) = report.unsafe_runs
+    condition = _classify_breach(model.analysis, trace)
     return Verdict(
         safe=False,
         method=ORACLE,
@@ -301,21 +325,22 @@ def oracle_defense_simulation(model: AttackedModel) -> Verdict:
     )
 
 
-def _classify_breach(detector: Detector, trace: Trace) -> str:
+def _classify_breach(analysis: Analysis, trace: Trace) -> str:
     """Name the defense failure a breached run exhibits.
 
-    `detector` is the one the exploration used, so the replay finds
-    every step it needs already computed.
+    The replay steps the estimate table the exploration filled, so it
+    finds every step it needs already taken.
     """
-    estimate = detector.initial
+    estimates = analysis.estimates
+    estimate = estimates.initial
     previous = estimate
     for event in trace:
-        if event in detector.observable:
+        if event in analysis.observable:
             previous = estimate
-            estimate = detector.step(estimate, event)
-    if detector.classify(estimate) in (UNCERTAIN, NORMAL):
+            estimate = estimates.step(estimate, event)
+    if classify(estimate) in (UNCERTAIN, NORMAL):
         return UNCERTAIN_UNSAFE
-    if detector.classify(previous) != CERTAIN:
+    if classify(previous) != CERTAIN:
         return FIRST_CERTAIN_UNSAFE
     return UNCONTROLLABLE_UNSAFE
 

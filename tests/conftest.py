@@ -5,8 +5,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, build_model
+from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
+from desguard.automata import Alphabet, Automaton
 from desguard.systems import (
+    System,
     actuator_demo_system,
     erasure_blocking_system,
     erasure_demo_system,
@@ -85,3 +87,21 @@ def traffic_si():
 @pytest.fixture(scope="session")
 def traffic_si_model(traffic_si):
     return build_model(MODE_SI, traffic_si.plant, traffic_si.supervisor, traffic_si.vuln)
+
+
+@pytest.fixture(scope="session")
+def nominal_unsafe_demo():
+    """A supervisor that is unsafe without attacks: it enables a then b,
+    and 1 -a-> 2 -b-> 3 reaches the unsafe 3.  The attacker can only
+    enable c, which leads to the harmless 4."""
+    plant = Automaton.build("1", [("1", "a", "2"), ("2", "b", "3"), ("1", "c", "4")])
+    supervisor = Automaton.build(
+        "s0", [("s0", "a", "s1"), ("s1", "b", "s2")], events=["a", "b", "c"]
+    )
+    alphabet = Alphabet.from_sets(
+        ["a", "b", "c"], observable=["a", "b", "c"], controllable=["a", "b", "c"]
+    )
+    vuln = VulnerabilitySpec(
+        alphabet, vulnerable_actuators=frozenset({"c"}), unsafe_plant_states=frozenset({"3"})
+    )
+    return System(plant, supervisor, vuln)

@@ -69,6 +69,30 @@ def naive_reach(automaton: Automaton, source, allowed) -> frozenset:
         current = nxt
 
 
+def diagnoser_initial(labeled, unobservable) -> frozenset:
+    """Initial state estimate of a labeled model, closed from scratch."""
+    automaton = labeled.automaton
+    return naive_reach(automaton, automaton.initial, unobservable)
+
+
+def diagnoser_step(labeled, unobservable, estimate: frozenset, event: str) -> frozenset:
+    """Advance a state estimate by one observed event, closing from scratch.
+
+    Raises KeyError when no member of the estimate can execute the event.
+    The reference the shared estimate table is checked against: nothing
+    is remembered between calls.
+    """
+    automaton = labeled.automaton
+    targets = {
+        target
+        for member in estimate
+        if (target := automaton.successor(member, event)) is not None
+    }
+    if not targets:
+        raise KeyError(f"event {event!r} is infeasible at the current estimate")
+    return frozenset().union(*(naive_reach(automaton, t, unobservable) for t in targets))
+
+
 def naive_coreach(automaton: Automaton, targets) -> frozenset:
     """Fixpoint of one-step predecessor closure, as an independent coreach oracle."""
     current = frozenset(targets)

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from desguard import diagnosis, runtime
+from desguard import automata, diagnosis, runtime
 from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model, sub_attacker
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import label_compose
-from desguard.runtime import AttackerPolicy, initial_state, run_exhaustive, step
+from desguard.runtime import AttackerPolicy, initial_state, run, run_exhaustive, step
 from desguard.safety import (
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
@@ -144,19 +144,25 @@ class TestSharedLabeledModel:
         assert len(state.trace) == 20
         assert len(calls) <= 1
 
-    def test_oracle_steps_each_estimate_event_pair_once(self, monkeypatch, traffic_si):
-        steps = []
-        original = diagnosis.diagnoser_step
+    def test_each_unobservable_closure_is_computed_once(self, monkeypatch, traffic_si):
+        closed = []
+        original = automata.reach
 
-        def recording(labeled, unobservable, estimate, event):
-            steps.append((estimate, event))
-            return original(labeled, unobservable, estimate, event)
+        def recording(automaton, sources, allowed):
+            sources = tuple(sources)
+            closed.append((automaton, sources))
+            return original(automaton, sources, allowed)
 
-        monkeypatch.setattr(diagnosis, "diagnoser_step", recording)
+        monkeypatch.setattr(automata, "reach", recording)
         model = _build(traffic_si, "si")
-        assert not oracle_defense_simulation(model).safe
-        assert steps
-        assert len(steps) == len(set(steps))
+        for route in ROUTES:
+            route(model)
+        run_exhaustive(model)
+        assert len(run(model, AttackerPolicy.all_out(), 20)) > 1
+        labeled = model.analysis.labeled.automaton
+        sources = [sources for automaton, sources in closed if automaton is labeled]
+        assert sources
+        assert len(sources) == len(set(sources))
 
 
 # Oracle reports of the traffic fixtures, as the uncached oracle produced them.

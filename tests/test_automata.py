@@ -9,6 +9,7 @@ from desguard.automata import (
     Alphabet,
     AttributeConflictError,
     Automaton,
+    EstimateTable,
     ResourceLimitError,
     accessible,
     blocking_states,
@@ -162,6 +163,13 @@ class TestObserver:
         a = chain("a", "b", "c")
         with pytest.raises(ResourceLimitError):
             observer(a, frozenset(), max_states=2)
+
+    def test_foreign_estimate_table_rejected(self):
+        a = Automaton.build("1", [("1", "u", "2"), ("2", "a", "3")])
+        with pytest.raises(ValueError):
+            observer(a, {"u"}, estimates=EstimateTable(chain("u", "a"), {"u"}))
+        with pytest.raises(ValueError):
+            observer(a, {"u"}, estimates=EstimateTable(a, ()))
 
 
 class TestReach:

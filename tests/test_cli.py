@@ -168,6 +168,31 @@ class TestCheck:
         assert doc["safe"] is True
         assert doc["deadlocks"] == ["(0,3)", "(3,0)", "(3,5)", "(5,3)"]
 
+    @pytest.mark.parametrize("method", ["diagnoser", "verifier", "oracle", "all"])
+    def test_nominal_unsafe_loop_exits_2_without_a_verdict(
+        self, runner, nominal_unsafe_demo, tmp_path, method
+    ):
+        system = nominal_unsafe_demo
+        alphabet = system.vuln.alphabet
+        plant = tmp_path / "plant.json"
+        supervisor = tmp_path / "supervisor.json"
+        plant.write_text(
+            dumps_doc(model_to_doc(system.plant, alphabet, system.vuln.unsafe_plant_states))
+        )
+        supervisor.write_text(dumps_doc(model_to_doc(system.supervisor, alphabet)))
+        model = tmp_path / "model.json"
+        result = runner.invoke(
+            main,
+            ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "c",
+             "--out", str(model)],
+        )
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["check", str(model), "--method", method])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "error: the attack-free closed loop already reaches unsafe plant state(s) 3" in (
+            result.output
+        )
 
 
 class TestStateBudget:

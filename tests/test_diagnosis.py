@@ -15,15 +15,13 @@ from desguard.diagnosis import (
     build_diagnoser,
     build_verifier,
     confusion_witness,
-    diagnoser_initial,
-    diagnoser_step,
     first_entered_certain,
     label_compose,
     tracker_moves,
 )
 
 from generators import random_model
-from langtools import enumerate_traces
+from langtools import diagnoser_initial, diagnoser_step, enumerate_traces
 
 
 class TestLabelCompose:

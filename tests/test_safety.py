@@ -1,21 +1,26 @@
 import json
 from dataclasses import replace
 
+import pytest
+
 from desguard.attacks import MODE_AE, MODE_SE, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
-from desguard.diagnosis import CERTAIN, classify, diagnoser_initial, diagnoser_step, label_compose
+from desguard.diagnosis import CERTAIN, classify, label_compose
 from desguard.safety import (
     FIRST_CERTAIN_UNSAFE,
     UNCERTAIN_UNSAFE,
     UNCONTROLLABLE_UNSAFE,
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
+    NominalUnsafeError,
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
     oracle_defense_simulation,
 )
 from desguard.modelio import load_path
 from desguard.systems import System
+
+from langtools import diagnoser_initial, diagnoser_step
 
 ALL_CHECKS = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
 
@@ -261,6 +266,18 @@ class TestMethodAgreement:
             verdicts = {check(model).safe for check in ALL_CHECKS}
             assert len(verdicts) == 1
 
+
+class TestNominalUnsafe:
+    """Without attacks the loop already reaches an unsafe state.  No route
+    may answer: the diagnoser and the verifier would say safe, and the
+    oracle would report a breach that no attack caused."""
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    def test_every_route_refuses(self, nominal_unsafe_demo, check):
+        system = nominal_unsafe_demo
+        model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
+        with pytest.raises(NominalUnsafeError, match="unsafe plant state"):
+            check(model)
 
 
 def sink_named_model_doc(name: str) -> dict:
