@@ -14,16 +14,18 @@ description into the closed-loop automaton under one of three attacks:
 The modes differ only in the artifact event and where the supervisor
 self-loops it (the `_RULES` table), and in that an insertion gives the
 plant fresh states.  The attack happens at every opportunity (the worst
-case).  `sub_attacker` derives weaker attackers from an
-actuator-enablement model by dropping attack opportunities.
+case).  Every closed-loop state is a (supervisor, plant) pair, whether
+the model was built here or loaded from a file.  `sub_attacker` derives
+weaker attackers from an actuator-enablement model by dropping attack
+opportunities from its closed loop.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .automata import (
     AE_ATTACKED,
@@ -33,6 +35,7 @@ from .automata import (
     Automaton,
     EventInfo,
     Trace,
+    accessible,
     parallel_compose,
     state_name,
 )
@@ -141,13 +144,12 @@ class VulnerabilitySpec:
 class AttackedModel:
     """Closed-loop system under attack, plus bookkeeping.
 
-    `model` states are (supervisor state, plant state) pairs when built
-    in memory; models loaded from files carry a `components` map instead.
-    `plant_attacked`/`supervisor_attacked` keep the construction inputs so
-    weaker attackers can be re-derived; they are None for loaded models.
-    `analysis` is built from the fields on first use and kept for the
-    life of the instance; models derived with `dataclasses.replace` or
-    `sub_attacker` are new instances and build their own.
+    `model` states are (supervisor state, plant state) pairs, for models
+    built in memory, derived by `sub_attacker`, or loaded from a file
+    (whose component states are their display names).  `analysis` is
+    built from the fields on first use and kept for the life of the
+    instance; models derived with `dataclasses.replace` or `sub_attacker`
+    are new instances and build their own.
     """
 
     model: Automaton
@@ -155,18 +157,8 @@ class AttackedModel:
     attack_events: frozenset[str]
     unsafe_states: frozenset
     mode: str
-    plant_attacked: Automaton | None = None
-    supervisor_attacked: Automaton | None = None
-    components: Mapping | None = None
-
-    def supervisor_component(self, state):
-        if self.components is not None:
-            return self.components[state][0]
-        return state[0]
 
     def plant_component(self, state):
-        if self.components is not None:
-            return self.components[state][1]
         return state[1]
 
     def observable_events(self) -> frozenset[str]:
@@ -321,20 +313,16 @@ def build_model(
             s for s in closed_loop.states if s[1] in vuln.unsafe_plant_states
         ),
         mode=mode,
-        plant_attacked=plant_attacked,
-        supervisor_attacked=supervisor_attacked,
     )
 
 
 def attack_sites(model: AttackedModel) -> list[tuple]:
-    """All (supervisor state, attack event) self-loop sites of the model."""
-    if model.supervisor_attacked is None:
-        raise ValueError("model does not carry its attacked supervisor")
-    sites = [
-        (src, event)
-        for (src, event), dst in model.supervisor_attacked.transitions.items()
+    """All (supervisor state, attack event) self-loop sites the closed loop uses."""
+    sites = {
+        (src[0], event)
+        for (src, event) in model.model.transitions
         if event in model.attack_events
-    ]
+    }
     return sorted(sites, key=lambda site: (state_name(site[0]), site[1]))
 
 
@@ -347,8 +335,10 @@ def sub_attacker(
     """Weaker attacker: retain only the selected attack self-loop sites.
 
     `keep` is a collection of (supervisor state, attack event) pairs; when
-    omitted, a random subset is drawn with the given seed.  The resulting
-    language is always a subset of the all-out model's language.
+    omitted, a random subset is drawn with the given seed.  The closed
+    loop loses the attack transitions at every other site, then the
+    states no longer reachable, so the language is always a subset of the
+    all-out model's language.
     """
     if model.mode != MODE_AE:
         raise UnsupportedModeError("sub-attackers are defined for actuator-enablement models")
@@ -361,28 +351,12 @@ def sub_attacker(
         unknown = keep_set - set(sites)
         if unknown:
             raise ValueError(f"unknown attack sites: {sorted(unknown, key=str)}")
-    supervisor = model.supervisor_attacked
-    transitions = {
+    kept = {
         (src, event): dst
-        for (src, event), dst in supervisor.transitions.items()
-        if event not in model.attack_events or (src, event) in keep_set
+        for (src, event), dst in model.model.transitions.items()
+        if event not in model.attack_events or (src[0], event) in keep_set
     }
-    weakened = Automaton(
-        supervisor.states,
-        supervisor.events,
-        transitions,
-        supervisor.initial,
-        supervisor.marked,
-    )
-    closed_loop = parallel_compose(weakened, model.plant_attacked)
-    unsafe_plant = frozenset(model.plant_component(s) for s in model.unsafe_states)
-    unsafe = frozenset(s for s in closed_loop.states if s[1] in unsafe_plant)
-    return AttackedModel(
-        model=closed_loop,
-        alphabet=model.alphabet,
-        attack_events=model.attack_events,
-        unsafe_states=unsafe,
-        mode=MODE_AE,
-        plant_attacked=model.plant_attacked,
-        supervisor_attacked=weakened,
+    closed_loop = accessible(replace(model.model, transitions=kept))
+    return replace(
+        model, model=closed_loop, unsafe_states=model.unsafe_states & closed_loop.states
     )

@@ -135,9 +135,6 @@ class Alphabet:
     def uncontrollable_events(self) -> frozenset[str]:
         return frozenset(e for e, i in self.infos.items() if not i.controllable)
 
-    def genuine_events(self) -> frozenset[str]:
-        return frozenset(e for e, i in self.infos.items() if i.kind == GENUINE)
-
     def extended(self, extra: Mapping[str, EventInfo]) -> "Alphabet":
         merged = dict(self.infos)
         for name, info in extra.items():

@@ -116,9 +116,10 @@ def build(plant_file, supervisor_file, mode, vulnerable, out):
             unsafe_plant_states=plant_doc.unsafe,
         )
         model = build_model(mode, plant_doc.automaton, supervisor_doc.automaton, vuln)
+        text = dumps_doc(attacked_to_doc(model))
     except (VulnerabilityError, ValueError) as exc:
         _fail(str(exc))
-    _emit(dumps_doc(attacked_to_doc(model)), out)
+    _emit(text, out)
 
 
 @main.command()
@@ -241,10 +242,13 @@ def synthesize(plant_file, spec_file, out):
             alphabet.observable_events(),
             alphabet.controllable_events(),
         )
+        text = dumps_doc(model_to_doc(supervisor, alphabet))
     except RealizationError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    _emit(dumps_doc(model_to_doc(supervisor, alphabet)), out)
+    except ModelFormatError as exc:
+        _fail(str(exc))
+    _emit(text, out)
 
 
 if __name__ == "__main__":

@@ -51,8 +51,8 @@ UNCERTAIN = "uncertain"
 SINK = "A"
 
 
-# Sink marker of `tracker_moves` nodes.  Not a string, so it cannot be
-# mistaken for a closed-loop state named like `SINK`, as in a loaded model.
+# Sink marker of `tracker_moves` nodes.  A bare object equals no
+# closed-loop state, whatever its components are named.
 DETECTED = object()
 
 

@@ -3,9 +3,10 @@
 One JSON document format covers plants, supervisors, and built attack
 models; serialization is canonical (sorted keys, sorted lists) so that
 parse and serialize round-trip byte-for-byte.  Built attack models carry
-a provenance header (mode, vulnerable set, tool version) plus the
-supervisor/plant component of every composed state, so analyses work on
-reloaded models without the original inputs.
+a provenance header (mode, vulnerable set, tool version) plus
+"components", the supervisor and plant names of every composed state;
+loaded, its states are those (supervisor, plant) name pairs, whose
+rendering must be the state's own name.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ def _require(doc: dict, key: str, kind, where: str):
 
 def parse_model(doc: dict, where: str = "model") -> ModelDocument:
     """Validate and load a plant/supervisor document."""
+    return _parse(doc, where, lambda state: state)
+
+
+def _parse(doc: dict, where: str, state_of) -> ModelDocument:
+    """`parse_model`, with each declared state name `n` loaded as `state_of(n)`."""
     states = _require(doc, "states", list, where)
     initial = _require(doc, "initial", str, where)
     events = _require(doc, "events", list, where)
@@ -69,13 +75,13 @@ def parse_model(doc: dict, where: str = "model") -> ModelDocument:
     marked = doc.get("marked", [])
     unsafe = doc.get("unsafe", [])
 
-    state_set = set()
+    state_map = {}
     for i, state in enumerate(states):
         if not isinstance(state, str):
             raise ModelFormatError(f"{where}: states[{i}] must be a string")
-        if state in state_set:
+        if state in state_map:
             raise ModelFormatError(f"{where}: duplicate state {state!r}")
-        state_set.add(state)
+        state_map[state] = state_of(state)
 
     infos: dict[str, EventInfo] = {}
     for i, entry in enumerate(events):
@@ -100,7 +106,7 @@ def parse_model(doc: dict, where: str = "model") -> ModelDocument:
             base=entry.get("base"),
         )
 
-    trans: dict[tuple[str, str], str] = {}
+    trans = {}
     for i, entry in enumerate(transitions):
         here = f"{where}: transitions[{i}]"
         if not isinstance(entry, dict):
@@ -109,38 +115,44 @@ def parse_model(doc: dict, where: str = "model") -> ModelDocument:
         event = _require(entry, "event", str, here)
         dst = _require(entry, "to", str, here)
         for state in (src, dst):
-            if state not in state_set:
+            if state not in state_map:
                 raise ModelFormatError(f"{here}: unknown state {state!r}")
         if event not in infos:
             raise ModelFormatError(f"{here}: unknown event {event!r}")
-        if (src, event) in trans:
+        key = (state_map[src], event)
+        if key in trans:
             raise ModelFormatError(
                 f"{here}: duplicate transition on {event!r} from {src!r}"
             )
-        trans[(src, event)] = dst
+        trans[key] = state_map[dst]
 
-    if initial not in state_set:
+    if initial not in state_map:
         raise ModelFormatError(f"{where}: initial state {initial!r} not declared")
     for i, state in enumerate(marked):
-        if state not in state_set:
+        if state not in state_map:
             raise ModelFormatError(f"{where}: marked[{i}] unknown state {state!r}")
     for i, state in enumerate(unsafe):
-        if state not in state_set:
+        if state not in state_map:
             raise ModelFormatError(f"{where}: unsafe[{i}] unknown state {state!r}")
 
     automaton = Automaton(
-        frozenset(state_set), frozenset(infos), trans, initial, frozenset(marked)
+        state_map.values(), infos, trans, state_map[initial], (state_map[s] for s in marked)
     )
     try:
         alphabet = Alphabet(infos)
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
-    return ModelDocument(automaton, alphabet, frozenset(unsafe))
+    return ModelDocument(automaton, alphabet, frozenset(state_map[s] for s in unsafe))
 
 
 def _names(automaton: Automaton) -> dict:
-    """Each state's display name, rendered once."""
-    return {s: state_name(s) for s in automaton.states}
+    """Each state's display name, rendered once; two states may not share one."""
+    name = {s: state_name(s) for s in automaton.states}
+    if len(set(name.values())) < len(name):
+        names = sorted(name.values())
+        shared = next(a for a, b in zip(names, names[1:]) if a == b)
+        raise ModelFormatError(f"two states share the display name {shared!r}")
+    return name
 
 
 def model_to_doc(
@@ -197,8 +209,8 @@ def attacked_to_doc(model: AttackedModel) -> dict:
     part = functools.cache(state_name)  # component states recur across pairs
     doc["components"] = {
         name[s]: {
-            "supervisor": part(model.supervisor_component(s)),
-            "plant": part(model.plant_component(s)),
+            "supervisor": part(s[0]),
+            "plant": part(s[1]),
         }
         for s in sorted(aut.states, key=name.__getitem__)
     }
@@ -206,33 +218,41 @@ def attacked_to_doc(model: AttackedModel) -> dict:
 
 
 def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
-    """Load a built attack model; states become their display names."""
-    base = parse_model(doc, where)
+    """Load a built attack model; states become (supervisor, plant) name pairs."""
     mode = _require(doc, "mode", str, where)
     if mode not in MODES:
         raise ModelFormatError(f"{where}: unknown mode {mode!r}")
+    components = _require(doc, "components", dict, where)
+
+    def composed(state: str) -> tuple[str, str]:
+        if state not in components:
+            raise ModelFormatError(f"{where}: components missing state {state!r}")
+        entry = components[state]
+        if not isinstance(entry, dict):
+            entry = {}
+        supervisor, plant = entry.get("supervisor"), entry.get("plant")
+        if not (isinstance(supervisor, str) and isinstance(plant, str)):
+            raise ModelFormatError(
+                f"{where}: components[{state!r}] needs supervisor and plant names (strings)"
+            )
+        rendered = f"({supervisor},{plant})"  # state_name of the pair
+        if rendered != state:
+            raise ModelFormatError(
+                f"{where}: state {state!r} is not named after its components {rendered!r}"
+            )
+        return supervisor, plant
+
+    base = _parse(doc, where, composed)
     attack_events = frozenset(_require(doc, "attack_events", list, where))
     unknown = attack_events - base.alphabet.events()
     if unknown:
         raise ModelFormatError(f"{where}: undeclared attack events {sorted(unknown)}")
-    components_doc = _require(doc, "components", dict, where)
-    components = {}
-    for state in base.automaton.states:
-        if state not in components_doc:
-            raise ModelFormatError(f"{where}: components missing state {state!r}")
-        entry = components_doc[state]
-        if not isinstance(entry, dict) or {"supervisor", "plant"} - entry.keys():
-            raise ModelFormatError(
-                f"{where}: components[{state!r}] needs supervisor and plant names"
-            )
-        components[state] = (entry["supervisor"], entry["plant"])
     return AttackedModel(
         model=base.automaton,
         alphabet=base.alphabet,
         attack_events=attack_events,
         unsafe_states=base.unsafe,
         mode=mode,
-        components=components,
     )
 
 

@@ -96,22 +96,25 @@ class ExecutionState:
     """One point of a closed-loop run."""
 
     composed: object
-    supervisor_state: object
-    plant_state: object
     estimate: frozenset
     safe_mode: bool
     trace: Trace = ()
     observed: Trace = ()
     decisions_used: int = 0
 
+    @property
+    def supervisor_state(self):
+        return self.composed[0]
+
+    @property
+    def plant_state(self):
+        return self.composed[1]
+
 
 def initial_state(model: AttackedModel) -> ExecutionState:
     estimate = model.analysis.estimates.initial
-    composed = model.model.initial
     return ExecutionState(
-        composed=composed,
-        supervisor_state=model.supervisor_component(composed),
-        plant_state=model.plant_component(composed),
+        composed=model.model.initial,
         estimate=estimate,
         safe_mode=classify(estimate) == CERTAIN,
     )
@@ -175,8 +178,6 @@ def step(
         observed = observed + (choice,)
     return ExecutionState(
         composed=composed,
-        supervisor_state=model.supervisor_component(composed),
-        plant_state=model.plant_component(composed),
         estimate=estimate,
         safe_mode=state.safe_mode or classify(estimate) == CERTAIN,
         trace=state.trace + (choice,),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from desguard.attacks import (
     sub_attacker,
 )
 from desguard.automata import Alphabet, Automaton, parallel_compose, state_name
-from desguard.modelio import attacked_to_doc, dumps_doc
+from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 
 from langtools import enumerate_traces
 
@@ -175,7 +176,6 @@ class TestErasureModel:
         alphabet = Alphabet.from_sets(["a", "u"], observable=["a", "u"], controllable=["a"])
         vuln = VulnerabilitySpec(alphabet, vulnerable_sensors={"u"})
         model = build_model(MODE_SE, plant, supervisor, vuln)
-        assert model.supervisor_attacked.successor("2", "u#e") == "2"
         assert model.model.run(("a", "u#e")) == ("2", "3")
 
     def test_empty_vulnerable_set_is_nominal(self, erasure_demo):
@@ -285,6 +285,8 @@ BUILT_DOC_SHA256 = {
 def test_built_document_is_pinned(fixture, request):
     text = dumps_doc(attacked_to_doc(request.getfixturevalue(fixture)))
     assert hashlib.sha256(text.encode()).hexdigest() == BUILT_DOC_SHA256[fixture]
+    reloaded = dumps_doc(attacked_to_doc(parse_attacked(json.loads(text))))
+    assert hashlib.sha256(reloaded.encode()).hexdigest() == BUILT_DOC_SHA256[fixture]
 
 
 class TestSubAttacker:
@@ -308,6 +310,22 @@ class TestSubAttacker:
     def test_non_actuator_mode_rejected(self, erasure_model):
         with pytest.raises(UnsupportedModeError):
             sub_attacker(erasure_model, keep=[])
+
+    def test_loaded_model_matches_built(self, actuator_model, traffic_ae_model):
+        # A model read back from its `desguard build` document has the
+        # same sites, named, and derives the same weaker attackers.
+        def weaker(model, **kwargs):
+            return attacked_to_doc(sub_attacker(model, **kwargs))
+
+        for model in (actuator_model, traffic_ae_model):
+            loaded = parse_attacked(json.loads(dumps_doc(attacked_to_doc(model))))
+            sites = attack_sites(model)
+            named = [(state_name(state), event) for state, event in sites]
+            assert attack_sites(loaded) == named
+            for part in (slice(None, None, 2), slice(1, None, 3)):
+                assert weaker(loaded, keep=named[part]) == weaker(model, keep=sites[part])
+            for seed in range(4):
+                assert weaker(loaded, seed=seed) == weaker(model, seed=seed)
 
     def test_unknown_site_rejected(self, actuator_model):
         with pytest.raises(ValueError):

@@ -59,6 +59,22 @@ def traffic_files(tmp_path):
     return plant_path, spec_path
 
 
+@pytest.fixture()
+def ambiguous_files(tmp_path):
+    """Plant and supervisor whose composition has two states rendered
+    "(a,b,c)": ("a", "b,c") and ("a,b", "c")."""
+    from desguard.automata import Alphabet, Automaton
+
+    alphabet = Alphabet.from_sets(["x", "y"], observable=["x", "y"], controllable=["x", "y"])
+    plant = Automaton.build("p0", [("p0", "x", "b,c"), ("p0", "y", "c")])
+    supervisor = Automaton.build("s0", [("s0", "x", "a"), ("s0", "y", "a,b")])
+    plant_path = tmp_path / "plant.json"
+    supervisor_path = tmp_path / "supervisor.json"
+    plant_path.write_text(dumps_doc(model_to_doc(plant, alphabet)))
+    supervisor_path.write_text(dumps_doc(model_to_doc(supervisor, alphabet)))
+    return plant_path, supervisor_path
+
+
 class TestBuild:
     def test_build_demo_model(self, demo_model_file):
         doc = json.loads(demo_model_file.read_text())
@@ -113,6 +129,18 @@ class TestBuild:
         )
         assert result.exit_code == 2
         assert "controllable" in result.output
+
+    def test_ambiguous_state_names_exit_2(self, runner, ambiguous_files, tmp_path):
+        plant, supervisor = ambiguous_files
+        out = tmp_path / "model.json"
+        result = runner.invoke(
+            main,
+            ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "x",
+             "--out", str(out)],
+        )
+        assert result.exit_code == 2
+        assert "'(a,b,c)'" in result.output
+        assert not out.exists()
 
     def test_corrupt_file_is_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -302,6 +330,14 @@ class TestSynthesize:
         result = runner.invoke(main, ["synthesize", str(plant_path), str(spec_path)])
         assert result.exit_code == 1
         assert "not observable" in result.output
+
+    def test_ambiguous_state_names_exit_2(self, runner, ambiguous_files, tmp_path):
+        plant, spec = ambiguous_files
+        out = tmp_path / "sup.json"
+        result = runner.invoke(main, ["synthesize", str(plant), str(spec), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "'{(a,b,c)}'" in result.output
+        assert not out.exists()
 
     def test_traffic_synthesis_avoids_collisions(self, runner, traffic_files, tmp_path):
         from desguard.automata import parallel_compose, state_name

@@ -119,6 +119,20 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match="components"):
             parse_attacked(doc)
 
+    def test_attacked_state_named_after_its_components(self, actuator_model):
+        doc = attacked_to_doc(actuator_model)
+        state = doc["initial"]
+        doc["components"][state]["plant"] = "elsewhere"
+        with pytest.raises(ModelFormatError, match="not named after its components"):
+            parse_attacked(doc)
+
+    def test_attacked_component_names_are_strings(self, actuator_model):
+        doc = attacked_to_doc(actuator_model)
+        state = doc["initial"]
+        doc["components"][state]["supervisor"] = ["1"]
+        with pytest.raises(ModelFormatError, match="needs supervisor and plant names"):
+            parse_attacked(doc)
+
 
 class TestVerdictDocuments:
     def test_schema_accepts_all_fixture_verdicts(

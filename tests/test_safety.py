@@ -281,10 +281,12 @@ class TestNominalUnsafe:
 
 
 def sink_named_model_doc(name: str) -> dict:
-    """Loaded ae model whose attack-free loop passes through a state `name`.
+    """Loaded ae model whose attack-free loop passes through supervisor state `name`.
 
-    0 -b-> name -a#a-> X with X unsafe: the unobservable attack leaves the
-    attack-free side at `name` while the attacked side is unsafe.
+    (s0,0) -b-> (name,1) -a#a-> (name,2), the last unsafe: the unobservable
+    attack leaves the attack-free side at (name,1) while the attacked side
+    is unsafe.  Each state is named after its components, as every loaded
+    model's states are.
     """
     events = [
         {"name": "a", "observable": False, "controllable": True, "vulnerable": True},
@@ -292,28 +294,29 @@ def sink_named_model_doc(name: str) -> dict:
          "kind": "ae-attacked", "base": "a"},
         {"name": "b", "observable": True, "controllable": False},
     ]
+    before, after = f"({name},1)", f"({name},2)"
     return {
         "format": "attacked-model",
         "mode": "ae",
-        "states": ["0", name, "X"],
-        "initial": "0",
+        "states": ["(s0,0)", before, after],
+        "initial": "(s0,0)",
         "events": events,
         "transitions": [
-            {"from": "0", "event": "b", "to": name},
-            {"from": name, "event": "a#a", "to": "X"},
+            {"from": "(s0,0)", "event": "b", "to": before},
+            {"from": before, "event": "a#a", "to": after},
         ],
-        "unsafe": ["X"],
+        "unsafe": [after],
         "attack_events": ["a#a"],
         "components": {
-            "0": {"supervisor": "s0", "plant": "0"},
-            name: {"supervisor": "s1", "plant": "1"},
-            "X": {"supervisor": "s1", "plant": "2"},
+            "(s0,0)": {"supervisor": "s0", "plant": "0"},
+            before: {"supervisor": name, "plant": "1"},
+            after: {"supervisor": name, "plant": "2"},
         },
     }
 
 
 class TestSinkNamedState:
-    """A closed-loop state may carry the tracker sink's display name."""
+    """A supervisor component may carry the tracker sink's display name."""
 
     def _load(self, tmp_path, name):
         path = tmp_path / f"{name}.json"
@@ -326,6 +329,8 @@ class TestSinkNamedState:
         verdict = check_ae_safe_verifier(named)
         assert verdict.violated_condition == VERIFIER_PAIR_UNSAFE
         assert verdict.counterexample == ("b", "a#a")
-        assert verdict.witness_state == "(A,(X,Y))"
-        assert check_ae_safe_verifier(renamed) == replace(verdict, witness_state="(S,(X,Y))")
+        assert verdict.witness_state == "((A,1),((A,2),Y))"
+        assert check_ae_safe_verifier(renamed) == replace(
+            verdict, witness_state="((S,1),((S,2),Y))"
+        )
         assert verdict.safe == oracle_defense_simulation(named).safe
