@@ -1,7 +1,7 @@
 """Attack diagnosis: labeled models, diagnosers, and verifiers.
 
 Detection is a fault-diagnosis problem where the "faults" are the attack
-artifact events of a closed-loop model.  The flag automaton attaches an
+artifact events of a closed-loop model.  `label_compose` attaches an
 absorbing Y/N label to every closed-loop state; the diagnoser is the
 observer of the labeled model and classifies each estimate as normal,
 uncertain, or certain.  The verifier offers a polynomial alternative: it
@@ -14,6 +14,9 @@ model, held on `Analysis`: the diagnoser, the online detector of
 `runtime` and the defended-run oracle step estimates through it, so each
 unobservable closure is computed at most once per model.
 `build_diagnoser` can end at the first estimate a predicate accepts.
+`Analysis` also holds one backward closure per model, the labeled states
+from which an unsafe state is reachable; the verifier, oracle and witness
+searches never enter a state outside it.
 
 `tracker_moves` is that pairing on the fly: the start node and successor
 function of the tracker product, read straight off the closed loop and
@@ -64,26 +67,34 @@ class LabeledAutomaton:
     label_events: frozenset[str]
 
 
-def flag_automaton(label_events: Iterable[str]) -> Automaton:
-    """Two-state automaton that latches to Y once a label event occurs."""
-    label_events = frozenset(label_events)
-    transitions = {}
-    for event in label_events:
-        transitions[(CLEAN, event)] = ATTACKED
-        transitions[(ATTACKED, event)] = ATTACKED
-    return Automaton(
-        frozenset({CLEAN, ATTACKED}),
-        label_events,
-        transitions,
-        CLEAN,
-        frozenset({CLEAN, ATTACKED}),
-    )
-
-
 def label_compose(model: AttackedModel) -> LabeledAutomaton:
-    """Attach attack labels to the closed loop; states become (state, label)."""
-    labeled = parallel_compose(model.model, flag_automaton(model.attack_events))
-    return LabeledAutomaton(labeled, model.attack_events)
+    """Attach attack labels to the closed loop; states become (state, label).
+
+    One pass over the closed loop from (initial, N) in which the label
+    latches to Y on the first attack event: the closed loop's product
+    with a two-state flag automaton, built directly.  Every attack event
+    is a closed-loop event, as every way of making an `AttackedModel`
+    ensures.
+    """
+    aut = model.model
+    attack_events = model.attack_events
+    out = aut._out
+    initial = (aut.initial, CLEAN)
+    transitions = {}
+    seen = {initial}
+    stack = [initial]
+    while stack:
+        node = stack.pop()
+        state, label = node
+        for event, target in out[state].items():
+            nxt = (target, ATTACKED if event in attack_events else label)
+            transitions[node, event] = nxt
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    marked = frozenset(s for s in seen if s[0] in aut.marked)
+    labeled = Automaton(seen, aut.events | attack_events, transitions, initial, marked)
+    return LabeledAutomaton(labeled, attack_events)
 
 
 @dataclass(frozen=True)
@@ -92,8 +103,10 @@ class Analysis:
 
     Reached through `AttackedModel.analysis`, which builds it once: the
     event classes, the labeled model, the unsafe states the attack-free
-    closed loop already reaches, and the detector's estimate table.  The
-    table fills lazily and is shared by the observer, the defended-run
+    closed loop already reaches, `unsafe_coreach` (the labeled states
+    from which an unsafe state is reachable, inside which the searches
+    for a violation stay), and the detector's estimate table.  The table
+    fills lazily and is shared by the observer, the defended-run
     exploration and step-by-step runs, so between them each unobservable
     closure is computed at most once per model; it keeps the estimate
     steps taken for as long as the model lives.  Diagnosers and verifier
@@ -107,6 +120,7 @@ class Analysis:
     uncontrollable: frozenset[str]
     labeled: LabeledAutomaton
     nominal_unsafe: frozenset
+    unsafe_coreach: frozenset
     estimates: EstimateTable
 
 
@@ -114,17 +128,19 @@ def analyze(model: AttackedModel) -> Analysis:
     alphabet = model.alphabet
     unobservable = alphabet.unobservable_events()
     labeled = label_compose(model)
-    # The label latches on the first attack event, so a closed-loop state
-    # appears labeled clean exactly when an attack-free string reaches it.
-    reached = labeled.automaton.states
+    aut = labeled.automaton
+    unsafe = model.unsafe_states
     return Analysis(
         observable=alphabet.observable_events(),
         unobservable=unobservable,
         controllable=alphabet.controllable_events(),
         uncontrollable=alphabet.uncontrollable_events(),
         labeled=labeled,
-        nominal_unsafe=frozenset(s for s in model.unsafe_states if (s, CLEAN) in reached),
-        estimates=EstimateTable(labeled.automaton, unobservable),
+        # The label latches on the first attack event, so a closed-loop state
+        # appears labeled clean exactly when an attack-free string reaches it.
+        nominal_unsafe=frozenset(s for s in unsafe if (s, CLEAN) in aut.states),
+        unsafe_coreach=coreach(aut, [s for s in aut.states if s[0] in unsafe]),
+        estimates=EstimateTable(aut, unobservable),
     )
 
 
@@ -288,7 +304,9 @@ def _complete(verifier: Automaton, observable, uncontrollable) -> Automaton:
     )
 
 
-def tracker_moves(model: AttackedModel, detection: bool = True):
+def tracker_moves(
+    model: AttackedModel, detection: bool = True, keep: frozenset | None = None
+):
     """Start node and successor function of the tracker product, on the fly.
 
     Nodes are (attack-free state, attacked labeled state) pairs, exactly
@@ -296,17 +314,19 @@ def tracker_moves(model: AttackedModel, detection: bool = True):
     set, (DETECTED, attacked labeled state) nodes, the tracker's
     (SINK, .) states.  Unobservable non-attack events of the attack-free
     side are private ``#r`` moves, observable non-attack events
-    synchronize, and the attacked side stays among the states co-reachable
-    to an attacked label.  An observable event the attacked side can take
-    but the pair cannot leads to DETECTED, from where only uncontrollable
-    events continue.  Successors come sorted by event, the `out_edges`
-    order of the materialized automata, so a breadth-first search visits
-    nodes in the same order as one over them.  None when the model has no
-    attacked behavior.
+    synchronize, and the attacked side stays among the labeled states in
+    `keep`, by default those co-reachable to an attacked label.  An
+    observable event the attacked side can take but the pair cannot
+    leads to DETECTED, from where only uncontrollable events continue.
+    Successors come sorted by event, the `out_edges` order of the
+    materialized automata, so a breadth-first search visits nodes in the
+    same order as one over them.  None when the initial labeled state is
+    not kept (by default: the model has no attacked behavior).
     """
     analysis = model.analysis
     labeled = analysis.labeled.automaton
-    keep = coreach(labeled, [s for s in labeled.states if s[1] == ATTACKED])
+    if keep is None:
+        keep = coreach(labeled, [s for s in labeled.states if s[1] == ATTACKED])
     if labeled.initial not in keep:
         return None
     normal_out = model.model._out

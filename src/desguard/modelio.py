@@ -61,6 +61,17 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
+def _strings(doc: dict, key: str, where: str, optional: bool = False) -> list:
+    """`doc[key]`, which must be a list of strings; [] when `optional` and absent."""
+    if optional and key not in doc:
+        return []
+    values = _require(doc, key, list, where)
+    for i, value in enumerate(values):
+        if not isinstance(value, str):
+            raise ModelFormatError(f"{where}: {key}[{i}] must be a string")
+    return values
+
+
 def parse_model(doc: dict, where: str = "model") -> ModelDocument:
     """Validate and load a plant/supervisor document."""
     return _parse(doc, where, lambda state: state)
@@ -68,17 +79,15 @@ def parse_model(doc: dict, where: str = "model") -> ModelDocument:
 
 def _parse(doc: dict, where: str, state_of) -> ModelDocument:
     """`parse_model`, with each declared state name `n` loaded as `state_of(n)`."""
-    states = _require(doc, "states", list, where)
+    states = _strings(doc, "states", where)
     initial = _require(doc, "initial", str, where)
     events = _require(doc, "events", list, where)
     transitions = _require(doc, "transitions", list, where)
-    marked = doc.get("marked", [])
-    unsafe = doc.get("unsafe", [])
+    marked = _strings(doc, "marked", where, optional=True)
+    unsafe = _strings(doc, "unsafe", where, optional=True)
 
     state_map = {}
-    for i, state in enumerate(states):
-        if not isinstance(state, str):
-            raise ModelFormatError(f"{where}: states[{i}] must be a string")
+    for state in states:
         if state in state_map:
             raise ModelFormatError(f"{where}: duplicate state {state!r}")
         state_map[state] = state_of(state)
@@ -243,7 +252,7 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
         return supervisor, plant
 
     base = _parse(doc, where, composed)
-    attack_events = frozenset(_require(doc, "attack_events", list, where))
+    attack_events = frozenset(_strings(doc, "attack_events", where))
     unknown = attack_events - base.alphabet.events()
     if unknown:
         raise ModelFormatError(f"{where}: undeclared attack events {sorted(unknown)}")

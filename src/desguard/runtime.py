@@ -9,7 +9,8 @@ generation, and the exhaustive defense check.  Every estimate step reads
 the model's shared estimate table (`Analysis.estimates`), so runs and
 the diagnoser compute each unobservable closure once between them.  The
 exhaustive check either reports every defended run or, for a verdict,
-stops at the first unsafe one.
+searches only the labeled states that can still reach an unsafe state
+(one backward closure per model) and stops at the first unsafe run.
 """
 
 from __future__ import annotations
@@ -221,11 +222,15 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
     get stuck, and the detection latency (events between the first attack
     artifact and certainty) along the exploration tree.
 
-    With `stop_at_breach` the search ends at the first unsafe node it
-    dequeues.  The report then counts the nodes reached so far, and its
-    only run is the one to that node, the shortest unsafe run and the
-    first of that length in discovery order; stuck runs and latencies are
-    not collected.
+    With `stop_at_breach` the search skips labeled states outside
+    `Analysis.unsafe_coreach` (nothing is searched when the initial one
+    is outside) and ends at the first unsafe node it dequeues.  Whatever
+    reaches a kept node is kept, so kept nodes are discovered in the
+    order and along the paths of the full exploration.  The report then
+    counts the kept nodes reached so far and the attack transitions into
+    them, and its only run is the one to that node, the shortest unsafe
+    run and the first of that length in discovery order; stuck runs and
+    latencies are not collected.
 
     The attacker is all-out: randomized and scripted policies do not
     define a run tree independent of exploration order.
@@ -239,6 +244,9 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
     unsafe = model.unsafe_states
     stuck_nodes: list[tuple] = []
     attack_transitions = 0
+    live = analysis.unsafe_coreach if stop_at_breach else aut.states
+    if aut.initial not in live:
+        return RunReport(0, (), (), (), 0)
 
     def certain(estimate):
         return classify(estimate) == CERTAIN
@@ -252,6 +260,8 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
             if safe_mode and event in controllable:
                 continue
             stuck = False
+            if target not in live:
+                continue
             if event in attack_events:
                 attack_transitions += 1
             if event in observable:

@@ -18,6 +18,16 @@ are checked against.  All three read the model's one estimate table and
 assume a supervisor that is safe without attacks: on a model whose
 attack-free closed loop already reaches an unsafe state, each raises
 `NominalUnsafeError` instead of answering.
+
+A labeled state from which no unsafe state is reachable cannot matter
+to any condition.  The verifier search, the simulation and the
+diagnoser's witness searches skip such states, computed by one backward
+closure per model (`Analysis.unsafe_coreach`); the first two answer safe
+without searching when the initial state is among them.  Whatever
+reaches a kept state is kept, so a breadth-first search visits the kept
+nodes in the order and along the paths of the unpruned search, and finds
+the same witnesses.  The diagnoser's observer stays complete: conditions
+2 and 3 and `x_uc` read every estimate.
 """
 
 from __future__ import annotations
@@ -96,14 +106,18 @@ class Verdict:
 def _estimate_moves(analysis: Analysis):
     """Successors of (labeled state, estimate) nodes, the estimate replaying
     the detector; no defense pruning, so paths describe what can happen
-    before and at detection."""
+    before and at detection.  Labeled states that cannot reach an unsafe
+    state are never entered: no witness of a violation passes them."""
     aut = analysis.labeled.automaton
     estimates = analysis.estimates
     unobservable = analysis.unobservable
+    live = analysis.unsafe_coreach
 
     def moves(node):
         lstate, estimate = node
         for event, lnext in aut.out_edges(lstate):
+            if lnext not in live:
+                continue
             if event in unobservable:
                 yield event, (lnext, estimate)
             else:
@@ -253,10 +267,13 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     decides both: it stops at the first pair that violates (1), and
     otherwise the first sink node it discovered that violates (2) is the
     witness.  Sink nodes never lead back to pairs, so each trace is the
-    shortest one the verifier or the tracker alone would give.
+    shortest one the verifier or the tracker alone would give.  The
+    attacked side stays among the labeled states that can reach an
+    unsafe state; as the attack-free loop is safe, these all reach an
+    attacked label, so only nodes that lead to no violation are dropped.
     """
     _require_safe_nominal(model)
-    product = tracker_moves(model)
+    product = tracker_moves(model, keep=model.analysis.unsafe_coreach)
     if product is None:
         return Verdict(safe=True, method=VERIFIER)
     start, moves = product
@@ -308,7 +325,8 @@ def oracle_defense_simulation(model: AttackedModel) -> Verdict:
     """Ground-truth check: exhaustively run the closed loop under the defense.
 
     Safe iff no run reaches an unsafe state once controllable events are
-    pruned from the moment detection is certain.  The exploration stops at
+    pruned from the moment detection is certain.  The exploration stays
+    among the labeled states that can reach an unsafe state and stops at
     its first unsafe node, which ends the shortest breached run.
     """
     _require_safe_nominal(model)

@@ -7,6 +7,7 @@ algorithms: languages are enumerated string by string.
 from collections import deque
 
 from desguard.automata import Automaton, project
+from desguard.diagnosis import ATTACKED, CLEAN
 
 
 def enumerate_traces(automaton: Automaton, max_len: int) -> set[tuple]:
@@ -107,3 +108,23 @@ def naive_coreach(automaton: Automaton, targets) -> frozenset:
 
 def language_equal(a: Automaton, b: Automaton, max_len: int) -> bool:
     return enumerate_traces(a, max_len) == enumerate_traces(b, max_len)
+
+
+def flag_automaton(label_events) -> Automaton:
+    """Two-state automaton that latches to Y once a label event occurs.
+
+    Composed with a closed loop by the generic `parallel_compose`, it is
+    the reference for the labeled model `label_compose` builds directly.
+    """
+    label_events = frozenset(label_events)
+    transitions = {}
+    for event in label_events:
+        transitions[(CLEAN, event)] = ATTACKED
+        transitions[(ATTACKED, event)] = ATTACKED
+    return Automaton(
+        frozenset({CLEAN, ATTACKED}),
+        label_events,
+        transitions,
+        CLEAN,
+        frozenset({CLEAN, ATTACKED}),
+    )

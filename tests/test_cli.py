@@ -173,6 +173,20 @@ class TestCheck:
         result = runner.invoke(main, ["check", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("attack_events", [["b#a"]]), ("unsafe", [["(2,4)"]]), ("marked", 5)],
+    )
+    def test_name_list_of_non_strings_exit_2(self, runner, demo_model_file, key, value):
+        doc = json.loads(demo_model_file.read_text())
+        doc[key] = value
+        demo_model_file.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(demo_model_file)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert f"error: {demo_model_file}: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_traffic_erasure_safe_with_deadlock_warning(
         self, runner, traffic_files, tmp_path
     ):

@@ -113,6 +113,27 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=r"unsafe\[0\]"):
             parse_model(doc)
 
+    def test_marked_entries_are_strings(self):
+        doc = demo_doc()
+        doc["marked"] = [1]
+        with pytest.raises(ModelFormatError, match=r"marked\[0\] must be a string"):
+            parse_model(doc)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("attack_events", [["b#a"]], r"attack_events\[0\] must be a string"),
+            ("unsafe", [["(2,4)"]], r"unsafe\[0\] must be a string"),
+            ("marked", 5, "key 'marked' must be list"),
+        ],
+        ids=["attack_events", "unsafe", "marked"],
+    )
+    def test_attacked_name_lists_hold_strings(self, actuator_model, key, value, message):
+        doc = attacked_to_doc(actuator_model)
+        doc[key] = value
+        with pytest.raises(ModelFormatError, match=message):
+            parse_attacked(doc)
+
     def test_attacked_requires_components(self, actuator_model):
         doc = attacked_to_doc(actuator_model)
         del doc["components"]
