@@ -161,18 +161,6 @@ class AttackedModel:
     def plant_component(self, state):
         return state[1]
 
-    def observable_events(self) -> frozenset[str]:
-        return self.alphabet.observable_events()
-
-    def unobservable_events(self) -> frozenset[str]:
-        return self.alphabet.unobservable_events()
-
-    def controllable_events(self) -> frozenset[str]:
-        return self.alphabet.controllable_events()
-
-    def uncontrollable_events(self) -> frozenset[str]:
-        return self.alphabet.uncontrollable_events()
-
     @cached_property
     def analysis(self) -> Analysis:
         """Event classes and labeled model shared by every decision route."""

@@ -243,17 +243,6 @@ class Automaton:
     def generates(self, trace: Iterable[str]) -> bool:
         return self.run(trace) is not None
 
-    def renamed_events(self, mapping: Mapping[str, str]) -> "Automaton":
-        """Rename events; identity for events absent from `mapping`."""
-        rename = lambda e: mapping.get(e, e)
-        return Automaton(
-            self.states,
-            frozenset(rename(e) for e in self.events),
-            {(s, rename(e)): d for (s, e), d in self.transitions.items()},
-            self.initial,
-            self.marked,
-        )
-
     def canonical_doc(self) -> dict:
         """Order-stable plain representation, for equality and hashing in tests."""
         return {

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success (or verdict safe), 1 verdict unsafe / refused
-realization, 2 validation or usage error, 3 method disagreement with
---method all, 4 state budget exceeded (no verdict).
+realization, 2 validation or usage error (an unwritable `--out` file, or
+a `simulate` policy that is malformed or scripts a decision that is not
+an open attack opportunity), 3 method disagreement with --method all,
+4 state budget exceeded (no verdict).
 
 `check` exits 2 without a verdict when the model's attack-free closed
 loop already reaches an unsafe state: every route assumes a supervisor
@@ -36,7 +38,9 @@ from .modelio import (
     to_dot,
     verdict_to_doc,
 )
-from .runtime import ALL_OUT, RANDOM, SCRIPTED, AttackerPolicy, log_records, run
+from .runtime import (
+    ALL_OUT, RANDOM, SCRIPTED, AttackerPolicy, IllegalEventError, log_records, run
+)
 from .safety import DIAGNOSER, ORACLE, VERIFIER, NominalUnsafeError, check_model
 from .synthesis import RealizationError, realize_supervisor, supremal_controllable
 
@@ -82,8 +86,11 @@ def _load_attacked(path: str) -> AttackedModel:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            _fail(str(exc))
     else:
         click.echo(text, nl=False)
 
@@ -190,6 +197,8 @@ def _parse_policy(spec: str) -> AttackerPolicy:
             probability = float(spec.split(":", 1)[1])
         except ValueError:
             _fail(f"bad probability in policy {spec!r}")
+        if not 0.0 <= probability <= 1.0:
+            _fail(f"probability in policy {spec!r} must lie in [0, 1]")
         return AttackerPolicy.seeded_random(probability)
     try:
         with open(spec) as handle:
@@ -198,8 +207,10 @@ def _parse_policy(spec: str) -> AttackerPolicy:
         _fail(f"unknown policy {spec!r} (expected all-out, random:p, or a script file)")
     except json.JSONDecodeError as exc:
         _fail(f"script file {spec!r}: {exc}")
-    if not isinstance(decisions, list):
-        _fail(f"script file {spec!r} must hold a JSON list of decisions")
+    if not isinstance(decisions, list) or not all(
+        d is None or isinstance(d, str) for d in decisions
+    ):
+        _fail(f"script file {spec!r} must hold a JSON list of event names and nulls")
     return AttackerPolicy.scripted(decisions)
 
 
@@ -216,7 +227,10 @@ def simulate(model_file, policy, seed, max_steps):
     attacker = _parse_policy(policy)
     if attacker.kind in (RANDOM, SCRIPTED):
         attacker.seed = seed
-    states = run(model, attacker, max_steps)
+    try:
+        states = run(model, attacker, max_steps)
+    except IllegalEventError as exc:
+        _fail(f"policy {policy!r}: {exc}")
     for record in log_records(states):
         click.echo(json.dumps(record, sort_keys=True))
 

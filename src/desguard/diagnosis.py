@@ -4,10 +4,7 @@ Detection is a fault-diagnosis problem where the "faults" are the attack
 artifact events of a closed-loop model.  `label_compose` attaches an
 absorbing Y/N label to every closed-loop state; the diagnoser is the
 observer of the labeled model and classifies each estimate as normal,
-uncertain, or certain.  The verifier offers a polynomial alternative: it
-pairs the renamed attack-free behavior with the attacked behavior so that
-observation-equivalent string pairs become joint states, and a tracker
-follows the attacked behavior past detection.
+uncertain, or certain.
 
 Every estimate the package computes comes from one `EstimateTable` per
 model, held on `Analysis`: the diagnoser, the online detector of
@@ -18,11 +15,15 @@ unobservable closure is computed at most once per model.
 from which an unsafe state is reachable; the verifier, oracle and witness
 searches never enter a state outside it.
 
-`tracker_moves` is that pairing on the fly: the start node and successor
-function of the tracker product, read straight off the closed loop and
-the labeled model, which the verifier test and `confusion_witness`
-search without building any automaton.  `build_verifier` materializes
-the same structures step by step, for inspection and tests.
+The verifier offers a polynomial alternative to the diagnoser: it pairs
+the renamed attack-free behavior with the attacked behavior so that
+observation-equivalent string pairs become joint states, and a tracker
+follows the attacked behavior past detection.  `tracker_moves` is the
+one construction of that product: its start node and successor
+function, read straight off the closed loop and the labeled model.  The
+verifier test and `confusion_witness` search it without building any
+automaton; `build_verifier` records one search of it as the verifier and
+tracker automata, for inspection.
 """
 
 from __future__ import annotations
@@ -36,11 +37,9 @@ from .automata import (
     EstimateTable,
     State,
     Trace,
-    accessible,
     coreach,
     explore,
     observer,
-    parallel_compose,
     path_to,
 )
 
@@ -192,115 +191,45 @@ def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, St
 
 @dataclass(frozen=True)
 class VerifierArtifacts:
-    """Intermediate automata of the verifier pipeline, materialized.
+    """The `tracker_moves` product, materialized for inspection and tests.
 
-    The decision procedures never build these; they search the same
-    product on the fly through `tracker_moves`.  This is the view for
-    inspecting and testing the construction.
-
-    `normal_part` is the attack-free behavior with its unobservable events
-    renamed (suffix ``#r``) so they become private; `attacked_part` keeps
-    exactly the prefixes of attacked strings, labels included.  `verifier`
-    pairs them; `completed` extends the verifier with a sink state that is
-    entered on any observation the attack-free behavior cannot produce and
-    that only lets uncontrollable events continue; `tracker` follows the
-    attacked behavior through the completed verifier to expose what remains
-    reachable after detection.  Fields are None when there is no attacked
-    behavior at all.
+    `verifier` holds the (attack-free state, attacked labeled state) pairs
+    and the edges between them; `tracker` adds detection, and names a pair
+    node (pair, attacked) and a detected node (SINK, attacked).  Both are
+    None when there is no attacked behavior.
     """
 
-    normal_part: Automaton | None
-    attacked_part: LabeledAutomaton | None
     verifier: Automaton | None
-    completed: Automaton | None
     tracker: Automaton | None
 
 
-def _normal_part(model: AttackedModel, labeled: LabeledAutomaton) -> Automaton | None:
-    aut = labeled.automaton
-    transitions = {
-        (src, event): dst
-        for (src, event), dst in aut.transitions.items()
-        if event not in model.attack_events
-    }
-    trimmed = accessible(
-        Automaton(aut.states, aut.events, transitions, aut.initial, aut.marked)
-    )
-    # Without attack transitions every reachable label is N; drop the labels.
-    assert all(label == CLEAN for _, label in trimmed.states)
-    plain = Automaton(
-        frozenset(base for base, _ in trimmed.states),
-        trimmed.events - model.attack_events,
-        {(src[0], event): dst[0] for (src, event), dst in trimmed.transitions.items()},
-        trimmed.initial[0],
-        frozenset(base for base, _ in trimmed.marked),
-    )
-    unobservable = model.unobservable_events() - model.attack_events
-    renamed = plain.renamed_events({e: e + RENAME_SUFFIX for e in unobservable})
-    # Observable attack events stay in the declared event set: the
-    # attack-free behavior can never execute them, so in the verifier they
-    # synchronize (and block) instead of interleaving.  Unobservable attack
-    # events are absent here and interleave as private attacked moves.
-    observable_attacks = model.attack_events & model.observable_events()
-    return Automaton(
-        renamed.states,
-        renamed.events | observable_attacks,
-        renamed.transitions,
-        renamed.initial,
-        renamed.marked,
-    )
-
-
-def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
-    """Sub-automaton of states co-reachable to an attacked (Y) label."""
-    aut = labeled.automaton
-    keep = coreach(aut, [s for s in aut.states if s[1] == ATTACKED])
-    if aut.initial not in keep:
-        return None
-    transitions = {
-        (src, event): dst
-        for (src, event), dst in aut.transitions.items()
-        if src in keep and dst in keep
-    }
-    trimmed = accessible(
-        Automaton(keep, aut.events, transitions, aut.initial, aut.marked & keep)
-    )
-    return LabeledAutomaton(trimmed, labeled.label_events)
-
-
 def build_verifier(model: AttackedModel) -> VerifierArtifacts:
-    """Run the full verifier pipeline for a closed-loop attack model."""
-    labeled = model.analysis.labeled
-    attacked = _attacked_part(labeled)
-    normal = _normal_part(model, labeled)
-    if attacked is None:
-        return VerifierArtifacts(normal, None, None, None, None)
-    verifier = parallel_compose(normal, attacked.automaton)
-    completed = _complete(verifier, model.observable_events(), model.uncontrollable_events())
-    tracker = parallel_compose(completed, attacked.automaton)
-    return VerifierArtifacts(normal, attacked, verifier, completed, tracker)
+    """Materialize the verifier and the tracker of a closed-loop attack model.
 
-
-def _complete(verifier: Automaton, observable, uncontrollable) -> Automaton:
-    """The verifier plus the sink that unexplained observations lead to.
-
-    A function of its own so that its scratch transition table is freed
-    before the tracker, the largest automaton of the pipeline, is built.
+    One search of `tracker_moves(model)` that records each edge; the
+    decision routes search the same product without building it.
     """
-    states = set(verifier.states) | {SINK}
-    transitions = dict(verifier.transitions)
-    for state in verifier.states:
-        active = verifier.active_events(state)
-        for event in observable - active:
-            transitions[(state, event)] = SINK
-    for event in uncontrollable:
-        transitions[(SINK, event)] = SINK
-    return Automaton(
-        frozenset(states),
-        verifier.events | observable | uncontrollable,
-        transitions,
-        verifier.initial,
-        verifier.marked,
+    product = tracker_moves(model)
+    if product is None:
+        return VerifierArtifacts(None, None)
+    start, moves = product
+    pair_edges, tracker_edges = [], []
+
+    def tracked(node):
+        return (SINK, node[1]) if node[0] is DETECTED else (node, node[1])
+
+    def recorded(node):
+        edges = moves(node)
+        for event, target in edges:
+            tracker_edges.append((tracked(node), event, tracked(target)))
+            if target[0] is not DETECTED:
+                pair_edges.append((node, event, target))
+        return edges
+
+    explore([start], recorded)
+    return VerifierArtifacts(
+        Automaton.build(start, pair_edges),
+        Automaton.build(tracked(start), tracker_edges),
     )
 
 
@@ -423,5 +352,5 @@ def confusion_witness(
     if found is None:
         return None
     trace = path_to(parents, found)
-    normal_trace = recover_normal(trace, model.attack_events, model.observable_events())
+    normal_trace = recover_normal(trace, model.attack_events, model.analysis.observable)
     return normal_trace, strip_renamed(trace)

@@ -121,28 +121,28 @@ def initial_state(model: AttackedModel) -> ExecutionState:
     )
 
 
-def _split_enabled(
-    state: ExecutionState, model: AttackedModel
+def _choices(
+    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
 ) -> tuple[frozenset[str], frozenset[str]]:
-    """(Enabled genuine events, enabled attack opportunities) after safe mode."""
+    """(Events that may occur next, attack opportunities open) at `state`.
+
+    Safe mode removes every controllable event; attack artifacts that are
+    uncontrollable in the model are never blocked by the defense, only by
+    the policy, which filters the opportunities with one draw.
+    """
     enabled = model.model.active_events(state.composed)
     if state.safe_mode:
-        enabled -= model.controllable_events()
+        enabled -= model.analysis.controllable
     attacks = enabled & model.attack_events
-    return enabled - attacks, attacks
+    taken = policy.filter_attacks(attacks, state.decisions_used)
+    return (enabled - attacks) | taken, attacks
 
 
 def enabled_choices(
     state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
 ) -> frozenset[str]:
-    """Events that may occur next, after safe-mode and policy filtering.
-
-    Safe mode removes every controllable event; attack artifacts that are
-    uncontrollable in the model are never blocked by the defense, only by
-    the policy.
-    """
-    genuine, attacks = _split_enabled(state, model)
-    return genuine | policy.filter_attacks(attacks, state.decisions_used)
+    """Events that may occur next, after safe-mode and policy filtering."""
+    return _choices(state, model, policy)[0]
 
 
 def step(
@@ -150,24 +150,25 @@ def step(
     model: AttackedModel,
     policy: AttackerPolicy,
     choice: str | None = None,
-) -> ExecutionState:
-    """Advance one event; `choice` of None picks deterministically.
+) -> ExecutionState | None:
+    """Advance one event; `choice` of None lets the policy pick.
 
-    The estimate advances only on observable events, and safe mode latches
-    as soon as the estimate becomes certain.
+    A random policy picks from the same draw that decided what is
+    enabled.  Returns None when `choice` is None and nothing is enabled:
+    the run has ended.  The estimate advances only on observable events,
+    and safe mode latches as soon as the estimate becomes certain.
     """
-    enabled = enabled_choices(state, model, policy)
-    had_opportunity = bool(_split_enabled(state, model)[1])
+    enabled, attacks = _choices(state, model, policy)
     if choice is None:
         if not enabled:
-            raise IllegalEventError(None, enabled)
+            return None
         if policy.kind == RANDOM:
             choice = policy.rng().choice(sorted(enabled))
         else:
             # Attacks the policy let through happen; the attacker does not
             # politely wait for the plant.
-            attacks = sorted(enabled & model.attack_events)
-            choice = attacks[0] if attacks else sorted(enabled)[0]
+            taken = sorted(enabled & attacks)
+            choice = taken[0] if taken else sorted(enabled)[0]
     elif choice not in enabled:
         raise IllegalEventError(choice, enabled)
     composed = model.model.successor(state.composed, choice)
@@ -183,7 +184,7 @@ def step(
         safe_mode=state.safe_mode or classify(estimate) == CERTAIN,
         trace=state.trace + (choice,),
         observed=observed,
-        decisions_used=state.decisions_used + (1 if had_opportunity else 0),
+        decisions_used=state.decisions_used + (1 if attacks else 0),
     )
 
 
@@ -191,10 +192,10 @@ def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[Ex
     """Auto-step until nothing is enabled or `max_steps` events occurred."""
     states = [initial_state(model)]
     for _ in range(max_steps):
-        current = states[-1]
-        if not enabled_choices(current, model, policy):
+        advanced = step(states[-1], model, policy)
+        if advanced is None:
             break
-        states.append(step(current, model, policy))
+        states.append(advanced)
     return states
 
 

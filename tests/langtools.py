@@ -1,13 +1,17 @@
 """Brute-force language oracles used to cross-check the library.
 
 Everything here is deliberately naive and independent of the library's
-algorithms: languages are enumerated string by string.
+algorithms: languages are enumerated string by string, and the verifier
+is composed from its parts with the generic `parallel_compose` rather
+than searched on the fly.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
-from desguard.automata import Automaton, project
-from desguard.diagnosis import ATTACKED, CLEAN
+from desguard.attacks import RENAME_SUFFIX, AttackedModel
+from desguard.automata import Automaton, accessible, coreach, parallel_compose, project
+from desguard.diagnosis import ATTACKED, CLEAN, SINK, LabeledAutomaton
 
 
 def enumerate_traces(automaton: Automaton, max_len: int) -> set[tuple]:
@@ -127,4 +131,121 @@ def flag_automaton(label_events) -> Automaton:
         transitions,
         CLEAN,
         frozenset({CLEAN, ATTACKED}),
+    )
+
+
+@dataclass(frozen=True)
+class ComposedVerifier:
+    """Intermediate automata of the verifier pipeline, materialized.
+
+    The reference `build_verifier` and `tracker_moves` are checked
+    against: the same product, built by composition.
+
+    `normal_part` is the attack-free behavior with its unobservable events
+    renamed (suffix ``#r``) so they become private; `attacked_part` keeps
+    exactly the prefixes of attacked strings, labels included.  `verifier`
+    pairs them; `completed` extends the verifier with a sink state that is
+    entered on any observation the attack-free behavior cannot produce and
+    that only lets uncontrollable events continue; `tracker` follows the
+    attacked behavior through the completed verifier to expose what remains
+    reachable after detection.  Fields are None when there is no attacked
+    behavior at all.
+    """
+
+    normal_part: Automaton | None
+    attacked_part: LabeledAutomaton | None
+    verifier: Automaton | None
+    completed: Automaton | None
+    tracker: Automaton | None
+
+
+def _normal_part(model: AttackedModel, labeled: LabeledAutomaton) -> Automaton | None:
+    aut = labeled.automaton
+    transitions = {
+        (src, event): dst
+        for (src, event), dst in aut.transitions.items()
+        if event not in model.attack_events
+    }
+    trimmed = accessible(
+        Automaton(aut.states, aut.events, transitions, aut.initial, aut.marked)
+    )
+    # Without attack transitions every reachable label is N; drop the labels.
+    assert all(label == CLEAN for _, label in trimmed.states)
+    plain = Automaton(
+        frozenset(base for base, _ in trimmed.states),
+        trimmed.events - model.attack_events,
+        {(src[0], event): dst[0] for (src, event), dst in trimmed.transitions.items()},
+        trimmed.initial[0],
+        frozenset(base for base, _ in trimmed.marked),
+    )
+    unobservable = model.alphabet.unobservable_events() - model.attack_events
+    renamed = {e: e + RENAME_SUFFIX for e in unobservable}
+    rename = lambda e: renamed.get(e, e)
+    # Observable attack events stay in the declared event set: the
+    # attack-free behavior can never execute them, so in the verifier they
+    # synchronize (and block) instead of interleaving.  Unobservable attack
+    # events are absent here and interleave as private attacked moves.
+    observable_attacks = model.attack_events & model.alphabet.observable_events()
+    return Automaton(
+        plain.states,
+        frozenset(rename(e) for e in plain.events) | observable_attacks,
+        {(s, rename(e)): d for (s, e), d in plain.transitions.items()},
+        plain.initial,
+        plain.marked,
+    )
+
+
+def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
+    """Sub-automaton of states co-reachable to an attacked (Y) label."""
+    aut = labeled.automaton
+    keep = coreach(aut, [s for s in aut.states if s[1] == ATTACKED])
+    if aut.initial not in keep:
+        return None
+    transitions = {
+        (src, event): dst
+        for (src, event), dst in aut.transitions.items()
+        if src in keep and dst in keep
+    }
+    trimmed = accessible(
+        Automaton(keep, aut.events, transitions, aut.initial, aut.marked & keep)
+    )
+    return LabeledAutomaton(trimmed, labeled.label_events)
+
+
+def composed_verifier(model: AttackedModel) -> ComposedVerifier:
+    """Run the full verifier pipeline for a closed-loop attack model."""
+    labeled = model.analysis.labeled
+    attacked = _attacked_part(labeled)
+    normal = _normal_part(model, labeled)
+    if attacked is None:
+        return ComposedVerifier(normal, None, None, None, None)
+    verifier = parallel_compose(normal, attacked.automaton)
+    alphabet = model.alphabet
+    completed = _complete(
+        verifier, alphabet.observable_events(), alphabet.uncontrollable_events()
+    )
+    tracker = parallel_compose(completed, attacked.automaton)
+    return ComposedVerifier(normal, attacked, verifier, completed, tracker)
+
+
+def _complete(verifier: Automaton, observable, uncontrollable) -> Automaton:
+    """The verifier plus the sink that unexplained observations lead to.
+
+    A function of its own so that its scratch transition table is freed
+    before the tracker, the largest automaton of the pipeline, is built.
+    """
+    states = set(verifier.states) | {SINK}
+    transitions = dict(verifier.transitions)
+    for state in verifier.states:
+        active = verifier.active_events(state)
+        for event in observable - active:
+            transitions[(state, event)] = SINK
+    for event in uncontrollable:
+        transitions[(SINK, event)] = SINK
+    return Automaton(
+        frozenset(states),
+        verifier.events | observable | uncontrollable,
+        transitions,
+        verifier.initial,
+        verifier.marked,
     )

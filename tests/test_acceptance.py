@@ -121,7 +121,7 @@ def test_criterion_3_traffic_actuator_attack(synthesized_traffic):
     diagnoser_verdict = check_gf_safe_diagnoser(model)
     verifier_verdict = check_ae_safe_verifier(model)
     assert not diagnoser_verdict.safe and not verifier_verdict.safe
-    observation = project(diagnoser_verdict.counterexample, model.observable_events())
+    observation = project(diagnoser_verdict.counterexample, model.alphabet.observable_events())
     assert observation[:3] == ("a1", "a3", "b1")
     report(3, "traffic actuator attack: unsafe by both methods, observation starts a1·a3·b1",
            time.monotonic() - start, 10.0)
@@ -150,7 +150,7 @@ def test_criterion_5_traffic_insertion_attack(synthesized_traffic):
     assert pair is not None
     normal_trace, attacked_trace = pair
     assert "b4#i" in attacked_trace and "b4#i" not in normal_trace
-    observable = model.observable_events()
+    observable = model.alphabet.observable_events()
     assert project(normal_trace, observable) == project(attacked_trace, observable)
     assert model.model.generates(normal_trace)
     assert model.model.generates(attacked_trace)
@@ -165,7 +165,7 @@ def test_criterion_6_small_sensor_fixtures():
     verdict = check_gf_safe_diagnoser(erasure_model)
     assert not verdict.safe
     labeled = label_compose(erasure_model)
-    diagnoser = build_diagnoser(labeled, erasure_model.unobservable_events())
+    diagnoser = build_diagnoser(labeled, erasure_model.alphabet.unobservable_events())
     uncertain_plants = {
         frozenset(erasure_model.plant_component(member[0]) for member in estimate)
         for estimate, kind in diagnoser.classification.items()
@@ -180,7 +180,7 @@ def test_criterion_6_small_sensor_fixtures():
     insertion_model = build_model("si", insertion.plant, insertion.supervisor, insertion.vuln)
     assert not check_gf_safe_diagnoser(insertion_model).safe
     labeled = label_compose(insertion_model)
-    diagnoser = build_diagnoser(labeled, insertion_model.unobservable_events())
+    diagnoser = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
     assert not diagnoser.states_of(CERTAIN)
     report(6, "erasure fixture uncertain on plants {3,5}; insertion fixture undetectable",
            max(elapsed_erasure, time.monotonic() - start_insertion), 1.0)

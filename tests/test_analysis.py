@@ -110,7 +110,7 @@ class TestCacheSafety:
         )
         blind = dataclasses.replace(model, alphabet=hidden)
         assert blind.analysis.observable == frozenset()
-        assert model.analysis.observable == model.observable_events()
+        assert model.analysis.observable == model.alphabet.observable_events()
 
 
 class TestSharedLabeledModel:

@@ -262,6 +262,52 @@ class TestStateBudget:
         assert not isinstance(result.exception, ResourceLimitError)
 
 
+class TestBadInputExitCodes:
+    """Each bad input exits with its documented code, never with a traceback."""
+
+    @pytest.mark.parametrize("args, script, code", [
+        pytest.param(["simulate", "{model}", "--policy", "random:0.5", "--seed", "4"],
+                     None, 0, id="random-policy-draws-once-per-step"),
+        pytest.param(["simulate", "{model}", "--policy", "{script}"],
+                     ["c"], 2, id="scripted-decision-not-open"),
+        pytest.param(["simulate", "{model}", "--policy", "{script}"],
+                     [["x"]], 2, id="script-entry-not-a-name"),
+        pytest.param(["simulate", "{model}", "--policy", "random:1.5"],
+                     None, 2, id="probability-above-one"),
+        pytest.param(["simulate", "{model}", "--policy", "random:-0.1"],
+                     None, 2, id="probability-below-zero"),
+        pytest.param(["simulate", "{model}", "--policy", "random:nan"],
+                     None, 2, id="probability-nan"),
+        pytest.param(["build", "{plant}", "{supervisor}", "--mode", "ae", "--vulnerable", "b",
+                      "--out", "{missing}"], None, 2, id="build-out-unwritable"),
+        pytest.param(["check", "{model}", "--out", "{missing}"],
+                     None, 2, id="check-out-unwritable"),
+        pytest.param(["export", "{model}", "--out", "{missing}"],
+                     None, 2, id="export-out-unwritable"),
+        pytest.param(["synthesize", "{plant}", "{plant}", "--out", "{missing}"],
+                     None, 2, id="synthesize-out-unwritable"),
+    ])
+    def test_exit_code_without_traceback(
+        self, runner, demo_files, demo_model_file, tmp_path, args, script, code
+    ):
+        plant, supervisor = demo_files
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps(script))
+        paths = {
+            "model": demo_model_file,
+            "plant": plant,
+            "supervisor": supervisor,
+            "script": script_path,
+            "missing": tmp_path / "missing" / "out.json",
+        }
+        result = runner.invoke(main, [arg.format(**paths) for arg in args])
+        assert result.exit_code == code, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        if code == 2:
+            assert "error: " in result.output
+
+
 class TestExport:
     def test_plant_dot(self, runner, demo_files):
         plant, _ = demo_files

@@ -21,7 +21,7 @@ from desguard.diagnosis import (
 )
 
 from generators import random_model
-from langtools import diagnoser_initial, diagnoser_step, enumerate_traces
+from langtools import composed_verifier, diagnoser_initial, diagnoser_step, enumerate_traces
 
 
 class TestLabelCompose:
@@ -54,7 +54,7 @@ class TestDiagnoser:
         # Every event of the demo model is observable, so the estimates are
         # singletons and the diagnoser has the labeled model's shape.
         labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.unobservable_events())
+        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
         assert len(diag.automaton.states) == len(labeled.automaton.states)
         assert all(len(q) == 1 for q in diag.automaton.states)
         names = {state_name(q): c for q, c in diag.classification.items()}
@@ -67,18 +67,18 @@ class TestDiagnoser:
 
     def test_erasure_demo_has_uncertain_state(self, erasure_model):
         labeled = label_compose(erasure_model)
-        diag = build_diagnoser(labeled, erasure_model.unobservable_events())
+        diag = build_diagnoser(labeled, erasure_model.alphabet.unobservable_events())
         names = {state_name(q) for q, c in diag.classification.items() if c == UNCERTAIN}
         assert "{((3,3),N),((3,5),Y)}" in names
 
     def test_insertion_demo_never_certain(self, insertion_model):
         labeled = label_compose(insertion_model)
-        diag = build_diagnoser(labeled, insertion_model.unobservable_events())
+        diag = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
         assert not diag.states_of(CERTAIN)
 
     def test_classification_exhaustive_and_exclusive(self, traffic_si_model):
         labeled = label_compose(traffic_si_model)
-        diag = build_diagnoser(labeled, traffic_si_model.unobservable_events())
+        diag = build_diagnoser(labeled, traffic_si_model.alphabet.unobservable_events())
         for estimate, kind in diag.classification.items():
             labels = {label for _, label in estimate}
             if kind == NORMAL:
@@ -90,16 +90,16 @@ class TestDiagnoser:
 
     def test_initial_is_normal_without_silent_attacks(self, actuator_model):
         labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.unobservable_events())
+        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
         assert diag.classification[diag.automaton.initial] == NORMAL
 
     def test_incremental_matches_batch(self, erasure_model, traffic_si_model):
         for model in (erasure_model, traffic_si_model):
             labeled = label_compose(model)
-            unobservable = model.unobservable_events()
+            unobservable = model.alphabet.unobservable_events()
             diag = build_diagnoser(labeled, unobservable)
             for trace in enumerate_traces(model.model, 5):
-                observation = project(trace, model.observable_events())
+                observation = project(trace, model.alphabet.observable_events())
                 batch = diag.automaton.run(observation)
                 estimate = diagnoser_initial(labeled, unobservable)
                 for event in observation:
@@ -116,19 +116,19 @@ class TestDiagnoser:
 class TestFirstEnteredCertain:
     def test_empty_without_certain_states(self, insertion_model):
         labeled = label_compose(insertion_model)
-        diag = build_diagnoser(labeled, insertion_model.unobservable_events())
+        diag = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
         assert {dst for _, _, dst in first_entered_certain(diag)} == set()
 
     def test_demo_first_certain(self, actuator_model):
         labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.unobservable_events())
+        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
         targets = {state_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert targets == {"{((2,3),Y)}"}
 
     def test_certain_after_certain_excluded(self, actuator_model):
         # ((2,4),Y) is certain but only entered from the certain ((2,3),Y).
         labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.unobservable_events())
+        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
         names = {state_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert "{((2,4),Y)}" not in names
 
@@ -138,7 +138,7 @@ class TestVerifier:
         self, actuator_model, erasure_model, insertion_model
     ):
         for model in (actuator_model, erasure_model, insertion_model):
-            artifacts = build_verifier(model)
+            artifacts = composed_verifier(model)
             used = {e for (_s, e) in artifacts.normal_part.transitions}
             assert not (used & model.attack_events)
 
@@ -146,14 +146,14 @@ class TestVerifier:
         self, actuator_model, erasure_model, insertion_model
     ):
         for model in (actuator_model, erasure_model, insertion_model):
-            artifacts = build_verifier(model)
+            artifacts = composed_verifier(model)
             aut = artifacts.attacked_part.automaton
             for (src, event), dst in aut.transitions.items():
                 if src[1] == CLEAN and dst[1] == ATTACKED:
                     assert event in model.attack_events
 
     def test_attacked_part_reaches_labels(self, erasure_model):
-        artifacts = build_verifier(erasure_model)
+        artifacts = composed_verifier(erasure_model)
         aut = artifacts.attacked_part.automaton
         # Every state can still reach an attacked label (that is the trim rule).
         labeled = {s for s in aut.states if s[1] == ATTACKED}
@@ -179,7 +179,7 @@ class TestVerifier:
     def test_sink_self_loops_are_uncontrollable_plus_attacks(self, actuator_model):
         # For actuator attacks the sink continues on E_uc and the attack
         # artifacts, which are uncontrollable by construction.
-        artifacts = build_verifier(actuator_model)
+        artifacts = composed_verifier(actuator_model)
         loops = {
             e
             for (s, e), d in artifacts.completed.transitions.items()
@@ -194,7 +194,7 @@ class TestVerifier:
             unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
         )
         model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
-        artifacts = build_verifier(model)
+        artifacts = composed_verifier(model)
         assert artifacts.attacked_part is None
         assert artifacts.verifier is None
         assert artifacts.tracker is None
@@ -205,7 +205,7 @@ class TestVerifier:
         pair = confusion_witness(erasure_model)
         assert pair is not None
         normal_trace, attacked_trace = pair
-        observable = erasure_model.observable_events()
+        observable = erasure_model.alphabet.observable_events()
         assert project(normal_trace, observable) == project(attacked_trace, observable)
         assert erasure_model.model.generates(normal_trace)
         assert erasure_model.model.generates(attacked_trace)
@@ -243,15 +243,23 @@ def _random_models():
 
 
 class TestTrackerMoves:
-    """The on-the-fly product against the materialized verifier pipeline."""
+    """The on-the-fly product and its materialization against the
+    composed verifier pipeline."""
 
     def _agrees(self, model):
-        artifacts = build_verifier(model)
+        artifacts = composed_verifier(model)
+        built = build_verifier(model)
         product = tracker_moves(model)
         if product is None:
             assert artifacts.verifier is None and artifacts.tracker is None
+            assert built.verifier is None and built.tracker is None
             assert confusion_witness(model) is None
             return False
+        for name in ("verifier", "tracker"):
+            ours, reference = getattr(built, name), getattr(artifacts, name)
+            assert ours.initial == reference.initial
+            assert ours.states == reference.states
+            assert ours.transitions == reference.transitions
         start, moves = product
         parents, _ = explore([start], moves)
         pairs = {node for node in parents if node[0] is not DETECTED}

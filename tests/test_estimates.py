@@ -49,7 +49,7 @@ def reference_diagnoser(model):
     the labeled model's observer: a plain breadth-first search whose every
     step closes its estimate from scratch."""
     labeled = model.analysis.labeled
-    hidden = model.unobservable_events()
+    hidden = model.alphabet.unobservable_events()
     initial = diagnoser_initial(labeled, hidden)
     seen = {initial}
     queue = deque([initial])
@@ -86,7 +86,7 @@ def reference_conditions(model, states, transitions):
     }
     if any(s[0] in unsafe for s in entries):
         held.append(FIRST_CERTAIN_UNSAFE)
-    uncontrollable = model.uncontrollable_events()
+    uncontrollable = model.alphabet.uncontrollable_events()
     x_uc = frozenset().union(*(naive_reach(model.model, s[0], uncontrollable) for s in entries))
     if x_uc & unsafe:
         held.append(UNCONTROLLABLE_UNSAFE)
@@ -96,7 +96,7 @@ def reference_conditions(model, states, transitions):
 def reference_breach(model, trace):
     """Condition of a breached run, replayed with from-scratch steps."""
     labeled = model.analysis.labeled
-    hidden = model.unobservable_events()
+    hidden = model.alphabet.unobservable_events()
     estimate = previous = diagnoser_initial(labeled, hidden)
     for event in trace:
         if event not in hidden:

@@ -19,6 +19,7 @@ class TestStep:
         states = run(actuator_model, AttackerPolicy.all_out(), max_steps=10)
         final = states[-1]
         assert final.trace == ("a", "b#a", "c")
+        assert step(final, actuator_model, AttackerPolicy.all_out()) is None
         assert state_name(final.plant_state) == "4"
         assert final.safe_mode
         # Safe mode latched right after the observable attack artifact.
@@ -56,14 +57,14 @@ class TestStep:
         from desguard.automata import project
 
         states = run(traffic_si_model, AttackerPolicy.all_out(), max_steps=30)
-        observable = traffic_si_model.observable_events()
+        observable = traffic_si_model.alphabet.observable_events()
         for st in states:
             assert st.observed == project(st.trace, observable)
 
     def test_safe_mode_blocks_exactly_controllables(self, traffic_si_model):
         policy = AttackerPolicy.all_out()
         states = run(traffic_si_model, policy, max_steps=30)
-        controllable = traffic_si_model.controllable_events()
+        controllable = traffic_si_model.alphabet.controllable_events()
         model_aut = traffic_si_model.model
         for st in states:
             if st.safe_mode:
@@ -78,6 +79,14 @@ class TestStep:
             return run(traffic_si_model, policy, max_steps=25)[-1].trace
 
         assert trace_with_seed(3) == trace_with_seed(3)
+
+    def test_random_policy_picks_from_the_set_it_drew(self, actuator_model):
+        # One draw per step decides both whether anything is enabled and
+        # what is picked, so a random run never stops on an illegal event.
+        for seed in range(30):
+            policy = AttackerPolicy.seeded_random(0.5, seed=seed)
+            states = run(actuator_model, policy, max_steps=10)
+            assert actuator_model.model.run(states[-1].trace) == states[-1].composed
 
     def test_zero_probability_attacker_never_attacks(self, traffic_si_model):
         policy = AttackerPolicy.seeded_random(0.0, seed=1)

@@ -124,8 +124,8 @@ class TestCounterexamples:
         # Replay against the online defense: no event of the trace may be
         # disabled at the moment it occurs.
         labeled = label_compose(model)
-        unobservable = model.unobservable_events()
-        controllable = model.controllable_events()
+        unobservable = model.alphabet.unobservable_events()
+        controllable = model.alphabet.controllable_events()
         estimate = diagnoser_initial(labeled, unobservable)
         for event in trace:
             if classify(estimate) == CERTAIN and event in controllable:
