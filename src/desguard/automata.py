@@ -400,7 +400,8 @@ class EstimateTable:
     closures of its members' successors on the event; the union is exact
     because the closure distributes over union.  `step` also remembers
     each (estimate, event) result, because the searches over (state,
-    estimate) pairs take the same step once per member.
+    estimate) pairs take the same step once per member; `moves` takes
+    every step through it, so the observer fills the same memo.
     """
 
     def __init__(self, automaton: Automaton, hidden: Iterable[str]):
@@ -439,17 +440,10 @@ class EstimateTable:
         return result
 
     def moves(self, estimate: frozenset) -> list[tuple[str, frozenset]]:
-        """Every (visible event, next estimate) from `estimate`, sorted by event."""
-        hidden = self.hidden
-        targets: dict[str, set] = {}
-        for member in estimate:
-            for event, target in self.automaton._out[member].items():
-                if event not in hidden:
-                    targets.setdefault(event, set()).add(target)
-        return [
-            (event, frozenset().union(*map(self.closure, targets[event])))
-            for event in sorted(targets)
-        ]
+        """Every (visible event, `step` result) from `estimate`, sorted by event."""
+        out = self.automaton._out
+        events = {event for member in estimate for event in out[member]} - self.hidden
+        return [(event, self.step(estimate, event)) for event in sorted(events)]
 
 
 def observer(

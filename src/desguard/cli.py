@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (or verdict safe), 1 verdict unsafe / refused
-realization, 2 validation or usage error (an unwritable `--out` file, or
-a `simulate` policy that is malformed or scripts a decision that is not
-an open attack opportunity), 3 method disagreement with --method all,
-4 state budget exceeded (no verdict).
+realization, 2 validation or usage error (an undecodable model file or
+policy script, an unwritable `--out` file, or a `simulate` policy that
+is malformed or scripts a decision that is not an open attack
+opportunity), 3 method disagreement with --method all, 4 state budget
+exceeded (no verdict; `synthesize` writes no supervisor).
 
 `check` exits 2 without a verdict when the model's attack-free closed
 loop already reaches an unsafe state: every route assumes a supervisor
@@ -39,7 +40,7 @@ from .modelio import (
     verdict_to_doc,
 )
 from .runtime import (
-    ALL_OUT, RANDOM, SCRIPTED, AttackerPolicy, IllegalEventError, log_records, run
+    ALL_OUT, RANDOM, AttackerPolicy, IllegalEventError, log_records, run
 )
 from .safety import DIAGNOSER, ORACLE, VERIFIER, NominalUnsafeError, check_model
 from .synthesis import RealizationError, realize_supervisor, supremal_controllable
@@ -189,7 +190,7 @@ def export(model_file, fmt, out):
     _emit(text, out)
 
 
-def _parse_policy(spec: str) -> AttackerPolicy:
+def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
     if spec == ALL_OUT:
         return AttackerPolicy.all_out()
     if spec.startswith(f"{RANDOM}:"):
@@ -199,13 +200,13 @@ def _parse_policy(spec: str) -> AttackerPolicy:
             _fail(f"bad probability in policy {spec!r}")
         if not 0.0 <= probability <= 1.0:
             _fail(f"probability in policy {spec!r} must lie in [0, 1]")
-        return AttackerPolicy.seeded_random(probability)
+        return AttackerPolicy.seeded_random(probability, seed)
     try:
-        with open(spec) as handle:
+        with open(spec, encoding="utf-8") as handle:
             decisions = json.load(handle)
     except OSError:
         _fail(f"unknown policy {spec!r} (expected all-out, random:p, or a script file)")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable bytes or malformed JSON
         _fail(f"script file {spec!r}: {exc}")
     if not isinstance(decisions, list) or not all(
         d is None or isinstance(d, str) for d in decisions
@@ -224,9 +225,7 @@ def _parse_policy(spec: str) -> AttackerPolicy:
 def simulate(model_file, policy, seed, max_steps):
     """Run the closed loop once, printing one JSON record per step."""
     model = _load_attacked(model_file)
-    attacker = _parse_policy(policy)
-    if attacker.kind in (RANDOM, SCRIPTED):
-        attacker.seed = seed
+    attacker = _parse_policy(policy, seed)
     try:
         states = run(model, attacker, max_steps)
     except IllegalEventError as exc:
@@ -239,6 +238,7 @@ def simulate(model_file, policy, seed, max_steps):
 @click.argument("plant_file")
 @click.argument("spec_file")
 @click.option("--out", default=None)
+@_within_budget
 def synthesize(plant_file, spec_file, out):
     """Synthesize a supervisor realization for an admissible behavior."""
     plant_doc = _load_plain(plant_file)

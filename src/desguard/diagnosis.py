@@ -7,9 +7,9 @@ observer of the labeled model and classifies each estimate as normal,
 uncertain, or certain.
 
 Every estimate the package computes comes from one `EstimateTable` per
-model, held on `Analysis`: the diagnoser, the online detector of
-`runtime` and the defended-run oracle step estimates through it, so each
-unobservable closure is computed at most once per model.
+model, held on `Analysis`: the diagnoser's observer, the online detector
+and the defended product of `runtime` all step through it, so each
+unobservable closure and each step is computed at most once per model.
 `build_diagnoser` can end at the first estimate a predicate accepts.
 `Analysis` also holds one backward closure per model, the labeled states
 from which an unsafe state is reachable; the verifier, oracle and witness
@@ -21,9 +21,9 @@ observation-equivalent string pairs become joint states, and a tracker
 follows the attacked behavior past detection.  `tracker_moves` is the
 one construction of that product: its start node and successor
 function, read straight off the closed loop and the labeled model.  The
-verifier test and `confusion_witness` search it without building any
-automaton; `build_verifier` records one search of it as the verifier and
-tracker automata, for inspection.
+verifier test searches all of it and `confusion_witness` its pairs (never
+past a detected node), without building any automaton; `build_verifier`
+records one search of it as the verifier and tracker automata.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ NORMAL = "normal"
 CERTAIN = "certain"
 UNCERTAIN = "uncertain"
 
+# A detected node of `tracker_moves` is (SINK, attacked labeled state); no
+# closed-loop state equals SINK, as each is a (supervisor, plant) pair.
 SINK = "A"
-
-
-# Sink marker of `tracker_moves` nodes.  A bare object equals no
-# closed-loop state, whatever its components are named.
-DETECTED = object()
 
 
 @dataclass(frozen=True)
@@ -216,13 +213,13 @@ def build_verifier(model: AttackedModel) -> VerifierArtifacts:
     pair_edges, tracker_edges = [], []
 
     def tracked(node):
-        return (SINK, node[1]) if node[0] is DETECTED else (node, node[1])
+        return node if node[0] == SINK else (node, node[1])
 
     def recorded(node):
         edges = moves(node)
         for event, target in edges:
             tracker_edges.append((tracked(node), event, tracked(target)))
-            if target[0] is not DETECTED:
+            if target[0] != SINK:
                 pair_edges.append((node, event, target))
         return edges
 
@@ -233,20 +230,17 @@ def build_verifier(model: AttackedModel) -> VerifierArtifacts:
     )
 
 
-def tracker_moves(
-    model: AttackedModel, detection: bool = True, keep: frozenset | None = None
-):
+def tracker_moves(model: AttackedModel, keep: frozenset | None = None):
     """Start node and successor function of the tracker product, on the fly.
 
     Nodes are (attack-free state, attacked labeled state) pairs, exactly
-    the states of `build_verifier`'s verifier, and, when `detection` is
-    set, (DETECTED, attacked labeled state) nodes, the tracker's
-    (SINK, .) states.  Unobservable non-attack events of the attack-free
-    side are private ``#r`` moves, observable non-attack events
+    the states of `build_verifier`'s verifier, and detected nodes (SINK,
+    attacked labeled state).  Unobservable non-attack events of the
+    attack-free side are private ``#r`` moves, observable non-attack events
     synchronize, and the attacked side stays among the labeled states in
     `keep`, by default those co-reachable to an attacked label.  An
     observable event the attacked side can take but the pair cannot
-    leads to DETECTED, from where only uncontrollable events continue.
+    leads to a detected node, from where only uncontrollable events continue.
     Successors come sorted by event, the `out_edges` order of the
     materialized automata, so a breadth-first search visits nodes in the
     same order as one over them.  None when the initial labeled state is
@@ -267,10 +261,10 @@ def tracker_moves(
     def moves(node):
         normal, attacked = node
         edges = []
-        if normal is DETECTED:
+        if normal == SINK:
             for event, target in attacked_out[attacked].items():
                 if event in uncontrollable and target in keep:
-                    edges.append((event, (DETECTED, target)))
+                    edges.append((event, (SINK, target)))
         else:
             normal_edges = normal_out[normal]
             attacked_edges = attacked_out[attacked]
@@ -286,8 +280,8 @@ def tracker_moves(
                     continue
                 if event not in observable:
                     edges.append((event, (normal, target)))
-                elif detection and (event in attack_events or event not in normal_edges):
-                    edges.append((event, (DETECTED, target)))
+                elif event in attack_events or event not in normal_edges:
+                    edges.append((event, (SINK, target)))
         # Events are distinct, so sorting never compares nodes.
         edges.sort()
         return edges
@@ -324,26 +318,28 @@ def confusion_witness(
 ) -> tuple[Trace, Trace] | None:
     """A pair (attack-free trace, attacked trace) with equal observations.
 
-    Searches the verifier pairs for one whose attacked component is
-    labeled, optionally insisting that the attacked trace contain
-    `require_event` and/or end in an unsafe state.  Returns None when the
-    attacked behavior is never observation-equivalent to attack-free
-    behavior.
+    Searches the pairs of the tracker product, never past a sink node,
+    for one whose attacked component is labeled, optionally insisting
+    that the attacked trace contain `require_event` and/or end in an
+    unsafe state.  Returns None when the attacked behavior is never
+    observation-equivalent to attack-free behavior.
     """
-    product = tracker_moves(model, detection=False)
+    product = tracker_moves(model)
     if product is None:
         return None
     start, pair_moves = product
 
     def moves(node):
         pair, satisfied = node
-        for event, target in pair_moves(pair):
-            yield event, (target, satisfied or event == require_event)
+        if pair[0] != SINK:
+            for event, target in pair_moves(pair):
+                yield event, (target, satisfied or event == require_event)
 
     def confused(node):
-        (_, (attacked, label)), satisfied = node
+        (normal, (attacked, label)), satisfied = node
         return (
-            label == ATTACKED
+            normal != SINK
+            and label == ATTACKED
             and satisfied
             and (not unsafe_only or attacked in model.unsafe_states)
         )

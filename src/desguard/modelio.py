@@ -271,10 +271,10 @@ def dumps_doc(doc: dict) -> str:
 
 def load_path(path: str):
     """Load a model file; returns ModelDocument or AttackedModel by format."""
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: document must be an object")

@@ -7,10 +7,12 @@ is disabled from then on.  Attack opportunities are filtered through an
 attacker policy, so the same engine serves demonstrations, trace
 generation, and the exhaustive defense check.  Every estimate step reads
 the model's shared estimate table (`Analysis.estimates`), so runs and
-the diagnoser compute each unobservable closure once between them.  The
-exhaustive check either reports every defended run or, for a verdict,
-searches only the labeled states that can still reach an unsafe state
-(one backward closure per model) and stops at the first unsafe run.
+the diagnoser compute each unobservable closure once between them.
+`defended_moves` is the one defended product, searched by the exhaustive
+check (the oracle) and the diagnoser's witness searches.  The check
+either reports every defended run or, for a verdict, searches only the
+labeled states that can still reach an unsafe state (one backward
+closure per model) and stops at the first unsafe run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable
 
 from .attacks import AttackedModel
 from .automata import Trace, explore, path_to, state_name
-from .diagnosis import CERTAIN, classify
+from .diagnosis import CERTAIN, Analysis, classify
 
 ALL_OUT = "all-out"
 SCRIPTED = "scripted"
@@ -98,10 +100,14 @@ class ExecutionState:
 
     composed: object
     estimate: frozenset
-    safe_mode: bool
     trace: Trace = ()
     observed: Trace = ()
     decisions_used: int = 0
+
+    @property
+    def safe_mode(self) -> bool:
+        """Controllable events are disabled once the estimate is certain."""
+        return classify(self.estimate) == CERTAIN
 
     @property
     def supervisor_state(self):
@@ -113,12 +119,7 @@ class ExecutionState:
 
 
 def initial_state(model: AttackedModel) -> ExecutionState:
-    estimate = model.analysis.estimates.initial
-    return ExecutionState(
-        composed=model.model.initial,
-        estimate=estimate,
-        safe_mode=classify(estimate) == CERTAIN,
-    )
+    return ExecutionState(model.model.initial, model.analysis.estimates.initial)
 
 
 def _choices(
@@ -155,8 +156,8 @@ def step(
 
     A random policy picks from the same draw that decided what is
     enabled.  Returns None when `choice` is None and nothing is enabled:
-    the run has ended.  The estimate advances only on observable events,
-    and safe mode latches as soon as the estimate becomes certain.
+    the run has ended.  The estimate advances only on observable events;
+    safe mode holds from the step at which it becomes certain.
     """
     enabled, attacks = _choices(state, model, policy)
     if choice is None:
@@ -181,7 +182,6 @@ def step(
     return ExecutionState(
         composed=composed,
         estimate=estimate,
-        safe_mode=state.safe_mode or classify(estimate) == CERTAIN,
         trace=state.trace + (choice,),
         observed=observed,
         decisions_used=state.decisions_used + (1 if attacks else 0),
@@ -214,14 +214,41 @@ class RunReport:
         return bool(self.unsafe_runs)
 
 
+def defended_moves(analysis: Analysis, live: frozenset):
+    """Start node and successor function of the defended product, on the fly.
+
+    Nodes are (labeled state, estimate) pairs; once the estimate is
+    certain, controllable events are dropped.  No labeled state outside
+    `live` is entered (the start node is the caller's to check).  The
+    attack label is absorbing, so certainty latches: non-certain nodes are
+    reached only through non-certain ones, where nothing is pruned.
+    """
+    aut = analysis.labeled.automaton
+    estimates = analysis.estimates
+    observable = analysis.observable
+    controllable = analysis.controllable
+
+    def moves(node):
+        lstate, estimate = node
+        safe_mode = classify(estimate) == CERTAIN
+        for event, target in aut.out_edges(lstate):
+            if (safe_mode and event in controllable) or target not in live:
+                continue
+            if event in observable:
+                yield event, (target, estimates.step(estimate, event))
+            else:
+                yield event, (target, estimate)
+
+    return (aut.initial, estimates.initial), moves
+
+
 def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunReport:
     """Explore every run of the closed loop under the online defense.
 
-    Nodes are (labeled model state, estimate) pairs; safe mode is implied
-    by the estimate being certain, so the node space is finite.  Reports
-    the runs that reach an unsafe state despite the defense, the runs that
-    get stuck, and the detection latency (events between the first attack
-    artifact and certainty) along the exploration tree.
+    One breadth-first search of `defended_moves`.  Reports the runs that
+    reach an unsafe state despite the defense, the runs that get stuck,
+    and the detection latency (events between the first attack artifact
+    and certainty) along the exploration tree.
 
     With `stop_at_breach` the search skips labeled states outside
     `Analysis.unsafe_coreach` (nothing is searched when the initial one
@@ -237,44 +264,24 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
     define a run tree independent of exploration order.
     """
     analysis = model.analysis
-    aut = analysis.labeled.automaton
-    estimates = analysis.estimates
-    observable = analysis.observable
-    controllable = analysis.controllable
     attack_events = model.attack_events
     unsafe = model.unsafe_states
-    stuck_nodes: list[tuple] = []
-    attack_transitions = 0
-    live = analysis.unsafe_coreach if stop_at_breach else aut.states
-    if aut.initial not in live:
+    live = analysis.unsafe_coreach if stop_at_breach else analysis.labeled.automaton.states
+    start, moves = defended_moves(analysis, live)
+    if start[0] not in live:
         return RunReport(0, (), (), (), 0)
+    attack_transitions = 0
 
-    def certain(estimate):
-        return classify(estimate) == CERTAIN
-
-    def moves(node):
+    def counted(node):
         nonlocal attack_transitions
-        lstate, estimate = node
-        safe_mode = certain(estimate)
-        stuck = True
-        for event, target in aut.out_edges(lstate):
-            if safe_mode and event in controllable:
-                continue
-            stuck = False
-            if target not in live:
-                continue
+        for event, target in moves(node):
             if event in attack_events:
                 attack_transitions += 1
-            if event in observable:
-                yield event, (target, estimates.step(estimate, event))
-            else:
-                yield event, (target, estimate)
-        if stuck:
-            stuck_nodes.append(node)
+            yield event, target
 
     parents, breach = explore(
-        [(aut.initial, estimates.initial)],
-        moves,
+        [start],
+        counted,
         (lambda node: node[0][0] in unsafe) if stop_at_breach else None,
         overflow="exhaustive exploration exceeded {limit} nodes",
     )
@@ -287,21 +294,24 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
             attack_transitions=attack_transitions,
         )
 
+    def certain(node):
+        return classify(node[1]) == CERTAIN
+
     latencies = []
     for node, parent in parents.items():
-        if not certain(node[1]) or (parent is not None and certain(parent[0][1])):
+        if not certain(node) or (parent is not None and certain(parent[0])):
             continue
         trace = path_to(parents, node)
-        first_attack = next(
-            (i for i, e in enumerate(trace) if e in attack_events), None
-        )
+        first_attack = next((i for i, e in enumerate(trace) if e in attack_events), None)
         if first_attack is not None:
             latencies.append(len(trace) - 1 - first_attack)
 
     return RunReport(
         explored=len(parents),
         unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0][0] in unsafe),
-        stuck_runs=tuple((path_to(parents, n), n[0][0]) for n in stuck_nodes),
+        stuck_runs=tuple(
+            (path_to(parents, n), n[0][0]) for n in parents if next(moves(n), None) is None
+        ),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,
     )
@@ -309,16 +319,14 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
 
 def log_records(states: list[ExecutionState]) -> list[dict]:
     """Line-oriented execution log: one record per step."""
-    records = []
-    for index, st in enumerate(states):
-        records.append(
-            {
-                "step": index,
-                "event": st.trace[-1] if index else None,
-                "plant": state_name(st.plant_state),
-                "supervisor": state_name(st.supervisor_state),
-                "diagnoser": state_name(st.estimate),
-                "safe_mode": st.safe_mode,
-            }
-        )
-    return records
+    return [
+        {
+            "step": index,
+            "event": st.trace[-1] if index else None,
+            "plant": state_name(st.plant_state),
+            "supervisor": state_name(st.supervisor_state),
+            "diagnoser": state_name(st.estimate),
+            "safe_mode": st.safe_mode,
+        }
+        for index, st in enumerate(states)
+    ]

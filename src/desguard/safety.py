@@ -6,12 +6,15 @@ plant out of the unsafe states no matter what the attacker does.  Three
 independent routes decide the property:
 
 * the diagnoser test inspects the detector's estimate structure, and its
-  observer stops at the first estimate that violates the first condition,
+  observer stops at the first estimate that violates the first condition;
+  its counterexamples come from a search of the defended product
+  (`runtime.defended_moves`), which before detection prunes nothing,
 * the verifier test inspects observation-equivalent string pairs and the
-  post-detection tracker, in one on-the-fly search that stops at the
-  first violation,
-* the exhaustive simulation literally runs the defense over every run,
-  up to the first one that reaches an unsafe state.
+  post-detection tracker, in one on-the-fly search of the tracker product
+  (`diagnosis.tracker_moves`) that stops at the first violation,
+* the exhaustive simulation literally runs the defense over every run, a
+  search of the defended product up to the first run that reaches an
+  unsafe state.
 
 All three must agree; the simulation is the ground truth the other two
 are checked against.  All three read the model's one estimate table and
@@ -39,7 +42,6 @@ from .automata import Trace, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
-    DETECTED,
     NORMAL,
     SINK,
     UNCERTAIN,
@@ -51,7 +53,7 @@ from .diagnosis import (
     strip_renamed,
     tracker_moves,
 )
-from .runtime import run_exhaustive
+from .runtime import defended_moves, run_exhaustive
 
 DIAGNOSER = "diagnoser"
 VERIFIER = "verifier"
@@ -101,29 +103,6 @@ class Verdict:
     counterexample: Trace | None = None
     x_uc: frozenset | None = None
     witness_state: str | None = None
-
-
-def _estimate_moves(analysis: Analysis):
-    """Successors of (labeled state, estimate) nodes, the estimate replaying
-    the detector; no defense pruning, so paths describe what can happen
-    before and at detection.  Labeled states that cannot reach an unsafe
-    state are never entered: no witness of a violation passes them."""
-    aut = analysis.labeled.automaton
-    estimates = analysis.estimates
-    unobservable = analysis.unobservable
-    live = analysis.unsafe_coreach
-
-    def moves(node):
-        lstate, estimate = node
-        for event, lnext in aut.out_edges(lstate):
-            if lnext not in live:
-                continue
-            if event in unobservable:
-                yield event, (lnext, estimate)
-            else:
-                yield event, (lnext, estimates.step(estimate, event))
-
-    return (aut.initial, estimates.initial), moves
 
 
 def _entry_sets(analysis: Analysis, diagnoser: Diagnoser) -> list[frozenset]:
@@ -177,7 +156,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
 
         # Every member of a reachable estimate is reachable paired with
         # it, so the search finds a witness.
-        start, moves = _estimate_moves(analysis)
+        start, moves = defended_moves(analysis, analysis.unsafe_coreach)
         parents, found = explore([start], moves, confused)
         return Verdict(
             safe=False,
@@ -239,7 +218,7 @@ def _detection_edge_witness(analysis, diagnoser, arrival_ok):
     so the search always finds one.
     """
     classification = diagnoser.classification
-    start, moves = _estimate_moves(analysis)
+    start, moves = defended_moves(analysis, analysis.unsafe_coreach)
 
     def detection_edge(node):
         if classification[node[1]] == CERTAIN:
@@ -286,25 +265,23 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     parents, found = explore(
         [start],
         moves,
-        lambda node: node[0] is not DETECTED and unsafe_attacked(node),
+        lambda node: node[0] != SINK and unsafe_attacked(node),
         overflow="verifier search exceeded {limit} states",
     )
-    if found is not None:
-        condition, witness = VERIFIER_PAIR_UNSAFE, found
-    else:
+    condition = VERIFIER_PAIR_UNSAFE
+    if found is None:
+        condition = VERIFIER_POST_DETECTION_UNSAFE
         found = next(
-            (node for node in parents if node[0] is DETECTED and unsafe_attacked(node)),
-            None,
+            (node for node in parents if node[0] == SINK and unsafe_attacked(node)), None
         )
         if found is None:
             return Verdict(safe=True, method=VERIFIER)
-        condition, witness = VERIFIER_POST_DETECTION_UNSAFE, (SINK, found[1])
     return Verdict(
         safe=False,
         method=VERIFIER,
         violated_condition=condition,
         counterexample=strip_renamed(path_to(parents, found)) or None,
-        witness_state=state_name(witness),
+        witness_state=state_name(found),
     )
 
 

@@ -242,6 +242,7 @@ class TestStateBudget:
         ("build", "build_model"),
         ("check", "check_model"),
         ("simulate", "run"),
+        ("synthesize", "supremal_controllable"),
     ])
     def test_overflow_exits_4_without_a_verdict(
         self, runner, demo_files, demo_model_file, monkeypatch, command, route
@@ -255,6 +256,7 @@ class TestStateBudget:
             "build": ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "b"],
             "check": ["check", str(demo_model_file), "--method", "all"],
             "simulate": ["simulate", str(demo_model_file)],
+            "synthesize": ["synthesize", str(plant), str(supervisor)],
         }[command]
         result = runner.invoke(main, args)
         assert result.exit_code == 4
@@ -286,6 +288,15 @@ class TestBadInputExitCodes:
                      None, 2, id="export-out-unwritable"),
         pytest.param(["synthesize", "{plant}", "{plant}", "--out", "{missing}"],
                      None, 2, id="synthesize-out-unwritable"),
+        pytest.param(["check", "{undecodable}"], None, 2, id="check-model-not-utf8"),
+        pytest.param(["build", "{undecodable}", "{supervisor}", "--mode", "ae", "--vulnerable", "b"],
+                     None, 2, id="build-plant-not-utf8"),
+        pytest.param(["simulate", "{undecodable}"], None, 2, id="simulate-model-not-utf8"),
+        pytest.param(["simulate", "{model}", "--policy", "{undecodable}"],
+                     None, 2, id="simulate-script-not-utf8"),
+        pytest.param(["synthesize", "{plant}", "{undecodable}"],
+                     None, 2, id="synthesize-spec-not-utf8"),
+        pytest.param(["export", "{undecodable}"], None, 2, id="export-model-not-utf8"),
     ])
     def test_exit_code_without_traceback(
         self, runner, demo_files, demo_model_file, tmp_path, args, script, code
@@ -293,12 +304,15 @@ class TestBadInputExitCodes:
         plant, supervisor = demo_files
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps(script))
+        undecodable = tmp_path / "undecodable.json"
+        undecodable.write_bytes(b"\xff\xfe{}")
         paths = {
             "model": demo_model_file,
             "plant": plant,
             "supervisor": supervisor,
             "script": script_path,
             "missing": tmp_path / "missing" / "out.json",
+            "undecodable": undecodable,
         }
         result = runner.invoke(main, [arg.format(**paths) for arg in args])
         assert result.exit_code == code, result.output

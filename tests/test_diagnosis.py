@@ -8,7 +8,6 @@ from desguard.diagnosis import (
     ATTACKED,
     CERTAIN,
     CLEAN,
-    DETECTED,
     NORMAL,
     SINK,
     UNCERTAIN,
@@ -262,21 +261,21 @@ class TestTrackerMoves:
             assert ours.transitions == reference.transitions
         start, moves = product
         parents, _ = explore([start], moves)
-        pairs = {node for node in parents if node[0] is not DETECTED}
-        sinks = {(SINK, node[1]) for node in parents if node[0] is DETECTED}
+        pairs = {node for node in parents if node[0] != SINK}
+        sinks = {node for node in parents if node[0] == SINK}
         assert pairs == artifacts.verifier.states
         assert sinks == {s for s in artifacts.tracker.states if s[0] == SINK}
 
         # Every edge is a tracker edge, in the tracker's out_edges order.
         def tracked(node):
-            return (SINK, node[1]) if node[0] is DETECTED else (node, node[1])
+            return node if node[0] == SINK else (node, node[1])
 
         for node in parents:
             edges = [(event, tracked(target)) for event, target in moves(node)]
             assert edges == artifacts.tracker.out_edges(tracked(node))
-        without_sink = tracker_moves(model, detection=False)[1]
         for node in pairs:
-            assert list(without_sink(node)) == artifacts.verifier.out_edges(node)
+            edges = [(event, target) for event, target in moves(node) if target[0] != SINK]
+            assert edges == artifacts.verifier.out_edges(node)
         return True
 
     def test_fixtures(self, request):

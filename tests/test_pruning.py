@@ -20,7 +20,6 @@ from desguard.attacks import MODE_AE, MODE_SE, MODE_SI
 from desguard.automata import explore, parallel_compose, path_to, state_name
 from desguard.diagnosis import (
     ATTACKED,
-    DETECTED,
     SINK,
     label_compose,
     strip_renamed,
@@ -101,13 +100,12 @@ def reference_verifier(model):
     parents, _ = explore([start], moves)
     unsafe = model.unsafe_states
     goals = [n for n in parents if n[1][1] == ATTACKED and n[1][0] in unsafe]
-    pairs = [n for n in goals if n[0] is not DETECTED]
+    pairs = [n for n in goals if n[0] != SINK]
     if pairs:
         found = witness = pairs[0]
         condition = VERIFIER_PAIR_UNSAFE
     elif goals:
-        found = goals[0]
-        witness = (SINK, found[1])
+        found = witness = goals[0]
         condition = VERIFIER_POST_DETECTION_UNSAFE
     else:
         return None, None, None

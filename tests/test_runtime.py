@@ -1,10 +1,16 @@
+import json
+import random
+
 import pytest
 
-from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model
-from desguard.automata import state_name
+from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
+from desguard.automata import explore, observer, state_name
+from desguard.diagnosis import CERTAIN, classify
+from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 from desguard.runtime import (
     AttackerPolicy,
     IllegalEventError,
+    defended_moves,
     enabled_choices,
     initial_state,
     log_records,
@@ -12,6 +18,9 @@ from desguard.runtime import (
     run_exhaustive,
     step,
 )
+from desguard.safety import check_gf_safe_diagnoser
+
+from generators import random_model
 
 
 class TestStep:
@@ -153,3 +162,64 @@ class TestLogs:
         assert records[-1]["plant"] == "4"
         assert records[-1]["safe_mode"] is True
         assert [r["event"] for r in records[1:]] == ["a", "b#a", "c"]
+
+
+FIXTURES = [
+    "actuator_model",
+    "blocking_model",
+    "erasure_model",
+    "insertion_model",
+    "traffic_ae_model",
+    "traffic_se_model",
+    "traffic_si_model",
+]
+
+
+def _models(request):
+    """(seed, model): the fixtures with seed 0, each reloaded through
+    modelio so that its estimate table starts empty, and random_model
+    seeds 0-99 in every mode."""
+    for name in FIXTURES:
+        model = request.getfixturevalue(name)
+        yield 0, parse_attacked(json.loads(dumps_doc(attacked_to_doc(model))))
+    for seed in range(100):
+        for mode in (MODE_AE, MODE_SE, MODE_SI):
+            yield seed, random_model(random.Random(seed), mode)
+
+
+class TestCertaintyLatches:
+    """The invariant that lets one defended product serve the oracle and
+    the diagnoser's witness searches: certainty is never lost."""
+
+    def test_certain_nodes_lead_only_to_certain_nodes(self, request):
+        for _, model in _models(request):
+            analysis = model.analysis
+            start, moves = defended_moves(analysis, analysis.labeled.automaton.states)
+            parents, _ = explore([start], moves)
+            for node in parents:
+                if classify(node[1]) != CERTAIN:
+                    continue
+                for event, target in moves(node):
+                    assert event not in analysis.controllable
+                    assert classify(target[1]) == CERTAIN
+
+    def test_safe_mode_never_switches_off(self, request):
+        for seed, model in _models(request):
+            states = run(model, AttackerPolicy.seeded_random(0.5, seed), 50)
+            modes = [st.safe_mode for st in states]
+            assert modes == sorted(modes)
+
+    def test_observer_steps_are_the_shared_table_steps(self, request):
+        checked = 0
+        for _, model in _models(request):
+            if model.analysis.nominal_unsafe or not check_gf_safe_diagnoser(model).safe:
+                continue
+            analysis = model.analysis
+            estimates = analysis.estimates
+            reference = observer(analysis.labeled.automaton, analysis.unobservable)
+            remembered = dict(estimates._steps)  # filled by the check's observer
+            for (estimate, event), target in reference.transitions.items():
+                assert remembered[estimate, event] == target
+                assert estimates.step(estimate, event) == target
+            checked += 1
+        assert checked
