@@ -11,13 +11,15 @@ description into the closed-loop automaton under one of three attacks:
   occurrences of vulnerable observable events it expects (onset suffix
   ``#i``, followed by the genuine-looking event).
 
-The modes differ only in the artifact event and where the supervisor
-self-loops it (the `_RULES` table), and in that an insertion gives the
-plant fresh states.  The attack happens at every opportunity (the worst
-case).  Every closed-loop state is a (supervisor, plant) pair, whether
-the model was built here or loaded from a file.  `sub_attacker` derives
-weaker attackers from an actuator-enablement model by dropping attack
-opportunities from its closed loop.
+The closed loop is one search over (supervisor, plant) pairs.  The modes
+differ only in the artifact event and where the supervisor self-loops it
+(the `_RULES` table), and in that an insertion passes the plant through
+a fresh state, named when the search first reaches it.  The attack
+happens at every opportunity (the worst case).  Every closed-loop state
+is a (supervisor, plant) pair, whether the model was built here or
+loaded from a file.  `sub_attacker` derives weaker attackers from an
+actuator-enablement model by dropping attack opportunities from its
+closed loop.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .automata import (
     EventInfo,
     Trace,
     accessible,
-    parallel_compose,
+    explore,
     state_name,
 )
 
@@ -211,23 +213,17 @@ _RULES = {
         lambda info: (False, info.controllable),
         lambda active, info: active or not info.controllable,
     ),
-    # Sensor insertion: every plant state j gains j -e#i-> fresh -e-> j per
-    # vulnerable e, the onset of a fictitious occurrence that looks genuine
-    # to the supervisor and leaves the plant where it was.  The supervisor
-    # self-loops e#i where e is active: inserting an event it does not
-    # expect would only reveal the attacker.  Onsets are unobservable and
-    # uncontrollable.
+    # Sensor insertion: plant state j gains j -e#i-> ins(j,e) -e-> j per
+    # vulnerable plant event e: an unobservable, uncontrollable onset, then
+    # a fictitious e that looks genuine to the supervisor and leaves the
+    # plant where it was.  The supervisor self-loops e#i where e is active:
+    # inserting an event it does not expect would only reveal the attacker.
     MODE_SI: _Rule(
         SI_SUFFIX, SI_ONSET, True,
         lambda info: (False, False),
         lambda active, info: active,
     ),
 }
-
-
-def insertion_state(plant_state, event: str) -> str:
-    """Deterministic name for the fresh plant state of an insertion."""
-    return f"ins({state_name(plant_state)},{event})"
 
 
 def build_model(
@@ -238,10 +234,12 @@ def build_model(
 ) -> AttackedModel:
     """Closed loop of `plant` and `supervisor` under the `mode` attacker.
 
-    The attacked plant and attacked supervisor follow the mode's row in
-    `_RULES`.  In every mode the supervisor also self-loops each
-    uncontrollable event outside its active set, because under attack the
-    plant may have moved without the supervisor's knowledge.
+    One breadth-first search over (supervisor, plant) pairs, with the
+    mode's moves read off `_RULES`.  The supervisor follows an event on its
+    own transition, else self-loops an artifact where its rule holds and an
+    uncontrollable plant event outside its active set (under attack the
+    plant may have moved unseen).  Supervisor-only events interleave, and
+    insertion states are named when the search first reaches them.
     """
     rule = _RULES.get(mode)
     if rule is None:
@@ -249,57 +247,56 @@ def build_model(
     alphabet = vuln.alphabet
     _check_inputs(plant, supervisor, alphabet)
     vulnerable = vuln.vulnerable_sensors if rule.on_sensors else vuln.vulnerable_actuators
+    if mode == MODE_SI and (missing := sorted(vulnerable - plant.events)):
+        raise VulnerabilityError(f"inserted events missing from the plant: {missing}")
     artifact = {e: e + rule.suffix for e in vulnerable}
     attack_events = frozenset(artifact.values())
-
-    states = set(plant.states)
-    transitions = dict(plant.transitions)
-    if mode == MODE_SI:
-        for state in sorted(plant.states, key=state_name):
-            for event in sorted(vulnerable):
-                fresh = insertion_state(state, event)
-                if fresh in states:
-                    raise VulnerabilityError(f"state name collision on {fresh!r}")
-                states.add(fresh)
-                transitions[(state, artifact[event])] = fresh
-                transitions[(fresh, event)] = state
-    else:
-        for (src, event), dst in plant.transitions.items():
-            if event in vulnerable:
-                transitions[(src, artifact[event])] = dst
-    plant_attacked = Automaton(
-        frozenset(states), plant.events | attack_events, transitions, plant.initial, plant.marked
-    )
-
     uncontrollable = alphabet.uncontrollable_events() & plant.events
-    transitions = dict(supervisor.transitions)
-    for state in supervisor.states:
-        active = supervisor.active_events(state)
-        for event in vulnerable:
-            if rule.self_loop(event in active, alphabet[event]):
-                transitions[(state, artifact[event])] = state
-        for event in uncontrollable - active:
-            transitions[(state, event)] = state
-    supervisor_attacked = Automaton(
-        supervisor.states,
-        supervisor.events | plant.events | attack_events,
-        transitions,
-        supervisor.initial,
-        supervisor.marked,
-    )
+    private = supervisor.events - plant.events
+    onsets = [(e, None) for e in sorted(vulnerable)]
+    inserted: dict = {}  # insertion state -> its one edge (event, plant state)
+    transitions: dict = {}
 
+    def moves(node):
+        sup, state = node
+        active = supervisor._out[sup]
+        found = [(e, (dst, state)) for e, dst in active.items() if e in private]
+        if state in inserted:
+            edges, attacks = (inserted[state],), ()
+        else:
+            edges = plant._out[state].items()
+            attacks = onsets if mode == MODE_SI else [m for m in edges if m[0] in artifact]
+        for event, dst in edges:
+            if event in active:
+                found.append((event, (active[event], dst)))
+            elif event in uncontrollable:
+                found.append((event, (sup, dst)))
+        for event, dst in attacks:
+            if rule.self_loop(event in active, alphabet[event]):
+                if mode == MODE_SI:
+                    dst, edge = f"ins({state_name(state)},{event})", (event, state)
+                    if dst in plant.states or inserted.setdefault(dst, edge) != edge:
+                        raise VulnerabilityError(f"state name collision on {dst!r}")
+                found.append((artifact[event], (sup, dst)))
+        found.sort()
+        transitions.update(((node, event), target) for event, target in found)
+        return found
+
+    initial = (supervisor.initial, plant.initial)
+    states, _ = explore((initial,), moves, overflow="composition exceeded {limit} states")
+    marked = (s for s in states if s[0] in supervisor.marked and s[1] in plant.marked)
+    closed_loop = Automaton(
+        states, supervisor.events | plant.events | attack_events, transitions, initial, marked
+    )
     infos = {}
     for event in vulnerable:
         observable, controllable = rule.artifact_info(alphabet[event])
         infos[artifact[event]] = EventInfo(observable, controllable, kind=rule.kind, base=event)
-    closed_loop = parallel_compose(supervisor_attacked, plant_attacked)
     return AttackedModel(
         model=closed_loop,
         alphabet=alphabet.with_vulnerable(vulnerable).extended(infos),
         attack_events=attack_events,
-        unsafe_states=frozenset(
-            s for s in closed_loop.states if s[1] in vuln.unsafe_plant_states
-        ),
+        unsafe_states=frozenset(s for s in states if s[1] in vuln.unsafe_plant_states),
         mode=mode,
     )
 

@@ -208,6 +208,8 @@ def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
         _fail(f"unknown policy {spec!r} (expected all-out, random:p, or a script file)")
     except ValueError as exc:  # undecodable bytes or malformed JSON
         _fail(f"script file {spec!r}: {exc}")
+    except RecursionError:  # nested deeper than the decoder's stack
+        _fail(f"script file {spec!r}: JSON nested too deeply")
     if not isinstance(decisions, list) or not all(
         d is None or isinstance(d, str) for d in decisions
     ):

@@ -110,10 +110,13 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
         infos[name] = EventInfo(
             observable=bool(_require(entry, "observable", bool, here)),
             controllable=bool(_require(entry, "controllable", bool, here)),
-            vulnerable=bool(entry.get("vulnerable", False)),
+            vulnerable="vulnerable" in entry and _require(entry, "vulnerable", bool, here),
             kind=kind,
-            base=entry.get("base"),
+            base=_require(entry, "base", str, here) if "base" in entry else None,
         )
+    for i, info in enumerate(infos.values()):
+        if info.base is not None and info.base not in infos:
+            raise ModelFormatError(f"{where}: events[{i}]: undeclared base event {info.base!r}")
 
     trans = {}
     for i, entry in enumerate(transitions):
@@ -276,6 +279,8 @@ def load_path(path: str):
             doc = json.load(handle)
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:  # nested deeper than the decoder's stack
+            raise ModelFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: document must be an object")
     if doc.get("format") == ATTACKED_MODEL_FORMAT:

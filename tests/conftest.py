@@ -105,3 +105,14 @@ def nominal_unsafe_demo():
         alphabet, vulnerable_actuators=frozenset({"c"}), unsafe_plant_states=frozenset({"3"})
     )
     return System(plant, supervisor, vuln)
+
+
+@pytest.fixture(scope="session")
+def insertion_collision_demo():
+    """A plant that declares a state named ``ins(1,b)``, the name of the
+    insertion of b at plant state 1, where the loop arrives with b
+    expected."""
+    plant = Automaton.build("0", [("0", "a", "1"), ("1", "b", "2")], states=["ins(1,b)"])
+    supervisor = Automaton.build("s0", [("s0", "a", "s1"), ("s1", "b", "s2")])
+    alphabet = Alphabet.from_sets(["a", "b"], observable=["a", "b"], controllable=["a"])
+    return System(plant, supervisor, VulnerabilitySpec(alphabet, vulnerable_sensors={"b"}))

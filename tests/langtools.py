@@ -1,16 +1,33 @@
 """Brute-force language oracles used to cross-check the library.
 
 Everything here is deliberately naive and independent of the library's
-algorithms: languages are enumerated string by string, and the verifier
-is composed from its parts with the generic `parallel_compose` rather
-than searched on the fly.
+algorithms: languages are enumerated string by string, and the attack
+model and the verifier are composed from their parts with the generic
+`parallel_compose` rather than searched on the fly.
 """
 
 from collections import deque
 from dataclasses import dataclass
 
-from desguard.attacks import RENAME_SUFFIX, AttackedModel
-from desguard.automata import Automaton, accessible, coreach, parallel_compose, project
+from desguard.attacks import (
+    _RULES,
+    MODE_SI,
+    RENAME_SUFFIX,
+    AttackedModel,
+    UnsupportedModeError,
+    VulnerabilityError,
+    VulnerabilitySpec,
+    _check_inputs,
+)
+from desguard.automata import (
+    Automaton,
+    EventInfo,
+    accessible,
+    coreach,
+    parallel_compose,
+    project,
+    state_name,
+)
 from desguard.diagnosis import ATTACKED, CLEAN, SINK, LabeledAutomaton
 
 
@@ -248,4 +265,81 @@ def _complete(verifier: Automaton, observable, uncontrollable) -> Automaton:
         transitions,
         verifier.initial,
         verifier.marked,
+    )
+
+
+def composed_model(
+    mode: str,
+    plant: Automaton,
+    supervisor: Automaton,
+    vuln: VulnerabilitySpec,
+) -> AttackedModel:
+    """The reference `build_model`: the same closed loop, by composition.
+
+    The attacked plant gains the mode's artifact moves: a twin of each
+    vulnerable edge (ae/se), or per plant state j and vulnerable e the
+    insertion j -e#i-> ins(j,e) -e-> j, named for every plant state
+    whether or not the loop reaches it (si).  The attacked supervisor
+    self-loops artifacts where the mode's rule says so and uncontrollable
+    plant events outside its active set.  `parallel_compose` of the two is
+    the closed loop.
+    """
+    rule = _RULES.get(mode)
+    if rule is None:
+        raise UnsupportedModeError(f"unknown attack mode {mode!r}")
+    alphabet = vuln.alphabet
+    _check_inputs(plant, supervisor, alphabet)
+    vulnerable = vuln.vulnerable_sensors if rule.on_sensors else vuln.vulnerable_actuators
+    artifact = {e: e + rule.suffix for e in vulnerable}
+    attack_events = frozenset(artifact.values())
+
+    states = set(plant.states)
+    transitions = dict(plant.transitions)
+    if mode == MODE_SI:
+        for state in sorted(plant.states, key=state_name):
+            for event in sorted(vulnerable):
+                fresh = f"ins({state_name(state)},{event})"
+                if fresh in states:
+                    raise VulnerabilityError(f"state name collision on {fresh!r}")
+                states.add(fresh)
+                transitions[(state, artifact[event])] = fresh
+                transitions[(fresh, event)] = state
+    else:
+        for (src, event), dst in plant.transitions.items():
+            if event in vulnerable:
+                transitions[(src, artifact[event])] = dst
+    plant_attacked = Automaton(
+        frozenset(states), plant.events | attack_events, transitions, plant.initial, plant.marked
+    )
+
+    uncontrollable = alphabet.uncontrollable_events() & plant.events
+    transitions = dict(supervisor.transitions)
+    for state in supervisor.states:
+        active = supervisor.active_events(state)
+        for event in vulnerable:
+            if rule.self_loop(event in active, alphabet[event]):
+                transitions[(state, artifact[event])] = state
+        for event in uncontrollable - active:
+            transitions[(state, event)] = state
+    supervisor_attacked = Automaton(
+        supervisor.states,
+        supervisor.events | plant.events | attack_events,
+        transitions,
+        supervisor.initial,
+        supervisor.marked,
+    )
+
+    infos = {}
+    for event in vulnerable:
+        observable, controllable = rule.artifact_info(alphabet[event])
+        infos[artifact[event]] = EventInfo(observable, controllable, kind=rule.kind, base=event)
+    closed_loop = parallel_compose(supervisor_attacked, plant_attacked)
+    return AttackedModel(
+        model=closed_loop,
+        alphabet=alphabet.with_vulnerable(vulnerable).extended(infos),
+        attack_events=attack_events,
+        unsafe_states=frozenset(
+            s for s in closed_loop.states if s[1] in vuln.unsafe_plant_states
+        ),
+        mode=mode,
     )

@@ -24,7 +24,7 @@ from desguard.attacks import (
 from desguard.automata import Alphabet, Automaton, parallel_compose, state_name
 from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 
-from langtools import enumerate_traces
+from langtools import composed_model, enumerate_traces
 
 K = 6  # bounded-trace horizon
 
@@ -211,6 +211,32 @@ class TestInsertionModel:
         model = build_model(MODE_SI, insertion_demo.plant, insertion_demo.supervisor, vuln)
         nominal = parallel_compose(insertion_demo.supervisor, insertion_demo.plant)
         assert enumerate_traces(model.model, K) == enumerate_traces(nominal, K)
+
+    def test_insertion_name_collision_rejected(self, insertion_collision_demo):
+        system = insertion_collision_demo
+        with pytest.raises(VulnerabilityError, match=r"collision on 'ins\(1,b\)'"):
+            build_model(MODE_SI, system.plant, system.supervisor, system.vuln)
+
+    def test_unreached_insertion_name_is_no_collision(self, insertion_collision_demo):
+        # Plant state 3 is unreachable, so the loop never names ins(3,b);
+        # the reference, which names an insertion at every plant state, refuses.
+        system = insertion_collision_demo
+        plant = Automaton.build(
+            "0", [("0", "a", "1"), ("1", "b", "2")], states=["3", "ins(3,b)"]
+        )
+        model = build_model(MODE_SI, plant, system.supervisor, system.vuln)
+        assert {model.plant_component(s) for s in model.model.states} == {
+            "0", "1", "2", "ins(1,b)"
+        }
+        with pytest.raises(VulnerabilityError, match=r"collision on 'ins\(3,b\)'"):
+            composed_model(MODE_SI, plant, system.supervisor, system.vuln)
+
+    def test_insertion_of_non_plant_event_rejected(self, insertion_collision_demo):
+        # The supervisor expects b, but this plant has no b to fake.
+        system = insertion_collision_demo
+        plant = Automaton.build("0", [("0", "a", "1")])
+        with pytest.raises(VulnerabilityError, match=r"missing from the plant: \['b'\]"):
+            build_model(MODE_SI, plant, system.supervisor, system.vuln)
 
     def test_traffic_insertion_reaches_collision(self, traffic_si_model):
         model = traffic_si_model

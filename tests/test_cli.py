@@ -142,6 +142,19 @@ class TestBuild:
         assert "'(a,b,c)'" in result.output
         assert not out.exists()
 
+    def test_insertion_name_collision_exit_2(self, runner, insertion_collision_demo, tmp_path):
+        system = insertion_collision_demo
+        plant = tmp_path / "plant.json"
+        supervisor = tmp_path / "supervisor.json"
+        plant.write_text(dumps_doc(model_to_doc(system.plant, system.vuln.alphabet)))
+        supervisor.write_text(dumps_doc(model_to_doc(system.supervisor, system.vuln.alphabet)))
+        result = runner.invoke(
+            main, ["build", str(plant), str(supervisor), "--mode", "si", "--vulnerable", "b"]
+        )
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert "error: state name collision on 'ins(1,b)'" in result.output
+
     def test_corrupt_file_is_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -185,6 +198,24 @@ class TestCheck:
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
         assert f"error: {demo_model_file}: " in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    @pytest.mark.parametrize("command", ["check", "export"])
+    @pytest.mark.parametrize(
+        "event,key,value",
+        [("b", "vulnerable", "no"), ("b#a", "base", ["b"]), ("b#a", "base", "zzz")],
+        ids=["vulnerable-string", "base-list", "base-undeclared"],
+    )
+    def test_bad_event_attribute_exit_2(
+        self, runner, demo_model_file, command, event, key, value
+    ):
+        doc = json.loads(demo_model_file.read_text())
+        next(e for e in doc["events"] if e["name"] == event)[key] = value
+        demo_model_file.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, str(demo_model_file)])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert f"error: {demo_model_file}: events[" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_traffic_erasure_safe_with_deadlock_warning(
@@ -297,6 +328,9 @@ class TestBadInputExitCodes:
         pytest.param(["synthesize", "{plant}", "{undecodable}"],
                      None, 2, id="synthesize-spec-not-utf8"),
         pytest.param(["export", "{undecodable}"], None, 2, id="export-model-not-utf8"),
+        pytest.param(["check", "{deep}"], None, 2, id="check-model-nested-too-deeply"),
+        pytest.param(["simulate", "{model}", "--policy", "{deep}"],
+                     None, 2, id="simulate-script-nested-too-deeply"),
     ])
     def test_exit_code_without_traceback(
         self, runner, demo_files, demo_model_file, tmp_path, args, script, code
@@ -306,6 +340,8 @@ class TestBadInputExitCodes:
         script_path.write_text(json.dumps(script))
         undecodable = tmp_path / "undecodable.json"
         undecodable.write_bytes(b"\xff\xfe{}")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
         paths = {
             "model": demo_model_file,
             "plant": plant,
@@ -313,6 +349,7 @@ class TestBadInputExitCodes:
             "script": script_path,
             "missing": tmp_path / "missing" / "out.json",
             "undecodable": undecodable,
+            "deep": deep,
         }
         result = runner.invoke(main, [arg.format(**paths) for arg in args])
         assert result.exit_code == code, result.output

@@ -134,6 +134,24 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=message):
             parse_attacked(doc)
 
+    @pytest.mark.parametrize(
+        "event,key,value,message",
+        [
+            ("b", "vulnerable", "no", "key 'vulnerable' must be bool"),
+            ("b#a", "base", ["b"], "key 'base' must be str"),
+            ("b#a", "base", "zzz", "undeclared base event 'zzz'"),
+        ],
+        ids=["vulnerable-string", "base-list", "base-undeclared"],
+    )
+    def test_attacked_event_attributes_checked(
+        self, actuator_model, event, key, value, message
+    ):
+        doc = attacked_to_doc(actuator_model)
+        entry = next(e for e in doc["events"] if e["name"] == event)
+        entry[key] = value
+        with pytest.raises(ModelFormatError, match=message):
+            parse_attacked(doc)
+
     def test_attacked_requires_components(self, actuator_model):
         doc = attacked_to_doc(actuator_model)
         del doc["components"]
