@@ -6,25 +6,47 @@ diagnose attacks online; and decide whether the detect-then-freeze defense
 keeps the plant out of its unsafe states.
 
 The package exports the names of the README's library tour; everything
-else lives in its module.  Importing the package imports every analysis
-module, so each is reachable as an attribute; the worked examples
-(`desguard.systems`) and the command line (`desguard.cli`) load on demand.
+else lives in its module.  Importing the package loads no submodule.
+Each submodule (`desguard.safety`, `desguard.systems`, ...) and each
+exported name loads its module the first time it is read, so a process
+pays only for what it uses: `desguard build` loads the attack builder,
+the automata and the file format, and `desguard check` adds the analysis
+modules.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from . import attacks, automata, diagnosis, modelio, runtime, safety, synthesis
-from .attacks import MODE_AE, VulnerabilitySpec, build_model
-from .automata import Alphabet, Automaton
-from .safety import check_ae_safe_verifier, check_gf_safe_diagnoser, oracle_defense_simulation
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    "MODE_AE": "attacks",
+    "Alphabet": "automata",
+    "Automaton": "automata",
+    "VulnerabilitySpec": "attacks",
+    "build_model": "attacks",
+    "check_ae_safe_verifier": "safety",
+    "check_gf_safe_diagnoser": "safety",
+    "oracle_defense_simulation": "safety",
+}
+_SUBMODULES = frozenset(
+    {"attacks", "automata", "cli", "diagnosis", "modelio", "runtime", "safety",
+     "synthesis", "systems"}
+)
 
-__all__ = [
-    "MODE_AE",
-    "Alphabet",
-    "Automaton",
-    "VulnerabilitySpec",
-    "build_model",
-    "check_ae_safe_verifier",
-    "check_gf_safe_diagnoser",
-    "oracle_defense_simulation",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    elif name in _SUBMODULES:
+        value = import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_SUBMODULES})

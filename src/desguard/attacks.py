@@ -56,6 +56,13 @@ MODE_SE = "se"
 MODE_SI = "si"
 MODES = (MODE_AE, MODE_SE, MODE_SI)
 
+# Attacker policies of a run (`runtime.AttackerPolicy`): all-out takes
+# every attack opportunity, random each with a probability, scripted as a
+# list of decisions says.
+ALL_OUT = "all-out"
+RANDOM = "random"
+SCRIPTED = "scripted"
+
 
 class VulnerabilityError(ValueError):
     """A vulnerability description is inconsistent with the alphabet."""
@@ -284,9 +291,13 @@ def build_model(
 
     initial = (supervisor.initial, plant.initial)
     states, _ = explore((initial,), moves, overflow="composition exceeded {limit} states")
-    marked = (s for s in states if s[0] in supervisor.marked and s[1] in plant.marked)
-    closed_loop = Automaton(
-        states, supervisor.events | plant.events | attack_events, transitions, initial, marked
+    marked = frozenset(s for s in states if s[0] in supervisor.marked and s[1] in plant.marked)
+    closed_loop = Automaton._unchecked(
+        frozenset(states),
+        supervisor.events | plant.events | attack_events,
+        transitions,
+        initial,
+        marked,
     )
     infos = {}
     for event in vulnerable:

@@ -191,6 +191,36 @@ class Automaton:
         object.__setattr__(self, "_out", out)
 
     @classmethod
+    def _unchecked(
+        cls,
+        states: frozenset,
+        events: frozenset,
+        transitions: dict,
+        initial: State,
+        marked: frozenset,
+    ) -> "Automaton":
+        """The automaton the constructor would build, without its checks.
+
+        For automata the package builds itself or has validated already:
+        the caller guarantees frozensets, a dict it hands over, an initial
+        state and marked states among `states`, and transitions between
+        declared states on declared events.
+        """
+        automaton = object.__new__(cls)
+        out: dict = {s: {} for s in states}
+        for (src, event), dst in transitions.items():
+            out[src][event] = dst
+        vars(automaton).update(
+            states=states,
+            events=events,
+            transitions=transitions,
+            initial=initial,
+            marked=marked,
+            _out=out,
+        )
+        return automaton
+
+    @classmethod
     def build(
         cls,
         initial: State,
@@ -485,7 +515,7 @@ def observer(
         (initial,), moves, stop, limit=max_states, overflow="observer exceeded {limit} states"
     )
     marked = frozenset(s for s in states if s & automaton.marked)
-    return Automaton(frozenset(states), visible, transitions, initial, marked)
+    return Automaton._unchecked(frozenset(states), visible, transitions, initial, marked)
 
 
 def deadlock_states(automaton: Automaton) -> frozenset:

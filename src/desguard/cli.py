@@ -10,6 +10,10 @@ exceeded (no verdict; `synthesize` writes no supervisor).
 `check` exits 2 without a verdict when the model's attack-free closed
 loop already reaches an unsafe state: every route assumes a supervisor
 that is safe without attacks, so none can judge the defense there.
+
+`check`, `simulate` and `synthesize` import the analysis modules they run
+inside their bodies, so `build` and `export` load only the attack builder,
+the automata and the file format.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
 from .attacks import (
+    ALL_OUT,
     MODES,
+    RANDOM,
     AttackedModel,
     VulnerabilityError,
     VulnerabilitySpec,
@@ -30,6 +37,9 @@ from .attacks import (
 )
 from .automata import ResourceLimitError, blocking_states, deadlock_states, state_name
 from .modelio import (
+    ALL_METHODS,
+    DIAGNOSER,
+    METHODS,
     ModelDocument,
     ModelFormatError,
     attacked_to_doc,
@@ -39,11 +49,9 @@ from .modelio import (
     to_dot,
     verdict_to_doc,
 )
-from .runtime import (
-    ALL_OUT, RANDOM, AttackerPolicy, IllegalEventError, log_records, run
-)
-from .safety import DIAGNOSER, ORACLE, VERIFIER, NominalUnsafeError, check_model
-from .synthesis import RealizationError, realize_supervisor, supremal_controllable
+
+if TYPE_CHECKING:
+    from .runtime import AttackerPolicy
 
 
 def _fail(message: str, code: int = 2):
@@ -134,7 +142,7 @@ def build(plant_file, supervisor_file, mode, vulnerable, out):
 @click.argument("model_file")
 @click.option(
     "--method",
-    type=click.Choice([DIAGNOSER, VERIFIER, ORACLE, "all"]),
+    type=click.Choice([*METHODS, ALL_METHODS]),
     default=DIAGNOSER,
     show_default=True,
 )
@@ -144,21 +152,23 @@ def check(model_file, method, out):
     """Decide safe controllability; exit 0 if safe, 1 if unsafe, 2 if the
     attack-free loop is already unsafe, 4 if a state budget is exceeded
     before a verdict."""
+    from .safety import NominalUnsafeError, check_model
+
     model = _load_attacked(model_file)
     deadlocks = sorted(
         {state_name(model.plant_component(s)) for s in deadlock_states(model.model)}
     )
     blocking = bool(blocking_states(model.model))
-    methods = (DIAGNOSER, VERIFIER, ORACLE) if method == "all" else (method,)
+    methods = METHODS if method == ALL_METHODS else (method,)
     try:
         verdicts = [check_model(model, m) for m in methods]
     except NominalUnsafeError as exc:
         _fail(str(exc))
     verdict = verdicts[0]
-    if method == "all":
+    if method == ALL_METHODS:
         agree = len({v.safe for v in verdicts}) == 1
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking, methods_agree=agree)
-        doc["method"] = "all"
+        doc["method"] = ALL_METHODS
         _emit(dumps_doc(doc), out)
         if not agree:
             click.echo("error: methods disagree", err=True)
@@ -191,6 +201,8 @@ def export(model_file, fmt, out):
 
 
 def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
+    from .runtime import AttackerPolicy
+
     if spec == ALL_OUT:
         return AttackerPolicy.all_out()
     if spec.startswith(f"{RANDOM}:"):
@@ -226,6 +238,8 @@ def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
 @_within_budget
 def simulate(model_file, policy, seed, max_steps):
     """Run the closed loop once, printing one JSON record per step."""
+    from .runtime import IllegalEventError, log_records, run
+
     model = _load_attacked(model_file)
     attacker = _parse_policy(policy, seed)
     try:
@@ -243,6 +257,8 @@ def simulate(model_file, policy, seed, max_steps):
 @_within_budget
 def synthesize(plant_file, spec_file, out):
     """Synthesize a supervisor realization for an admissible behavior."""
+    from .synthesis import RealizationError, realize_supervisor, supremal_controllable
+
     plant_doc = _load_plain(plant_file)
     spec_doc = _load_plain(spec_file)
     alphabet = plant_doc.alphabet

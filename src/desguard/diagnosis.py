@@ -89,7 +89,9 @@ def label_compose(model: AttackedModel) -> LabeledAutomaton:
                 seen.add(nxt)
                 stack.append(nxt)
     marked = frozenset(s for s in seen if s[0] in aut.marked)
-    labeled = Automaton(seen, aut.events | attack_events, transitions, initial, marked)
+    labeled = Automaton._unchecked(
+        frozenset(seen), aut.events | attack_events, transitions, initial, marked
+    )
     return LabeledAutomaton(labeled, attack_events)
 
 

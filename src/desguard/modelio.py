@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .attacks import (
@@ -35,6 +36,14 @@ from .automata import (
 
 ATTACKED_MODEL_FORMAT = "attacked-model"
 AUTOMATON_FORMAT = "automaton"
+
+# The decision routes, as verdict documents and `desguard check --method`
+# name them; ALL_METHODS runs the three and compares their answers.
+DIAGNOSER = "diagnoser"
+VERIFIER = "verifier"
+ORACLE = "oracle"
+METHODS = (DIAGNOSER, VERIFIER, ORACLE)
+ALL_METHODS = "all"
 
 EVENT_KINDS = (GENUINE, AE_ATTACKED, SE_ERASED, SI_ONSET, RENAMED)
 
@@ -147,8 +156,13 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
         if state not in state_map:
             raise ModelFormatError(f"{where}: unsafe[{i}] unknown state {state!r}")
 
-    automaton = Automaton(
-        state_map.values(), infos, trans, state_map[initial], (state_map[s] for s in marked)
+    # The checks above cover every check of the constructor.
+    automaton = Automaton._unchecked(
+        frozenset(state_map.values()),
+        frozenset(infos),
+        trans,
+        state_map[initial],
+        frozenset(state_map[s] for s in marked),
     )
     try:
         alphabet = Alphabet(infos)
@@ -269,7 +283,51 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
 
 
 def dumps_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """`doc` as JSON indented by two spaces with sorted keys, plus a final
+    newline: the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
+
+    `json.dumps` encodes indented output in pure Python; this writer
+    quotes every string with the C encoder instead.  Keys are strings.
+    """
+    chunks = []
+    _write(doc, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, newline: str, chunks: list) -> None:
+    """Append `value` as JSON to `chunks`; `newline` is a line break and the
+    indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{"
+        for key, item in sorted(value.items()):
+            chunks.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
+            _write(item, inner, chunks)
+            opener = ","
+        chunks.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        if all(isinstance(item, str) for item in value):
+            items = ("," + inner).join(map(encode_basestring_ascii, value))
+            chunks.append(f"[{inner}{items}{newline}]")
+            return
+        opener = "["
+        for item in value:
+            chunks.append(opener + inner)
+            _write(item, inner, chunks)
+            opener = ","
+        chunks.append(newline + "]")
+    else:
+        chunks.append(json.dumps(value))
 
 
 def load_path(path: str):
@@ -294,7 +352,7 @@ VERDICT_SCHEMA = {
     "required": ["safe", "method"],
     "properties": {
         "safe": {"type": "boolean"},
-        "method": {"enum": ["diagnoser", "verifier", "oracle", "all"]},
+        "method": {"enum": [*METHODS, ALL_METHODS]},
         "violated_condition": {
             "type": ["string", "null"],
             "enum": [
@@ -342,6 +400,11 @@ def verdict_to_doc(verdict, deadlocks=None, blocking=None, methods_agree=None) -
     return doc
 
 
+def _dot_id(text: str) -> str:
+    """`text` as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(
     automaton: Automaton,
     alphabet: Alphabet | None = None,
@@ -353,7 +416,7 @@ def to_dot(
     name = _names(automaton)
     unsafe_names = {state_name(s) for s in unsafe}
     marked_names = {name[s] for s in automaton.marked}
-    lines = [f"digraph \"{title}\" {{", "  rankdir=LR;", "  node [shape=circle];"]
+    lines = [f"digraph {_dot_id(title)} {{", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append("  __start [shape=point, label=\"\"];")
     for state in sorted(name.values()):
         if state in unsafe_names:
@@ -362,8 +425,8 @@ def to_dot(
             shape = "doublecircle"
         else:
             shape = "circle"
-        lines.append(f'  "{state}" [shape={shape}];')
-    lines.append(f'  __start -> "{name[automaton.initial]}";')
+        lines.append(f"  {_dot_id(state)} [shape={shape}];")
+    lines.append(f"  __start -> {_dot_id(name[automaton.initial])};")
     edges = sorted(
         (name[s], e, name[d]) for (s, e), d in automaton.transitions.items()
     )
@@ -374,6 +437,6 @@ def to_dot(
             artificial = alphabet[event].kind != GENUINE
         if artificial:
             style = ", style=dashed"
-        lines.append(f'  "{src}" -> "{dst}" [label="{event}"{style}];')
+        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} [label={_dot_id(event)}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

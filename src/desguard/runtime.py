@@ -21,13 +21,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .attacks import AttackedModel
+from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
 from .automata import Trace, explore, path_to, state_name
 from .diagnosis import CERTAIN, Analysis, classify
-
-ALL_OUT = "all-out"
-SCRIPTED = "scripted"
-RANDOM = "random"
 
 
 class IllegalEventError(ValueError):

@@ -53,11 +53,8 @@ from .diagnosis import (
     strip_renamed,
     tracker_moves,
 )
+from .modelio import DIAGNOSER, ORACLE, VERIFIER
 from .runtime import defended_moves, run_exhaustive
-
-DIAGNOSER = "diagnoser"
-VERIFIER = "verifier"
-ORACLE = "oracle"
 
 UNCERTAIN_UNSAFE = "uncertain-unsafe"
 FIRST_CERTAIN_UNSAFE = "first-certain-unsafe"

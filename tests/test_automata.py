@@ -23,9 +23,12 @@ from desguard.automata import (
     reach,
     state_name,
 )
+from desguard.attacks import build_model
+from desguard.diagnosis import CERTAIN, classify, label_compose
+from desguard.modelio import attacked_to_doc, model_to_doc, parse_attacked, parse_model
 from desguard.systems import traffic_plant, vehicle_chain
 
-from generators import random_automaton
+from generators import random_automaton, random_system
 from langtools import (
     enumerate_traces,
     has_preimage,
@@ -344,6 +347,75 @@ class TestAutomatonConstruction:
     def test_unknown_initial_rejected(self):
         with pytest.raises(ValueError):
             Automaton(frozenset({"1"}), frozenset(), {}, "zz")
+
+
+# (model fixture, system fixture) of every attack model in conftest
+MODEL_FIXTURES = [
+    ("actuator_model", "actuator_demo"),
+    ("erasure_model", "erasure_demo"),
+    ("blocking_model", "blocking_demo"),
+    ("insertion_model", "insertion_demo"),
+    ("traffic_ae_model", "traffic_ae"),
+    ("traffic_se_model", "traffic_se"),
+    ("traffic_si_model", "traffic_si"),
+]
+
+
+class TestUncheckedConstruction:
+    """The package's own builders (the attack builder, label composition,
+    the observer and the file parser) skip the constructor's checks.  Each
+    automaton they build must pass those checks and index its transitions
+    exactly as the validating constructor does."""
+
+    @staticmethod
+    def assert_valid(automaton):
+        again = Automaton(
+            automaton.states,
+            automaton.events,
+            automaton.transitions,
+            automaton.initial,
+            automaton.marked,
+        )
+        assert again == automaton
+        assert again._out == automaton._out
+        for value in (automaton.states, automaton.events, automaton.marked):
+            assert type(value) is frozenset
+        assert type(automaton.transitions) is dict
+
+    def assert_built_automata_valid(self, model, plant=None, supervisor=None, alphabet=None):
+        labeled = label_compose(model).automaton
+        hidden = model.alphabet.unobservable_events()
+        built = [
+            model.model,
+            labeled,
+            observer(labeled, hidden),
+            observer(labeled, hidden, stop=lambda estimate: classify(estimate) == CERTAIN),
+            parse_attacked(json.loads(json.dumps(attacked_to_doc(model)))).model,
+        ]
+        for automaton in (plant, supervisor):
+            if automaton is not None:
+                built.append(parse_model(model_to_doc(automaton, alphabet)).automaton)
+        for automaton in built:
+            self.assert_valid(automaton)
+
+    def test_random_models(self):
+        for seed in range(100):
+            for mode in ("ae", "se", "si"):
+                system = random_system(random.Random(seed), mode)
+                model = build_model(mode, system.plant, system.supervisor, system.vuln)
+                self.assert_built_automata_valid(
+                    model, system.plant, system.supervisor, system.vuln.alphabet
+                )
+
+    @pytest.mark.parametrize("model_fixture, system_fixture", MODEL_FIXTURES)
+    def test_fixture_models(self, request, model_fixture, system_fixture):
+        system = request.getfixturevalue(system_fixture)
+        self.assert_built_automata_valid(
+            request.getfixturevalue(model_fixture),
+            system.plant,
+            system.supervisor,
+            system.vuln.alphabet,
+        )
 
 
 class TestAccessible:

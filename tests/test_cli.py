@@ -1,10 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from desguard import cli
-from desguard.automata import ResourceLimitError
+import desguard
+from desguard import cli, runtime, safety, synthesis
+from desguard.automata import Alphabet, Automaton, ResourceLimitError
 from desguard.cli import main
 from desguard.modelio import dumps_doc, model_to_doc
 from desguard.systems import (
@@ -269,6 +275,9 @@ class TestCheck:
 
 
 class TestStateBudget:
+    # Each route is patched where its command looks it up: `build` reads
+    # `build_model` from the CLI module, the others import their route from
+    # its own module when they run.
     @pytest.mark.parametrize("command, route", [
         ("build", "build_model"),
         ("check", "check_model"),
@@ -281,7 +290,8 @@ class TestStateBudget:
         def exceed(*args, **kwargs):
             raise ResourceLimitError("composition exceeded 10 states")
 
-        monkeypatch.setattr(cli, route, exceed)
+        modules = {"build": cli, "check": safety, "simulate": runtime, "synthesize": synthesis}
+        monkeypatch.setattr(modules[command], route, exceed)
         plant, supervisor = demo_files
         args = {
             "build": ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "b"],
@@ -359,6 +369,45 @@ class TestBadInputExitCodes:
             assert "error: " in result.output
 
 
+# One DOT token: a quoted string, in which a backslash escapes the next
+# character, an arrow, a bare word, or punctuation.
+DOT_TOKEN = re.compile(r'\s*(?:"((?:[^"\\]|\\.)*)"|(->|\w+|[\[\];,={}]))', re.DOTALL)
+
+
+def read_dot(text):
+    """(graph name, {node: shape}, initial node, {(source, label, target)})
+    of a graph `to_dot` wrote, reading quoted strings as DOT does."""
+    tokens, pos = [], 0
+    while text[pos:].strip():
+        match = DOT_TOKEN.match(text, pos)
+        assert match, f"not DOT at {text[pos:pos + 40]!r}"
+        quoted, bare = match.groups()
+        if quoted is None:
+            tokens.append(bare)
+        else:
+            tokens.append(("quoted", re.sub(r"\\(.)", r"\1", quoted, flags=re.DOTALL)))
+        pos = match.end()
+    assert tokens[0] == "digraph" and tokens[2] == "{" and tokens[-1] == "}"
+    statements, current = [], []
+    for token in tokens[3:-1]:
+        if token == ";":
+            statements.append(current)
+            current = []
+        else:
+            current.append(token)
+    assert not current
+    shapes, initial, edges = {}, None, set()
+    for statement in statements:
+        match statement:
+            case [("quoted", node), "[", "shape", "=", shape, "]"]:
+                shapes[node] = shape
+            case ["__start", "->", ("quoted", node)]:
+                initial = node
+            case [("quoted", src), "->", ("quoted", dst), "[", "label", "=", ("quoted", label), *_]:
+                edges.add((src, label, dst))
+    return tokens[1][1], shapes, initial, edges
+
+
 class TestExport:
     def test_plant_dot(self, runner, demo_files):
         plant, _ = demo_files
@@ -371,6 +420,22 @@ class TestExport:
         result = runner.invoke(main, ["export", str(demo_model_file)])
         assert result.exit_code == 0
         assert 'label="b#a", style=dashed' in result.output
+
+    def test_quotes_and_backslashes_in_names_are_escaped(self, runner, tmp_path):
+        plant = Automaton.build(
+            'a"b', [('a"b', 'go"', "c\\"), ("c\\", "back\\", 'd\\"e')]
+        )
+        events = ['go"', "back\\"]
+        alphabet = Alphabet.from_sets(events, observable=events, controllable=[])
+        path = tmp_path / 'odd"name\\.json'
+        path.write_text(dumps_doc(model_to_doc(plant, alphabet, frozenset({'d\\"e'}))))
+        result = runner.invoke(main, ["export", str(path)])
+        assert result.exit_code == 0, result.output
+        title, shapes, initial, edges = read_dot(result.stdout)
+        assert title == str(path)
+        assert shapes == {'a"b': "circle", "c\\": "circle", 'd\\"e': "box"}
+        assert initial == 'a"b'
+        assert edges == {('a"b', 'go"', "c\\"), ("c\\", "back\\", 'd\\"e')}
 
 
 class TestSimulate:
@@ -466,3 +531,59 @@ class TestSynthesize:
         plant_states = {s[1] for s in closed.states}
         assert not plant_states & plant_doc.unsafe
         assert "(5,5)" in {state_name(s) for s in plant_states}
+
+
+SRC = Path(desguard.__file__).resolve().parent.parent
+IMPORT_TIME = b"import time:"
+
+
+def run_cold(args):
+    """Run `python -m desguard.cli ARGS` in a fresh interpreter; returns its
+    exit code, stdout, stderr and the desguard modules it imported, read
+    off `-X importtime`.  The CLI module itself runs as `__main__`."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "desguard.cli", *args],
+        capture_output=True, env=env, timeout=120,
+    )
+    lines = proc.stderr.splitlines(keepends=True)
+    imported = {
+        line.rsplit(b"|", 1)[1].strip().decode()
+        for line in lines if line.startswith(IMPORT_TIME)
+    }
+    stderr = b"".join(line for line in lines if not line.startswith(IMPORT_TIME))
+    modules = {m for m in imported if m.split(".")[0] == "desguard"}
+    return proc.returncode, proc.stdout, stderr, modules
+
+
+class TestColdProcess:
+    """Each command loads only the modules it runs, and a fresh interpreter
+    answers exactly as the in-process runner does."""
+
+    def assert_matches_in_process(self, runner, args):
+        code, stdout, stderr, modules = run_cold(args)
+        result = runner.invoke(main, args)
+        assert (code, stdout, stderr) == (
+            result.exit_code, result.stdout_bytes, result.stderr_bytes
+        )
+        return code, modules
+
+    def test_build_loads_the_builder_and_the_file_format(self, runner, demo_files):
+        plant, supervisor = demo_files
+        code, modules = self.assert_matches_in_process(
+            runner,
+            ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "b"],
+        )
+        assert code == 0
+        assert modules == {
+            "desguard", "desguard.attacks", "desguard.automata", "desguard.modelio"
+        }
+
+    def test_check_all_loads_no_synthesis(self, runner, demo_model_file):
+        code, modules = self.assert_matches_in_process(
+            runner, ["check", str(demo_model_file), "--method", "all"]
+        )
+        assert code == 1
+        assert "desguard.safety" in modules
+        assert "desguard.synthesis" not in modules

@@ -1,7 +1,13 @@
 import json
+import random
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from desguard.attacks import build_model
+from desguard.automata import Alphabet, Automaton
 
 from desguard.modelio import (
     VERDICT_SCHEMA,
@@ -15,6 +21,8 @@ from desguard.modelio import (
     verdict_to_doc,
 )
 from desguard.safety import check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation
+
+from generators import random_system
 
 
 def demo_doc():
@@ -225,3 +233,89 @@ class TestDotExport:
         first = to_dot(traffic_si_model.model, traffic_si_model.alphabet)
         second = to_dot(traffic_si_model.model, traffic_si_model.alphabet)
         assert first == second
+
+
+def reference_dump(doc) -> str:
+    """What `dumps_doc` must write: the standard library's indented encoding."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Names with non-ASCII characters, quotes, backslashes and control characters.
+NAMES = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u2603\U0001f600')) | st.text()
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | NAMES
+VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(NAMES, inner, max_size=4),
+    max_leaves=24,
+)
+MODEL_FIXTURES = [
+    ("actuator_model", "actuator_demo"),
+    ("erasure_model", "erasure_demo"),
+    ("blocking_model", "blocking_demo"),
+    ("insertion_model", "insertion_demo"),
+    ("traffic_ae_model", "traffic_ae"),
+    ("traffic_se_model", "traffic_se"),
+    ("traffic_si_model", "traffic_si"),
+]
+
+
+def model_docs(model, system):
+    """Plant, supervisor, attacked and verdict documents of one model."""
+    alphabet = system.vuln.alphabet
+    docs = [
+        model_to_doc(system.plant, alphabet, system.vuln.unsafe_plant_states),
+        model_to_doc(system.supervisor, alphabet),
+        attacked_to_doc(model),
+    ]
+    for check in (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation):
+        verdict = check(model)
+        docs.append(verdict_to_doc(verdict))
+        docs.append(
+            verdict_to_doc(verdict, deadlocks=["(0,3)", "(3,0)"], blocking=True, methods_agree=False)
+        )
+    return docs
+
+
+class TestWriter:
+    """`dumps_doc` writes exactly the standard library's indented encoding."""
+
+    @pytest.mark.parametrize("model_fixture, system_fixture", MODEL_FIXTURES)
+    def test_fixture_documents(self, request, model_fixture, system_fixture):
+        model = request.getfixturevalue(model_fixture)
+        for doc in model_docs(model, request.getfixturevalue(system_fixture)):
+            assert dumps_doc(doc) == reference_dump(doc)
+
+    def test_random_model_documents(self):
+        for seed in range(30):
+            for mode in ("ae", "se", "si"):
+                system = random_system(random.Random(seed), mode)
+                model = build_model(mode, system.plant, system.supervisor, system.vuln)
+                for doc in model_docs(model, system):
+                    assert dumps_doc(doc) == reference_dump(doc)
+
+    @given(st.dictionaries(NAMES, VALUES, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_any_document(self, doc):
+        assert dumps_doc(doc) == reference_dump(doc)
+
+    @given(st.lists(NAMES, min_size=1, max_size=5, unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_plant_with_odd_names(self, names, data):
+        events = data.draw(st.lists(NAMES, min_size=1, max_size=3, unique=True))
+        edges = data.draw(
+            st.dictionaries(
+                st.tuples(st.sampled_from(names), st.sampled_from(events)),
+                st.sampled_from(names),
+            )
+        )
+        plant = Automaton(frozenset(names), frozenset(events), edges, names[0], {names[-1]})
+        alphabet = Alphabet.from_sets(events, observable=events[:1], controllable=events[1:])
+        doc = model_to_doc(plant, alphabet, frozenset(names[1:2]))
+        assert dumps_doc(doc) == reference_dump(doc)
+
+    def test_empty_containers_scalars_and_tuples(self):
+        doc = {"": [], "b": {}, "c": None, "d": [True, False, 0, -7, 2**70], "e": ("x", ("y",))}
+        assert dumps_doc(doc) == reference_dump(doc)
+        assert dumps_doc({}) == "{}\n"
