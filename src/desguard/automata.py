@@ -8,11 +8,12 @@ concurrent workers.  The one exception is `EstimateTable`, a memo that
 fills as it is read; each entry is a pure function of the automaton, so
 a concurrent reader at worst computes one twice.
 
-The package has three searches, all here: `explore`, the one
-breadth-first search with parent pointers (composition, observers,
-witnesses, the defended-run exploration); `reach`, the forward closure
-under a set of events; and `coreach`, the backward closure to a set of
-states.
+The package has three searches here: `explore`, the one breadth-first
+search with parent pointers (composition, observers, witnesses, the
+defended-run exploration); `reach`, the forward closure under a set of
+events; and `coreach`, the backward closure to a set of states.  One
+more pass runs elsewhere: `diagnosis.label_compose` walks the closed
+loop in its own loop, with no parent pointers and no callback per state.
 """
 
 from __future__ import annotations

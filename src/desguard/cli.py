@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (or verdict safe), 1 verdict unsafe / refused
-realization, 2 validation or usage error (an undecodable model file or
-policy script, an unwritable `--out` file, or a `simulate` policy that
-is malformed or scripts a decision that is not an open attack
+realization (an empty supremal controllable or an unobservable admissible
+behavior), 2 validation or usage error (an undecodable model file or
+policy script, an unwritable `--out` file, a `synthesize` spec over
+events the plant does not declare, or a `simulate` policy that is
+malformed or scripts a decision that is not an open attack
 opportunity), 3 method disagreement with --method all, 4 state budget
 exceeded (no verdict; `synthesize` writes no supervisor).
 
@@ -262,6 +264,9 @@ def synthesize(plant_file, spec_file, out):
     plant_doc = _load_plain(plant_file)
     spec_doc = _load_plain(spec_file)
     alphabet = plant_doc.alphabet
+    foreign = spec_doc.automaton.events - alphabet.events()
+    if foreign:
+        _fail(f"{spec_file}: events {sorted(foreign)} are not plant events")
     admissible = supremal_controllable(
         plant_doc.automaton, spec_doc.automaton, alphabet.uncontrollable_events()
     )

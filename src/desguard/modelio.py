@@ -45,6 +45,15 @@ ORACLE = "oracle"
 METHODS = (DIAGNOSER, VERIFIER, ORACLE)
 ALL_METHODS = "all"
 
+# The conditions an unsafe verdict names as violated: three of the
+# diagnoser test, two of the verifier test; the oracle names the first
+# three by the failure its breached run shows.
+UNCERTAIN_UNSAFE = "uncertain-unsafe"
+FIRST_CERTAIN_UNSAFE = "first-certain-unsafe"
+UNCONTROLLABLE_UNSAFE = "uncontrollable-unsafe"
+VERIFIER_PAIR_UNSAFE = "verifier-pair-unsafe"
+VERIFIER_POST_DETECTION_UNSAFE = "verifier-post-detection-unsafe"
+
 EVENT_KINDS = (GENUINE, AE_ATTACKED, SE_ERASED, SI_ONSET, RENAMED)
 
 
@@ -356,11 +365,11 @@ VERDICT_SCHEMA = {
         "violated_condition": {
             "type": ["string", "null"],
             "enum": [
-                "uncertain-unsafe",
-                "first-certain-unsafe",
-                "uncontrollable-unsafe",
-                "verifier-pair-unsafe",
-                "verifier-post-detection-unsafe",
+                UNCERTAIN_UNSAFE,
+                FIRST_CERTAIN_UNSAFE,
+                UNCONTROLLABLE_UNSAFE,
+                VERIFIER_PAIR_UNSAFE,
+                VERIFIER_POST_DETECTION_UNSAFE,
                 None,
             ],
         },

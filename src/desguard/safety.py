@@ -5,10 +5,10 @@ A closed-loop attack model is safe controllable when the online defense
 plant out of the unsafe states no matter what the attacker does.  Three
 independent routes decide the property:
 
-* the diagnoser test inspects the detector's estimate structure, and its
-  observer stops at the first estimate that violates the first condition;
-  its counterexamples come from a search of the defended product
-  (`runtime.defended_moves`), which before detection prunes nothing,
+* the diagnoser test stops its observer at the first estimate that
+  violates the first condition, else decides the other two from the states
+  entered on its detection edges; its witnesses come from a search of the
+  defended product (`runtime.defended_moves`), unpruned before detection,
 * the verifier test inspects observation-equivalent string pairs and the
   post-detection tracker, in one on-the-fly search of the tracker product
   (`diagnosis.tracker_moves`) that stops at the first violation,
@@ -53,14 +53,17 @@ from .diagnosis import (
     strip_renamed,
     tracker_moves,
 )
-from .modelio import DIAGNOSER, ORACLE, VERIFIER
+from .modelio import (
+    DIAGNOSER,
+    FIRST_CERTAIN_UNSAFE,
+    ORACLE,
+    UNCERTAIN_UNSAFE,
+    UNCONTROLLABLE_UNSAFE,
+    VERIFIER,
+    VERIFIER_PAIR_UNSAFE,
+    VERIFIER_POST_DETECTION_UNSAFE,
+)
 from .runtime import defended_moves, run_exhaustive
-
-UNCERTAIN_UNSAFE = "uncertain-unsafe"
-FIRST_CERTAIN_UNSAFE = "first-certain-unsafe"
-UNCONTROLLABLE_UNSAFE = "uncontrollable-unsafe"
-VERIFIER_PAIR_UNSAFE = "verifier-pair-unsafe"
-VERIFIER_POST_DETECTION_UNSAFE = "verifier-post-detection-unsafe"
 
 
 class NominalUnsafeError(ValueError):
@@ -102,36 +105,24 @@ class Verdict:
     witness_state: str | None = None
 
 
-def _entry_sets(analysis: Analysis, diagnoser: Diagnoser) -> list[frozenset]:
-    """Entry states of each edge on which detection first becomes certain.
-
-    For an edge q -e-> q' from a normal/uncertain estimate into a certain
-    one, the entry set holds the states reached exactly on e, before the
-    unobservable closure.  Detection happens on e; anything in the closure
-    beyond the entry set still needs post-detection events to be reached,
-    and those are subject to the defense.
-    """
-    aut = analysis.labeled.automaton
-    return [
-        frozenset(t for member in src if (t := aut.successor(member, event)) is not None)
-        for src, event, _dst in first_entered_certain(diagnoser)
-    ]
-
-
 def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     """Diagnoser-based safe-controllability test.
 
     Unsafe iff (1) some uncertain estimate contains an unsafe state with
     an attacked label, (2) detection first becomes certain exactly when an
     unsafe state is reached, or (3) an unsafe state is reachable from a
-    first-detection point through uncontrollable events alone.  Conditions
-    2 and 3 are evaluated from the detection-instant entry states: states
-    that only appear in an estimate through post-detection controllable
-    moves are already covered by the defense.
+    first-detection point through uncontrollable events alone.
 
     Condition 1 takes precedence, so the observer stops at the first
-    estimate that violates it.  Only when none does is the diagnoser
-    complete, as conditions 2 and 3 and the reported `x_uc` need.
+    estimate that violates it.  Otherwise the diagnoser is complete, and
+    conditions 2 and 3 read its entry states: the closed-loop states
+    entered on its detection edges, before the unobservable closure, whose
+    further states need post-detection events the defense governs.
+    Condition 2 is an unsafe entry state; condition 3 an unsafe state in
+    `x_uc`, the entry states' uncontrollable closure.  One witness search
+    ends at a detection edge into a state where the condition holds; for
+    condition 3 the shortest uncontrollable run to the first unsafe state
+    by name completes the trace.
     """
     _require_safe_nominal(model)
     analysis = model.analysis
@@ -148,8 +139,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     if any(map(condition1, diagnoser.automaton.states)):
 
         def confused(node):
-            lstate, estimate = node
-            return lstate in attacked_unsafe and classify(estimate) == UNCERTAIN
+            return node[0] in attacked_unsafe and classify(node[1]) == UNCERTAIN
 
         # Every member of a reachable estimate is reachable paired with
         # it, so the search finds a witness.
@@ -163,66 +153,61 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             witness_state=state_name(found[1]),
         )
 
-    entries = _entry_sets(analysis, diagnoser)
-
-    # Condition 2: an unsafe state is reached exactly at first detection.
-    condition2 = any(s[0] in unsafe for entry in entries for s in entry)
-    if condition2:
-        trace, estimate = _detection_edge_witness(
-            analysis, diagnoser, lambda lstate: lstate[0] in unsafe
-        )
-        return Verdict(
-            safe=False,
-            method=DIAGNOSER,
-            violated_condition=FIRST_CERTAIN_UNSAFE,
-            counterexample=trace,
-            witness_state=estimate,
-        )
-
-    # Condition 3: uncontrollable continuation from a detection point.
+    entries = frozenset(
+        target[0]
+        for src, event, _dst in first_entered_certain(diagnoser)
+        for member in src
+        if (target := analysis.labeled.automaton.successor(member, event)) is not None
+    )
+    closed_loop = model.model
     uncontrollable = analysis.uncontrollable
-    x_uc = reach(model.model, {s[0] for entry in entries for s in entry}, uncontrollable)
-    breached = bool(x_uc & unsafe)
-    if breached:
-        trace, estimate = _detection_edge_witness(
-            analysis,
-            diagnoser,
-            lambda lstate: bool(reach(model.model, (lstate[0],), uncontrollable) & unsafe),
-        )
-        end = model.model.run(trace)
-        goal = sorted(reach(model.model, (end,), uncontrollable) & unsafe, key=state_name)[0]
-        tail = _shortest_to(model.model, end, goal, uncontrollable)
-        return Verdict(
-            safe=False,
-            method=DIAGNOSER,
-            violated_condition=UNCONTROLLABLE_UNSAFE,
-            counterexample=trace + tail,
-            x_uc=x_uc,
-            witness_state=estimate,
-        )
-    return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
+    x_uc = None
+    # Condition 2: an unsafe state is entered exactly at first detection.
+    condition, arrivals = FIRST_CERTAIN_UNSAFE, entries & unsafe
+    if not arrivals:
+        # Condition 3: uncontrollable continuation from a detection point.
+        x_uc = reach(closed_loop, entries, uncontrollable)
+        if x_uc.isdisjoint(unsafe):
+            return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
+        condition = UNCONTROLLABLE_UNSAFE
+        arrivals = {s for s in entries if reach(closed_loop, (s,), uncontrollable) & unsafe}
+
+    trace, estimate = _detection_edge_witness(analysis, diagnoser, arrivals)
+    if condition == UNCONTROLLABLE_UNSAFE:
+
+        def uncontrollable_moves(state):
+            return ((e, t) for e, t in closed_loop.out_edges(state) if e in uncontrollable)
+
+        parents, _ = explore([closed_loop.run(trace)], uncontrollable_moves)
+        trace += path_to(parents, min(unsafe.intersection(parents), key=state_name))
+    return Verdict(
+        safe=False,
+        method=DIAGNOSER,
+        violated_condition=condition,
+        counterexample=trace,
+        x_uc=x_uc,
+        witness_state=estimate,
+    )
 
 
-def _detection_edge_witness(analysis, diagnoser, arrival_ok):
+def _detection_edge_witness(analysis, diagnoser, arrivals):
     """Shortest trace whose last event first makes the estimate certain,
-    arriving at a labeled state accepted by `arrival_ok`, and the name of
-    the certain estimate it enters.
+    arriving in a closed-loop state in `arrivals`, and the name of the
+    certain estimate it enters.
 
     The first dequeued non-certain node with such an edge ends the
     search; its first such edge, in `out_edges` order, ends the trace.
-    The caller has seen such an edge among the diagnoser's detection
-    edges, and every member of an estimate is reachable paired with it,
-    so the search always finds one.
+    Every member of an estimate is reachable paired with it, so the search
+    finds one whenever some entry state is an arrival.
     """
     classification = diagnoser.classification
     start, moves = defended_moves(analysis, analysis.unsafe_coreach)
 
     def detection_edge(node):
-        if classification[node[1]] == CERTAIN:
-            return None
-        for event, (lnext, enext) in moves(node):
-            if classification[enext] == CERTAIN and arrival_ok(lnext):
-                return event, enext
+        if classification[node[1]] != CERTAIN:
+            for event, (lnext, enext) in moves(node):
+                if classification[enext] == CERTAIN and lnext[0] in arrivals:
+                    return event, enext
         return None
 
     parents, found = explore([start], moves, lambda node: detection_edge(node) is not None)
@@ -280,19 +265,6 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
         counterexample=strip_renamed(path_to(parents, found)) or None,
         witness_state=state_name(found),
     )
-
-
-def _shortest_to(automaton, source, goal, allowed) -> Trace:
-    """Shortest path from `source` to `goal`, a state reachable from it
-    using only `allowed` events."""
-
-    def moves(state):
-        for event, target in automaton.out_edges(state):
-            if event in allowed:
-                yield event, target
-
-    parents, found = explore([source], moves, lambda state: state == goal)
-    return path_to(parents, found)
 
 
 def oracle_defense_simulation(model: AttackedModel) -> Verdict:

@@ -341,6 +341,15 @@ class TestBadInputExitCodes:
         pytest.param(["check", "{deep}"], None, 2, id="check-model-nested-too-deeply"),
         pytest.param(["simulate", "{model}", "--policy", "{deep}"],
                      None, 2, id="simulate-script-nested-too-deeply"),
+        pytest.param(["check", "{plant}"], None, 2, id="check-given-a-plant"),
+        pytest.param(["build", "{model}", "{supervisor}", "--mode", "ae", "--vulnerable", "b"],
+                     None, 2, id="build-given-an-attack-model"),
+        pytest.param(["simulate", "{model}", "--policy", "random:abc"],
+                     None, 2, id="probability-not-a-number"),
+        pytest.param(["synthesize", "{plant}", "{foreign_spec}"],
+                     None, 2, id="synthesize-spec-event-not-in-plant"),
+        pytest.param(["synthesize", "{plant}", "{empty_spec}"],
+                     None, 1, id="synthesize-supremal-controllable-empty"),
     ])
     def test_exit_code_without_traceback(
         self, runner, demo_files, demo_model_file, tmp_path, args, script, code
@@ -352,6 +361,17 @@ class TestBadInputExitCodes:
         undecodable.write_bytes(b"\xff\xfe{}")
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 200_000 + "]" * 200_000)
+        # A spec allowing nothing: the plant's uncontrollable a escapes it.
+        alphabet = actuator_demo_system().vuln.alphabet
+        empty_spec = tmp_path / "empty_spec.json"
+        empty_spec.write_text(
+            dumps_doc(model_to_doc(Automaton.build("1", [], events=alphabet.events()), alphabet))
+        )
+        foreign = Alphabet.from_sets(["zz"], observable=["zz"], controllable=[])
+        foreign_spec = tmp_path / "foreign_spec.json"
+        foreign_spec.write_text(
+            dumps_doc(model_to_doc(Automaton.build("1", [("1", "zz", "1")]), foreign))
+        )
         paths = {
             "model": demo_model_file,
             "plant": plant,
@@ -360,6 +380,8 @@ class TestBadInputExitCodes:
             "missing": tmp_path / "missing" / "out.json",
             "undecodable": undecodable,
             "deep": deep,
+            "empty_spec": empty_spec,
+            "foreign_spec": foreign_spec,
         }
         result = runner.invoke(main, [arg.format(**paths) for arg in args])
         assert result.exit_code == code, result.output
@@ -367,6 +389,26 @@ class TestBadInputExitCodes:
         assert "Traceback" not in result.output
         if code == 2:
             assert "error: " in result.output
+        if args[0] == "synthesize" and code == 1:
+            assert "error: supremal controllable sublanguage is empty" in result.output
+
+    def test_methods_disagree_exits_3(self, runner, demo_model_file, tmp_path, monkeypatch):
+        real = safety.check_model
+
+        def oracle_flipped(model, method):
+            verdict = real(model, method)
+            if method == "oracle":
+                return safety.Verdict(safe=not verdict.safe, method=method)
+            return verdict
+
+        monkeypatch.setattr(safety, "check_model", oracle_flipped)
+        out = tmp_path / "verdict.json"
+        result = runner.invoke(
+            main, ["check", str(demo_model_file), "--method", "all", "--out", str(out)]
+        )
+        assert result.exit_code == 3, result.output
+        assert "error: methods disagree" in result.output
+        assert json.loads(out.read_text())["methods_agree"] is False
 
 
 # One DOT token: a quoted string, in which a backslash escapes the next

@@ -181,6 +181,46 @@ class TestValidation:
             parse_attacked(doc)
 
 
+    @pytest.mark.parametrize(
+        "attacked, mutate, message",
+        [
+            pytest.param(False, lambda d: d["states"].append("2"),
+                         "duplicate state '2'", id="duplicate-state"),
+            pytest.param(False, lambda d: d["events"].append(dict(d["events"][0])),
+                         "duplicate event 'a'", id="duplicate-event"),
+            pytest.param(False, lambda d: d["events"].__setitem__(1, "b"),
+                         r"events\[1\] must be an object", id="event-not-an-object"),
+            pytest.param(False, lambda d: d["transitions"].__setitem__(0, ["1", "a", "2"]),
+                         r"transitions\[0\] must be an object", id="transition-not-an-object"),
+            pytest.param(False, lambda d: d["events"][0].update(kind="forged"),
+                         "unknown kind 'forged'", id="unknown-event-kind"),
+            pytest.param(False, lambda d: d.update(marked=["zz"]),
+                         r"marked\[0\] unknown state 'zz'", id="marked-undeclared"),
+            pytest.param(
+                False,
+                lambda d: d["events"].append(
+                    {"name": "a#e", "observable": True, "controllable": False,
+                     "kind": "se-erased", "base": "a"}
+                ),
+                "erased event 'a#e' must be unobservable",
+                id="observable-erasure",
+            ),
+            pytest.param(True, lambda d: d.update(mode="xx"),
+                         "unknown mode 'xx'", id="unknown-mode"),
+            pytest.param(True, lambda d: d["components"].pop(d["initial"]),
+                         r"components missing state '\(1,1\)'",
+                         id="state-missing-from-components"),
+            pytest.param(True, lambda d: d.update(attack_events=["zz"]),
+                         r"undeclared attack events \['zz'\]", id="undeclared-attack-events"),
+        ],
+    )
+    def test_malformed_document(self, actuator_model, attacked, mutate, message):
+        doc = attacked_to_doc(actuator_model) if attacked else demo_doc()
+        mutate(doc)
+        with pytest.raises(ModelFormatError, match=message):
+            (parse_attacked if attacked else parse_model)(doc)
+
+
 class TestVerdictDocuments:
     def test_schema_accepts_all_fixture_verdicts(
         self, actuator_model, erasure_model, traffic_se_model
