@@ -262,7 +262,7 @@ def build_model(
     private = supervisor.events - plant.events
     onsets = [(e, None) for e in sorted(vulnerable)]
     inserted: dict = {}  # insertion state -> its one edge (event, plant state)
-    transitions: dict = {}
+    out: dict = {}
 
     def moves(node):
         sup, state = node
@@ -286,7 +286,7 @@ def build_model(
                         raise VulnerabilityError(f"state name collision on {dst!r}")
                 found.append((artifact[event], (sup, dst)))
         found.sort()
-        transitions.update(((node, event), target) for event, target in found)
+        out[node] = dict(found)
         return found
 
     initial = (supervisor.initial, plant.initial)
@@ -295,7 +295,7 @@ def build_model(
     closed_loop = Automaton._unchecked(
         frozenset(states),
         supervisor.events | plant.events | attack_events,
-        transitions,
+        out,
         initial,
         marked,
     )
@@ -316,7 +316,8 @@ def attack_sites(model: AttackedModel) -> list[tuple]:
     """All (supervisor state, attack event) self-loop sites the closed loop uses."""
     sites = {
         (src[0], event)
-        for (src, event) in model.model.transitions
+        for src, row in model.model._out.items()
+        for event in row
         if event in model.attack_events
     }
     return sorted(sites, key=lambda site: (state_name(site[0]), site[1]))
@@ -347,12 +348,14 @@ def sub_attacker(
         unknown = keep_set - set(sites)
         if unknown:
             raise ValueError(f"unknown attack sites: {sorted(unknown, key=str)}")
-    kept = {
-        (src, event): dst
-        for (src, event), dst in model.model.transitions.items()
-        if event not in model.attack_events or (src[0], event) in keep_set
+    attack, loop = model.attack_events, model.model
+    out = {
+        src: {e: dst for e, dst in row.items() if e not in attack or (src[0], e) in keep_set}
+        for src, row in loop._out.items()
     }
-    closed_loop = accessible(replace(model.model, transitions=kept))
+    closed_loop = accessible(
+        Automaton._unchecked(loop.states, loop.events, out, loop.initial, loop.marked)
+    )
     return replace(
         model, model=closed_loop, unsafe_states=model.unsafe_states & closed_loop.states
     )

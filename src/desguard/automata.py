@@ -1,9 +1,11 @@
 """Deterministic finite automata with event attributes.
 
 States are arbitrary hashable values: plain strings for hand-written
-models, tuples for composed states, frozensets for observer states.
-Every value in this module is immutable after construction and every
-operation is a pure function, so automata can be shared freely between
+models, tuples for composed states, frozensets for observer states.  An
+automaton stores one transition table, a row {event: target} per state,
+which the package's builders fill as they explore.  Every value in this
+module is immutable after construction and every operation is a pure
+function, so automata, rows included, can be shared freely between
 concurrent workers.  The one exception is `EstimateTable`, a memo that
 fills as it is read; each entry is a pure function of the automaton, so
 a concurrent reader at worst computes one twice.
@@ -19,7 +21,7 @@ loop in its own loop, with no parent pointers and no callback per state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 State = Hashable
@@ -154,10 +156,12 @@ class Alphabet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Automaton:
     """Deterministic automaton with a partial transition function.
 
+    The one transition table is `_out`: a row `{event: target}` for every
+    declared state, rows and events in the order the automaton was built.
     The absence of a transition means the event is infeasible or disabled
     at that state.  Marked states are optional and only consumed by the
     deadlock/blocking checks.
@@ -165,61 +169,53 @@ class Automaton:
 
     states: frozenset
     events: frozenset
-    transitions: Mapping[tuple[State, str], State]
+    _out: dict
     initial: State
-    marked: frozenset = frozenset()
-    _out: dict = field(init=False, repr=False, compare=False, hash=False)
+    marked: frozenset
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(self, "events", frozenset(self.events))
-        object.__setattr__(self, "marked", frozenset(self.marked))
-        object.__setattr__(self, "transitions", dict(self.transitions))
-        if self.initial not in self.states:
-            raise ValueError(f"initial state {state_name(self.initial)!r} not declared")
-        if not self.marked <= self.states:
+    def __init__(self, states, events, transitions, initial, marked=frozenset()):
+        """Check `transitions`, {(src, event): dst}, and fill the rows from
+        it: in order of first transition, then edge-less states in set order."""
+        states, events, marked = frozenset(states), frozenset(events), frozenset(marked)
+        if initial not in states:
+            raise ValueError(f"initial state {state_name(initial)!r} not declared")
+        if not marked <= states:
             raise ValueError("marked states must be declared states")
-        out: dict = {s: {} for s in self.states}
-        for (src, event), dst in self.transitions.items():
-            if src not in self.states or dst not in self.states:
+        out: dict = {}
+        for (src, event), dst in transitions.items():
+            if src not in states or dst not in states:
                 raise ValueError(
                     f"transition {state_name(src)} -{event}-> {state_name(dst)} "
                     "uses an undeclared state"
                 )
-            if event not in self.events:
+            if event not in events:
                 raise ValueError(f"transition uses undeclared event {event!r}")
-            out[src][event] = dst
-        object.__setattr__(self, "_out", out)
+            out.setdefault(src, {})[event] = dst
+        for state in states:
+            out.setdefault(state, {})
+        vars(self).update(states=states, events=events, _out=out, initial=initial, marked=marked)
 
     @classmethod
     def _unchecked(
-        cls,
-        states: frozenset,
-        events: frozenset,
-        transitions: dict,
-        initial: State,
-        marked: frozenset,
+        cls, states: frozenset, events: frozenset, out: dict, initial: State, marked: frozenset
     ) -> "Automaton":
-        """The automaton the constructor would build, without its checks.
+        """The automaton with rows `out`, taken as they are, without checks.
 
-        For automata the package builds itself or has validated already:
-        the caller guarantees frozensets, a dict it hands over, an initial
-        state and marked states among `states`, and transitions between
-        declared states on declared events.
+        For automata the package builds itself or derives from valid ones:
+        the caller hands over frozensets and a row for every state, with
+        the initial and marked states among `states` and every row's
+        events and targets declared.
         """
         automaton = object.__new__(cls)
-        out: dict = {s: {} for s in states}
-        for (src, event), dst in transitions.items():
-            out[src][event] = dst
         vars(automaton).update(
-            states=states,
-            events=events,
-            transitions=transitions,
-            initial=initial,
-            marked=marked,
-            _out=out,
+            states=states, events=events, _out=out, initial=initial, marked=marked
         )
         return automaton
+
+    @property
+    def transitions(self) -> dict:
+        """A flat `{(state, event): target}` copy of the rows, row by row."""
+        return {(src, e): dst for src, row in self._out.items() for e, dst in row.items()}
 
     @classmethod
     def build(
@@ -358,8 +354,9 @@ def reach(automaton: Automaton, sources: Iterable[State], allowed: Iterable[str]
 def coreach(automaton: Automaton, targets: Iterable[State]) -> frozenset:
     """States from which some state in `targets` is reachable."""
     backward: dict[State, list] = {s: [] for s in automaton.states}
-    for (src, _event), dst in automaton.transitions.items():
-        backward[dst].append(src)
+    for src, row in automaton._out.items():
+        for dst in row.values():
+            backward[dst].append(src)
     seen = set(targets)
     stack = list(seen)
     while stack:
@@ -373,12 +370,9 @@ def coreach(automaton: Automaton, targets: Iterable[State]) -> frozenset:
 def accessible(automaton: Automaton) -> Automaton:
     """Restrict to the part reachable from the initial state."""
     keep = reach(automaton, (automaton.initial,), automaton.events)
-    return Automaton(
-        keep,
-        automaton.events,
-        {(s, e): d for (s, e), d in automaton.transitions.items() if s in keep},
-        automaton.initial,
-        automaton.marked & keep,
+    out = {s: row for s, row in automaton._out.items() if s in keep}
+    return Automaton._unchecked(
+        keep, automaton.events, out, automaton.initial, automaton.marked & keep
     )
 
 
@@ -393,10 +387,11 @@ def parallel_compose(
     returned.
     """
     shared = a.events & b.events
-    transitions: dict[tuple[State, str], State] = {}
+    out: dict = {}
 
     def moves(node):
         sa, sb = node
+        row = out[node] = {}
         for event, ta in a.out_edges(sa):
             if event not in shared:
                 target = (ta, sb)
@@ -404,12 +399,11 @@ def parallel_compose(
                 target = (ta, tb)
             else:
                 continue
-            transitions[(node, event)] = target
+            row[event] = target
             yield event, target
         for event, tb in b.out_edges(sb):
             if event not in shared:
-                target = (sa, tb)
-                transitions[(node, event)] = target
+                target = row[event] = (sa, tb)
                 yield event, target
 
     initial = (a.initial, b.initial)
@@ -419,7 +413,7 @@ def parallel_compose(
     marked = frozenset(
         (sa, sb) for sa, sb in states if sa in a.marked and sb in b.marked
     )
-    return Automaton(frozenset(states), a.events | b.events, transitions, initial, marked)
+    return Automaton._unchecked(frozenset(states), a.events | b.events, out, initial, marked)
 
 
 class EstimateTable:
@@ -503,20 +497,21 @@ def observer(
     elif estimates.automaton is not automaton or estimates.hidden != hidden:
         raise ValueError("estimate table belongs to another automaton or hidden set")
     visible = automaton.events - hidden
-    transitions: dict[tuple[State, str], State] = {}
+    out: dict = {}
 
     def moves(current):
         edges = estimates.moves(current)
-        for event, target in edges:
-            transitions[(current, event)] = target
+        out[current] = dict(edges)
         return edges
 
     initial = estimates.initial
     states, _ = explore(
         (initial,), moves, stop, limit=max_states, overflow="observer exceeded {limit} states"
     )
+    for state in states:  # with `stop`, the states never expanded
+        out.setdefault(state, {})
     marked = frozenset(s for s in states if s & automaton.marked)
-    return Automaton._unchecked(frozenset(states), visible, transitions, initial, marked)
+    return Automaton._unchecked(frozenset(states), visible, out, initial, marked)
 
 
 def deadlock_states(automaton: Automaton) -> frozenset:

@@ -98,7 +98,7 @@ def _load_attacked(path: str) -> AttackedModel:
 def _emit(text: str, out: str | None):
     if out:
         try:
-            with open(out, "w") as handle:
+            with open(out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
             _fail(str(exc))

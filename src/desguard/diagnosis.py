@@ -76,21 +76,21 @@ def label_compose(model: AttackedModel) -> LabeledAutomaton:
     attack_events = model.attack_events
     out = aut._out
     initial = (aut.initial, CLEAN)
-    transitions = {}
+    rows = {}
     seen = {initial}
     stack = [initial]
     while stack:
         node = stack.pop()
         state, label = node
+        row = rows[node] = {}
         for event, target in out[state].items():
-            nxt = (target, ATTACKED if event in attack_events else label)
-            transitions[node, event] = nxt
+            nxt = row[event] = (target, ATTACKED if event in attack_events else label)
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     marked = frozenset(s for s in seen if s[0] in aut.marked)
     labeled = Automaton._unchecked(
-        frozenset(seen), aut.events | attack_events, transitions, initial, marked
+        frozenset(seen), aut.events | attack_events, rows, initial, marked
     )
     return LabeledAutomaton(labeled, attack_events)
 
@@ -183,9 +183,11 @@ def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, St
     """Diagnoser edges (src, event, dst) from a normal or uncertain state
     into a certain one: the points where detection first becomes certain."""
     classification = diagnoser.classification
-    for (src, event), dst in diagnoser.automaton.transitions.items():
-        if classification[dst] == CERTAIN and classification[src] in (NORMAL, UNCERTAIN):
-            yield src, event, dst
+    for src, row in diagnoser.automaton._out.items():
+        if classification[src] in (NORMAL, UNCERTAIN):
+            for event, dst in row.items():
+                if classification[dst] == CERTAIN:
+                    yield src, event, dst
 
 
 @dataclass(frozen=True)

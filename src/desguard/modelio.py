@@ -136,7 +136,7 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
         if info.base is not None and info.base not in infos:
             raise ModelFormatError(f"{where}: events[{i}]: undeclared base event {info.base!r}")
 
-    trans = {}
+    out = {state: {} for state in state_map.values()}
     for i, entry in enumerate(transitions):
         here = f"{where}: transitions[{i}]"
         if not isinstance(entry, dict):
@@ -149,12 +149,12 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
                 raise ModelFormatError(f"{here}: unknown state {state!r}")
         if event not in infos:
             raise ModelFormatError(f"{here}: unknown event {event!r}")
-        key = (state_map[src], event)
-        if key in trans:
+        row = out[state_map[src]]
+        if event in row:
             raise ModelFormatError(
                 f"{here}: duplicate transition on {event!r} from {src!r}"
             )
-        trans[key] = state_map[dst]
+        row[event] = state_map[dst]
 
     if initial not in state_map:
         raise ModelFormatError(f"{where}: initial state {initial!r} not declared")
@@ -169,7 +169,7 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
     automaton = Automaton._unchecked(
         frozenset(state_map.values()),
         frozenset(infos),
-        trans,
+        out,
         state_map[initial],
         frozenset(state_map[s] for s in marked),
     )
@@ -222,7 +222,7 @@ def _model_doc(automaton, alphabet, unsafe, name) -> dict:
         "transitions": [
             {"from": src, "event": event, "to": dst}
             for src, event, dst in sorted(
-                (name[s], e, name[d]) for (s, e), d in automaton.transitions.items()
+                (name[s], e, name[d]) for s, row in automaton._out.items() for e, d in row.items()
             )
         ],
         "unsafe": sorted(state_name(s) for s in unsafe),
@@ -437,7 +437,7 @@ def to_dot(
         lines.append(f"  {_dot_id(state)} [shape={shape}];")
     lines.append(f"  __start -> {_dot_id(name[automaton.initial])};")
     edges = sorted(
-        (name[s], e, name[d]) for (s, e), d in automaton.transitions.items()
+        (name[s], e, name[d]) for s, row in automaton._out.items() for e, d in row.items()
     )
     for src, event, dst in edges:
         style = ""

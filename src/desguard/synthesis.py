@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .automata import Automaton, accessible, explore, observer, parallel_compose, path_to
+from .automata import Automaton, explore, observer, parallel_compose, path_to
 
 
 class RealizationError(ValueError):
@@ -64,15 +64,14 @@ def supremal_controllable(
             return None
         # Keep only what is still reachable inside the surviving states.
         good = set(explore([product.initial], inside)[0])
-    transitions = {
-        (src, event): dst
-        for (src, event), dst in product.transitions.items()
-        if src in good and dst in good
+    # Every state of `good` is reachable inside `good`: the result is accessible.
+    out = {
+        src: {event: dst for event, dst in row.items() if dst in good}
+        for src, row in product._out.items()
+        if src in good
     }
-    return accessible(
-        Automaton(frozenset(good), product.events, transitions, product.initial,
-                  product.marked & good)
-    )
+    good = frozenset(good)
+    return Automaton._unchecked(good, product.events, out, product.initial, product.marked & good)
 
 
 def check_observability(
@@ -149,17 +148,16 @@ def realize_supervisor(
     observable = frozenset(observable)
     hidden = admissible.events - observable
     skeleton = observer(admissible, hidden)
-    transitions = dict(skeleton.transitions)
-    for estimate in skeleton.states:
+    out = {}
+    for estimate, row in skeleton._out.items():
         enabled_hidden = set()
         for member in estimate:
             enabled_hidden |= admissible.active_events(member) & hidden
-        for event in enabled_hidden:
-            transitions[(estimate, event)] = estimate
-    return Automaton(
+        out[estimate] = {**row, **dict.fromkeys(enabled_hidden, estimate)}
+    return Automaton._unchecked(
         skeleton.states,
         admissible.events | plant.events,
-        transitions,
+        out,
         skeleton.initial,
         skeleton.states,
     )

@@ -158,12 +158,12 @@ def traffic_admissible(plant: Automaton) -> Automaton:
     their neighbours under the installed detectors."""
     removed = traffic_collisions() | {(1, 2), (2, 1)}
     keep = plant.states - removed
-    transitions = {
-        (src, event): dst
-        for (src, event), dst in plant.transitions.items()
-        if src in keep and dst in keep
+    out = {
+        src: {event: dst for event, dst in row.items() if dst in keep}
+        for src, row in plant._out.items()
+        if src in keep
     }
-    return Automaton(keep, plant.events, transitions, plant.initial, plant.marked & keep)
+    return Automaton._unchecked(keep, plant.events, out, plant.initial, plant.marked & keep)
 
 
 def traffic_system(vulnerable_actuators=(), vulnerable_sensors=()) -> System:

@@ -23,10 +23,11 @@ from desguard.automata import (
     reach,
     state_name,
 )
-from desguard.attacks import build_model
+from desguard.attacks import MODE_AE, attack_sites, build_model, sub_attacker
 from desguard.diagnosis import CERTAIN, classify, label_compose
 from desguard.modelio import attacked_to_doc, model_to_doc, parse_attacked, parse_model
-from desguard.systems import traffic_plant, vehicle_chain
+from desguard.synthesis import RealizationError, realize_supervisor, supremal_controllable
+from desguard.systems import traffic_admissible, traffic_alphabet, traffic_plant, vehicle_chain
 
 from generators import random_automaton, random_system
 from langtools import (
@@ -348,6 +349,18 @@ class TestAutomatonConstruction:
         with pytest.raises(ValueError):
             Automaton(frozenset({"1"}), frozenset(), {}, "zz")
 
+    def test_undeclared_event_rejected(self):
+        with pytest.raises(ValueError, match="undeclared event 'b'"):
+            Automaton(frozenset({"1", "2"}), frozenset({"a"}), {("1", "b"): "2"}, "1")
+
+    def test_undeclared_source_rejected(self):
+        with pytest.raises(ValueError, match="undeclared state"):
+            Automaton(frozenset({"2"}), frozenset({"a"}), {("1", "a"): "2"}, "2")
+
+    def test_undeclared_marked_state_rejected(self):
+        with pytest.raises(ValueError, match="marked states"):
+            Automaton(frozenset({"1"}), frozenset(), {}, "1", frozenset({"zz"}))
+
 
 # (model fixture, system fixture) of every attack model in conftest
 MODEL_FIXTURES = [
@@ -361,11 +374,38 @@ MODEL_FIXTURES = [
 ]
 
 
+def synthesized(plant, supervisor, alphabet) -> list:
+    """Composition, `accessible` and the synthesis pipeline on a system: the
+    nominal closed loop, a spec with every other plant transition, and the
+    supremal controllable part and realized supervisor of each."""
+    uncontrollable = alphabet.uncontrollable_events()
+    kept = dict(sorted(plant.transitions.items(), key=str)[::2])
+    specs = [
+        parallel_compose(supervisor, plant),
+        accessible(Automaton(plant.states, plant.events, kept, plant.initial, plant.marked)),
+    ]
+    built = list(specs)
+    for spec in specs:
+        supremal = supremal_controllable(plant, spec, uncontrollable)
+        if supremal is None:
+            continue
+        assert accessible(supremal) == supremal
+        built.append(supremal)
+        try:
+            built.append(realize_supervisor(
+                plant, supremal, alphabet.observable_events(), alphabet.controllable_events()
+            ))
+        except RealizationError:
+            pass
+    return built
+
+
 class TestUncheckedConstruction:
-    """The package's own builders (the attack builder, label composition,
-    the observer and the file parser) skip the constructor's checks.  Each
-    automaton they build must pass those checks and index its transitions
-    exactly as the validating constructor does."""
+    """The package's own builders skip the constructor's checks: the attack
+    builder, label composition, the observer, the file parser, composition,
+    `accessible`, `sub_attacker` and synthesis.  Each automaton they build
+    must pass those checks, and the validating constructor must fill the
+    same rows from its `transitions` view: one row per declared state."""
 
     @staticmethod
     def assert_valid(automaton):
@@ -378,6 +418,7 @@ class TestUncheckedConstruction:
         )
         assert again == automaton
         assert again._out == automaton._out
+        assert automaton._out.keys() == automaton.states
         for value in (automaton.states, automaton.events, automaton.marked):
             assert type(value) is frozenset
         assert type(automaton.transitions) is dict
@@ -391,10 +432,17 @@ class TestUncheckedConstruction:
             observer(labeled, hidden),
             observer(labeled, hidden, stop=lambda estimate: classify(estimate) == CERTAIN),
             parse_attacked(json.loads(json.dumps(attacked_to_doc(model)))).model,
+            accessible(model.model),
         ]
+        if model.mode == MODE_AE:
+            sites = attack_sites(model)
+            built.append(sub_attacker(model, seed=0).model)
+            built.append(sub_attacker(model, keep=sites[::2]).model)
         for automaton in (plant, supervisor):
             if automaton is not None:
                 built.append(parse_model(model_to_doc(automaton, alphabet)).automaton)
+        if plant is not None:
+            built += synthesized(plant, supervisor, alphabet)
         for automaton in built:
             self.assert_valid(automaton)
 
@@ -416,6 +464,19 @@ class TestUncheckedConstruction:
             system.supervisor,
             system.vuln.alphabet,
         )
+
+    def test_traffic_synthesis(self):
+        plant = traffic_plant()
+        alphabet = traffic_alphabet()
+        admissible = traffic_admissible(plant)
+        supremal = supremal_controllable(plant, admissible, alphabet.uncontrollable_events())
+        supervisor = realize_supervisor(
+            plant, supremal, alphabet.observable_events(), alphabet.controllable_events()
+        )
+        for automaton in (plant, admissible, accessible(admissible), supremal, supervisor):
+            self.assert_valid(automaton)
+        for automaton in synthesized(plant, supervisor, alphabet):
+            self.assert_valid(automaton)
 
 
 class TestAccessible:

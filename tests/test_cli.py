@@ -479,6 +479,24 @@ class TestExport:
         assert initial == 'a"b'
         assert edges == {('a"b', 'go"', "c\\"), ("c\\", "back\\", 'd\\"e')}
 
+    def test_out_file_is_utf8_under_an_ascii_locale(self, tmp_path):
+        plant = Automaton.build("é", [("é", "a", "ü")])
+        alphabet = Alphabet.from_sets(["a"], observable=["a"], controllable=[])
+        path = tmp_path / "plant.json"
+        path.write_text(dumps_doc(model_to_doc(plant, alphabet)), encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "desguard.cli", "export", str(path)]
+        shown = subprocess.run(command, capture_output=True, env=env, timeout=120)
+        out = tmp_path / "plant.dot"
+        written = subprocess.run(
+            [*command, "--out", str(out)], capture_output=True, env=env, timeout=120
+        )
+        assert (shown.returncode, shown.stderr) == (0, b"")
+        assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+        assert out.read_bytes() == shown.stdout
+        assert '"é" -> "ü" [label="a"];' in out.read_text(encoding="utf-8")
+
 
 class TestSimulate:
     def test_all_out_log(self, runner, demo_model_file):
