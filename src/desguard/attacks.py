@@ -36,7 +36,6 @@ from .automata import (
     Alphabet,
     Automaton,
     EventInfo,
-    Trace,
     accessible,
     explore,
     state_name,
@@ -77,48 +76,6 @@ def artifact_suffix(event: str) -> str | None:
         if event.endswith(suffix):
             return suffix
     return None
-
-
-def base_event(event: str) -> str:
-    """Strip one artifact suffix, if present."""
-    suffix = artifact_suffix(event)
-    return event[: -len(suffix)] if suffix else event
-
-
-def dilate(
-    trace: Iterable[str], vulnerable: Iterable[str], suffix: str = AE_SUFFIX
-) -> frozenset[Trace]:
-    """All variants of `trace` where vulnerable occurrences may be attacked.
-
-    Each occurrence of a vulnerable event branches into the genuine event
-    and its suffixed artifact, so the result has 2^k members for k
-    vulnerable occurrences.
-    """
-    vulnerable = frozenset(vulnerable)
-    variants: list[Trace] = [()]
-    for event in trace:
-        if event in vulnerable:
-            choices = (event, event + suffix)
-        else:
-            choices = (event,)
-        variants = [prefix + (c,) for prefix in variants for c in choices]
-    return frozenset(variants)
-
-
-def compress(trace: Iterable[str]) -> Trace:
-    """Map dilation artifacts back to their genuine events.
-
-    Only defined for dilation artifacts (``#a``/``#e``); insertion-onset
-    and renamed events have no genuine counterpart in the source behavior
-    and are rejected.
-    """
-    out = []
-    for event in trace:
-        suffix = artifact_suffix(event)
-        if suffix in (SI_SUFFIX, RENAME_SUFFIX):
-            raise ValueError(f"compression undefined for {event!r}")
-        out.append(event[: -len(suffix)] if suffix else event)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ a concurrent reader at worst computes one twice.
 
 The package has three searches here: `explore`, the one breadth-first
 search with parent pointers (composition, observers, witnesses, the
-defended-run exploration); `reach`, the forward closure under a set of
-events; and `coreach`, the backward closure to a set of states.  One
-more pass runs elsewhere: `diagnosis.label_compose` walks the closed
+defended-run exploration), and the closures under a set of events,
+`reach` forward and `coreach` backward, which stand in for fixpoints.
+One more pass runs elsewhere: `diagnosis.label_compose` walks the closed
 loop in its own loop, with no parent pointers and no callback per state.
 """
 
@@ -283,12 +283,6 @@ class Automaton:
         }
 
 
-def project(trace: Iterable[str], observable: Iterable[str]) -> Trace:
-    """Natural projection: erase events outside `observable`, keep order."""
-    observable = frozenset(observable)
-    return tuple(e for e in trace if e in observable)
-
-
 def path_to(parents: Mapping, node: State) -> Trace:
     """Events along the search path to `node`.
 
@@ -351,12 +345,15 @@ def reach(automaton: Automaton, sources: Iterable[State], allowed: Iterable[str]
     return frozenset(seen)
 
 
-def coreach(automaton: Automaton, targets: Iterable[State]) -> frozenset:
-    """States from which some state in `targets` is reachable."""
+def coreach(
+    automaton: Automaton, targets: Iterable[State], allowed: Iterable[str] | None = None
+) -> frozenset:
+    """States that reach some state in `targets` by events in `allowed` (default: all)."""
     backward: dict[State, list] = {s: [] for s in automaton.states}
     for src, row in automaton._out.items():
-        for dst in row.values():
-            backward[dst].append(src)
+        for event, dst in row.items():
+            if allowed is None or event in allowed:
+                backward[dst].append(src)
     seen = set(targets)
     stack = list(seen)
     while stack:

@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .attacks import (
+    _RULES,
     MODES,
     AttackedModel,
     artifact_suffix,
@@ -55,6 +56,7 @@ VERIFIER_PAIR_UNSAFE = "verifier-pair-unsafe"
 VERIFIER_POST_DETECTION_UNSAFE = "verifier-post-detection-unsafe"
 
 EVENT_KINDS = (GENUINE, AE_ATTACKED, SE_ERASED, SI_ONSET, RENAMED)
+ARTIFACT_KINDS = frozenset(rule.kind for rule in _RULES.values())
 
 
 class ModelFormatError(ValueError):
@@ -282,6 +284,19 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
     unknown = attack_events - base.alphabet.events()
     if unknown:
         raise ModelFormatError(f"{where}: undeclared attack events {sorted(unknown)}")
+    # As `build_model` makes them: the attack events are the events of the
+    # mode's artifact kind, and no event has another mode's artifact kind.
+    kind = _RULES[mode].kind
+    kinds = {event: info.kind for event, info in base.alphabet.infos.items()}
+    foreign = sorted(e for e, k in kinds.items() if k != kind and k in ARTIFACT_KINDS)
+    if foreign:
+        raise ModelFormatError(f"{where}: {mode} model declares other modes' artifacts {foreign}")
+    artifacts = frozenset(e for e, k in kinds.items() if k == kind)
+    if attack_events != artifacts:
+        raise ModelFormatError(
+            f"{where}: attack_events {sorted(attack_events)} are not the {kind} events "
+            f"{sorted(artifacts)}"
+        )
     return AttackedModel(
         model=base.automaton,
         alphabet=base.alphabet,

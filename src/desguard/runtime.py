@@ -135,13 +135,6 @@ def _choices(
     return (enabled - attacks) | taken, attacks
 
 
-def enabled_choices(
-    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
-) -> frozenset[str]:
-    """Events that may occur next, after safe-mode and policy filtering."""
-    return _choices(state, model, policy)[0]
-
-
 def step(
     state: ExecutionState,
     model: AttackedModel,

@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .attacks import AttackedModel
-from .automata import Trace, explore, path_to, reach, state_name
+from .automata import Trace, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
@@ -119,10 +119,10 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     entered on its detection edges, before the unobservable closure, whose
     further states need post-detection events the defense governs.
     Condition 2 is an unsafe entry state; condition 3 an unsafe state in
-    `x_uc`, the entry states' uncontrollable closure.  One witness search
-    ends at a detection edge into a state where the condition holds; for
-    condition 3 the shortest uncontrollable run to the first unsafe state
-    by name completes the trace.
+    `x_uc`, the entry states' uncontrollable closure.  The witness search
+    ends at a detection edge into an unsafe entry state (2) or one in the
+    unsafe states' uncontrollable backward closure (3), which the shortest
+    uncontrollable run to the first unsafe state by name then completes.
     """
     _require_safe_nominal(model)
     analysis = model.analysis
@@ -170,7 +170,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         if x_uc.isdisjoint(unsafe):
             return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
         condition = UNCONTROLLABLE_UNSAFE
-        arrivals = {s for s in entries if reach(closed_loop, (s,), uncontrollable) & unsafe}
+        arrivals = entries & coreach(closed_loop, unsafe, uncontrollable)
 
     trace, estimate = _detection_edge_witness(analysis, diagnoser, arrivals)
     if condition == UNCONTROLLABLE_UNSAFE:

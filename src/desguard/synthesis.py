@@ -4,14 +4,15 @@ Covers the standard pipeline used to obtain the supervisors this package
 analyzes: restrict an admissible-behavior automaton against the plant,
 compute the supremal controllable sublanguage, check observability of the
 result, and realize a partial-observation supervisor whose enabled
-unobservable events appear as self-loops.
+unobservable events appear as self-loops.  No step iterates to a
+fixpoint: each is one closure or one search over the product.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from .automata import Automaton, explore, observer, parallel_compose, path_to
+from .automata import Automaton, coreach, explore, observer, parallel_compose, path_to
 
 
 class RealizationError(ValueError):
@@ -32,46 +33,35 @@ def supremal_controllable(
 ) -> Automaton | None:
     """Largest sub-behavior of `admissible` the plant cannot escape.
 
-    Iteratively removes product states at which the plant can execute an
-    uncontrollable event the candidate behavior does not allow, until a
-    fixpoint.  States of the result are (admissible state, plant state)
-    pairs.  Returns None when nothing survives (the empty language).
+    Drops the escapes, product states where the plant can execute an
+    uncontrollable event the behavior does not allow, and every state that
+    reaches one by the plant's uncontrollable events (one `coreach`); keeps
+    what the initial state reaches outside them.  States are (admissible
+    state, plant state) pairs; None stands for the empty language.
     """
-    uncontrollable = frozenset(uncontrollable)
+    forced = frozenset(uncontrollable) & plant.events
     product = parallel_compose(admissible, plant)
-    good = set(product.states)
+    escapes = [
+        state
+        for state, row in product._out.items()
+        if any(event in forced and event not in row for event in plant._out[state[1]])
+    ]
+    if not escapes:
+        return product
+    bad = coreach(product, escapes, forced)
+    if product.initial in bad:
+        return None
 
     def inside(state):
-        for event, target in product.out_edges(state):
-            if target in good:
-                yield event, target
+        return [(e, target) for e, target in product._out[state].items() if target not in bad]
 
-    while True:
-        bad = set()
-        for state in good:
-            plant_state = state[1]
-            for event in plant.active_events(plant_state):
-                if event not in uncontrollable:
-                    continue
-                target = product.successor(state, event)
-                if target is None or target not in good:
-                    bad.add(state)
-                    break
-        if not bad:
-            break
-        good -= bad
-        if product.initial not in good:
-            return None
-        # Keep only what is still reachable inside the surviving states.
-        good = set(explore([product.initial], inside)[0])
-    # Every state of `good` is reachable inside `good`: the result is accessible.
-    out = {
+    good = frozenset(explore([product.initial], inside)[0])
+    rows = {
         src: {event: dst for event, dst in row.items() if dst in good}
         for src, row in product._out.items()
         if src in good
     }
-    good = frozenset(good)
-    return Automaton._unchecked(good, product.events, out, product.initial, product.marked & good)
+    return Automaton._unchecked(good, product.events, rows, product.initial, product.marked & good)
 
 
 def check_observability(
@@ -84,38 +74,37 @@ def check_observability(
 
     Fails when two observation-equivalent admissible strings disagree on a
     controllable event: one must keep it disabled (the plant could do it,
-    the behavior forbids it) while the other needs it enabled.  On failure
-    returns a witness (trace needing disable, trace needing enable, event).
+    the behavior forbids it) while the other needs it enabled.  The events
+    each product state forbids and enables are computed once, so a pair of
+    states is one set intersection.  On failure returns a witness (trace
+    needing disable, trace needing enable, event).
     """
     observable = frozenset(observable)
-    controllable = sorted(set(controllable))
+    controllable = frozenset(controllable)
     product = parallel_compose(admissible, plant)
-    unobservable = product.events - observable
+    out = product._out
+    enabled = {state: controllable.intersection(row) for state, row in out.items()}
+    forbidden = {
+        state: controllable.intersection(plant._out[state[1]]) - enabled[state] for state in out
+    }
 
     def conflict(node):
-        """A controllable event `node`'s first string must keep disabled
-        while its second needs it enabled, or None."""
+        """The smallest controllable event `node`'s first string must keep
+        disabled while its second needs it enabled, or None."""
         one, two = node
-        for event in controllable:
-            forbidden = (
-                product.successor(one, event) is None
-                and plant.successor(one[1], event) is not None
-            )
-            if forbidden and product.successor(two, event) is not None:
-                return event
-        return None
+        return min(forbidden[one] & enabled[two], default=None)
 
     def moves(node):
         one, two = node
         for event, target in product.out_edges(one):
             if event in observable:
-                other = product.successor(two, event)
+                other = out[two].get(event)
                 if other is not None:
                     yield (event, "both"), (target, other)
             else:
                 yield (event, "first"), (target, two)
         for event, target in product.out_edges(two):
-            if event in unobservable:
+            if event not in observable:
                 yield (event, "second"), (one, target)
 
     start = (product.initial, product.initial)

@@ -1,34 +1,98 @@
 """Brute-force language oracles used to cross-check the library.
 
 Everything here is deliberately naive and independent of the library's
-algorithms: languages are enumerated string by string, and the attack
+algorithms: languages are enumerated string by string, the attack
 model and the verifier are composed from their parts with the generic
-`parallel_compose` rather than searched on the fly.
+`parallel_compose` rather than searched on the fly, and the supremal
+controllable part is pruned round by round.  The trace helpers the
+tests share (projection, dilation and compression of artifacts, the
+events a run may take next) live here too: the library needs none.
 """
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from desguard.attacks import (
     _RULES,
+    AE_SUFFIX,
     MODE_SI,
     RENAME_SUFFIX,
+    SI_SUFFIX,
     AttackedModel,
     UnsupportedModeError,
     VulnerabilityError,
     VulnerabilitySpec,
     _check_inputs,
+    artifact_suffix,
 )
 from desguard.automata import (
     Automaton,
     EventInfo,
+    Trace,
     accessible,
     coreach,
+    explore,
     parallel_compose,
-    project,
     state_name,
 )
 from desguard.diagnosis import ATTACKED, CLEAN, SINK, LabeledAutomaton
+from desguard.runtime import AttackerPolicy, ExecutionState, _choices
+
+
+def project(trace: Iterable[str], observable: Iterable[str]) -> Trace:
+    """Natural projection: erase events outside `observable`, keep order."""
+    observable = frozenset(observable)
+    return tuple(e for e in trace if e in observable)
+
+
+def base_event(event: str) -> str:
+    """Strip one artifact suffix, if present."""
+    suffix = artifact_suffix(event)
+    return event[: -len(suffix)] if suffix else event
+
+
+def dilate(
+    trace: Iterable[str], vulnerable: Iterable[str], suffix: str = AE_SUFFIX
+) -> frozenset[Trace]:
+    """All variants of `trace` where vulnerable occurrences may be attacked.
+
+    Each occurrence of a vulnerable event branches into the genuine event
+    and its suffixed artifact, so the result has 2^k members for k
+    vulnerable occurrences.
+    """
+    vulnerable = frozenset(vulnerable)
+    variants: list[Trace] = [()]
+    for event in trace:
+        if event in vulnerable:
+            choices = (event, event + suffix)
+        else:
+            choices = (event,)
+        variants = [prefix + (c,) for prefix in variants for c in choices]
+    return frozenset(variants)
+
+
+def compress(trace: Iterable[str]) -> Trace:
+    """Map dilation artifacts back to their genuine events.
+
+    Only defined for dilation artifacts (``#a``/``#e``); insertion-onset
+    and renamed events have no genuine counterpart in the source behavior
+    and are rejected.
+    """
+    out = []
+    for event in trace:
+        suffix = artifact_suffix(event)
+        if suffix in (SI_SUFFIX, RENAME_SUFFIX):
+            raise ValueError(f"compression undefined for {event!r}")
+        out.append(event[: -len(suffix)] if suffix else event)
+    return tuple(out)
+
+
+def enabled_choices(
+    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
+) -> frozenset[str]:
+    """Events that may occur next, after safe-mode and policy filtering."""
+    return _choices(state, model, policy)[0]
 
 
 def enumerate_traces(automaton: Automaton, max_len: int) -> set[tuple]:
@@ -115,16 +179,66 @@ def diagnoser_step(labeled, unobservable, estimate: frozenset, event: str) -> fr
     return frozenset().union(*(naive_reach(automaton, t, unobservable) for t in targets))
 
 
-def naive_coreach(automaton: Automaton, targets) -> frozenset:
-    """Fixpoint of one-step predecessor closure, as an independent coreach oracle."""
+def naive_coreach(automaton: Automaton, targets, allowed=None) -> frozenset:
+    """Fixpoint of one-step predecessor closure, as an independent coreach
+    oracle, over the events in `allowed` (by default every event)."""
     current = frozenset(targets)
     while True:
         nxt = current | {
-            src for (src, _event), dst in automaton.transitions.items() if dst in current
+            src
+            for (src, event), dst in automaton.transitions.items()
+            if dst in current and (allowed is None or event in allowed)
         }
         if nxt == current:
             return current
         current = nxt
+
+
+def naive_supremal_controllable(
+    plant: Automaton, admissible: Automaton, uncontrollable
+) -> Automaton | None:
+    """The round-based fixpoint `supremal_controllable` is checked against.
+
+    Iteratively removes product states at which the plant can execute an
+    uncontrollable event the candidate behavior does not allow, until a
+    fixpoint.  States of the result are (admissible state, plant state)
+    pairs.  Returns None when nothing survives (the empty language).
+    """
+    uncontrollable = frozenset(uncontrollable)
+    product = parallel_compose(admissible, plant)
+    good = set(product.states)
+
+    def inside(state):
+        for event, target in product.out_edges(state):
+            if target in good:
+                yield event, target
+
+    while True:
+        bad = set()
+        for state in good:
+            plant_state = state[1]
+            for event in plant.active_events(plant_state):
+                if event not in uncontrollable:
+                    continue
+                target = product.successor(state, event)
+                if target is None or target not in good:
+                    bad.add(state)
+                    break
+        if not bad:
+            break
+        good -= bad
+        if product.initial not in good:
+            return None
+        # Keep only what is still reachable inside the surviving states.
+        good = set(explore([product.initial], inside)[0])
+    # Every state of `good` is reachable inside `good`: the result is accessible.
+    out = {
+        src: {event: dst for event, dst in row.items() if dst in good}
+        for src, row in product._out.items()
+        if src in good
+    }
+    good = frozenset(good)
+    return Automaton._unchecked(good, product.events, out, product.initial, product.marked & good)
 
 
 def language_equal(a: Automaton, b: Automaton, max_len: int) -> bool:

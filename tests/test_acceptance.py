@@ -14,15 +14,12 @@ from click.testing import CliRunner
 from desguard.attacks import (
     MODE_AE,
     build_model,
-    compress,
-    dilate,
     sub_attacker,
 )
 from desguard.automata import (
     deadlock_states,
     observer,
     parallel_compose,
-    project,
     state_name,
 )
 from desguard.cli import main
@@ -49,7 +46,14 @@ from desguard.systems import (
 )
 
 from generators import random_automaton, random_model, random_system
-from langtools import enumerate_traces, has_preimage, projected_language
+from langtools import (
+    compress,
+    dilate,
+    enumerate_traces,
+    has_preimage,
+    project,
+    projected_language,
+)
 
 
 def report(number: int, description: str, elapsed: float, budget: float):

@@ -15,16 +15,13 @@ from desguard.attacks import (
     VulnerabilityError,
     VulnerabilitySpec,
     attack_sites,
-    base_event,
     build_model,
-    compress,
-    dilate,
     sub_attacker,
 )
 from desguard.automata import Alphabet, Automaton, parallel_compose, state_name
 from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 
-from langtools import composed_model, enumerate_traces
+from langtools import base_event, composed_model, compress, dilate, enumerate_traces
 
 K = 6  # bounded-trace horizon
 

@@ -19,7 +19,6 @@ from desguard.automata import (
     observer,
     parallel_compose,
     path_to,
-    project,
     reach,
     state_name,
 )
@@ -35,6 +34,7 @@ from langtools import (
     has_preimage,
     naive_coreach,
     naive_reach,
+    project,
     projected_language,
 )
 
@@ -229,6 +229,16 @@ class TestCoreach:
             a = random_automaton(rng, rng.randint(2, 15), ["a", "b", "c"], density=0.25)
             targets = rng.sample(sorted(a.states), rng.randint(0, min(3, len(a.states))))
             assert coreach(a, targets) == naive_coreach(a, targets)
+
+    def test_allowed_events_match_naive_restricted_closure(self):
+        assert coreach(chain("a", "b"), ["3"], {"b"}) == frozenset({"2", "3"})
+        assert coreach(chain("a", "b"), ["3"], set()) == frozenset({"3"})
+        rng = random.Random(23)
+        for _ in range(40):
+            a = random_automaton(rng, rng.randint(2, 15), ["a", "b", "c"], density=0.3)
+            targets = rng.sample(sorted(a.states), rng.randint(0, min(3, len(a.states))))
+            allowed = frozenset(e for e in "abcd" if rng.random() < 0.5)
+            assert coreach(a, targets, allowed) == naive_coreach(a, targets, allowed)
 
 
 def graph_moves(edges):

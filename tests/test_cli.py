@@ -206,6 +206,24 @@ class TestCheck:
         assert f"error: {demo_model_file}: " in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [("attack_events", ["a"], "are not the ae-attacked events"),
+         ("attack_events", [], "are not the ae-attacked events"),
+         ("mode", "se", "se model declares other modes' artifacts")],
+        ids=["genuine-attack-event", "artifact-left-out", "artifact-of-another-mode"],
+    )
+    def test_attack_events_disagreeing_with_kinds_exit_2(
+        self, runner, demo_model_file, key, value, message
+    ):
+        doc = json.loads(demo_model_file.read_text())
+        doc[key] = value
+        demo_model_file.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(demo_model_file), "--method", "all"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert f"error: {demo_model_file}: " in result.output and message in result.output
+
     @pytest.mark.parametrize("command", ["check", "export"])
     @pytest.mark.parametrize(
         "event,key,value",

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model
-from desguard.automata import explore, project, state_name
+from desguard.automata import explore, state_name
 from desguard.diagnosis import (
     ATTACKED,
     CERTAIN,
@@ -20,7 +20,13 @@ from desguard.diagnosis import (
 )
 
 from generators import random_model
-from langtools import composed_verifier, diagnoser_initial, diagnoser_step, enumerate_traces
+from langtools import (
+    composed_verifier,
+    diagnoser_initial,
+    diagnoser_step,
+    enumerate_traces,
+    project,
+)
 
 
 class TestLabelCompose:

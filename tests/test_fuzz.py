@@ -1,10 +1,13 @@
 """Seeded document fuzzer: every mutated input ends in a documented exit code.
 
-Each mutant of the actuator demo's plant, supervisor, built attack model
-and policy script goes through the commands that read that document.
-The exit code must be one `desguard.cli` documents (0-4), codes 2 and 4
-must come with an `error:` line, and no exception but `SystemExit` may
-escape.
+Each mutant of a system's plant, supervisor and built attack model, and
+of the actuator demo's policy script, goes through the commands that
+read that document.  The systems cover the three attack modes: the
+actuator demo (ae), the erasure demo (se), the insertion demo (si) and
+the two-vehicle traffic system with its section-4 detectors attacked
+(si).  The exit code must be one `desguard.cli` documents (0-4), codes 2
+and 4 must come with an `error:` line, and no exception but `SystemExit`
+may escape.
 """
 
 import copy
@@ -14,13 +17,31 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from desguard.attacks import MODE_AE, build_model
+from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, build_model
 from desguard.cli import main
 from desguard.modelio import attacked_to_doc, dumps_doc, model_to_doc
-from desguard.systems import actuator_demo_system
+from desguard.systems import (
+    actuator_demo_system,
+    erasure_demo_system,
+    insertion_demo_system,
+    traffic_system,
+)
 
 SEED = 20180712
-MUTANTS_PER_DOCUMENT = 130
+
+# (mode, system, mutants per document role).  The generator is shared and
+# drawn in this order, so a system added at the end leaves the mutants of
+# the ones before it unchanged.
+CASES = [
+    (
+        MODE_AE,
+        actuator_demo_system,
+        {"plant": 130, "supervisor": 130, "model": 130, "script": 130},
+    ),
+    (MODE_SE, erasure_demo_system, {"plant": 40, "supervisor": 40, "model": 130}),
+    (MODE_SI, insertion_demo_system, {"plant": 40, "supervisor": 40, "model": 130}),
+    (MODE_SI, lambda: traffic_system(vulnerable_sensors={"a4", "b4"}), {"model": 100}),
+]
 
 # Values a mutation writes in place of an existing one.
 REPLACEMENTS = (
@@ -45,30 +66,23 @@ REPLACEMENTS = (
 )
 
 
-def documents():
-    """The valid documents, by role."""
-    system = actuator_demo_system()
-    alphabet = system.vuln.alphabet
-    model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
+def documents(mode, system):
+    """The valid documents of `system` under `mode`, by role."""
+    vuln = system.vuln
+    model = build_model(mode, system.plant, system.supervisor, vuln)
     return {
-        "plant": model_to_doc(system.plant, alphabet, system.vuln.unsafe_plant_states),
-        "supervisor": model_to_doc(system.supervisor, alphabet),
+        "plant": model_to_doc(system.plant, vuln.alphabet, vuln.unsafe_plant_states),
+        "supervisor": model_to_doc(system.supervisor, vuln.alphabet),
         "model": attacked_to_doc(model),
-        "script": ["b#a", None],
+        "script": [sorted(model.attack_events)[0], None],
     }
 
 
 # The commands that read each role's file, with the valid files in place.
+BUILD = ["build", "{plant}", "{supervisor}", "--mode", "{mode}", "--vulnerable", "{vulnerable}"]
 COMMANDS = {
-    "plant": [
-        ["build", "{plant}", "{supervisor}", "--mode", "ae", "--vulnerable", "b"],
-        ["synthesize", "{plant}", "{supervisor}"],
-        ["export", "{plant}"],
-    ],
-    "supervisor": [
-        ["build", "{plant}", "{supervisor}", "--mode", "ae", "--vulnerable", "b"],
-        ["synthesize", "{plant}", "{supervisor}"],
-    ],
+    "plant": [BUILD, ["synthesize", "{plant}", "{supervisor}"], ["export", "{plant}"]],
+    "supervisor": [BUILD, ["synthesize", "{plant}", "{supervisor}"]],
     "model": [
         ["check", "{model}", "--method", "all"],
         ["export", "{model}"],
@@ -124,26 +138,34 @@ def mutate(doc, rng: random.Random):
 
 def test_mutated_documents_end_in_documented_exit_codes(tmp_path):
     rng = random.Random(SEED)
-    valid = documents()
-    paths = {}
-    for role, doc in valid.items():
-        paths[role] = tmp_path / f"{role}.json"
-        paths[role].write_text(json.dumps(doc) if role == "script" else dumps_doc(doc))
     runner = CliRunner()
     mutants = 0
-    for role, doc in valid.items():
-        for _ in range(MUTANTS_PER_DOCUMENT):
-            mutant = tmp_path / f"mutant-{role}.json"
-            mutant.write_text(json.dumps(mutate(doc, rng), ensure_ascii=rng.random() < 0.5))
-            mutants += 1
-            files = {**paths, role: mutant}
-            for args in COMMANDS[role]:
-                argv = [arg.format(**files) for arg in args]
-                result = runner.invoke(main, argv)
-                where = f"{' '.join(args)} on {mutant.read_text()!r}"
-                if result.exception is not None and not isinstance(result.exception, SystemExit):
-                    pytest.fail(f"{where} raised {result.exception!r}")
-                assert result.exit_code in (0, 1, 2, 3, 4), where
-                if result.exit_code in (2, 4):
-                    assert "error: " in result.output, where
-    assert mutants >= 500
+    for mode, make_system, counts in CASES:
+        system = make_system()
+        valid = documents(mode, system)
+        vuln = system.vuln
+        vulnerable = ",".join(sorted(vuln.vulnerable_actuators | vuln.vulnerable_sensors))
+        paths = {}
+        for role, doc in valid.items():
+            paths[role] = tmp_path / f"{role}.json"
+            paths[role].write_text(json.dumps(doc) if role == "script" else dumps_doc(doc))
+        for role, count in counts.items():
+            for _ in range(count):
+                mutant = tmp_path / f"mutant-{role}.json"
+                mutant.write_text(
+                    json.dumps(mutate(valid[role], rng), ensure_ascii=rng.random() < 0.5)
+                )
+                mutants += 1
+                files = {**paths, role: mutant}
+                for args in COMMANDS[role]:
+                    argv = [arg.format(mode=mode, vulnerable=vulnerable, **files) for arg in args]
+                    result = runner.invoke(main, argv)
+                    where = f"{' '.join(argv)} on {mutant.read_text()[:2000]!r}"
+                    if result.exception is not None and not isinstance(
+                        result.exception, SystemExit
+                    ):
+                        pytest.fail(f"{where} raised {result.exception!r}")
+                    assert result.exit_code in (0, 1, 2, 3, 4), where
+                    if result.exit_code in (2, 4):
+                        assert "error: " in result.output, where
+    assert mutants >= 1000

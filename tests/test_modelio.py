@@ -212,6 +212,15 @@ class TestValidation:
                          id="state-missing-from-components"),
             pytest.param(True, lambda d: d.update(attack_events=["zz"]),
                          r"undeclared attack events \['zz'\]", id="undeclared-attack-events"),
+            pytest.param(True, lambda d: d.update(attack_events=["a"]),
+                         r"attack_events \['a'\] are not the ae-attacked events \['b#a'\]",
+                         id="genuine-attack-event"),
+            pytest.param(True, lambda d: d.update(attack_events=[]),
+                         r"attack_events \[\] are not the ae-attacked events \['b#a'\]",
+                         id="artifact-left-out"),
+            pytest.param(True, lambda d: d.update(mode="se"),
+                         r"se model declares other modes' artifacts \['b#a'\]",
+                         id="artifact-of-another-mode"),
         ],
     )
     def test_malformed_document(self, actuator_model, attacked, mutate, message):

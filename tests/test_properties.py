@@ -2,7 +2,7 @@
 
 import random
 
-from desguard.attacks import MODE_AE, compress, dilate, sub_attacker
+from desguard.attacks import MODE_AE, sub_attacker
 from desguard.automata import observer, parallel_compose
 from desguard.safety import (
     check_ae_safe_verifier,
@@ -11,7 +11,7 @@ from desguard.safety import (
 )
 
 from generators import random_automaton, random_model, random_system
-from langtools import enumerate_traces, has_preimage, projected_language
+from langtools import compress, dilate, enumerate_traces, has_preimage, projected_language
 
 MODES = ("ae", "se", "si")
 

@@ -11,7 +11,6 @@ from desguard.runtime import (
     AttackerPolicy,
     IllegalEventError,
     defended_moves,
-    enabled_choices,
     initial_state,
     log_records,
     run,
@@ -21,6 +20,7 @@ from desguard.runtime import (
 from desguard.safety import check_gf_safe_diagnoser
 
 from generators import random_model
+from langtools import enabled_choices
 
 
 class TestStep:
@@ -63,7 +63,7 @@ class TestStep:
             step(after_a, actuator_model, policy)
 
     def test_observed_is_projection_of_trace(self, traffic_si_model):
-        from desguard.automata import project
+        from langtools import project
 
         states = run(traffic_si_model, AttackerPolicy.all_out(), max_steps=30)
         observable = traffic_si_model.alphabet.observable_events()

@@ -19,7 +19,7 @@ from desguard.systems import (
 )
 
 from generators import random_automaton
-from langtools import enumerate_traces, language_equal
+from langtools import enumerate_traces, language_equal, naive_supremal_controllable
 
 
 def two_branch_unobservable_plant():
@@ -109,6 +109,67 @@ class TestSupremalControllable:
         assert not plant_states & traffic_collisions()
 
 
+def _rows(automaton):
+    """The transition rows with their order, states and events alike."""
+    return [(state, list(row.items())) for state, row in automaton._out.items()]
+
+
+class TestClosureMatchesFixpoint:
+    """The one-closure `supremal_controllable` against the round-based
+    reference `naive_supremal_controllable`."""
+
+    def assert_same(self, plant, spec, uncontrollable):
+        result = supremal_controllable(plant, spec, uncontrollable)
+        reference = naive_supremal_controllable(plant, spec, uncontrollable)
+        assert result == reference
+        if reference is not None:
+            assert _rows(result) == _rows(reference)
+        return result
+
+    def test_random_pairs_with_spec_private_events(self):
+        rng = random.Random(1987)
+        outcomes = {"empty": 0, "pruned": 0, "product": 0}
+        for _ in range(300):
+            plant_events = ["a", "b", "c", "d"][: rng.randint(2, 4)]
+            spec_events = plant_events + ["v", "w"][: rng.randint(0, 2)]
+            plant = random_automaton(rng, rng.randint(2, 7), plant_events, density=0.5)
+            spec = random_automaton(rng, rng.randint(1, 7), spec_events, density=0.5)
+            uncontrollable = {e for e in spec_events if rng.random() < 0.5}
+            result = self.assert_same(plant, spec, uncontrollable)
+            product = parallel_compose(spec, plant)
+            if result is None:
+                outcomes["empty"] += 1
+            elif result.states == product.states:
+                outcomes["product"] += 1
+            else:
+                outcomes["pruned"] += 1
+        assert min(outcomes.values()) >= 20, outcomes
+
+    def test_spec_private_uncontrollable_event_is_never_forced(self):
+        plant = Automaton.build("p0", [("p0", "u", "p0"), ("p0", "a", "p0")])
+        spec = Automaton.build(
+            "s0", [("s0", "u", "s0"), ("s0", "a", "s0"), ("s0", "v", "s1")]
+        )
+        result = self.assert_same(plant, spec, {"u", "v"})
+        assert result.states == frozenset({("s0", "p0")})
+        assert result._out == {("s0", "p0"): {"u": ("s0", "p0"), "a": ("s0", "p0")}}
+
+    def test_escape_propagates_back_through_uncontrollable_steps(self):
+        # 4 escapes (the plant can do u, the spec cannot); u leads there
+        # from 3, 2 and 1, so all four go, and with 1 goes 5, reachable
+        # only through it.
+        edges = [
+            ("0", "a", "1"), ("0", "b", "6"), ("6", "c", "0"),
+            ("1", "u", "2"), ("2", "u", "3"), ("3", "u", "4"),
+            ("1", "c", "5"), ("5", "b", "6"),
+        ]
+        plant = Automaton.build("0", edges + [("4", "u", "7")])
+        spec = Automaton.build("0", edges, events=["u"])
+        result = self.assert_same(plant, spec, {"u"})
+        assert {s for s, _ in result.states} == {"0", "6"}
+        assert result._out[("0", "0")] == {"b": ("6", "6")}
+
+
 def _is_controllable(candidate, plant, uncontrollable, horizon=6):
     for trace in enumerate_traces(candidate, horizon):
         end_plant = plant.run(trace)
@@ -155,7 +216,7 @@ class TestObservability:
         assert admissible.run(needs_enabled) is not None
 
     def test_witness_confirmed_by_brute_force(self):
-        from desguard.automata import project
+        from langtools import project
 
         plant, admissible = two_branch_unobservable_plant()
         product = parallel_compose(admissible, plant)
