@@ -267,21 +267,6 @@ class Automaton:
                 return None
         return current
 
-    def generates(self, trace: Iterable[str]) -> bool:
-        return self.run(trace) is not None
-
-    def canonical_doc(self) -> dict:
-        """Order-stable plain representation, for equality and hashing in tests."""
-        return {
-            "states": sorted(state_name(s) for s in self.states),
-            "events": sorted(self.events),
-            "initial": state_name(self.initial),
-            "marked": sorted(state_name(s) for s in self.marked),
-            "transitions": sorted(
-                (state_name(s), e, state_name(d)) for (s, e), d in self.transitions.items()
-            ),
-        }
-
 
 def path_to(parents: Mapping, node: State) -> Trace:
     """Events along the search path to `node`.

@@ -159,9 +159,6 @@ class Diagnoser:
     automaton: Automaton
     classification: Mapping[State, str]
 
-    def states_of(self, kind: str) -> frozenset:
-        return frozenset(s for s, c in self.classification.items() if c == kind)
-
 
 def build_diagnoser(
     labeled: LabeledAutomaton,

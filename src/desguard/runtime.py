@@ -1,16 +1,16 @@
-"""Event-by-event closed-loop execution with online detection.
+"""Event-by-event closed-loop execution under the online defense.
 
-The engine advances a closed-loop attack model one event at a time while
-co-tracking the detector's state estimate.  The moment the estimate
-becomes certain the loop switches to safe mode: every controllable event
-is disabled from then on.  Attack opportunities are filtered through an
-attacker policy, so the same engine serves demonstrations, trace
-generation, and the exhaustive defense check.  Every estimate step reads
-the model's shared estimate table (`Analysis.estimates`), so runs and
-the diagnoser compute each unobservable closure once between them.
-`defended_moves` is the one defended product, searched by the exhaustive
-check (the oracle) and the diagnoser's witness searches.  The check
-either reports every defended run or, for a verdict, searches only the
+The defense is one rule: advance the detector's state estimate on each
+observed event, and once the estimate is certain, disable every
+controllable event.  `defended_moves` states it once, as the successor
+function of the defended product over (labeled state, estimate) nodes.
+It has five readers: the step-by-step engine (`step`, which `desguard
+simulate` runs), the exhaustive check (`run_exhaustive`, whose search
+for a breach is the oracle), the oracle's breach naming
+(`safety._classify_breach`) and the diagnoser's two witness searches.
+Attack opportunities are filtered through an attacker policy, and every
+estimate step reads the model's shared estimate table
+(`Analysis.estimates`).  For a verdict the check searches only the
 labeled states that can still reach an unsafe state (one backward
 closure per model) and stops at the first unsafe run.
 """
@@ -92,13 +92,21 @@ class AttackerPolicy:
 
 @dataclass(frozen=True)
 class ExecutionState:
-    """One point of a closed-loop run."""
+    """One point of a closed-loop run: a node of the defended product,
+    (labeled state, estimate), and the run that reached it."""
 
-    composed: object
-    estimate: frozenset
+    node: tuple
     trace: Trace = ()
     observed: Trace = ()
     decisions_used: int = 0
+
+    @property
+    def composed(self):
+        return self.node[0][0]
+
+    @property
+    def estimate(self) -> frozenset:
+        return self.node[1]
 
     @property
     def safe_mode(self) -> bool:
@@ -114,25 +122,27 @@ class ExecutionState:
         return self.composed[1]
 
 
+def _product(model: AttackedModel):
+    return defended_moves(model.analysis, model.analysis.labeled.automaton.states)
+
+
 def initial_state(model: AttackedModel) -> ExecutionState:
-    return ExecutionState(model.model.initial, model.analysis.estimates.initial)
+    return ExecutionState(_product(model)[0])
 
 
 def _choices(
     state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
-) -> tuple[frozenset[str], frozenset[str]]:
-    """(Events that may occur next, attack opportunities open) at `state`.
-
-    Safe mode removes every controllable event; attack artifacts that are
-    uncontrollable in the model are never blocked by the defense, only by
-    the policy, which filters the opportunities with one draw.
+) -> tuple[frozenset[str], frozenset[str], dict]:
+    """(Events that may occur next, attack opportunities open, moves by
+    event) at `state`.  The moves are the defended product's; attack
+    artifacts that are uncontrollable in the model are never blocked by
+    the defense, only by the policy, which filters them with one draw.
     """
-    enabled = model.model.active_events(state.composed)
-    if state.safe_mode:
-        enabled -= model.analysis.controllable
+    moves = dict(_product(model)[1](state.node))
+    enabled = frozenset(moves)
     attacks = enabled & model.attack_events
     taken = policy.filter_attacks(attacks, state.decisions_used)
-    return (enabled - attacks) | taken, attacks
+    return (enabled - attacks) | taken, attacks, moves
 
 
 def step(
@@ -141,14 +151,14 @@ def step(
     policy: AttackerPolicy,
     choice: str | None = None,
 ) -> ExecutionState | None:
-    """Advance one event; `choice` of None lets the policy pick.
+    """Take one move of the defended product; `choice` of None lets the policy pick.
 
     A random policy picks from the same draw that decided what is
     enabled.  Returns None when `choice` is None and nothing is enabled:
-    the run has ended.  The estimate advances only on observable events;
-    safe mode holds from the step at which it becomes certain.
+    the run has ended.  The chosen move's target is the next node, with
+    the estimate and safe mode the exhaustive check reaches there.
     """
-    enabled, attacks = _choices(state, model, policy)
+    enabled, attacks, moves = _choices(state, model, policy)
     if choice is None:
         if not enabled:
             return None
@@ -161,19 +171,11 @@ def step(
             choice = taken[0] if taken else sorted(enabled)[0]
     elif choice not in enabled:
         raise IllegalEventError(choice, enabled)
-    composed = model.model.successor(state.composed, choice)
-    estimate = state.estimate
     observed = state.observed
-    analysis = model.analysis
-    if choice in analysis.observable:
-        estimate = analysis.estimates.step(estimate, choice)
-        observed = observed + (choice,)
+    if choice in model.analysis.observable:
+        observed += (choice,)
     return ExecutionState(
-        composed=composed,
-        estimate=estimate,
-        trace=state.trace + (choice,),
-        observed=observed,
-        decisions_used=state.decisions_used + (1 if attacks else 0),
+        moves[choice], state.trace + (choice,), observed, state.decisions_used + (1 if attacks else 0)
     )
 
 

@@ -42,7 +42,6 @@ from .automata import Trace, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
-    NORMAL,
     SINK,
     UNCERTAIN,
     Analysis,
@@ -292,19 +291,20 @@ def oracle_defense_simulation(model: AttackedModel) -> Verdict:
 def _classify_breach(analysis: Analysis, trace: Trace) -> str:
     """Name the defense failure a breached run exhibits.
 
-    The replay steps the estimate table the exploration filled, so it
-    finds every step it needs already taken.
+    The run is replayed through the defended product the oracle just
+    searched, whose estimate steps are all in the table; a trace that is
+    no defended run raises KeyError.  Certainty at the end and before the
+    last observable event tells conditions 1, 2 and 3 apart.
     """
-    estimates = analysis.estimates
-    estimate = estimates.initial
-    previous = estimate
+    start, moves = defended_moves(analysis, analysis.unsafe_coreach)
+    node = previous = start
     for event in trace:
         if event in analysis.observable:
-            previous = estimate
-            estimate = estimates.step(estimate, event)
-    if classify(estimate) in (UNCERTAIN, NORMAL):
+            previous = node
+        node = dict(moves(node))[event]
+    if classify(node[1]) != CERTAIN:
         return UNCERTAIN_UNSAFE
-    if classify(previous) != CERTAIN:
+    if classify(previous[1]) != CERTAIN:
         return FIRST_CERTAIN_UNSAFE
     return UNCONTROLLABLE_UNSAFE
 

@@ -6,7 +6,8 @@ model and the verifier are composed from their parts with the generic
 `parallel_compose` rather than searched on the fly, and the supremal
 controllable part is pruned round by round.  The trace helpers the
 tests share (projection, dilation and compression of artifacts, the
-events a run may take next) live here too: the library needs none.
+events a run may take next, an automaton's canonical document) live here
+too: the library needs none.
 """
 
 from collections import deque
@@ -36,7 +37,7 @@ from desguard.automata import (
     parallel_compose,
     state_name,
 )
-from desguard.diagnosis import ATTACKED, CLEAN, SINK, LabeledAutomaton
+from desguard.diagnosis import ATTACKED, CLEAN, SINK, Diagnoser, LabeledAutomaton
 from desguard.runtime import AttackerPolicy, ExecutionState, _choices
 
 
@@ -93,6 +94,28 @@ def enabled_choices(
 ) -> frozenset[str]:
     """Events that may occur next, after safe-mode and policy filtering."""
     return _choices(state, model, policy)[0]
+
+
+def canonical_doc(automaton: Automaton) -> dict:
+    """Order-stable plain representation, for equality and hashing."""
+    return {
+        "states": sorted(state_name(s) for s in automaton.states),
+        "events": sorted(automaton.events),
+        "initial": state_name(automaton.initial),
+        "marked": sorted(state_name(s) for s in automaton.marked),
+        "transitions": sorted(
+            (state_name(s), e, state_name(d)) for (s, e), d in automaton.transitions.items()
+        ),
+    }
+
+
+def generates(automaton: Automaton, trace: Iterable[str]) -> bool:
+    return automaton.run(trace) is not None
+
+
+def states_of(diagnoser: Diagnoser, kind: str) -> frozenset:
+    """The diagnoser states classified `kind`."""
+    return frozenset(s for s, c in diagnoser.classification.items() if c == kind)
 
 
 def enumerate_traces(automaton: Automaton, max_len: int) -> set[tuple]:

@@ -47,12 +47,15 @@ from desguard.systems import (
 
 from generators import random_automaton, random_model, random_system
 from langtools import (
+    canonical_doc,
     compress,
     dilate,
     enumerate_traces,
+    generates,
     has_preimage,
     project,
     projected_language,
+    states_of,
 )
 
 
@@ -156,8 +159,8 @@ def test_criterion_5_traffic_insertion_attack(synthesized_traffic):
     assert "b4#i" in attacked_trace and "b4#i" not in normal_trace
     observable = model.alphabet.observable_events()
     assert project(normal_trace, observable) == project(attacked_trace, observable)
-    assert model.model.generates(normal_trace)
-    assert model.model.generates(attacked_trace)
+    assert generates(model.model, normal_trace)
+    assert generates(model.model, attacked_trace)
     report(5, "traffic insertion attack: unsafe, equal-projection trace pair with b4#i",
            time.monotonic() - start, 10.0)
 
@@ -185,7 +188,7 @@ def test_criterion_6_small_sensor_fixtures():
     assert not check_gf_safe_diagnoser(insertion_model).safe
     labeled = label_compose(insertion_model)
     diagnoser = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
-    assert not diagnoser.states_of(CERTAIN)
+    assert not states_of(diagnoser, CERTAIN)
     report(6, "erasure fixture uncertain on plants {3,5}; insertion fixture undetectable",
            max(elapsed_erasure, time.monotonic() - start_insertion), 1.0)
 
@@ -203,7 +206,7 @@ def test_criterion_7_three_way_agreement_at_scale():
         oracle_safe = oracle_defense_simulation(model).safe
         assert diagnoser_safe == verifier_safe == oracle_safe, (
             f"disagreement on instance {index} ({mode}): "
-            f"{model.model.canonical_doc()}"
+            f"{canonical_doc(model.model)}"
         )
     assert instances >= 200
     report(7, f"three-way agreement on {instances} random instances, zero disagreements",
@@ -239,7 +242,7 @@ def test_criterion_9_core_laws():
         hidden = frozenset({"u"}) & automaton.events
         obs = observer(automaton, hidden)
         for observation in projected_language(automaton, automaton.events - hidden, 4):
-            assert obs.generates(observation)
+            assert generates(obs, observation)
         for trace in enumerate_traces(obs, 4):
             assert has_preimage(automaton, hidden, trace)
 

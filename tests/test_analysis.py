@@ -18,6 +18,7 @@ from desguard.safety import (
 )
 
 from generators import random_system
+from langtools import canonical_doc
 
 ROUTES = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
 
@@ -82,8 +83,8 @@ class TestCacheSafety:
         weaker = sub_attacker(model, keep=[])
         assert weaker.analysis is not model.analysis
         assert (
-            weaker.analysis.labeled.automaton.canonical_doc()
-            == label_compose(weaker).automaton.canonical_doc()
+            canonical_doc(weaker.analysis.labeled.automaton)
+            == canonical_doc(label_compose(weaker).automaton)
         )
         for route in ROUTES:
             assert route(weaker).safe

@@ -21,7 +21,14 @@ from desguard.attacks import (
 from desguard.automata import Alphabet, Automaton, parallel_compose, state_name
 from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 
-from langtools import base_event, composed_model, compress, dilate, enumerate_traces
+from langtools import (
+    base_event,
+    canonical_doc,
+    composed_model,
+    compress,
+    dilate,
+    enumerate_traces,
+)
 
 K = 6  # bounded-trace horizon
 
@@ -106,7 +113,7 @@ def _attack_free(model, horizon=K):
 
 class TestActuatorModel:
     def test_demo_chain(self, actuator_model):
-        doc = actuator_model.model.canonical_doc()
+        doc = canonical_doc(actuator_model.model)
         assert doc["states"] == ["(1,1)", "(2,2)", "(2,3)", "(2,4)"]
         assert doc["transitions"] == [
             ("(1,1)", "a", "(2,2)"),
@@ -316,7 +323,7 @@ class TestSubAttacker:
     def test_keep_all_is_identity(self, actuator_model):
         sites = attack_sites(actuator_model)
         same = sub_attacker(actuator_model, keep=sites)
-        assert same.model.canonical_doc() == actuator_model.model.canonical_doc()
+        assert canonical_doc(same.model) == canonical_doc(actuator_model.model)
 
     def test_keep_none_removes_attacks(self, actuator_model):
         none = sub_attacker(actuator_model, keep=[])

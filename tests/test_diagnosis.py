@@ -21,18 +21,21 @@ from desguard.diagnosis import (
 
 from generators import random_model
 from langtools import (
+    canonical_doc,
     composed_verifier,
     diagnoser_initial,
     diagnoser_step,
     enumerate_traces,
+    generates,
     project,
+    states_of,
 )
 
 
 class TestLabelCompose:
     def test_demo_chain_labels(self, actuator_model):
         labeled = label_compose(actuator_model)
-        doc = labeled.automaton.canonical_doc()
+        doc = canonical_doc(labeled.automaton)
         assert doc["transitions"] == [
             ("((1,1),N)", "a", "((2,2),N)"),
             ("((2,2),N)", "b#a", "((2,3),Y)"),
@@ -79,7 +82,7 @@ class TestDiagnoser:
     def test_insertion_demo_never_certain(self, insertion_model):
         labeled = label_compose(insertion_model)
         diag = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
-        assert not diag.states_of(CERTAIN)
+        assert not states_of(diag, CERTAIN)
 
     def test_classification_exhaustive_and_exclusive(self, traffic_si_model):
         labeled = label_compose(traffic_si_model)
@@ -212,8 +215,8 @@ class TestVerifier:
         normal_trace, attacked_trace = pair
         observable = erasure_model.alphabet.observable_events()
         assert project(normal_trace, observable) == project(attacked_trace, observable)
-        assert erasure_model.model.generates(normal_trace)
-        assert erasure_model.model.generates(attacked_trace)
+        assert generates(erasure_model.model, normal_trace)
+        assert generates(erasure_model.model, attacked_trace)
         assert any(e in erasure_model.attack_events for e in attacked_trace)
         assert not any(e in erasure_model.attack_events for e in normal_trace)
 

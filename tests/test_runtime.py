@@ -228,3 +228,23 @@ class TestCertaintyLatches:
                 assert estimates.step(estimate, event) == target
             checked += 1
         assert checked
+
+
+class TestEngineWalksTheProduct:
+    """The step-by-step engine and the exhaustive check read one product."""
+
+    def test_every_run_is_a_walk_of_the_defended_product(self, request):
+        for seed, model in _models(request):
+            analysis = model.analysis
+            start, moves = defended_moves(analysis, analysis.labeled.automaton.states)
+            policies = [AttackerPolicy.all_out()]
+            policies += [AttackerPolicy.seeded_random(0.5, s) for s in range(3)]
+            for policy in policies:
+                node = None
+                for st in run(model, policy, 40):
+                    node = start if node is None else dict(moves(node))[st.trace[-1]]
+                    assert node[0][0] == st.composed, (seed, st.trace)
+                    assert node[1] == st.estimate, (seed, st.trace)
+                    assert enabled_choices(st, model, AttackerPolicy.all_out()) == frozenset(
+                        event for event, _ in moves(node)
+                    ), (seed, st.trace)

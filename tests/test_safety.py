@@ -13,6 +13,7 @@ from desguard.safety import (
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
     NominalUnsafeError,
+    _classify_breach,
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
     oracle_defense_simulation,
@@ -217,6 +218,14 @@ class TestDefenseCornerCases:
         assert model.model.run(("b#e", "d", "b#e")) in model.unsafe_states
         for check in ALL_CHECKS:
             assert check(model).safe
+
+    def test_breach_naming_refuses_a_run_the_defense_cuts(self):
+        # The oracle's breach naming replays the defended product, so a
+        # trace through an event frozen after detection is no breach.
+        system = observable_actuator_corner_system()
+        model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
+        with pytest.raises(KeyError):
+            _classify_breach(model.analysis, ("s#a", "d"))
 
 
 class TestVerdictShape:

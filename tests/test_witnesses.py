@@ -1,4 +1,5 @@
-"""Pinned witnesses of every search: verdicts, counterexamples and reports.
+"""Pinned witnesses of every search: verdicts, counterexamples and reports,
+and the runs of the step-by-step engine.
 
 Each digest is a sha256 over a JSON rendering that depends only on the
 models, never on the interpreter's hash seed: states are rendered with
@@ -17,7 +18,15 @@ import pytest
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import confusion_witness
-from desguard.runtime import run_exhaustive
+from desguard.runtime import (
+    AttackerPolicy,
+    IllegalEventError,
+    initial_state,
+    log_records,
+    run,
+    run_exhaustive,
+    step,
+)
 from desguard.safety import (
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
@@ -26,6 +35,7 @@ from desguard.safety import (
 from desguard.synthesis import check_observability, supremal_controllable
 
 from generators import random_automaton, random_model
+from langtools import canonical_doc
 
 
 def _trace(trace):
@@ -62,6 +72,29 @@ def _render(model) -> dict:
     }
 
 
+def _render_runs(model) -> dict:
+    """Every record of the step-by-step engine under each policy, and the
+    enabled set an illegal first choice reports."""
+    policies = {
+        "all-out": AttackerPolicy.all_out(),
+        "passive": AttackerPolicy.scripted([None] * 30),
+    }
+    for seed in range(5):
+        policies[f"random:0.5:{seed}"] = AttackerPolicy.seeded_random(0.5, seed)
+    rendered = {}
+    for name, policy in policies.items():
+        states = run(model, policy, 40)
+        rendered[name] = [
+            log_records(states),
+            list(states[-1].observed),
+            states[-1].decisions_used,
+        ]
+    with pytest.raises(IllegalEventError) as err:
+        step(initial_state(model), model, AttackerPolicy.all_out(), choice="no-such-event")
+    rendered["illegal"] = sorted(err.value.enabled)
+    return rendered
+
+
 def _digest(rendered) -> str:
     text = json.dumps(rendered, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
@@ -88,6 +121,17 @@ FIXTURE_SHA256 = {
     "traffic_si_model": "dde3a97a69a56ef7d945c8a26b34cff408f9798d821b4589c732e9deee137a4c",
 }
 
+# _render_runs of each fixture.
+RUNS_SHA256 = {
+    "actuator_model": "c3a75fda4ef1338118d8c8a9ff61b0a226ac2c440a535cff945b2bc88f1f16c7",
+    "blocking_model": "0ce809996999ec65c1636e588ddbe4eb5f76fac46d72452e871a626aeb1efbbd",
+    "erasure_model": "3d06ff08c5fe4d74e1bd39b348ca727ed605fc7a42f0068b7f158deec565e653",
+    "insertion_model": "863887e2a7455677276c54019e1bf10eb28e92c28ea7615900dfca05bb9c2ca3",
+    "traffic_ae_model": "b68958b8c9408844e6dec2f56c050af28aa6dab9a7f0afc4249a36d2428cd7ff",
+    "traffic_se_model": "b63e78a592f2fa4474065995d188a20d15ba78b5c749d65ac11b4ec7dc8e9f80",
+    "traffic_si_model": "293748e9e212f6c74efcd5a5f4fecfb7dae006d13f33fb98704969b488bf4203",
+}
+
 TOUR_SHA256 = "cbe09be8c81f571166739d7793d04e0fa58bae7a633a54482a88ab4daae20a53"
 
 # random_model(random.Random(seed), mode) for seeds 0-199, in seed order.
@@ -104,6 +148,12 @@ OBSERVABILITY_SHA256 = "44e8ed1c49428bd965178a75587ab23c79aebf50b64d23d014aa0d38
 def test_fixture_witnesses_are_pinned(fixture, request):
     rendered = _render(request.getfixturevalue(fixture))
     assert _digest(rendered) == FIXTURE_SHA256[fixture], rendered
+
+
+@pytest.mark.parametrize("fixture", sorted(RUNS_SHA256))
+def test_fixture_runs_are_pinned(fixture, request):
+    rendered = _render_runs(request.getfixturevalue(fixture))
+    assert _digest(rendered) == RUNS_SHA256[fixture], rendered
 
 
 def test_tour_witnesses_are_pinned():
@@ -136,7 +186,7 @@ def test_observability_witnesses_are_pinned():
         supremal = supremal_controllable(plant, spec, uncontrollable)
         ok, witness = check_observability(plant, spec, observable, controllable)
         rendered.append([
-            None if supremal is None else supremal.canonical_doc(),
+            None if supremal is None else canonical_doc(supremal),
             ok,
             None if witness is None else [list(witness[0]), list(witness[1]), witness[2]],
         ])
