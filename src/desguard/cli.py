@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, on the standard library's `argparse`.
 
 Exit codes: 0 success (or verdict safe), 1 verdict unsafe / refused
 realization (an empty supremal controllable or an unobservable admissible
@@ -13,19 +13,18 @@ exceeded (no verdict; `synthesize` writes no supervisor).
 loop already reaches an unsafe state: every route assumes a supervisor
 that is safe without attacks, so none can judge the defense there.
 
-`check`, `simulate` and `synthesize` import the analysis modules they run
-inside their bodies, so `build` and `export` load only the attack builder,
-the automata and the file format.
+Output is UTF-8 whatever the locale, with a backslash escape for what
+UTF-8 cannot encode.  `check`, `simulate` and `synthesize` import the
+analysis modules they run inside their bodies, so `build` and `export`
+load only the attack builder, the automata and the file format.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
 import sys
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
 from .attacks import (
@@ -56,22 +55,17 @@ if TYPE_CHECKING:
     from .runtime import AttackerPolicy
 
 
-def _fail(message: str, code: int = 2):
-    click.echo(f"error: {message}", err=True)
+def _echo(text: str, err: bool = False) -> None:
+    """Write `text` to stdout (or stderr) as UTF-8 bytes, then flush."""
+    stream = sys.stderr if err else sys.stdout
+    stream.flush()
+    stream.buffer.write(text.encode("utf-8", "backslashreplace"))
+    stream.buffer.flush()
+
+
+def _fail(message: str, code: int = 2) -> NoReturn:
+    _echo(f"error: {message}\n", err=True)
     sys.exit(code)
-
-
-def _within_budget(command):
-    """Report a state budget overflow as exit code 4, never as a verdict."""
-
-    @functools.wraps(command)
-    def guarded(*args, **kwargs):
-        try:
-            return command(*args, **kwargs)
-        except ResourceLimitError as exc:
-            _fail(str(exc), code=4)
-
-    return guarded
 
 
 def _load(path: str):
@@ -98,108 +92,75 @@ def _load_attacked(path: str) -> AttackedModel:
 def _emit(text: str, out: str | None):
     if out:
         try:
-            with open(out, "w", encoding="utf-8") as handle:
+            with open(out, "w", encoding="utf-8", errors="backslashreplace") as handle:
                 handle.write(text)
         except OSError as exc:
             _fail(str(exc))
     else:
-        click.echo(text, nl=False)
+        _echo(text)
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Model and verify supervisory control systems under attack."""
-
-
-@main.command()
-@click.argument("plant_file")
-@click.argument("supervisor_file")
-@click.option("--mode", type=click.Choice(MODES), required=True)
-@click.option("--vulnerable", required=True, help="Comma-separated vulnerable events.")
-@click.option("--out", default=None, help="Output path (default: stdout).")
-@_within_budget
-def build(plant_file, supervisor_file, mode, vulnerable, out):
+def build(args) -> None:
     """Build the closed-loop attack model from plant and supervisor files."""
-    plant_doc = _load_plain(plant_file)
-    supervisor_doc = _load_plain(supervisor_file)
-    events = [e for e in (s.strip() for s in vulnerable.split(",")) if e]
+    plant_doc = _load_plain(args.plant_file)
+    supervisor_doc = _load_plain(args.supervisor_file)
+    events = [e for e in (s.strip() for s in args.vulnerable.split(",")) if e]
     if not events:
         _fail("vulnerable set empty")
     try:
         vuln = VulnerabilitySpec(
             plant_doc.alphabet,
-            vulnerable_actuators=frozenset(events) if mode == "ae" else frozenset(),
-            vulnerable_sensors=frozenset(events) if mode != "ae" else frozenset(),
+            vulnerable_actuators=frozenset(events) if args.mode == "ae" else frozenset(),
+            vulnerable_sensors=frozenset(events) if args.mode != "ae" else frozenset(),
             unsafe_plant_states=plant_doc.unsafe,
         )
-        model = build_model(mode, plant_doc.automaton, supervisor_doc.automaton, vuln)
+        model = build_model(args.mode, plant_doc.automaton, supervisor_doc.automaton, vuln)
         text = dumps_doc(attacked_to_doc(model))
     except (VulnerabilityError, ValueError) as exc:
         _fail(str(exc))
-    _emit(text, out)
+    _emit(text, args.out)
 
 
-@main.command()
-@click.argument("model_file")
-@click.option(
-    "--method",
-    type=click.Choice([*METHODS, ALL_METHODS]),
-    default=DIAGNOSER,
-    show_default=True,
-)
-@click.option("--out", default=None)
-@_within_budget
-def check(model_file, method, out):
+def check(args) -> int:
     """Decide safe controllability; exit 0 if safe, 1 if unsafe, 2 if the
     attack-free loop is already unsafe, 4 if a state budget is exceeded
     before a verdict."""
     from .safety import NominalUnsafeError, check_model
 
-    model = _load_attacked(model_file)
+    model = _load_attacked(args.model_file)
     deadlocks = sorted(
         {state_name(model.plant_component(s)) for s in deadlock_states(model.model)}
     )
     blocking = bool(blocking_states(model.model))
-    methods = METHODS if method == ALL_METHODS else (method,)
+    methods = METHODS if args.method == ALL_METHODS else (args.method,)
     try:
         verdicts = [check_model(model, m) for m in methods]
     except NominalUnsafeError as exc:
         _fail(str(exc))
     verdict = verdicts[0]
-    if method == ALL_METHODS:
+    if args.method == ALL_METHODS:
         agree = len({v.safe for v in verdicts}) == 1
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking, methods_agree=agree)
         doc["method"] = ALL_METHODS
-        _emit(dumps_doc(doc), out)
+        _emit(dumps_doc(doc), args.out)
         if not agree:
-            click.echo("error: methods disagree", err=True)
-            sys.exit(3)
+            _fail("methods disagree", code=3)
     else:
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking)
-        _emit(dumps_doc(doc), out)
+        _emit(dumps_doc(doc), args.out)
     if deadlocks:
-        click.echo(
-            f"warning: reachable deadlocks at plant states {', '.join(deadlocks)}",
-            err=True,
-        )
-    sys.exit(0 if verdict.safe else 1)
+        _echo(f"warning: reachable deadlocks at plant states {', '.join(deadlocks)}\n", err=True)
+    return 0 if verdict.safe else 1
 
 
-@main.command()
-@click.argument("model_file")
-@click.option("--format", "fmt", type=click.Choice(["dot"]), default="dot", show_default=True)
-@click.option("--out", default=None)
-def export(model_file, fmt, out):
+def export(args) -> None:
     """Export a model as a Graphviz graph."""
-    loaded = _load(model_file)
+    loaded = _load(args.model_file)
     if isinstance(loaded, AttackedModel):
-        text = to_dot(
-            loaded.model, loaded.alphabet, loaded.unsafe_states, title=model_file
-        )
+        text = to_dot(loaded.model, loaded.alphabet, loaded.unsafe_states, title=args.model_file)
     else:
-        text = to_dot(loaded.automaton, loaded.alphabet, loaded.unsafe, title=model_file)
-    _emit(text, out)
+        text = to_dot(loaded.automaton, loaded.alphabet, loaded.unsafe, title=args.model_file)
+    _emit(text, args.out)
 
 
 def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
@@ -231,42 +192,29 @@ def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
     return AttackerPolicy.scripted(decisions)
 
 
-@main.command()
-@click.argument("model_file")
-@click.option("--policy", default=ALL_OUT, show_default=True,
-              help="all-out, random:p, or a path to a JSON decision script.")
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--max-steps", default=100, show_default=True, type=int)
-@_within_budget
-def simulate(model_file, policy, seed, max_steps):
+def simulate(args) -> None:
     """Run the closed loop once, printing one JSON record per step."""
     from .runtime import IllegalEventError, log_records, run
 
-    model = _load_attacked(model_file)
-    attacker = _parse_policy(policy, seed)
+    model = _load_attacked(args.model_file)
+    attacker = _parse_policy(args.policy, args.seed)
     try:
-        states = run(model, attacker, max_steps)
+        states = run(model, attacker, args.max_steps)
     except IllegalEventError as exc:
-        _fail(f"policy {policy!r}: {exc}")
-    for record in log_records(states):
-        click.echo(json.dumps(record, sort_keys=True))
+        _fail(f"policy {args.policy!r}: {exc}")
+    _echo("".join(json.dumps(record, sort_keys=True) + "\n" for record in log_records(states)))
 
 
-@main.command()
-@click.argument("plant_file")
-@click.argument("spec_file")
-@click.option("--out", default=None)
-@_within_budget
-def synthesize(plant_file, spec_file, out):
+def synthesize(args) -> None:
     """Synthesize a supervisor realization for an admissible behavior."""
     from .synthesis import RealizationError, realize_supervisor, supremal_controllable
 
-    plant_doc = _load_plain(plant_file)
-    spec_doc = _load_plain(spec_file)
+    plant_doc = _load_plain(args.plant_file)
+    spec_doc = _load_plain(args.spec_file)
     alphabet = plant_doc.alphabet
     foreign = spec_doc.automaton.events - alphabet.events()
     if foreign:
-        _fail(f"{spec_file}: events {sorted(foreign)} are not plant events")
+        _fail(f"{args.spec_file}: events {sorted(foreign)} are not plant events")
     admissible = supremal_controllable(
         plant_doc.automaton, spec_doc.automaton, alphabet.uncontrollable_events()
     )
@@ -281,11 +229,63 @@ def synthesize(plant_file, spec_file, out):
         )
         text = dumps_doc(model_to_doc(supervisor, alphabet))
     except RealizationError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(str(exc), code=1)
     except ModelFormatError as exc:
         _fail(str(exc))
-    _emit(text, out)
+    _emit(text, args.out)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="desguard",
+        description="Model and verify supervisory control systems under attack.",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *positionals, out=True):
+        doc = " ".join(run.__doc__.split())
+        sub = commands.add_parser(
+            run.__name__, help=doc.split(";")[0], description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(run=run)
+        for name in positionals:
+            sub.add_argument(name)
+        if out:
+            sub.add_argument("--out", help="Output path (default: stdout).")
+        return sub
+
+    sub = command(build, "plant_file", "supervisor_file")
+    sub.add_argument("--mode", choices=MODES, required=True)
+    sub.add_argument("--vulnerable", required=True, help="Comma-separated vulnerable events.")
+    command(check, "model_file").add_argument(
+        "--method", choices=[*METHODS, ALL_METHODS], default=DIAGNOSER, help="(default: %(default)s)"
+    )
+    command(export, "model_file").add_argument(
+        "--format", choices=["dot"], default="dot", help="(default: %(default)s)"
+    )
+    sub = command(simulate, "model_file", out=False)
+    sub.add_argument("--policy", default=ALL_OUT, help="all-out, random:p, or a path to a JSON "
+                     "decision script (default: %(default)s).")
+    sub.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
+    sub.add_argument("--max-steps", type=int, default=100, help="(default: %(default)s)")
+    command(synthesize, "plant_file", "spec_file")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run one command line (default: ``sys.argv[1:]``); exit with its code."""
+    args = _parser().parse_args(argv)
+    try:
+        code = args.run(args)
+    except ResourceLimitError as exc:
+        _fail(str(exc), code=4)
+    sys.exit(code or 0)
+
+
+# `main.main(args=..., prog_name=...)`, as bench/cli_traced.py calls it.
+main.main = lambda args=None, prog_name="desguard": main(args)
 
 
 if __name__ == "__main__":

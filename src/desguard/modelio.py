@@ -15,6 +15,7 @@ import functools
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from typing import NoReturn
 
 from . import __version__
 from .attacks import (
@@ -140,23 +141,18 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
 
     out = {state: {} for state in state_map.values()}
     for i, entry in enumerate(transitions):
-        here = f"{where}: transitions[{i}]"
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"{here} must be an object")
-        src = _require(entry, "from", str, here)
-        event = _require(entry, "event", str, here)
-        dst = _require(entry, "to", str, here)
-        for state in (src, dst):
-            if state not in state_map:
-                raise ModelFormatError(f"{here}: unknown state {state!r}")
-        if event not in infos:
-            raise ModelFormatError(f"{here}: unknown event {event!r}")
-        row = out[state_map[src]]
-        if event in row:
-            raise ModelFormatError(
-                f"{here}: duplicate transition on {event!r} from {src!r}"
-            )
-        row[event] = state_map[dst]
+        # The keys of `state_map` and `infos` are strings, so a row whose
+        # names are all found there is well typed; any other row is
+        # checked again, key by key, for its error message.
+        try:
+            row, target = out[state_map[entry["from"]]], state_map[entry["to"]]
+            event = entry["event"]
+            if event in infos and event not in row:
+                row[event] = target
+                continue
+        except (KeyError, TypeError):
+            pass
+        _bad_transition(entry, f"{where}: transitions[{i}]", state_map, infos)
 
     if initial not in state_map:
         raise ModelFormatError(f"{where}: initial state {initial!r} not declared")
@@ -180,6 +176,21 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
     except ValueError as exc:
         raise ModelFormatError(f"{where}: {exc}") from exc
     return ModelDocument(automaton, alphabet, frozenset(state_map[s] for s in unsafe))
+
+
+def _bad_transition(entry, here: str, state_map: dict, infos: dict) -> NoReturn:
+    """Raise the error for a transition row `_parse` could not add."""
+    if not isinstance(entry, dict):
+        raise ModelFormatError(f"{here} must be an object")
+    src = _require(entry, "from", str, here)
+    event = _require(entry, "event", str, here)
+    dst = _require(entry, "to", str, here)
+    for state in (src, dst):
+        if state not in state_map:
+            raise ModelFormatError(f"{here}: unknown state {state!r}")
+    if event not in infos:
+        raise ModelFormatError(f"{here}: unknown event {event!r}")
+    raise ModelFormatError(f"{here}: duplicate transition on {event!r} from {src!r}")
 
 
 def _names(automaton: Automaton) -> dict:

@@ -218,10 +218,13 @@ def defended_moves(analysis: Analysis, live: frozenset):
     estimates = analysis.estimates
     observable = analysis.observable
     controllable = analysis.controllable
+    certain = {}  # estimate -> whether it is certain, classified once
 
     def moves(node):
         lstate, estimate = node
-        safe_mode = classify(estimate) == CERTAIN
+        safe_mode = certain.get(estimate)
+        if safe_mode is None:
+            safe_mode = certain[estimate] = classify(estimate) == CERTAIN
         for event, target in aut.out_edges(lstate):
             if (safe_mode and event in controllable) or target not in live:
                 continue

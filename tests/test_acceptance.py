@@ -9,7 +9,7 @@ import random
 import time
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from desguard.attacks import (
     MODE_AE,

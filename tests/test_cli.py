@@ -1,3 +1,5 @@
+import functools
+import importlib.util
 import json
 import os
 import re
@@ -6,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 import desguard
 from desguard import cli, runtime, safety, synthesis
@@ -160,6 +162,16 @@ class TestBuild:
         assert result.exit_code == 2, result.output
         assert result.stdout == ""
         assert "error: state name collision on 'ins(1,b)'" in result.output
+
+    def test_success_exits_with_the_integer_0(self, demo_files, tmp_path):
+        # bench/cli_traced.py calls `main.main` and reads any exit code
+        # that is not an int, None included, as 1.
+        plant, supervisor = demo_files
+        args = ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "b",
+                "--out", str(tmp_path / "model.json")]
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=args, prog_name="desguard")
+        assert exc.value.code == 0
 
     def test_corrupt_file_is_exit_2(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -516,6 +528,23 @@ class TestExport:
         assert '"é" -> "ü" [label="a"];' in out.read_text(encoding="utf-8")
 
 
+    def test_lone_surrogate_in_a_name_is_escaped(self, runner, tmp_path):
+        # JSON can spell a lone surrogate, which UTF-8 cannot encode.
+        doc = json.loads(dumps_doc(model_to_doc(
+            Automaton.build("s", [("s", "a", "t")]),
+            Alphabet.from_sets(["a"], observable=["a"], controllable=[]),
+        )).replace('"s"', '"\\ud800"'))
+        path = tmp_path / "plant.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "plant.dot"
+        shown = runner.invoke(main, ["export", str(path)])
+        written = runner.invoke(main, ["export", str(path), "--out", str(out)])
+        assert (shown.exit_code, written.exit_code) == (0, 0), written.output
+        assert (shown.exception, written.exception) == (None, None)
+        assert out.read_bytes() == shown.stdout_bytes
+        assert b'"\\ud800" -> "t"' in shown.stdout_bytes
+
+
 class TestSimulate:
     def test_all_out_log(self, runner, demo_model_file):
         result = runner.invoke(main, ["simulate", str(demo_model_file)])
@@ -615,29 +644,49 @@ SRC = Path(desguard.__file__).resolve().parent.parent
 IMPORT_TIME = b"import time:"
 
 
-def run_cold(args):
-    """Run `python -m desguard.cli ARGS` in a fresh interpreter; returns its
-    exit code, stdout, stderr and the desguard modules it imported, read
-    off `-X importtime`.  The CLI module itself runs as `__main__`."""
-    env = dict(os.environ)
+def run_importtime(args):
+    """Run `python -X importtime ARGS` with src on the path and help laid
+    out for 80 columns; returns the process and the modules it imported."""
+    env = dict(os.environ, COLUMNS="80")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "desguard.cli", *args],
-        capture_output=True, env=env, timeout=120,
+        [sys.executable, "-X", "importtime", *args], capture_output=True, env=env, timeout=120
     )
-    lines = proc.stderr.splitlines(keepends=True)
     imported = {
         line.rsplit(b"|", 1)[1].strip().decode()
-        for line in lines if line.startswith(IMPORT_TIME)
+        for line in proc.stderr.splitlines() if line.startswith(IMPORT_TIME)
     }
+    return proc, imported
+
+
+@functools.cache
+def bare_imports():
+    """The modules a bare interpreter (`python -c pass`) imports at start-up."""
+    return run_importtime(["-c", "pass"])[1]
+
+
+def run_cold(args):
+    """Run `python -m desguard.cli ARGS` in a fresh interpreter; returns its
+    exit code, stdout, stderr and the modules it imported that neither a
+    bare interpreter nor the standard library accounts for, read off
+    `-X importtime`.  Names no installed package provides are left out:
+    the standard library probes some (`copy` tries `org.python.core`).
+    The CLI module itself runs as `__main__`."""
+    proc, imported = run_importtime(["-m", "desguard.cli", *args])
+    lines = proc.stderr.splitlines(keepends=True)
     stderr = b"".join(line for line in lines if not line.startswith(IMPORT_TIME))
-    modules = {m for m in imported if m.split(".")[0] == "desguard"}
+    tops = {m: m.split(".")[0] for m in imported - bare_imports()}
+    modules = {
+        m for m, top in tops.items()
+        if top not in sys.stdlib_module_names and importlib.util.find_spec(top) is not None
+    }
     return proc.returncode, proc.stdout, stderr, modules
 
 
 class TestColdProcess:
-    """Each command loads only the modules it runs, and a fresh interpreter
-    answers exactly as the in-process runner does."""
+    """Each command loads only the standard library and the desguard
+    modules it runs, and a fresh interpreter answers exactly as the
+    in-process runner does."""
 
     def assert_matches_in_process(self, runner, args):
         code, stdout, stderr, modules = run_cold(args)
@@ -665,3 +714,33 @@ class TestColdProcess:
         assert code == 1
         assert "desguard.safety" in modules
         assert "desguard.synthesis" not in modules
+        assert {m.split(".")[0] for m in modules} == {"desguard"}
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["check", "{model}", "--method", "best"], id="invalid-method"),
+        pytest.param(["build", "{plant}", "{supervisor}", "--mode", "xe", "--vulnerable", "b"],
+                     id="invalid-mode"),
+        pytest.param(["build", "{plant}", "{supervisor}", "--vulnerable", "b"], id="missing-mode"),
+        pytest.param(["build", "{plant}", "{supervisor}", "--mode", "ae"],
+                     id="missing-vulnerable"),
+        pytest.param(["simulate", "{model}", "--seed", "four"], id="seed-not-an-integer"),
+        pytest.param(["verify", "{model}"], id="unknown-command"),
+        pytest.param([], id="no-command"),
+    ])
+    def test_usage_error_exits_2(self, runner, demo_files, demo_model_file, args):
+        plant, supervisor = demo_files
+        argv = [a.format(model=demo_model_file, plant=plant, supervisor=supervisor) for a in args]
+        code, _ = self.assert_matches_in_process(runner, argv)
+        result = runner.invoke(main, argv)
+        assert code == result.exit_code == 2
+        assert result.stdout == ""
+        assert re.search(r"^desguard( \w+)?: error: ", result.stderr, re.MULTILINE), result.stderr
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+    def test_version(self, runner):
+        code, _ = self.assert_matches_in_process(runner, ["--version"])
+        result = runner.invoke(main, ["--version"])
+        assert code == result.exit_code == 0
+        assert result.stdout_bytes == f"desguard, version {desguard.__version__}\n".encode()
+        assert result.stderr_bytes == b""

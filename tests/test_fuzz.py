@@ -15,7 +15,7 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
+from cli_runner import CliRunner
 
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, build_model
 from desguard.cli import main

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from desguard import runtime
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
 from desguard.automata import explore, observer, state_name
 from desguard.diagnosis import CERTAIN, classify
@@ -228,6 +229,32 @@ class TestCertaintyLatches:
                 assert estimates.step(estimate, event) == target
             checked += 1
         assert checked
+
+
+class TestCertaintyIsClassifiedOnce:
+    """The defended product classifies each estimate once, not once per
+    node it expands."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda request: request.getfixturevalue("traffic_ae_model"), id="traffic-ae"),
+        pytest.param(lambda request: request.getfixturevalue("traffic_si_model"), id="traffic-si"),
+        pytest.param(lambda _: random_model(random.Random(34), MODE_SE), id="random-se-34"),
+        pytest.param(lambda _: random_model(random.Random(34), MODE_SI), id="random-si-34"),
+    ])
+    def test_oracle_search_classifies_each_estimate_once(self, request, monkeypatch, make):
+        model = make(request)
+        model.analysis  # built before counting: the search starts after it
+        classified = []
+
+        def counted(estimate):
+            classified.append(estimate)
+            return classify(estimate)
+
+        monkeypatch.setattr(runtime, "classify", counted)
+        report = run_exhaustive(model, stop_at_breach=True)
+        assert len(classified) <= len(set(classified))
+        # Premise: the search expands more nodes than it meets estimates.
+        assert report.explored > len(set(classified))
 
 
 class TestEngineWalksTheProduct:

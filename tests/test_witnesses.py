@@ -72,17 +72,22 @@ def _render(model) -> dict:
     }
 
 
-def _render_runs(model) -> dict:
-    """Every record of the step-by-step engine under each policy, and the
-    enabled set an illegal first choice reports."""
+def _policies() -> dict:
+    """The policies `_render_runs` runs, freshly seeded."""
     policies = {
         "all-out": AttackerPolicy.all_out(),
         "passive": AttackerPolicy.scripted([None] * 30),
     }
     for seed in range(5):
         policies[f"random:0.5:{seed}"] = AttackerPolicy.seeded_random(0.5, seed)
+    return policies
+
+
+def _render_runs(model) -> dict:
+    """Every record of the step-by-step engine under each policy, and the
+    enabled set an illegal first choice reports."""
     rendered = {}
-    for name, policy in policies.items():
+    for name, policy in _policies().items():
         states = run(model, policy, 40)
         rendered[name] = [
             log_records(states),
@@ -132,6 +137,19 @@ RUNS_SHA256 = {
     "traffic_si_model": "293748e9e212f6c74efcd5a5f4fecfb7dae006d13f33fb98704969b488bf4203",
 }
 
+# _render_runs of random_model(random.Random(seed), mode) for the first two
+# seeds of each mode (of 0-199) where a run reaches a certain estimate at a
+# state with a controllable event active: runs the freeze changes.  None
+# of the fixtures' pinned runs reaches such a state.
+FROZEN_RUNS_SHA256 = {
+    (MODE_AE, 1): "fb4da93183f32ef1b5ab0f16f43775e8dfd1c0206c5e2416b47b1eba923b05a4",
+    (MODE_AE, 2): "c9c71fca0b4f3e00d1df1a16a9cd87db055dc1bc47550d49e5176fa058b08938",
+    (MODE_SE, 1): "69e36b3bde80dcd6a7bd47f57dde7640f1b0460548177ca3445a84aabb616871",
+    (MODE_SE, 10): "e07d8115d39e9c29581a6c5f249cc709ab5e348f1ad703339849d4d2606f3dd5",
+    (MODE_SI, 1): "62109dab1c085e732b038998f7b9720953ea357b2f3ef50b577d8a88d5b4540a",
+    (MODE_SI, 10): "31a5d9f5f6c5cfc577a437f89b15e29264574742d90c05181ff51009dddeed55",
+}
+
 TOUR_SHA256 = "cbe09be8c81f571166739d7793d04e0fa58bae7a633a54482a88ab4daae20a53"
 
 # random_model(random.Random(seed), mode) for seeds 0-199, in seed order.
@@ -154,6 +172,20 @@ def test_fixture_witnesses_are_pinned(fixture, request):
 def test_fixture_runs_are_pinned(fixture, request):
     rendered = _render_runs(request.getfixturevalue(fixture))
     assert _digest(rendered) == RUNS_SHA256[fixture], rendered
+
+
+@pytest.mark.parametrize("mode, seed", sorted(FROZEN_RUNS_SHA256))
+def test_runs_through_the_freeze_are_pinned(mode, seed):
+    model = random_model(random.Random(seed), mode)
+    labeled = model.analysis.labeled.automaton
+    controllable = model.analysis.controllable
+    assert any(
+        state.safe_mode and any(e in controllable for e, _ in labeled.out_edges(state.node[0]))
+        for policy in _policies().values()
+        for state in run(model, policy, 40)
+    )
+    rendered = _render_runs(model)
+    assert _digest(rendered) == FROZEN_RUNS_SHA256[mode, seed], rendered
 
 
 def test_tour_witnesses_are_pinned():
