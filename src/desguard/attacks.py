@@ -25,7 +25,6 @@ closed loop.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -36,6 +35,7 @@ from .automata import (
     Alphabet,
     Automaton,
     EventInfo,
+    Value,
     accessible,
     explore,
     state_name,
@@ -78,8 +78,7 @@ def artifact_suffix(event: str) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class VulnerabilitySpec:
+class VulnerabilitySpec(Value):
     """Which actuators/sensors the attacker controls and which plant states are unsafe."""
 
     alphabet: Alphabet
@@ -106,15 +105,14 @@ class VulnerabilitySpec:
             )
 
 
-@dataclass(frozen=True)
-class AttackedModel:
+class AttackedModel(Value):
     """Closed-loop system under attack, plus bookkeeping.
 
     `model` states are (supervisor state, plant state) pairs, for models
     built in memory, derived by `sub_attacker`, or loaded from a file
     (whose component states are their display names).  `analysis` is
     built from the fields on first use and kept for the life of the
-    instance; models derived with `dataclasses.replace` or `sub_attacker`
+    instance; models derived with `.replace` or `sub_attacker`
     are new instances and build their own.
     """
 
@@ -146,8 +144,7 @@ def _check_inputs(plant: Automaton, supervisor: Automaton, alphabet: Alphabet) -
             raise VulnerabilityError(f"reserved artifact suffix in event name {event!r}")
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(Value):
     """How one attack mode extends the plant, the supervisor and the alphabet."""
 
     suffix: str
@@ -313,6 +310,6 @@ def sub_attacker(
     closed_loop = accessible(
         Automaton._unchecked(loop.states, loop.events, out, loop.initial, loop.marked)
     )
-    return replace(
-        model, model=closed_loop, unsafe_states=model.unsafe_states & closed_loop.states
+    return model.replace(
+        model=closed_loop, unsafe_states=model.unsafe_states & closed_loop.states
     )

@@ -21,7 +21,6 @@ loop in its own loop, with no parent pointers and no callback per state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 State = Hashable
@@ -59,8 +58,68 @@ def state_name(state: State) -> str:
     return str(state)
 
 
-@dataclass(frozen=True)
-class EventInfo:
+class Value:
+    """Base of the package's value classes.  A subclass's own annotated
+    names are its fields, after its bases', and class attributes of those
+    names their defaults.  It gets an `__init__` taking fields by position
+    or keyword and ending in the class's `__post_init__`, if any; `==`
+    field by field within one class; the `Name(field=value, ...)` repr; and
+    `replace(**changes)`, a copy made, and so validated, by `__init__`.
+    Instances are immutable and hash by their fields unless the class says
+    `frozen=False`; `functools.cached_property` still caches on them."""
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in vars(cls).get("__annotations__", {}) if name not in cls._fields]
+        cls._fields += tuple(own)
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._post_init = hasattr(cls, "__post_init__")
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if len(args) > len(fields) or values.keys() != self._names or (
+            args and kwargs and not kwargs.keys().isdisjoint(fields[: len(args)])
+        ):
+            raise TypeError(f"{type(self).__name__}{fields}: {len(args)} positional, {[*kwargs]}")
+        vars(self).update(values)
+        if self._post_init:
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with `changes` applied, validated as a new instance is."""
+        return type(self)(**({name: getattr(self, name) for name in self._fields} | changes))
+
+
+class EventInfo(Value):
     """Attributes of one event."""
 
     observable: bool
@@ -70,8 +129,7 @@ class EventInfo:
     base: str | None = None
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Value):
     """Per-event attribute table.
 
     Artifact events (kind != genuine) record the genuine event they were
@@ -150,14 +208,13 @@ class Alphabet:
         vulnerable = set(vulnerable)
         return Alphabet(
             {
-                e: replace(i, vulnerable=e in vulnerable)
+                e: i.replace(vulnerable=e in vulnerable)
                 for e, i in self.infos.items()
             }
         )
 
 
-@dataclass(frozen=True, init=False)
-class Automaton:
+class Automaton(Value):
     """Deterministic automaton with a partial transition function.
 
     The one transition table is `_out`: a row `{event: target}` for every

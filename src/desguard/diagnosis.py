@@ -28,7 +28,6 @@ records one search of it as the verifier and tracker automata.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .attacks import RENAME_SUFFIX, AttackedModel
@@ -37,6 +36,7 @@ from .automata import (
     EstimateTable,
     State,
     Trace,
+    Value,
     coreach,
     explore,
     observer,
@@ -55,8 +55,7 @@ UNCERTAIN = "uncertain"
 SINK = "A"
 
 
-@dataclass(frozen=True)
-class LabeledAutomaton:
+class LabeledAutomaton(Value):
     """Closed-loop model whose states carry an absorbing attack label."""
 
     automaton: Automaton
@@ -95,8 +94,7 @@ def label_compose(model: AttackedModel) -> LabeledAutomaton:
     return LabeledAutomaton(labeled, attack_events)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Value):
     """Per-model structures that every decision route needs.
 
     Reached through `AttackedModel.analysis`, which builds it once: the
@@ -152,8 +150,7 @@ def classify(estimate: Iterable[tuple]) -> str:
     return UNCERTAIN
 
 
-@dataclass(frozen=True)
-class Diagnoser:
+class Diagnoser(Value):
     """Observer of a labeled model plus the per-state classification."""
 
     automaton: Automaton
@@ -187,8 +184,7 @@ def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, St
                     yield src, event, dst
 
 
-@dataclass(frozen=True)
-class VerifierArtifacts:
+class VerifierArtifacts(Value):
     """The `tracker_moves` product, materialized for inspection and tests.
 
     `verifier` holds the (attack-free state, attacked labeled state) pairs

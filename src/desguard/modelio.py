@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import NoReturn
 
@@ -33,6 +32,7 @@ from .automata import (
     Alphabet,
     Automaton,
     EventInfo,
+    Value,
     state_name,
 )
 
@@ -64,8 +64,7 @@ class ModelFormatError(ValueError):
     """A model document is malformed; the message pinpoints the entry."""
 
 
-@dataclass(frozen=True)
-class ModelDocument:
+class ModelDocument(Value):
     """A plant or supervisor file: automaton, attributes, unsafe states."""
 
     automaton: Automaton

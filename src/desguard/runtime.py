@@ -18,11 +18,10 @@ closure per model) and stops at the first unsafe run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
-from .automata import Trace, explore, path_to, state_name
+from .automata import Trace, Value, explore, path_to, state_name
 from .diagnosis import CERTAIN, Analysis, classify
 
 
@@ -36,8 +35,7 @@ class IllegalEventError(ValueError):
         )
 
 
-@dataclass
-class AttackerPolicy:
+class AttackerPolicy(Value, frozen=False):
     """Decides which attack opportunities are taken.
 
     all-out takes every opportunity; scripted consumes one decision (an
@@ -50,7 +48,7 @@ class AttackerPolicy:
     decisions: tuple = ()
     probability: float = 1.0
     seed: int | None = None
-    _rng: random.Random | None = field(default=None, repr=False, compare=False)
+    _rng = None  # not a field: the seeded generator, made on first use
 
     @classmethod
     def all_out(cls) -> "AttackerPolicy":
@@ -90,8 +88,7 @@ class AttackerPolicy:
         raise ValueError(f"unknown policy kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class ExecutionState:
+class ExecutionState(Value):
     """One point of a closed-loop run: a node of the defended product,
     (labeled state, estimate), and the run that reached it."""
 
@@ -190,8 +187,7 @@ def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[Ex
     return states
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(Value):
     """Outcome of exhaustively exploring all runs under a policy."""
 
     explored: int

@@ -35,10 +35,9 @@ the same witnesses.  The diagnoser's observer stays complete: conditions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .attacks import AttackedModel
-from .automata import Trace, coreach, explore, path_to, reach, state_name
+from .automata import Trace, Value, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
@@ -84,8 +83,7 @@ def _require_safe_nominal(model: AttackedModel) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of a safe-controllability test.
 
     When unsafe, `violated_condition` names the failing condition,

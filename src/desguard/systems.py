@@ -8,15 +8,13 @@ supervisor synthesized to keep them apart, and vulnerable lights/detectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .attacks import VulnerabilitySpec
-from .automata import Alphabet, Automaton, parallel_compose
+from .automata import Alphabet, Automaton, Value, parallel_compose
 from .synthesis import realize_supervisor, supremal_controllable
 
 
-@dataclass(frozen=True)
-class System:
+class System(Value):
     """A plant, its supervisor realization, and the vulnerability description."""
 
     plant: Automaton

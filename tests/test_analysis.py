@@ -1,6 +1,5 @@
 """The per-model analysis context: built once, shared, and never stale."""
 
-import dataclasses
 import itertools
 import random
 
@@ -92,11 +91,11 @@ class TestCacheSafety:
     def test_replace_builds_its_own_context(self, actuator_demo):
         model = _build(actuator_demo, MODE_AE)
         assert not oracle_defense_simulation(model).safe
-        harmless = dataclasses.replace(model, unsafe_states=frozenset())
+        harmless = model.replace(unsafe_states=frozenset())
         for route in ROUTES:
             assert route(harmless).safe
 
-        unlabeled = dataclasses.replace(model, attack_events=frozenset())
+        unlabeled = model.replace(attack_events=frozenset())
         assert unlabeled.analysis is not model.analysis
         assert unlabeled.analysis.labeled.label_events == frozenset()
         assert {label for _, label in unlabeled.analysis.labeled.automaton.states} == {
@@ -105,11 +104,11 @@ class TestCacheSafety:
 
         hidden = Alphabet(
             {
-                event: dataclasses.replace(info, observable=False)
+                event: info.replace(observable=False)
                 for event, info in model.alphabet.infos.items()
             }
         )
-        blind = dataclasses.replace(model, alphabet=hidden)
+        blind = model.replace(alphabet=hidden)
         assert blind.analysis.observable == frozenset()
         assert model.analysis.observable == model.alphabet.observable_events()
 

@@ -716,6 +716,26 @@ class TestColdProcess:
         assert "desguard.synthesis" not in modules
         assert {m.split(".")[0] for m in modules} == {"desguard"}
 
+    @pytest.mark.parametrize("command, code", [("build", 0), ("check", 1)])
+    def test_no_command_imports_dataclasses_or_inspect(
+        self, demo_files, demo_model_file, command, code
+    ):
+        # The value classes need neither.  On a 2-vCPU VM, importing
+        # `dataclasses` costs a fresh process 10-13 ms, most of it in
+        # `inspect`, and decorating the classes 5-17 ms more.
+        plant, supervisor = demo_files
+        args = {
+            "build": ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "b"],
+            "check": ["check", str(demo_model_file), "--method", "all"],
+        }[command]
+        proc, imported = run_importtime(["-m", "desguard.cli", *args])
+        assert proc.returncode == code
+        stdlib = {
+            m for m in imported - bare_imports() if m.split(".")[0] in sys.stdlib_module_names
+        }
+        assert "json" in stdlib
+        assert not stdlib & {"dataclasses", "inspect"}
+
     @pytest.mark.parametrize("args", [
         pytest.param(["check", "{model}", "--method", "best"], id="invalid-method"),
         pytest.param(["build", "{plant}", "{supervisor}", "--mode", "xe", "--vulnerable", "b"],

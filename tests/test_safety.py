@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -339,7 +338,7 @@ class TestSinkNamedState:
         assert verdict.violated_condition == VERIFIER_PAIR_UNSAFE
         assert verdict.counterexample == ("b", "a#a")
         assert verdict.witness_state == "((A,1),((A,2),Y))"
-        assert check_ae_safe_verifier(renamed) == replace(
-            verdict, witness_state="((S,1),((S,2),Y))"
+        assert check_ae_safe_verifier(renamed) == verdict.replace(
+            witness_state="((S,1),((S,2),Y))"
         )
         assert verdict.safe == oracle_defense_simulation(named).safe
