@@ -10,12 +10,12 @@ concurrent workers.  The one exception is `EstimateTable`, a memo that
 fills as it is read; each entry is a pure function of the automaton, so
 a concurrent reader at worst computes one twice.
 
-The package has three searches here: `explore`, the one breadth-first
-search with parent pointers (composition, observers, witnesses, the
-defended-run exploration), and the closures under a set of events,
-`reach` forward and `coreach` backward, which stand in for fixpoints.
-One more pass runs elsewhere: `diagnosis.label_compose` walks the closed
-loop in its own loop, with no parent pointers and no callback per state.
+The package has three searches, all here: `explore`, the one search
+with parent pointers and the one that builds automata (composition,
+attack and labeled models, observers, witnesses, defended runs), and the
+closures under a set of events, `reach` forward and `coreach` backward,
+which stand in for fixpoints.  `restrict` is the one cut: it keeps a
+set of states and drops the edges that leave it.
 """
 
 from __future__ import annotations
@@ -221,12 +221,13 @@ class Automaton(Value):
     declared state, rows and events in the order the automaton was built.
     The absence of a transition means the event is infeasible or disabled
     at that state.  Marked states are optional and only consumed by the
-    deadlock/blocking checks.
+    deadlock/blocking checks.  The fields are the constructor's arguments,
+    the rows' flat view included, so `replace` makes a validated copy.
     """
 
     states: frozenset
     events: frozenset
-    _out: dict
+    transitions: dict
     initial: State
     marked: frozenset
 
@@ -406,13 +407,22 @@ def coreach(
     return frozenset(seen)
 
 
-def accessible(automaton: Automaton) -> Automaton:
-    """Restrict to the part reachable from the initial state."""
-    keep = reach(automaton, (automaton.initial,), automaton.events)
-    out = {s: row for s, row in automaton._out.items() if s in keep}
+def restrict(automaton: Automaton, keep: frozenset) -> Automaton:
+    """The rows of the states in `keep`, in their order, minus the edges
+    that leave `keep`, which must hold the initial state."""
+    out = {
+        src: {event: dst for event, dst in row.items() if dst in keep}
+        for src, row in automaton._out.items()
+        if src in keep
+    }
     return Automaton._unchecked(
         keep, automaton.events, out, automaton.initial, automaton.marked & keep
     )
+
+
+def accessible(automaton: Automaton) -> Automaton:
+    """Restrict to the part reachable from the initial state."""
+    return restrict(automaton, reach(automaton, (automaton.initial,), automaton.events))
 
 
 def parallel_compose(

@@ -65,32 +65,26 @@ class LabeledAutomaton(Value):
 def label_compose(model: AttackedModel) -> LabeledAutomaton:
     """Attach attack labels to the closed loop; states become (state, label).
 
-    One pass over the closed loop from (initial, N) in which the label
+    One `explore` of the closed loop from (initial, N) in which the label
     latches to Y on the first attack event: the closed loop's product
     with a two-state flag automaton, built directly.  Every attack event
     is a closed-loop event, as every way of making an `AttackedModel`
     ensures.
     """
-    aut = model.model
-    attack_events = model.attack_events
-    out = aut._out
-    initial = (aut.initial, CLEAN)
+    aut, attack_events = model.model, model.attack_events
     rows = {}
-    seen = {initial}
-    stack = [initial]
-    while stack:
-        node = stack.pop()
+
+    def moves(node):
         state, label = node
         row = rows[node] = {}
-        for event, target in out[state].items():
-            nxt = row[event] = (target, ATTACKED if event in attack_events else label)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    marked = frozenset(s for s in seen if s[0] in aut.marked)
-    labeled = Automaton._unchecked(
-        frozenset(seen), aut.events | attack_events, rows, initial, marked
-    )
+        for event, target in aut._out[state].items():
+            row[event] = (target, ATTACKED if event in attack_events else label)
+        return row.items()
+
+    initial = (aut.initial, CLEAN)
+    states, _ = explore([initial], moves, overflow="labeling exceeded {limit} states")
+    marked = frozenset(s for s in states if s[0] in aut.marked)
+    labeled = Automaton._unchecked(frozenset(states), aut.events, rows, initial, marked)
     return LabeledAutomaton(labeled, attack_events)
 
 

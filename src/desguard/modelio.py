@@ -295,7 +295,8 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
     if unknown:
         raise ModelFormatError(f"{where}: undeclared attack events {sorted(unknown)}")
     # As `build_model` makes them: the attack events are the events of the
-    # mode's artifact kind, and no event has another mode's artifact kind.
+    # mode's artifact kind, no event has another mode's artifact kind, and
+    # the vulnerable events, flagged and listed, are their base events.
     kind = _RULES[mode].kind
     kinds = {event: info.kind for event, info in base.alphabet.infos.items()}
     foreign = sorted(e for e, k in kinds.items() if k != kind and k in ARTIFACT_KINDS)
@@ -307,6 +308,14 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
             f"{where}: attack_events {sorted(attack_events)} are not the {kind} events "
             f"{sorted(artifacts)}"
         )
+    bases = sorted({base.alphabet[event].base for event in attack_events})
+    flagged = sorted(e for e, info in base.alphabet.infos.items() if info.vulnerable)
+    listed = sorted(_strings(doc, "vulnerable", where)) if "vulnerable" in doc else bases
+    for what, names in (("events flagged vulnerable", flagged), ("vulnerable", listed)):
+        if names != bases:
+            raise ModelFormatError(
+                f"{where}: {what} {names} are not the attack events' base events {bases}"
+            )
     return AttackedModel(
         model=base.automaton,
         alphabet=base.alphabet,

@@ -192,24 +192,26 @@ def _detection_edge_witness(analysis, diagnoser, arrivals):
     arriving in a closed-loop state in `arrivals`, and the name of the
     certain estimate it enters.
 
-    The first dequeued non-certain node with such an edge ends the
-    search; its first such edge, in `out_edges` order, ends the trace.
-    Every member of an estimate is reachable paired with it, so the search
-    finds one whenever some entry state is an arrival.
+    The search expands each node once; the first non-certain node with
+    such an edge ends it, and its first such edge, in `out_edges` order,
+    ends the trace.  Every member of an estimate is reachable paired with
+    it, so the search finds one whenever some entry state is an arrival.
     """
     classification = diagnoser.classification
     start, moves = defended_moves(analysis, analysis.unsafe_coreach)
+    found = []  # (node, event, certain estimate) of the detection edge
 
-    def detection_edge(node):
-        if classification[node[1]] != CERTAIN:
-            for event, (lnext, enext) in moves(node):
-                if classification[enext] == CERTAIN and lnext[0] in arrivals:
-                    return event, enext
-        return None
+    def expand(node):
+        detecting = classification[node[1]] != CERTAIN
+        for event, target in moves(node):
+            if detecting and classification[target[1]] == CERTAIN and target[0][0] in arrivals:
+                found.append((node, event, target[1]))
+                return
+            yield event, target
 
-    parents, found = explore([start], moves, lambda node: detection_edge(node) is not None)
-    event, estimate = detection_edge(found)
-    return path_to(parents, found) + (event,), state_name(estimate)
+    parents, _ = explore([start], expand, lambda node: bool(found))
+    node, event, estimate = found[0]
+    return path_to(parents, node) + (event,), state_name(estimate)
 
 
 def check_ae_safe_verifier(model: AttackedModel) -> Verdict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .automata import Automaton, coreach, explore, observer, parallel_compose, path_to
+from .automata import Automaton, coreach, explore, observer, parallel_compose, path_to, restrict
 
 
 class RealizationError(ValueError):
@@ -55,13 +55,7 @@ def supremal_controllable(
     def inside(state):
         return [(e, target) for e, target in product._out[state].items() if target not in bad]
 
-    good = frozenset(explore([product.initial], inside)[0])
-    rows = {
-        src: {event: dst for event, dst in row.items() if dst in good}
-        for src, row in product._out.items()
-        if src in good
-    }
-    return Automaton._unchecked(good, product.events, rows, product.initial, product.marked & good)
+    return restrict(product, frozenset(explore([product.initial], inside)[0]))
 
 
 def check_observability(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 
 from .attacks import VulnerabilitySpec
-from .automata import Alphabet, Automaton, Value, parallel_compose
+from .automata import Alphabet, Automaton, Value, parallel_compose, restrict
 from .synthesis import realize_supervisor, supremal_controllable
 
 
@@ -155,13 +155,7 @@ def traffic_admissible(plant: Automaton) -> Automaton:
     without (1,2)/(2,1), which the supervisor could not tell apart from
     their neighbours under the installed detectors."""
     removed = traffic_collisions() | {(1, 2), (2, 1)}
-    keep = plant.states - removed
-    out = {
-        src: {event: dst for event, dst in row.items() if dst in keep}
-        for src, row in plant._out.items()
-        if src in keep
-    }
-    return Automaton._unchecked(keep, plant.events, out, plant.initial, plant.marked & keep)
+    return restrict(plant, plant.states - removed)
 
 
 def traffic_system(vulnerable_actuators=(), vulnerable_sensors=()) -> System:

@@ -222,8 +222,10 @@ class TestCheck:
         "key,value,message",
         [("attack_events", ["a"], "are not the ae-attacked events"),
          ("attack_events", [], "are not the ae-attacked events"),
-         ("mode", "se", "se model declares other modes' artifacts")],
-        ids=["genuine-attack-event", "artifact-left-out", "artifact-of-another-mode"],
+         ("mode", "se", "se model declares other modes' artifacts"),
+         ("vulnerable", ["a", "zz"], "vulnerable ['a', 'zz'] are not the attack events' base")],
+        ids=["genuine-attack-event", "artifact-left-out", "artifact-of-another-mode",
+             "vulnerable-not-the-bases"],
     )
     def test_attack_events_disagreeing_with_kinds_exit_2(
         self, runner, demo_model_file, key, value, message

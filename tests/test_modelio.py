@@ -221,6 +221,14 @@ class TestValidation:
             pytest.param(True, lambda d: d.update(mode="se"),
                          r"se model declares other modes' artifacts \['b#a'\]",
                          id="artifact-of-another-mode"),
+            pytest.param(True, lambda d: d.update(vulnerable=["a", "zz"]),
+                         r"vulnerable \['a', 'zz'\] are not the attack events' base events "
+                         r"\['b'\]",
+                         id="vulnerable-list-not-the-bases"),
+            pytest.param(True, lambda d: d["events"][0].update(vulnerable=True),
+                         r"events flagged vulnerable \['a', 'b'\] are not the attack events' "
+                         r"base events \['b'\]",
+                         id="flagged-events-not-the-bases"),
         ],
     )
     def test_malformed_document(self, actuator_model, attacked, mutate, message):

@@ -1,8 +1,12 @@
+import collections
+import itertools
 import json
+import random
 
 import pytest
 
-from desguard.attacks import MODE_AE, MODE_SE, VulnerabilitySpec, build_model
+from desguard import safety
+from desguard.attacks import MODE_AE, MODE_SE, MODES, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, label_compose
 from desguard.safety import (
@@ -20,6 +24,7 @@ from desguard.safety import (
 from desguard.modelio import load_path
 from desguard.systems import System
 
+from generators import random_model
 from langtools import diagnoser_initial, diagnoser_step
 
 ALL_CHECKS = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
@@ -225,6 +230,37 @@ class TestDefenseCornerCases:
         model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
         with pytest.raises(KeyError):
             _classify_breach(model.analysis, ("s#a", "d"))
+
+
+class TestDetectionEdgeWitness:
+    def test_each_node_is_expanded_once(self, monkeypatch):
+        # The witness search for conditions 2 and 3 finds its detection
+        # edge among the moves it expands, not by taking them again.
+        expanded = collections.Counter()  # (search, node) -> times expanded
+        product = safety.defended_moves
+        searches = itertools.count()
+
+        def counting(analysis, live):
+            start, moves = product(analysis, live)
+            search = next(searches)
+
+            def counted(node):
+                expanded[search, node] += 1
+                return moves(node)
+
+            return start, counted
+
+        monkeypatch.setattr(safety, "defended_moves", counting)
+        witnessed = 0
+        for seed in range(60):
+            for mode in MODES:
+                verdict = check_gf_safe_diagnoser(random_model(random.Random(seed), mode))
+                witnessed += verdict.violated_condition in (
+                    FIRST_CERTAIN_UNSAFE,
+                    UNCONTROLLABLE_UNSAFE,
+                )
+        assert witnessed >= 10
+        assert max(expanded.values()) == 1
 
 
 class TestVerdictShape:

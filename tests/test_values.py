@@ -155,6 +155,15 @@ class TestReplace:
         with pytest.raises(ValueError, match="must be unobservable"):
             alphabet.replace(infos={**alphabet.infos, "a#e": erased.replace(observable=True)})
 
+    def test_automaton_replace_goes_through_the_constructor(self):
+        plant = systems.actuator_demo_system().plant
+        moved = plant.replace(initial="2")
+        assert (moved.initial, moved.transitions) == ("2", plant.transitions)
+        assert moved.replace(initial="1") == plant
+        assert plant.replace(marked={"4"}).marked == frozenset({"4"})
+        with pytest.raises(ValueError, match="initial state 'zz' not declared"):
+            plant.replace(initial="zz")
+
     def test_replace_rejects_an_unknown_field(self):
         with pytest.raises(TypeError):
             EventInfo(True, True).replace(color="red")
