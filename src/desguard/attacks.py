@@ -210,6 +210,12 @@ def build_model(
     vulnerable = vuln.vulnerable_sensors if rule.on_sensors else vuln.vulnerable_actuators
     if mode == MODE_SI and (missing := sorted(vulnerable - plant.events)):
         raise VulnerabilityError(f"inserted events missing from the plant: {missing}")
+    # A written model declares only the closed loop's events, so an artifact
+    # whose base event neither component uses could not be loaded back.
+    if unused := sorted(vulnerable - plant.events - supervisor.events):
+        raise VulnerabilityError(
+            f"vulnerable events used by neither the plant nor the supervisor: {unused}"
+        )
     artifact = {e: e + rule.suffix for e in vulnerable}
     attack_events = frozenset(artifact.values())
     uncontrollable = alphabet.uncontrollable_events() & plant.events

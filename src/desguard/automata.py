@@ -526,6 +526,7 @@ def observer(
     max_states: int = DEFAULT_STATE_LIMIT,
     estimates: EstimateTable | None = None,
     stop: Callable[[frozenset], bool] | None = None,
+    live: frozenset | None = None,
 ) -> Automaton:
     """Subset-construction observer with respect to a hidden event set.
 
@@ -536,7 +537,13 @@ def observer(
     reuse, or from a table of this call's own.  With `stop`, the search
     ends at the first observer state it dequeues that satisfies it: the
     result then holds only the states discovered so far and the
-    transitions of the states already expanded.
+    transitions of the states already expanded.  With `live`, an observer
+    state that shares no source state with it is discovered but not
+    expanded: it keeps no transitions.  Every member of an estimate is
+    reached from a member of each estimate before it, so when `live` is
+    closed backward (holds whatever reaches it), the expanded states are
+    exactly the complete observer's states reached through estimates
+    meeting `live`, with the same transitions, in the same order.
     """
     hidden = frozenset(hidden)
     if not hidden <= automaton.events:
@@ -549,6 +556,8 @@ def observer(
     out: dict = {}
 
     def moves(current):
+        if live is not None and live.isdisjoint(current):
+            return ()
         edges = estimates.moves(current)
         out[current] = dict(edges)
         return edges
@@ -557,7 +566,7 @@ def observer(
     states, _ = explore(
         (initial,), moves, stop, limit=max_states, overflow="observer exceeded {limit} states"
     )
-    for state in states:  # with `stop`, the states never expanded
+    for state in states:  # the states never expanded, by `stop` or `live`
         out.setdefault(state, {})
     marked = frozenset(s for s in states if s & automaton.marked)
     return Automaton._unchecked(frozenset(states), visible, out, initial, marked)

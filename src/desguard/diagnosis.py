@@ -13,7 +13,8 @@ unobservable closure and each step is computed at most once per model.
 `build_diagnoser` can end at the first estimate a predicate accepts.
 `Analysis` also holds one backward closure per model, the labeled states
 from which an unsafe state is reachable; the verifier, oracle and witness
-searches never enter a state outside it.
+searches never enter a state outside it, and the diagnoser test expands
+no estimate that shares no state with it.
 
 The verifier offers a polynomial alternative to the diagnoser: it pairs
 the renamed attack-free behavior with the attacked behavior so that
@@ -156,14 +157,18 @@ def build_diagnoser(
     unobservable: Iterable[str],
     estimates: EstimateTable | None = None,
     stop: Callable[[frozenset], bool] | None = None,
+    live: frozenset | None = None,
 ) -> Diagnoser:
     """Observer of the labeled model, with each estimate classified.
 
-    `estimates` and `stop` go to `observer`: a shared estimate table, and
-    a predicate at whose first satisfying estimate the construction ends,
-    leaving a partial diagnoser.
+    `estimates`, `stop` and `live` go to `observer`: a shared estimate
+    table, a predicate at whose first satisfying estimate the construction
+    ends, and the labeled states an estimate must meet to be expanded
+    (`Analysis.unsafe_coreach` for the diagnoser test).  Either of the
+    last two leaves a partial diagnoser, whose every discovered estimate
+    is classified.
     """
-    obs = observer(labeled.automaton, unobservable, estimates=estimates, stop=stop)
+    obs = observer(labeled.automaton, unobservable, estimates=estimates, stop=stop, live=live)
     return Diagnoser(obs, {s: classify(s) for s in obs.states})
 
 

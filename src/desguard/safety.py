@@ -25,12 +25,16 @@ attack-free closed loop already reaches an unsafe state, each raises
 A labeled state from which no unsafe state is reachable cannot matter
 to any condition.  The verifier search, the simulation and the
 diagnoser's witness searches skip such states, computed by one backward
-closure per model (`Analysis.unsafe_coreach`); the first two answer safe
-without searching when the initial state is among them.  Whatever
-reaches a kept state is kept, so a breadth-first search visits the kept
-nodes in the order and along the paths of the unpruned search, and finds
-the same witnesses.  The diagnoser's observer stays complete: conditions
-2 and 3 and `x_uc` read every estimate.
+closure per model (`Analysis.unsafe_coreach`), and the diagnoser's
+observer does not expand an estimate that holds none but such states.
+All three answer safe without searching when the initial state is
+outside the closure.  Whatever reaches a kept state is kept, so a
+breadth-first search visits the kept nodes in the order and along the
+paths of the unpruned search, and finds the same witnesses; each of the
+diagnoser's conditions needs an estimate member inside the closure, so
+the pruned observer meets every estimate they read.  The diagnoser's
+`x_uc` is therefore reported among the closed-loop states that can
+still reach an unsafe state.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .automata import Trace, Value, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
     ATTACKED,
     CERTAIN,
+    CLEAN,
     SINK,
     UNCERTAIN,
     Analysis,
@@ -89,9 +94,11 @@ class Verdict(Value):
     When unsafe, `violated_condition` names the failing condition,
     `counterexample` is a closed-loop trace that reaches an unsafe state
     and contains an attack artifact, and `witness_state` renders the
-    diagnoser/verifier state that exposed the violation.  `x_uc` carries
-    the uncontrollably-reachable state set when the third diagnoser
-    condition was evaluated.
+    diagnoser/verifier state that exposed the violation.  `x_uc` carries,
+    when the third diagnoser condition was evaluated, the closed-loop
+    states that are reachable by uncontrollable events from a
+    first-detection point and from which an unsafe state is still
+    reachable; it is empty when no unsafe state is reachable at all.
     """
 
     safe: bool
@@ -110,19 +117,28 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     unsafe state is reached, or (3) an unsafe state is reachable from a
     first-detection point through uncontrollable events alone.
 
-    Condition 1 takes precedence, so the observer stops at the first
-    estimate that violates it.  Otherwise the diagnoser is complete, and
-    conditions 2 and 3 read its entry states: the closed-loop states
-    entered on its detection edges, before the unobservable closure, whose
-    further states need post-detection events the defense governs.
-    Condition 2 is an unsafe entry state; condition 3 an unsafe state in
-    `x_uc`, the entry states' uncontrollable closure.  The witness search
-    ends at a detection edge into an unsafe entry state (2) or one in the
-    unsafe states' uncontrollable backward closure (3), which the shortest
-    uncontrollable run to the first unsafe state by name then completes.
+    The observer expands only estimates that meet `unsafe_coreach`, and
+    none is built when the initial labeled state is outside it: the
+    model is then safe, with an empty `x_uc`.  Condition 1 takes
+    precedence, so the observer stops at the first estimate that
+    violates it.  Otherwise conditions 2 and 3 read the diagnoser's entry
+    states: the closed-loop states entered on its detection edges, before
+    the unobservable closure, whose further states need post-detection
+    events the defense governs.  An entry state that can reach an unsafe
+    state is entered from an estimate member that can too, so the pruned
+    observer has every such edge.  Condition 2 is an unsafe entry state;
+    condition 3 an unsafe state in `x_uc`, the entry states'
+    uncontrollable closure, kept to the states that can reach an unsafe
+    state.  The witness search ends at a detection edge into an unsafe
+    entry state (2) or one in the unsafe states' uncontrollable backward
+    closure (3), which the shortest uncontrollable run to the first
+    unsafe state by name then completes.
     """
     _require_safe_nominal(model)
     analysis = model.analysis
+    live = analysis.unsafe_coreach
+    if analysis.labeled.automaton.initial not in live:
+        return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
     unsafe = model.unsafe_states
     attacked_unsafe = frozenset((state, ATTACKED) for state in unsafe)
 
@@ -131,7 +147,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         return not attacked_unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
 
     diagnoser = build_diagnoser(
-        analysis.labeled, analysis.unobservable, analysis.estimates, condition1
+        analysis.labeled, analysis.unobservable, analysis.estimates, condition1, live
     )
     if any(map(condition1, diagnoser.automaton.states)):
 
@@ -140,7 +156,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
 
         # Every member of a reachable estimate is reachable paired with
         # it, so the search finds a witness.
-        start, moves = defended_moves(analysis, analysis.unsafe_coreach)
+        start, moves = defended_moves(analysis, live)
         parents, found = explore([start], moves, confused)
         return Verdict(
             safe=False,
@@ -163,7 +179,13 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     condition, arrivals = FIRST_CERTAIN_UNSAFE, entries & unsafe
     if not arrivals:
         # Condition 3: uncontrollable continuation from a detection point.
-        x_uc = reach(closed_loop, entries, uncontrollable)
+        # A closed-loop state can reach an unsafe state iff its labeled
+        # copies can, and the reachable ones have at least one.
+        x_uc = frozenset(
+            state
+            for state in reach(closed_loop, entries, uncontrollable)
+            if (state, CLEAN) in live or (state, ATTACKED) in live
+        )
         if x_uc.isdisjoint(unsafe):
             return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
         condition = UNCONTROLLABLE_UNSAFE

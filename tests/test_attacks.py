@@ -18,7 +18,7 @@ from desguard.attacks import (
     build_model,
     sub_attacker,
 )
-from desguard.automata import Alphabet, Automaton, parallel_compose, state_name
+from desguard.automata import Alphabet, Automaton, EventInfo, parallel_compose, state_name
 from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 
 from langtools import (
@@ -156,6 +156,22 @@ class TestActuatorModel:
         plant = Automaton.build("1", [("1", "x#a", "2")])
         with pytest.raises(VulnerabilityError):
             build_model(MODE_AE, plant, plant, VulnerabilitySpec(alphabet))
+
+    @pytest.mark.parametrize("mode, vulnerable", [(MODE_AE, "b"), (MODE_SE, "a")])
+    def test_vulnerable_event_of_neither_component_rejected(self, actuator_demo, mode, vulnerable):
+        # Its artifact would be a closed-loop event whose base event is not
+        # one, so the written model could not be loaded back.
+        alphabet = actuator_demo.vuln.alphabet.extended({"x": EventInfo(True, True)})
+        attacked = {vulnerable, "x"}
+        vuln = VulnerabilitySpec(
+            alphabet,
+            vulnerable_actuators=attacked if mode == MODE_AE else (),
+            vulnerable_sensors=attacked if mode == MODE_SE else (),
+            unsafe_plant_states={"4"},
+        )
+        unused = r"used by neither the plant nor the supervisor: \['x'\]"
+        with pytest.raises(VulnerabilityError, match=unused):
+            build_model(mode, actuator_demo.plant, actuator_demo.supervisor, vuln)
 
 
 class TestErasureModel:

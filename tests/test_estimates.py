@@ -3,20 +3,29 @@
 The references recompute every unobservable closure from scratch
 (`langtools.diagnoser_step`) and explore every defended run
 (`run_exhaustive`'s full report).  The table must give the same
-observer, in the same discovery order; the diagnoser test, which stops
-its observer at the first violation of condition 1, must decide as the
-complete reference diagnoser does; and the oracle, which stops at the
-first unsafe node, must report the shortest breached run of the full
-report.
+observer, in the same discovery order.  The diagnoser test, which
+expands only estimates meeting the unsafe co-reach and stops its
+observer at the first violation of condition 1, must decide as the
+complete reference diagnoser does, with the witnesses of the same test
+run on a complete observer, and report the reference `x_uc` cut to the
+co-reach; its pruned observer must expand exactly the reference
+estimates reached through estimates meeting the co-reach.  The oracle,
+which stops at the first unsafe node, must report the shortest breached
+run of the full report.
 """
 
 import random
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+import desguard
+import desguard.synthesis  # noqa: F401  (the traffic generator reads lib.synthesis)
+from desguard import safety
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
-from desguard.automata import Alphabet, Automaton
+from desguard.automata import Alphabet, Automaton, EstimateTable
 from desguard.diagnosis import ATTACKED, CERTAIN, UNCERTAIN, build_diagnoser, classify
 from desguard.runtime import run_exhaustive
 from desguard.safety import (
@@ -30,6 +39,9 @@ from desguard.safety import (
 
 from generators import random_model
 from langtools import diagnoser_initial, diagnoser_step, naive_reach
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 FIXTURES = [
     "actuator_model",
@@ -51,8 +63,8 @@ def reference_diagnoser(model):
     labeled = model.analysis.labeled
     hidden = model.alphabet.unobservable_events()
     initial = diagnoser_initial(labeled, hidden)
-    seen = {initial}
-    queue = deque([initial])
+    seen = {initial: None}
+    queue = deque(seen)
     transitions = []
     while queue:
         estimate = queue.popleft()
@@ -61,9 +73,29 @@ def reference_diagnoser(model):
             target = diagnoser_step(labeled, hidden, estimate, event)
             transitions.append(((estimate, event), target))
             if target not in seen:
-                seen.add(target)
+                seen[target] = None
                 queue.append(target)
-    return initial, seen, transitions
+    return initial, list(seen), transitions
+
+
+def reference_pruned(model, estimates, transitions):
+    """The reference estimates reached through estimates meeting the
+    unsafe co-reach, and those of them that meet it in discovery order:
+    what the pruned observer discovers and what it expands."""
+    live = model.analysis.unsafe_coreach
+    successors = {}
+    for (src, _event), dst in transitions:
+        successors.setdefault(src, []).append(dst)
+    reached = {estimates[0]}
+    stack = [estimates[0]]
+    while stack:
+        estimate = stack.pop()
+        if not live.isdisjoint(estimate):
+            for target in successors.get(estimate, ()):
+                if target not in reached:
+                    reached.add(target)
+                    stack.append(target)
+    return reached, [e for e in estimates if e in reached and not live.isdisjoint(e)]
 
 
 def reference_conditions(model, states, transitions):
@@ -108,21 +140,56 @@ def reference_breach(model, trace):
     return UNCONTROLLABLE_UNSAFE
 
 
-def _check_diagnoser(model):
-    initial, states, transitions = reference_diagnoser(model)
-    held, x_uc = reference_conditions(model, states, transitions)
+def complete_route(model, monkeypatch):
+    """The diagnoser test with a complete observer wherever it builds
+    one: its conditions and witnesses are the pruned test's."""
+
+    def complete(labeled, unobservable, estimates, stop, live):
+        return build_diagnoser(labeled, unobservable, estimates, stop)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(safety, "build_diagnoser", complete)
+        return check_gf_safe_diagnoser(model)
+
+
+def _check_diagnoser(model, monkeypatch):
+    initial, estimates, transitions = reference_diagnoser(model)
+    held, x_uc = reference_conditions(model, estimates, transitions)
     verdict = check_gf_safe_diagnoser(model)
     assert verdict.violated_condition == (held[0] if held else None)
-    # x_uc is reported once conditions 1 and 2 are ruled out.
+    # x_uc is reported once conditions 1 and 2 are ruled out, among the
+    # closed-loop states that can reach an unsafe state.
     reported = held[:1] in ([], [UNCONTROLLABLE_UNSAFE])
-    assert verdict.x_uc == (x_uc if reported else None)
+    analysis = model.analysis
+    alive = {state for state, _label in analysis.unsafe_coreach}
+    assert verdict.x_uc == (x_uc & alive if reported else None)
+    complete = complete_route(model, monkeypatch)
+    assert complete.violated_condition == verdict.violated_condition
+    assert complete.counterexample == verdict.counterexample
+    assert complete.witness_state == verdict.witness_state
+
+    # The pruned observer, on a table of its own that records each estimate
+    # it expands.
+    table = EstimateTable(analysis.labeled.automaton, analysis.unobservable)
+    expanded, moves = [], table.moves
+    table.moves = lambda estimate: expanded.append(estimate) or moves(estimate)
+    pruned = build_diagnoser(
+        analysis.labeled, analysis.unobservable, table, live=analysis.unsafe_coreach
+    )
+    reached, live_estimates = reference_pruned(model, estimates, transitions)
+    assert pruned.automaton.states == reached
+    assert expanded == live_estimates
+    live_sources = set(live_estimates)
+    assert list(pruned.automaton.transitions.items()) == [
+        edge for edge in transitions if edge[0][0] in live_sources
+    ]
+
     # The routes have filled the shared table in their own order by now.
     check_ae_safe_verifier(model)
     oracle_defense_simulation(model)
-    analysis = model.analysis
     built = build_diagnoser(analysis.labeled, analysis.unobservable, analysis.estimates)
     assert built.automaton.initial == initial
-    assert built.automaton.states == states
+    assert built.automaton.states == set(estimates)
     assert list(built.automaton.transitions.items()) == transitions
 
 
@@ -142,14 +209,21 @@ def _check_oracle(model):
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_fixture_diagnoser_matches_reference(fixture, request):
-    _check_diagnoser(request.getfixturevalue(fixture))
+def test_fixture_diagnoser_matches_reference(fixture, request, monkeypatch):
+    _check_diagnoser(request.getfixturevalue(fixture), monkeypatch)
 
 
 @pytest.mark.parametrize("mode", [MODE_AE, MODE_SE, MODE_SI])
-def test_random_diagnoser_matches_reference(mode):
+def test_random_diagnoser_matches_reference(mode, monkeypatch):
     for seed in SEEDS:
-        _check_diagnoser(random_model(random.Random(seed), mode))
+        _check_diagnoser(random_model(random.Random(seed), mode), monkeypatch)
+
+
+def test_traffic_3x6_diagnoser_matches_reference(monkeypatch):
+    system = workloads.traffic_system(desguard, 3, 6, random.Random(0))
+    for case in workloads.traffic_cases(system):
+        model = build_model(case.mode, system.plant, system.supervisor, case.vuln())
+        _check_diagnoser(model, monkeypatch)
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -189,8 +263,8 @@ def both_conditions_model():
 
 def test_condition1_takes_precedence_over_condition2():
     model = both_conditions_model()
-    _, states, transitions = reference_diagnoser(model)
-    held, _ = reference_conditions(model, states, transitions)
+    _, estimates, transitions = reference_diagnoser(model)
+    held, _ = reference_conditions(model, estimates, transitions)
     assert held[:2] == [UNCERTAIN_UNSAFE, FIRST_CERTAIN_UNSAFE]
     verdict = check_gf_safe_diagnoser(model)
     assert verdict.violated_condition == UNCERTAIN_UNSAFE

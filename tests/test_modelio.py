@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desguard.attacks import build_model
-from desguard.automata import Alphabet, Automaton
+from desguard.attacks import MODES, build_model
+from desguard.automata import Alphabet, Automaton, state_name
 
 from desguard.modelio import (
     VERDICT_SCHEMA,
@@ -22,7 +22,7 @@ from desguard.modelio import (
 )
 from desguard.safety import check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation
 
-from generators import random_system
+from generators import random_model, random_system
 
 
 def demo_doc():
@@ -75,6 +75,28 @@ class TestModelRoundTrip:
         # Plant components survive the trip as display names.
         dead = {reloaded.plant_component(s) for s in reloaded.model.states}
         assert "5" in dead
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_attacked_models_round_trip(self, mode):
+        # A loaded model's states are the (supervisor, plant) name pairs.
+        def named(state):
+            return state_name(state[0]), state_name(state[1])
+
+        for seed in range(100):
+            model = random_model(random.Random(seed), mode)
+            loaded = parse_attacked(json.loads(dumps_doc(attacked_to_doc(model))))
+            aut, back = model.model, loaded.model
+            assert back.initial == named(aut.initial), seed
+            assert back.states == {named(s) for s in aut.states}, seed
+            assert back.marked == {named(s) for s in aut.marked}, seed
+            assert back.events == aut.events, seed
+            assert back.transitions == {
+                (named(s), e): named(d) for (s, e), d in aut.transitions.items()
+            }, seed
+            assert loaded.alphabet == model.alphabet, seed
+            assert loaded.attack_events == model.attack_events, seed
+            assert loaded.unsafe_states == {named(s) for s in model.unsafe_states}, seed
+            assert loaded.mode == model.mode, seed
 
     def test_attacked_doc_carries_provenance(self, actuator_model):
         doc = attacked_to_doc(actuator_model)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from desguard import safety
+from desguard import diagnosis, safety
 from desguard.attacks import MODE_AE, MODE_SE, MODES, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, label_compose
@@ -261,6 +261,42 @@ class TestDetectionEdgeWitness:
                 )
         assert witnessed >= 10
         assert max(expanded.values()) == 1
+
+
+class TestEmptyUnsafeCoreach:
+    """With no unsafe state reachable, the diagnoser answers safe without
+    building an observer, as the verifier and the oracle answer without
+    searching."""
+
+    @staticmethod
+    def _count_observers(monkeypatch):
+        calls = []
+        observer = diagnosis.observer
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return observer(*args, **kwargs)
+
+        monkeypatch.setattr(diagnosis, "observer", counted)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda request: request.getfixturevalue("traffic_se_model"), id="traffic-se"),
+        pytest.param(lambda _: random_model(random.Random(0), MODE_SE), id="random-se-0"),
+    ])
+    def test_diagnoser_builds_no_observer(self, request, monkeypatch, make):
+        model = make(request)
+        assert not model.analysis.unsafe_coreach
+        calls = self._count_observers(monkeypatch)
+        verdict = check_gf_safe_diagnoser(model)
+        assert verdict.safe and verdict.x_uc == frozenset()
+        assert calls == []
+
+    def test_counter_sees_the_observer(self, monkeypatch, traffic_ae_model):
+        assert traffic_ae_model.analysis.unsafe_coreach
+        calls = self._count_observers(monkeypatch)
+        check_gf_safe_diagnoser(traffic_ae_model)
+        assert len(calls) == 1
 
 
 class TestVerdictShape:

@@ -153,10 +153,13 @@ FROZEN_RUNS_SHA256 = {
 TOUR_SHA256 = "cbe09be8c81f571166739d7793d04e0fa58bae7a633a54482a88ab4daae20a53"
 
 # random_model(random.Random(seed), mode) for seeds 0-199, in seed order.
+# The diagnoser's x_uc holds only closed-loop states that can reach an
+# unsafe state (an empty set when none is reachable): the digests of the
+# complete x_uc, cut that way, are these.
 RANDOM_SHA256 = {
-    MODE_AE: "f36506470e6933da33271c3b68c9c08c723fb0a80a4bd5b559dc24de140a9989",
-    MODE_SE: "786209f02e87e8eb88af9140df5e11dd9029251de9b779c4c3440d98207dac1d",
-    MODE_SI: "ec1c25a216b74277d268ffb83620c11536457cbc36ecdcd30df9bf7f905edc52",
+    MODE_AE: "4a1601146ed5c1bb20b98cdd33584ffeaabd5b5ba67a8370edbcdffee8dc92ad",
+    MODE_SE: "6b3f78e036456b6809cfeac0003ed0ba9812234873437acb9fbea2876ddae162",
+    MODE_SI: "2efb817c225d79113e5340c4a6ee7661b17218c5aa830162e1499ced2d674793",
 }
 
 OBSERVABILITY_SHA256 = "44e8ed1c49428bd965178a75587ab23c79aebf50b64d23d014aa0d385b75318f"
