@@ -263,9 +263,14 @@ def build_model(
     for event in vulnerable:
         observable, controllable = rule.artifact_info(alphabet[event])
         infos[artifact[event]] = EventInfo(observable, controllable, kind=rule.kind, base=event)
+    alphabet = alphabet.with_vulnerable(vulnerable).extended(infos)
+    # A written model declares only the closed loop's events, so the model
+    # keeps only those: an event neither component uses would not load back.
+    if len(alphabet.infos) > len(closed_loop.events):
+        alphabet = Alphabet({e: i for e, i in alphabet.infos.items() if e in closed_loop.events})
     return AttackedModel(
         model=closed_loop,
-        alphabet=alphabet.with_vulnerable(vulnerable).extended(infos),
+        alphabet=alphabet,
         attack_events=attack_events,
         unsafe_states=frozenset(s for s in states if s[1] in vuln.unsafe_plant_states),
         mode=mode,

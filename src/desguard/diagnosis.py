@@ -1,10 +1,13 @@
 """Attack diagnosis: labeled models, diagnosers, and verifiers.
 
 Detection is a fault-diagnosis problem where the "faults" are the attack
-artifact events of a closed-loop model.  `label_compose` attaches an
-absorbing Y/N label to every closed-loop state; the diagnoser is the
-observer of the labeled model and classifies each estimate as normal,
-uncertain, or certain.
+artifact events of a closed-loop model.  `label_compose` numbers the
+closed-loop states once per model and attaches an absorbing attack label
+as the low bit: the labeled state ``2 * i + label`` is closed-loop state
+`names[i]`, clean (0) or attacked (1).  Every route works on these ints,
+and names are rendered only where output is written.  The diagnoser is
+the observer of the labeled model and classifies each estimate as
+normal, uncertain, or certain by its members' label bits.
 
 Every estimate the package computes comes from one `EstimateTable` per
 model, held on `Analysis`: the diagnoser's observer, the online detector
@@ -21,10 +24,11 @@ the renamed attack-free behavior with the attacked behavior so that
 observation-equivalent string pairs become joint states, and a tracker
 follows the attacked behavior past detection.  `tracker_moves` is the
 one construction of that product: its start node and successor
-function, read straight off the closed loop and the labeled model.  The
-verifier test searches all of it and `confusion_witness` its pairs (never
-past a detected node), without building any automaton; `build_verifier`
-records one search of it as the verifier and tracker automata.
+function, read straight off the labeled model, whose clean states are
+the attack-free behavior.  The verifier test searches all of it and
+`confusion_witness` its pairs (never past a detected node), without
+building any automaton; `build_verifier` records one search of it as the
+verifier and tracker automata.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .automata import (
     explore,
     observer,
     path_to,
+    state_name,
 )
 
 CLEAN = "N"
@@ -52,57 +57,78 @@ CERTAIN = "certain"
 UNCERTAIN = "uncertain"
 
 # A detected node of `tracker_moves` is (SINK, attacked labeled state); no
-# closed-loop state equals SINK, as each is a (supervisor, plant) pair.
+# labeled state equals SINK, as each is an int.
 SINK = "A"
 
 
 class LabeledAutomaton(Value):
-    """Closed-loop model whose states carry an absorbing attack label."""
+    """Closed-loop model whose states carry an absorbing attack label.
+
+    The states of `automaton` are ints: ``2 * i`` is closed-loop state
+    `names[i]` labeled clean, ``2 * i + 1`` the same state labeled
+    attacked.  `index` maps each closed-loop state to its number `i`.
+    """
 
     automaton: Automaton
     label_events: frozenset[str]
+    names: tuple
+    index: dict
+
+    def decode(self, state: int) -> tuple:
+        """The labeled state as (closed-loop state, CLEAN or ATTACKED)."""
+        return self.names[state >> 1], ATTACKED if state & 1 else CLEAN
+
+    def estimate_name(self, estimate: frozenset) -> str:
+        """`state_name` of a set of labeled states, each decoded."""
+        return state_name(frozenset(map(self.decode, estimate)))
 
 
 def label_compose(model: AttackedModel) -> LabeledAutomaton:
-    """Attach attack labels to the closed loop; states become (state, label).
+    """Number the closed-loop states in row order and label them.
 
-    One `explore` of the closed loop from (initial, N) in which the label
-    latches to Y on the first attack event: the closed loop's product
-    with a two-state flag automaton, built directly.  Every attack event
-    is a closed-loop event, as every way of making an `AttackedModel`
-    ensures.
+    One `explore` of the closed loop from the clean initial state in which
+    the label bit latches to 1 on the first attack event: the closed
+    loop's product with a two-state flag automaton, built directly, each
+    row in the closed loop's event order.  Every attack event is a
+    closed-loop event, as every way of making an `AttackedModel` ensures.
     """
     aut, attack_events = model.model, model.attack_events
+    names = tuple(aut._out)
+    index = {state: i for i, state in enumerate(names)}
+    closed_rows = list(aut._out.values())
     rows = {}
 
-    def moves(node):
-        state, label = node
-        row = rows[node] = {}
-        for event, target in aut._out[state].items():
-            row[event] = (target, ATTACKED if event in attack_events else label)
+    def moves(state):
+        label = state & 1
+        row = rows[state] = {
+            event: 2 * index[target] + (label | (event in attack_events))
+            for event, target in closed_rows[state >> 1].items()
+        }
         return row.items()
 
-    initial = (aut.initial, CLEAN)
+    initial = 2 * index[aut.initial]
     states, _ = explore([initial], moves, overflow="labeling exceeded {limit} states")
-    marked = frozenset(s for s in states if s[0] in aut.marked)
+    marked_numbers = {index[s] for s in aut.marked}
+    marked = frozenset(s for s in states if s >> 1 in marked_numbers)
     labeled = Automaton._unchecked(frozenset(states), aut.events, rows, initial, marked)
-    return LabeledAutomaton(labeled, attack_events)
+    return LabeledAutomaton(labeled, attack_events, names, index)
 
 
 class Analysis(Value):
     """Per-model structures that every decision route needs.
 
     Reached through `AttackedModel.analysis`, which builds it once: the
-    event classes, the labeled model, the unsafe states the attack-free
-    closed loop already reaches, `unsafe_coreach` (the labeled states
-    from which an unsafe state is reachable, inside which the searches
-    for a violation stay), and the detector's estimate table.  The table
-    fills lazily and is shared by the observer, the defended-run
-    exploration and step-by-step runs, so between them each unobservable
-    closure is computed at most once per model; it keeps the estimate
-    steps taken for as long as the model lives.  Diagnosers and verifier
-    searches are rebuilt per call, so a model kept alive does not keep
-    their memory alive too.
+    event classes, the labeled model, `unsafe` (the labeled states whose
+    closed-loop state is unsafe), the closed-loop states the attack-free
+    loop already reaches among them (`nominal_unsafe`), `unsafe_coreach`
+    (the labeled states from which an unsafe state is reachable, inside
+    which the searches for a violation stay), and the detector's estimate
+    table.  The table fills lazily and is shared by the observer, the
+    defended-run exploration and step-by-step runs, so between them each
+    unobservable closure is computed at most once per model; it keeps the
+    estimate steps taken for as long as the model lives.  Diagnosers and
+    verifier searches are rebuilt per call, so a model kept alive does not
+    keep their memory alive too.
     """
 
     observable: frozenset[str]
@@ -110,8 +136,9 @@ class Analysis(Value):
     controllable: frozenset[str]
     uncontrollable: frozenset[str]
     labeled: LabeledAutomaton
+    unsafe: frozenset[int]
     nominal_unsafe: frozenset
-    unsafe_coreach: frozenset
+    unsafe_coreach: frozenset[int]
     estimates: EstimateTable
 
 
@@ -119,28 +146,30 @@ def analyze(model: AttackedModel) -> Analysis:
     alphabet = model.alphabet
     unobservable = alphabet.unobservable_events()
     labeled = label_compose(model)
-    aut = labeled.automaton
-    unsafe = model.unsafe_states
+    aut, index = labeled.automaton, labeled.index
+    numbers = [index[state] for state in model.unsafe_states if state in index]
+    unsafe = frozenset(s for i in numbers for s in (2 * i, 2 * i + 1) if s in aut.states)
     return Analysis(
         observable=alphabet.observable_events(),
         unobservable=unobservable,
         controllable=alphabet.controllable_events(),
         uncontrollable=alphabet.uncontrollable_events(),
         labeled=labeled,
+        unsafe=unsafe,
         # The label latches on the first attack event, so a closed-loop state
         # appears labeled clean exactly when an attack-free string reaches it.
-        nominal_unsafe=frozenset(s for s in unsafe if (s, CLEAN) in aut.states),
-        unsafe_coreach=coreach(aut, [s for s in aut.states if s[0] in unsafe]),
+        nominal_unsafe=frozenset(labeled.names[s >> 1] for s in unsafe if not s & 1),
+        unsafe_coreach=coreach(aut, unsafe),
         estimates=EstimateTable(aut, unobservable),
     )
 
 
-def classify(estimate: Iterable[tuple]) -> str:
-    """normal if all labels N, certain if all Y, uncertain otherwise."""
-    labels = {label for _, label in estimate}
-    if labels == {CLEAN}:
+def classify(estimate: Iterable[int]) -> str:
+    """normal if every label bit is 0, certain if every one is 1, uncertain otherwise."""
+    labels = {state & 1 for state in estimate}
+    if labels == {0}:
         return NORMAL
-    if labels == {ATTACKED}:
+    if labels == {1}:
         return CERTAIN
     return UNCERTAIN
 
@@ -186,10 +215,10 @@ def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, St
 class VerifierArtifacts(Value):
     """The `tracker_moves` product, materialized for inspection and tests.
 
-    `verifier` holds the (attack-free state, attacked labeled state) pairs
-    and the edges between them; `tracker` adds detection, and names a pair
-    node (pair, attacked) and a detected node (SINK, attacked).  Both are
-    None when there is no attacked behavior.
+    `verifier` holds the (attack-free state, attacked labeled state) pairs,
+    both sides labeled states, and the edges between them; `tracker` adds
+    detection, and names a pair node (pair, attacked) and a detected node
+    (SINK, attacked).  Both are None when there is no attacked behavior.
     """
 
     verifier: Automaton | None
@@ -231,25 +260,26 @@ def tracker_moves(model: AttackedModel, keep: frozenset | None = None):
 
     Nodes are (attack-free state, attacked labeled state) pairs, exactly
     the states of `build_verifier`'s verifier, and detected nodes (SINK,
-    attacked labeled state).  Unobservable non-attack events of the
-    attack-free side are private ``#r`` moves, observable non-attack events
-    synchronize, and the attacked side stays among the labeled states in
-    `keep`, by default those co-reachable to an attacked label.  An
-    observable event the attacked side can take but the pair cannot
-    leads to a detected node, from where only uncontrollable events continue.
-    Successors come sorted by event, the `out_edges` order of the
-    materialized automata, so a breadth-first search visits nodes in the
-    same order as one over them.  None when the initial labeled state is
-    not kept (by default: the model has no attacked behavior).
+    attacked labeled state).  The attack-free side is a clean labeled
+    state, so both sides read the labeled model's rows.  Unobservable
+    non-attack events of the attack-free side are private ``#r`` moves,
+    observable non-attack events synchronize, and the attacked side stays
+    among the labeled states in `keep`, by default those co-reachable to
+    an attacked label.  An observable event the attacked side can take
+    but the pair cannot leads to a detected node, from where only
+    uncontrollable events continue.  Successors come sorted by event, the
+    `out_edges` order of the materialized automata, so a breadth-first
+    search visits nodes in the same order as one over them.  None when
+    the initial labeled state is not kept (by default: the model has no
+    attacked behavior).
     """
     analysis = model.analysis
     labeled = analysis.labeled.automaton
     if keep is None:
-        keep = coreach(labeled, [s for s in labeled.states if s[1] == ATTACKED])
+        keep = coreach(labeled, [s for s in labeled.states if s & 1])
     if labeled.initial not in keep:
         return None
-    normal_out = model.model._out
-    attacked_out = labeled._out
+    out = labeled._out
     attack_events = model.attack_events
     observable = analysis.observable
     uncontrollable = analysis.uncontrollable
@@ -258,12 +288,12 @@ def tracker_moves(model: AttackedModel, keep: frozenset | None = None):
         normal, attacked = node
         edges = []
         if normal == SINK:
-            for event, target in attacked_out[attacked].items():
+            for event, target in out[attacked].items():
                 if event in uncontrollable and target in keep:
                     edges.append((event, (SINK, target)))
         else:
-            normal_edges = normal_out[normal]
-            attacked_edges = attacked_out[attacked]
+            normal_edges = out[normal]
+            attacked_edges = out[attacked]
             for event, target in normal_edges.items():
                 if event in attack_events:
                     continue
@@ -282,7 +312,7 @@ def tracker_moves(model: AttackedModel, keep: frozenset | None = None):
         edges.sort()
         return edges
 
-    return (model.model.initial, labeled.initial), moves
+    return (labeled.initial, labeled.initial), moves
 
 
 def strip_renamed(trace: Iterable[str]) -> Trace:
@@ -331,13 +361,15 @@ def confusion_witness(
             for event, target in pair_moves(pair):
                 yield event, (target, satisfied or event == require_event)
 
+    unsafe = model.analysis.unsafe
+
     def confused(node):
-        (normal, (attacked, label)), satisfied = node
+        (normal, attacked), satisfied = node
         return (
             normal != SINK
-            and label == ATTACKED
+            and attacked & 1
             and satisfied
-            and (not unsafe_only or attacked in model.unsafe_states)
+            and (not unsafe_only or attacked in unsafe)
         )
 
     parents, found = explore([(start, require_event is None)], moves, confused)

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
 from .automata import Trace, Value, explore, path_to, state_name
-from .diagnosis import CERTAIN, Analysis, classify
+from .diagnosis import CERTAIN, Analysis, LabeledAutomaton, classify
 
 
 class IllegalEventError(ValueError):
@@ -90,8 +90,10 @@ class AttackerPolicy(Value, frozen=False):
 
 class ExecutionState(Value):
     """One point of a closed-loop run: a node of the defended product,
-    (labeled state, estimate), and the run that reached it."""
+    (labeled state, estimate), the labeled model that names its states,
+    and the run that reached it."""
 
+    labeled: LabeledAutomaton
     node: tuple
     trace: Trace = ()
     observed: Trace = ()
@@ -99,7 +101,7 @@ class ExecutionState(Value):
 
     @property
     def composed(self):
-        return self.node[0][0]
+        return self.labeled.names[self.node[0] >> 1]
 
     @property
     def estimate(self) -> frozenset:
@@ -124,7 +126,7 @@ def _product(model: AttackedModel):
 
 
 def initial_state(model: AttackedModel) -> ExecutionState:
-    return ExecutionState(_product(model)[0])
+    return ExecutionState(model.analysis.labeled, _product(model)[0])
 
 
 def _choices(
@@ -171,9 +173,8 @@ def step(
     observed = state.observed
     if choice in model.analysis.observable:
         observed += (choice,)
-    return ExecutionState(
-        moves[choice], state.trace + (choice,), observed, state.decisions_used + (1 if attacks else 0)
-    )
+    used = state.decisions_used + (1 if attacks else 0)
+    return ExecutionState(state.labeled, moves[choice], state.trace + (choice,), observed, used)
 
 
 def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[ExecutionState]:
@@ -204,11 +205,12 @@ class RunReport(Value):
 def defended_moves(analysis: Analysis, live: frozenset):
     """Start node and successor function of the defended product, on the fly.
 
-    Nodes are (labeled state, estimate) pairs; once the estimate is
-    certain, controllable events are dropped.  No labeled state outside
-    `live` is entered (the start node is the caller's to check).  The
-    attack label is absorbing, so certainty latches: non-certain nodes are
-    reached only through non-certain ones, where nothing is pruned.
+    Nodes are (labeled state, estimate) pairs, an int and a frozenset of
+    ints; once the estimate is certain, controllable events are dropped.
+    No labeled state outside `live` is entered (the start node is the
+    caller's to check).  The attack label is absorbing, so certainty
+    latches: non-certain nodes are reached only through non-certain ones,
+    where nothing is pruned.
     """
     aut = analysis.labeled.automaton
     estimates = analysis.estimates
@@ -255,7 +257,7 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
     """
     analysis = model.analysis
     attack_events = model.attack_events
-    unsafe = model.unsafe_states
+    unsafe = analysis.unsafe
     live = analysis.unsafe_coreach if stop_at_breach else analysis.labeled.automaton.states
     start, moves = defended_moves(analysis, live)
     if start[0] not in live:
@@ -272,7 +274,7 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
     parents, breach = explore(
         [start],
         counted,
-        (lambda node: node[0][0] in unsafe) if stop_at_breach else None,
+        (lambda node: node[0] in unsafe) if stop_at_breach else None,
         overflow="exhaustive exploration exceeded {limit} nodes",
     )
     if stop_at_breach:
@@ -296,11 +298,12 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
         if first_attack is not None:
             latencies.append(len(trace) - 1 - first_attack)
 
+    names = analysis.labeled.names
     return RunReport(
         explored=len(parents),
-        unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0][0] in unsafe),
+        unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0] in unsafe),
         stuck_runs=tuple(
-            (path_to(parents, n), n[0][0]) for n in parents if next(moves(n), None) is None
+            (path_to(parents, n), names[n[0] >> 1]) for n in parents if next(moves(n), None) is None
         ),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,
@@ -315,7 +318,7 @@ def log_records(states: list[ExecutionState]) -> list[dict]:
             "event": st.trace[-1] if index else None,
             "plant": state_name(st.plant_state),
             "supervisor": state_name(st.supervisor_state),
-            "diagnoser": state_name(st.estimate),
+            "diagnoser": st.labeled.estimate_name(st.estimate),
             "safe_mode": st.safe_mode,
         }
         for index, st in enumerate(states)

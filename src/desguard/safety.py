@@ -43,9 +43,7 @@ from __future__ import annotations
 from .attacks import AttackedModel
 from .automata import Trace, Value, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
-    ATTACKED,
     CERTAIN,
-    CLEAN,
     SINK,
     UNCERTAIN,
     Analysis,
@@ -122,37 +120,39 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     model is then safe, with an empty `x_uc`.  Condition 1 takes
     precedence, so the observer stops at the first estimate that
     violates it.  Otherwise conditions 2 and 3 read the diagnoser's entry
-    states: the closed-loop states entered on its detection edges, before
+    states: the labeled states entered on its detection edges, before
     the unobservable closure, whose further states need post-detection
     events the defense governs.  An entry state that can reach an unsafe
     state is entered from an estimate member that can too, so the pruned
     observer has every such edge.  Condition 2 is an unsafe entry state;
-    condition 3 an unsafe state in `x_uc`, the entry states'
-    uncontrollable closure, kept to the states that can reach an unsafe
-    state.  The witness search ends at a detection edge into an unsafe
-    entry state (2) or one in the unsafe states' uncontrollable backward
-    closure (3), which the shortest uncontrollable run to the first
-    unsafe state by name then completes.
+    condition 3 an unsafe state in the entry states' uncontrollable
+    closure, kept to the states that can reach an unsafe state; `x_uc`
+    names their closed-loop states.  The witness search ends at a
+    detection edge into an unsafe entry state (2) or one in the unsafe
+    states' uncontrollable backward closure (3), which the shortest
+    uncontrollable run to the first unsafe state by name then completes.
     """
     _require_safe_nominal(model)
     analysis = model.analysis
+    labeled = analysis.labeled
+    aut = labeled.automaton
     live = analysis.unsafe_coreach
-    if analysis.labeled.automaton.initial not in live:
+    if aut.initial not in live:
         return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
-    unsafe = model.unsafe_states
-    attacked_unsafe = frozenset((state, ATTACKED) for state in unsafe)
+    # The attack-free loop is safe, so every unsafe labeled state is attacked.
+    unsafe = analysis.unsafe
 
     # Condition 1: unsafe state inside an uncertain estimate, label attacked.
     def condition1(estimate):
-        return not attacked_unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
+        return not unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
 
     diagnoser = build_diagnoser(
-        analysis.labeled, analysis.unobservable, analysis.estimates, condition1, live
+        labeled, analysis.unobservable, analysis.estimates, condition1, live
     )
     if any(map(condition1, diagnoser.automaton.states)):
 
         def confused(node):
-            return node[0] in attacked_unsafe and classify(node[1]) == UNCERTAIN
+            return node[0] in unsafe and classify(node[1]) == UNCERTAIN
 
         # Every member of a reachable estimate is reachable paired with
         # it, so the search finds a witness.
@@ -163,42 +163,40 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             method=DIAGNOSER,
             violated_condition=UNCERTAIN_UNSAFE,
             counterexample=path_to(parents, found) or None,
-            witness_state=state_name(found[1]),
+            witness_state=labeled.estimate_name(found[1]),
         )
 
+    # The entry states: labeled, and attacked, as each is in a certain estimate.
     entries = frozenset(
-        target[0]
+        target
         for src, event, _dst in first_entered_certain(diagnoser)
         for member in src
-        if (target := analysis.labeled.automaton.successor(member, event)) is not None
+        if (target := aut.successor(member, event)) is not None
     )
-    closed_loop = model.model
     uncontrollable = analysis.uncontrollable
     x_uc = None
     # Condition 2: an unsafe state is entered exactly at first detection.
     condition, arrivals = FIRST_CERTAIN_UNSAFE, entries & unsafe
     if not arrivals:
         # Condition 3: uncontrollable continuation from a detection point.
-        # A closed-loop state can reach an unsafe state iff its labeled
-        # copies can, and the reachable ones have at least one.
-        x_uc = frozenset(
-            state
-            for state in reach(closed_loop, entries, uncontrollable)
-            if (state, CLEAN) in live or (state, ATTACKED) in live
-        )
-        if x_uc.isdisjoint(unsafe):
+        # Both labeled copies of a closed-loop state have its closed-loop
+        # successors, so they reach an unsafe state or neither does.
+        continued = reach(aut, entries, uncontrollable) & live
+        x_uc = frozenset(labeled.names[s >> 1] for s in continued)
+        if continued.isdisjoint(unsafe):
             return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
         condition = UNCONTROLLABLE_UNSAFE
-        arrivals = entries & coreach(closed_loop, unsafe, uncontrollable)
+        arrivals = entries & coreach(aut, unsafe, uncontrollable)
 
     trace, estimate = _detection_edge_witness(analysis, diagnoser, arrivals)
     if condition == UNCONTROLLABLE_UNSAFE:
 
         def uncontrollable_moves(state):
-            return ((e, t) for e, t in closed_loop.out_edges(state) if e in uncontrollable)
+            return ((e, t) for e, t in aut.out_edges(state) if e in uncontrollable)
 
-        parents, _ = explore([closed_loop.run(trace)], uncontrollable_moves)
-        trace += path_to(parents, min(unsafe.intersection(parents), key=state_name))
+        parents, _ = explore([aut.run(trace)], uncontrollable_moves)
+        first = min(unsafe.intersection(parents), key=lambda s: state_name(labeled.names[s >> 1]))
+        trace += path_to(parents, first)
     return Verdict(
         safe=False,
         method=DIAGNOSER,
@@ -211,7 +209,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
 
 def _detection_edge_witness(analysis, diagnoser, arrivals):
     """Shortest trace whose last event first makes the estimate certain,
-    arriving in a closed-loop state in `arrivals`, and the name of the
+    arriving in a labeled state in `arrivals`, and the name of the
     certain estimate it enters.
 
     The search expands each node once; the first non-certain node with
@@ -226,14 +224,14 @@ def _detection_edge_witness(analysis, diagnoser, arrivals):
     def expand(node):
         detecting = classification[node[1]] != CERTAIN
         for event, target in moves(node):
-            if detecting and classification[target[1]] == CERTAIN and target[0][0] in arrivals:
+            if detecting and classification[target[1]] == CERTAIN and target[0] in arrivals:
                 found.append((node, event, target[1]))
                 return
             yield event, target
 
     parents, _ = explore([start], expand, lambda node: bool(found))
     node, event, estimate = found[0]
-    return path_to(parents, node) + (event,), state_name(estimate)
+    return path_to(parents, node) + (event,), analysis.labeled.estimate_name(estimate)
 
 
 def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
@@ -255,36 +253,35 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     attacked label, so only nodes that lead to no violation are dropped.
     """
     _require_safe_nominal(model)
-    product = tracker_moves(model, keep=model.analysis.unsafe_coreach)
+    analysis = model.analysis
+    product = tracker_moves(model, keep=analysis.unsafe_coreach)
     if product is None:
         return Verdict(safe=True, method=VERIFIER)
     start, moves = product
-    unsafe = model.unsafe_states
-
-    def unsafe_attacked(node):
-        attacked = node[1]
-        return attacked[1] == ATTACKED and attacked[0] in unsafe
+    # The attack-free loop is safe, so every unsafe labeled state is attacked.
+    unsafe = analysis.unsafe
 
     parents, found = explore(
         [start],
         moves,
-        lambda node: node[0] != SINK and unsafe_attacked(node),
+        lambda node: node[0] != SINK and node[1] in unsafe,
         overflow="verifier search exceeded {limit} states",
     )
     condition = VERIFIER_PAIR_UNSAFE
     if found is None:
         condition = VERIFIER_POST_DETECTION_UNSAFE
-        found = next(
-            (node for node in parents if node[0] == SINK and unsafe_attacked(node)), None
-        )
+        found = next((node for node in parents if node[0] == SINK and node[1] in unsafe), None)
         if found is None:
             return Verdict(safe=True, method=VERIFIER)
+    labeled = analysis.labeled
+    normal, attacked = found
+    normal = normal if normal == SINK else labeled.names[normal >> 1]
     return Verdict(
         safe=False,
         method=VERIFIER,
         violated_condition=condition,
         counterexample=strip_renamed(path_to(parents, found)) or None,
-        witness_state=state_name(found),
+        witness_state=state_name((normal, labeled.decode(attacked))),
     )
 
 
@@ -316,14 +313,14 @@ def _classify_breach(analysis: Analysis, trace: Trace) -> str:
     The run is replayed through the defended product the oracle just
     searched, whose estimate steps are all in the table; a trace that is
     no defended run raises KeyError.  Certainty at the end and before the
-    last observable event tells conditions 1, 2 and 3 apart.
+    last event tells conditions 1, 2 and 3 apart, as the diagnoser test
+    does: condition 2 is an unsafe state entered on the edge that first
+    makes the estimate certain.
     """
     start, moves = defended_moves(analysis, analysis.unsafe_coreach)
     node = previous = start
     for event in trace:
-        if event in analysis.observable:
-            previous = node
-        node = dict(moves(node))[event]
+        previous, node = node, dict(moves(node))[event]
     if classify(node[1]) != CERTAIN:
         return UNCERTAIN_UNSAFE
     if classify(previous[1]) != CERTAIN:

@@ -28,6 +28,7 @@ from desguard.attacks import (
     artifact_suffix,
 )
 from desguard.automata import (
+    Alphabet,
     Automaton,
     EventInfo,
     Trace,
@@ -107,6 +108,42 @@ def canonical_doc(automaton: Automaton) -> dict:
             (state_name(s), e, state_name(d)) for (s, e), d in automaton.transitions.items()
         ),
     }
+
+
+def relabeled(automaton: Automaton, rename) -> Automaton:
+    """The automaton with every state `s` renamed `rename(s)`, rows in order."""
+    out = {
+        rename(src): {event: rename(dst) for event, dst in row.items()}
+        for src, row in automaton._out.items()
+    }
+    return Automaton._unchecked(
+        frozenset(out),
+        automaton.events,
+        out,
+        rename(automaton.initial),
+        frozenset(map(rename, automaton.marked)),
+    )
+
+
+def decoded(labeled: LabeledAutomaton) -> Automaton:
+    """The labeled model over (closed-loop state, CLEAN/ATTACKED) pairs."""
+    return relabeled(labeled.automaton, labeled.decode)
+
+
+def decoded_pair(labeled: LabeledAutomaton, node: tuple) -> tuple:
+    """A `tracker_moves` node with its closed-loop states named: the
+    attack-free side without its (clean) label, the attacked side decoded."""
+    normal, attacked = node
+    if normal != SINK:
+        normal = labeled.names[normal >> 1]
+    return normal, labeled.decode(attacked)
+
+
+def decoded_tracked(labeled: LabeledAutomaton, node: tuple) -> tuple:
+    """A `build_verifier` tracker state, decoded as `decoded_pair` does."""
+    if node[0] == SINK:
+        return decoded_pair(labeled, node)
+    return decoded_pair(labeled, node[0]), labeled.decode(node[1])
 
 
 def generates(automaton: Automaton, trace: Iterable[str]) -> bool:
@@ -307,14 +344,13 @@ class ComposedVerifier:
     """
 
     normal_part: Automaton | None
-    attacked_part: LabeledAutomaton | None
+    attacked_part: Automaton | None
     verifier: Automaton | None
     completed: Automaton | None
     tracker: Automaton | None
 
 
-def _normal_part(model: AttackedModel, labeled: LabeledAutomaton) -> Automaton | None:
-    aut = labeled.automaton
+def _normal_part(model: AttackedModel, aut: Automaton) -> Automaton | None:
     transitions = {
         (src, event): dst
         for (src, event), dst in aut.transitions.items()
@@ -349,9 +385,8 @@ def _normal_part(model: AttackedModel, labeled: LabeledAutomaton) -> Automaton |
     )
 
 
-def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
+def _attacked_part(aut: Automaton) -> Automaton | None:
     """Sub-automaton of states co-reachable to an attacked (Y) label."""
-    aut = labeled.automaton
     keep = coreach(aut, [s for s in aut.states if s[1] == ATTACKED])
     if aut.initial not in keep:
         return None
@@ -360,25 +395,24 @@ def _attacked_part(labeled: LabeledAutomaton) -> LabeledAutomaton | None:
         for (src, event), dst in aut.transitions.items()
         if src in keep and dst in keep
     }
-    trimmed = accessible(
-        Automaton(keep, aut.events, transitions, aut.initial, aut.marked & keep)
-    )
-    return LabeledAutomaton(trimmed, labeled.label_events)
+    return accessible(Automaton(keep, aut.events, transitions, aut.initial, aut.marked & keep))
 
 
 def composed_verifier(model: AttackedModel) -> ComposedVerifier:
-    """Run the full verifier pipeline for a closed-loop attack model."""
-    labeled = model.analysis.labeled
+    """Run the full verifier pipeline for a closed-loop attack model, from
+    the labeled model composed with `flag_automaton`, whose states are
+    (closed-loop state, CLEAN/ATTACKED) pairs."""
+    labeled = parallel_compose(model.model, flag_automaton(model.attack_events))
     attacked = _attacked_part(labeled)
     normal = _normal_part(model, labeled)
     if attacked is None:
         return ComposedVerifier(normal, None, None, None, None)
-    verifier = parallel_compose(normal, attacked.automaton)
+    verifier = parallel_compose(normal, attacked)
     alphabet = model.alphabet
     completed = _complete(
         verifier, alphabet.observable_events(), alphabet.uncontrollable_events()
     )
-    tracker = parallel_compose(completed, attacked.automaton)
+    tracker = parallel_compose(completed, attacked)
     return ComposedVerifier(normal, attacked, verifier, completed, tracker)
 
 
@@ -471,9 +505,11 @@ def composed_model(
         observable, controllable = rule.artifact_info(alphabet[event])
         infos[artifact[event]] = EventInfo(observable, controllable, kind=rule.kind, base=event)
     closed_loop = parallel_compose(supervisor_attacked, plant_attacked)
+    alphabet = alphabet.with_vulnerable(vulnerable).extended(infos)
     return AttackedModel(
         model=closed_loop,
-        alphabet=alphabet.with_vulnerable(vulnerable).extended(infos),
+        # The model's events are the closed loop's.
+        alphabet=Alphabet({e: i for e, i in alphabet.infos.items() if e in closed_loop.events}),
         attack_events=attack_events,
         unsafe_states=frozenset(
             s for s in closed_loop.states if s[1] in vuln.unsafe_plant_states

@@ -174,7 +174,7 @@ def test_criterion_6_small_sensor_fixtures():
     labeled = label_compose(erasure_model)
     diagnoser = build_diagnoser(labeled, erasure_model.alphabet.unobservable_events())
     uncertain_plants = {
-        frozenset(erasure_model.plant_component(member[0]) for member in estimate)
+        frozenset(erasure_model.plant_component(labeled.decode(member)[0]) for member in estimate)
         for estimate, kind in diagnoser.classification.items()
         if kind == "uncertain"
     }

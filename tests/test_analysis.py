@@ -98,7 +98,8 @@ class TestCacheSafety:
         unlabeled = model.replace(attack_events=frozenset())
         assert unlabeled.analysis is not model.analysis
         assert unlabeled.analysis.labeled.label_events == frozenset()
-        assert {label for _, label in unlabeled.analysis.labeled.automaton.states} == {
+        labeled = unlabeled.analysis.labeled
+        assert {labeled.decode(state)[1] for state in labeled.automaton.states} == {
             diagnosis.CLEAN
         }
 

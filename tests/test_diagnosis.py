@@ -23,11 +23,15 @@ from generators import random_model
 from langtools import (
     canonical_doc,
     composed_verifier,
+    decoded,
+    decoded_pair,
+    decoded_tracked,
     diagnoser_initial,
     diagnoser_step,
     enumerate_traces,
     generates,
     project,
+    relabeled,
     states_of,
 )
 
@@ -35,7 +39,7 @@ from langtools import (
 class TestLabelCompose:
     def test_demo_chain_labels(self, actuator_model):
         labeled = label_compose(actuator_model)
-        doc = canonical_doc(labeled.automaton)
+        doc = canonical_doc(decoded(labeled))
         assert doc["transitions"] == [
             ("((1,1),N)", "a", "((2,2),N)"),
             ("((2,2),N)", "b#a", "((2,3),Y)"),
@@ -46,14 +50,14 @@ class TestLabelCompose:
         vuln = VulnerabilitySpec(actuator_demo.vuln.alphabet)
         model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
         labeled = label_compose(model)
-        assert all(label == CLEAN for _, label in labeled.automaton.states)
+        assert all(label == CLEAN for _, label in decoded(labeled).states)
 
     def test_label_is_absorbing(
         self, actuator_model, erasure_model, insertion_model, traffic_si_model
     ):
         for model in (actuator_model, erasure_model, insertion_model, traffic_si_model):
             labeled = label_compose(model)
-            for (src, _event), dst in labeled.automaton.transitions.items():
+            for (src, _event), dst in decoded(labeled).transitions.items():
                 assert not (src[1] == ATTACKED and dst[1] == CLEAN)
 
 
@@ -65,7 +69,7 @@ class TestDiagnoser:
         diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
         assert len(diag.automaton.states) == len(labeled.automaton.states)
         assert all(len(q) == 1 for q in diag.automaton.states)
-        names = {state_name(q): c for q, c in diag.classification.items()}
+        names = {labeled.estimate_name(q): c for q, c in diag.classification.items()}
         assert names == {
             "{((1,1),N)}": NORMAL,
             "{((2,2),N)}": NORMAL,
@@ -76,7 +80,7 @@ class TestDiagnoser:
     def test_erasure_demo_has_uncertain_state(self, erasure_model):
         labeled = label_compose(erasure_model)
         diag = build_diagnoser(labeled, erasure_model.alphabet.unobservable_events())
-        names = {state_name(q) for q, c in diag.classification.items() if c == UNCERTAIN}
+        names = {labeled.estimate_name(q) for q, c in diag.classification.items() if c == UNCERTAIN}
         assert "{((3,3),N),((3,5),Y)}" in names
 
     def test_insertion_demo_never_certain(self, insertion_model):
@@ -88,7 +92,7 @@ class TestDiagnoser:
         labeled = label_compose(traffic_si_model)
         diag = build_diagnoser(labeled, traffic_si_model.alphabet.unobservable_events())
         for estimate, kind in diag.classification.items():
-            labels = {label for _, label in estimate}
+            labels = {labeled.decode(state)[1] for state in estimate}
             if kind == NORMAL:
                 assert labels == {CLEAN}
             elif kind == CERTAIN:
@@ -130,14 +134,14 @@ class TestFirstEnteredCertain:
     def test_demo_first_certain(self, actuator_model):
         labeled = label_compose(actuator_model)
         diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
-        targets = {state_name(dst) for _, _, dst in first_entered_certain(diag)}
+        targets = {labeled.estimate_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert targets == {"{((2,3),Y)}"}
 
     def test_certain_after_certain_excluded(self, actuator_model):
         # ((2,4),Y) is certain but only entered from the certain ((2,3),Y).
         labeled = label_compose(actuator_model)
         diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
-        names = {state_name(dst) for _, _, dst in first_entered_certain(diag)}
+        names = {labeled.estimate_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert "{((2,4),Y)}" not in names
 
 
@@ -155,14 +159,14 @@ class TestVerifier:
     ):
         for model in (actuator_model, erasure_model, insertion_model):
             artifacts = composed_verifier(model)
-            aut = artifacts.attacked_part.automaton
+            aut = artifacts.attacked_part
             for (src, event), dst in aut.transitions.items():
                 if src[1] == CLEAN and dst[1] == ATTACKED:
                     assert event in model.attack_events
 
     def test_attacked_part_reaches_labels(self, erasure_model):
         artifacts = composed_verifier(erasure_model)
-        aut = artifacts.attacked_part.automaton
+        aut = artifacts.attacked_part
         # Every state can still reach an attacked label (that is the trim rule).
         labeled = {s for s in aut.states if s[1] == ATTACKED}
         assert labeled
@@ -181,7 +185,8 @@ class TestVerifier:
 
     def test_demo_tracker_contains_post_detection_unsafe(self, actuator_model):
         artifacts = build_verifier(actuator_model)
-        names = {state_name(s) for s in artifacts.tracker.states}
+        labeled = actuator_model.analysis.labeled
+        names = {state_name(decoded_tracked(labeled, s)) for s in artifacts.tracker.states}
         assert "(A,((2,4),Y))" in names
 
     def test_sink_self_loops_are_uncontrollable_plus_attacks(self, actuator_model):
@@ -228,7 +233,8 @@ class TestVerifier:
             if artifacts.verifier is None:
                 continue
             for state in artifacts.verifier.states:
-                _normal_component, (base, label) = state
+                normal, (base, label) = decoded_pair(model.analysis.labeled, state)
+                assert normal in model.model.states
                 assert label in (CLEAN, ATTACKED)
                 assert base in model.model.states
 
@@ -263,8 +269,16 @@ class TestTrackerMoves:
             assert built.verifier is None and built.tracker is None
             assert confusion_witness(model) is None
             return False
-        for name in ("verifier", "tracker"):
-            ours, reference = getattr(built, name), getattr(artifacts, name)
+        labeled = model.analysis.labeled
+
+        def pair(node):
+            return decoded_pair(labeled, node)
+
+        def tracked(node):
+            return decoded_tracked(labeled, node)
+
+        for name, decode in (("verifier", pair), ("tracker", tracked)):
+            ours, reference = relabeled(getattr(built, name), decode), getattr(artifacts, name)
             assert ours.initial == reference.initial
             assert ours.states == reference.states
             assert ours.transitions == reference.transitions
@@ -272,19 +286,19 @@ class TestTrackerMoves:
         parents, _ = explore([start], moves)
         pairs = {node for node in parents if node[0] != SINK}
         sinks = {node for node in parents if node[0] == SINK}
-        assert pairs == artifacts.verifier.states
-        assert sinks == {s for s in artifacts.tracker.states if s[0] == SINK}
+        assert set(map(pair, pairs)) == artifacts.verifier.states
+        assert set(map(pair, sinks)) == {s for s in artifacts.tracker.states if s[0] == SINK}
 
         # Every edge is a tracker edge, in the tracker's out_edges order.
-        def tracked(node):
-            return node if node[0] == SINK else (node, node[1])
+        def as_tracked(node):
+            return tracked(node if node[0] == SINK else (node, node[1]))
 
         for node in parents:
-            edges = [(event, tracked(target)) for event, target in moves(node)]
-            assert edges == artifacts.tracker.out_edges(tracked(node))
+            edges = [(event, as_tracked(target)) for event, target in moves(node)]
+            assert edges == artifacts.tracker.out_edges(as_tracked(node))
         for node in pairs:
-            edges = [(event, target) for event, target in moves(node) if target[0] != SINK]
-            assert edges == artifacts.verifier.out_edges(node)
+            edges = [(event, pair(target)) for event, target in moves(node) if target[0] != SINK]
+            assert edges == artifacts.verifier.out_edges(pair(node))
         return True
 
     def test_fixtures(self, request):

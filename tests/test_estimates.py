@@ -102,13 +102,16 @@ def reference_conditions(model, states, transitions):
     """The diagnoser conditions that hold on the complete reference
     diagnoser, in order of precedence, and x_uc."""
     unsafe = model.unsafe_states
+    labeled = model.analysis.labeled
+    decode = labeled.decode
     held = []
     if any(
-        classify(e) == UNCERTAIN and any(s[1] == ATTACKED and s[0] in unsafe for s in e)
+        classify(e) == UNCERTAIN
+        and any(decode(s)[1] == ATTACKED and decode(s)[0] in unsafe for s in e)
         for e in states
     ):
         held.append(UNCERTAIN_UNSAFE)
-    aut = model.analysis.labeled.automaton
+    aut = labeled.automaton
     entries = {
         target
         for (src, event), dst in transitions
@@ -116,23 +119,28 @@ def reference_conditions(model, states, transitions):
         for member in src
         if (target := aut.successor(member, event)) is not None
     }
-    if any(s[0] in unsafe for s in entries):
+    if any(decode(s)[0] in unsafe for s in entries):
         held.append(FIRST_CERTAIN_UNSAFE)
     uncontrollable = model.alphabet.uncontrollable_events()
-    x_uc = frozenset().union(*(naive_reach(model.model, s[0], uncontrollable) for s in entries))
+    x_uc = frozenset().union(
+        *(naive_reach(model.model, decode(s)[0], uncontrollable) for s in entries)
+    )
     if x_uc & unsafe:
         held.append(UNCONTROLLABLE_UNSAFE)
     return held, x_uc
 
 
 def reference_breach(model, trace):
-    """Condition of a breached run, replayed with from-scratch steps."""
+    """Condition of a breached run, replayed with from-scratch steps: as
+    the diagnoser test defines them, by certainty at the end and before
+    the run's last event."""
     labeled = model.analysis.labeled
     hidden = model.alphabet.unobservable_events()
     estimate = previous = diagnoser_initial(labeled, hidden)
     for event in trace:
+        previous = estimate
         if event not in hidden:
-            previous, estimate = estimate, diagnoser_step(labeled, hidden, estimate, event)
+            estimate = diagnoser_step(labeled, hidden, estimate, event)
     if classify(estimate) != CERTAIN:
         return UNCERTAIN_UNSAFE
     if classify(previous) != CERTAIN:
@@ -161,7 +169,7 @@ def _check_diagnoser(model, monkeypatch):
     # closed-loop states that can reach an unsafe state.
     reported = held[:1] in ([], [UNCONTROLLABLE_UNSAFE])
     analysis = model.analysis
-    alive = {state for state, _label in analysis.unsafe_coreach}
+    alive = {analysis.labeled.decode(state)[0] for state in analysis.unsafe_coreach}
     assert verdict.x_uc == (x_uc & alive if reported else None)
     complete = complete_route(model, monkeypatch)
     assert complete.violated_condition == verdict.violated_condition
@@ -224,6 +232,22 @@ def test_traffic_3x6_diagnoser_matches_reference(monkeypatch):
     for case in workloads.traffic_cases(system):
         model = build_model(case.mode, system.plant, system.supervisor, case.vuln())
         _check_diagnoser(model, monkeypatch)
+
+
+@pytest.mark.parametrize("mode", [MODE_AE, MODE_SE, MODE_SI])
+def test_random_diagnoser_counterexamples_name_their_condition(mode):
+    """The oracle's breach naming and the diagnoser test define conditions
+    2 and 3 alike: each diagnoser counterexample, replayed through the
+    defended product, is named the diagnoser's condition."""
+    unsafe = 0
+    for seed in SEEDS:
+        model = random_model(random.Random(seed), mode)
+        verdict = check_gf_safe_diagnoser(model)
+        if not verdict.safe:
+            unsafe += 1
+            named = safety._classify_breach(model.analysis, verdict.counterexample)
+            assert named == verdict.violated_condition, seed
+    assert unsafe
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

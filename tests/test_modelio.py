@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from desguard.attacks import MODES, build_model
-from desguard.automata import Alphabet, Automaton, state_name
+from desguard.automata import Alphabet, Automaton, EventInfo, state_name
 
 from desguard.modelio import (
     VERDICT_SCHEMA,
@@ -22,7 +22,7 @@ from desguard.modelio import (
 )
 from desguard.safety import check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation
 
-from generators import random_model, random_system
+from generators import random_system
 
 
 def demo_doc():
@@ -83,7 +83,12 @@ class TestModelRoundTrip:
             return state_name(state[0]), state_name(state[1])
 
         for seed in range(100):
-            model = random_model(random.Random(seed), mode)
+            system = random_system(random.Random(seed), mode)
+            # An alphabet event neither component uses is no event of the model.
+            unused = {"unused": EventInfo(seed % 2 == 0, seed % 3 == 0)}
+            vuln = system.vuln.replace(alphabet=system.vuln.alphabet.extended(unused))
+            model = build_model(mode, system.plant, system.supervisor, vuln)
+            assert model == build_model(mode, system.plant, system.supervisor, system.vuln), seed
             loaded = parse_attacked(json.loads(dumps_doc(attacked_to_doc(model))))
             aut, back = model.model, loaded.model
             assert back.initial == named(aut.initial), seed
@@ -97,6 +102,19 @@ class TestModelRoundTrip:
             assert loaded.attack_events == model.attack_events, seed
             assert loaded.unsafe_states == {named(s) for s in model.unsafe_states}, seed
             assert loaded.mode == model.mode, seed
+
+    @pytest.mark.parametrize("observable", [True, False])
+    def test_unused_event_leaves_the_model(self, actuator_demo, actuator_model, observable):
+        # x is controllable and not vulnerable, but neither component uses it.
+        alphabet = actuator_demo.vuln.alphabet.extended({"x": EventInfo(observable, True)})
+        vuln = actuator_demo.vuln.replace(alphabet=alphabet)
+        model = build_model("ae", actuator_demo.plant, actuator_demo.supervisor, vuln)
+        assert list(model.alphabet) == list(actuator_model.alphabet) == ["a", "b", "c", "b#a"]
+        text = dumps_doc(attacked_to_doc(model))
+        assert text == dumps_doc(attacked_to_doc(actuator_model))
+        assert parse_attacked(json.loads(text)).alphabet == model.alphabet
+        # An unobservable x once made the diagnoser's observer refuse the model.
+        assert check_gf_safe_diagnoser(model) == check_gf_safe_diagnoser(actuator_model)
 
     def test_attacked_doc_carries_provenance(self, actuator_model):
         doc = attacked_to_doc(actuator_model)

@@ -7,16 +7,20 @@ automaton.  `Analysis.unsafe_coreach` is checked against its definition
 against a full search of the default tracker product; `test_estimates`
 checks the pruned oracle against the full defended-run report.  Every
 check runs on the fixtures and on 600 random models, built in memory and
-reloaded through `modelio`.
+reloaded through `modelio`, and on the traffic 3x6 models of the benchmark.
 """
 
 import functools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from desguard.attacks import MODE_AE, MODE_SE, MODE_SI
+import desguard
+import desguard.synthesis  # noqa: F401  (the traffic generator reads lib.synthesis)
+from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, build_model
 from desguard.automata import explore, parallel_compose, path_to, state_name
 from desguard.diagnosis import (
     ATTACKED,
@@ -35,7 +39,10 @@ from desguard.safety import (
 )
 
 from generators import random_model
-from langtools import flag_automaton, naive_reach
+from langtools import decoded, decoded_pair, flag_automaton, naive_reach
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 FIXTURES = [
     "actuator_model",
@@ -72,19 +79,27 @@ def check_labeling(model):
     direct = label_compose(model)
     generic = parallel_compose(model.model, flag_automaton(model.attack_events))
     assert direct.label_events == model.attack_events
-    assert direct.automaton.states == generic.states
-    assert direct.automaton.transitions == generic.transitions
-    assert direct.automaton.events == generic.events
-    assert direct.automaton.marked == generic.marked
-    assert direct.automaton.initial == generic.initial
+    # Closed-loop state i is numbered in row order; decoding its labeled
+    # states 2 * i (clean) and 2 * i + 1 (attacked) gives the reference.
+    assert direct.names == tuple(model.model._out)
+    assert direct.index == {state: i for i, state in enumerate(direct.names)}
+    assert all(type(state) is int for state in direct.automaton.states)
+    ours = decoded(direct)
+    assert ours.states == generic.states
+    assert [(s, list(row.items())) for s, row in ours._out.items()] == [
+        (s, list(row.items())) for s, row in generic._out.items()
+    ]
+    assert ours.events == generic.events
+    assert ours.marked == generic.marked
+    assert ours.initial == generic.initial
 
 
 def check_unsafe_coreach(model):
-    aut = model.analysis.labeled.automaton
-    unsafe = model.unsafe_states
-    expected = frozenset(
-        s for s in aut.states if any(t[0] in unsafe for t in naive_reach(aut, s, aut.events))
-    )
+    labeled = model.analysis.labeled
+    aut = labeled.automaton
+    unsafe = frozenset(s for s in aut.states if labeled.decode(s)[0] in model.unsafe_states)
+    assert model.analysis.unsafe == unsafe
+    expected = frozenset(s for s in aut.states if naive_reach(aut, s, aut.events) & unsafe)
     assert model.analysis.unsafe_coreach == expected
 
 
@@ -98,8 +113,10 @@ def reference_verifier(model):
         return None, None, None
     start, moves = product
     parents, _ = explore([start], moves)
+    labeled = model.analysis.labeled
     unsafe = model.unsafe_states
-    goals = [n for n in parents if n[1][1] == ATTACKED and n[1][0] in unsafe]
+    named = {node: decoded_pair(labeled, node) for node in parents}
+    goals = [n for n in parents if named[n][1][1] == ATTACKED and named[n][1][0] in unsafe]
     pairs = [n for n in goals if n[0] != SINK]
     if pairs:
         found = witness = pairs[0]
@@ -109,7 +126,8 @@ def reference_verifier(model):
         condition = VERIFIER_POST_DETECTION_UNSAFE
     else:
         return None, None, None
-    return condition, strip_renamed(path_to(parents, found)) or None, state_name(witness)
+    trace = strip_renamed(path_to(parents, found)) or None
+    return condition, trace, state_name(named[witness])
 
 
 def check_verifier(model):
@@ -133,6 +151,13 @@ def test_fixtures(check, request):
 def test_random_models(check, mode):
     for model in random_models(mode):
         check(model)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_traffic_3x6_models(check):
+    system = workloads.traffic_system(desguard, 3, 6, random.Random(0))
+    for case in workloads.traffic_cases(system):
+        check(build_model(case.mode, system.plant, system.supervisor, case.vuln()))
 
 
 @pytest.mark.parametrize("mode", MODES)

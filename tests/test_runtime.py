@@ -273,7 +273,8 @@ class TestEngineWalksTheProduct:
                 node = None
                 for st in run(model, policy, 40):
                     node = start if node is None else dict(moves(node))[st.trace[-1]]
-                    assert node[0][0] == st.composed, (seed, st.trace)
+                    assert st.node == node, (seed, st.trace)
+                    assert analysis.labeled.decode(node[0])[0] == st.composed, (seed, st.trace)
                     assert node[1] == st.estimate, (seed, st.trace)
                     assert enabled_choices(st, model, AttackerPolicy.all_out()) == frozenset(
                         event for event, _ in moves(node)

@@ -157,7 +157,7 @@ TOUR_SHA256 = "cbe09be8c81f571166739d7793d04e0fa58bae7a633a54482a88ab4daae20a53"
 # unsafe state (an empty set when none is reachable): the digests of the
 # complete x_uc, cut that way, are these.
 RANDOM_SHA256 = {
-    MODE_AE: "4a1601146ed5c1bb20b98cdd33584ffeaabd5b5ba67a8370edbcdffee8dc92ad",
+    MODE_AE: "0e03d1fe0c65ab916b95b52d09b7219a1915aafe6a1531d03ceb368220969e7a",
     MODE_SE: "6b3f78e036456b6809cfeac0003ed0ba9812234873437acb9fbea2876ddae162",
     MODE_SI: "2efb817c225d79113e5340c4a6ee7661b17218c5aa830162e1499ced2d674793",
 }
