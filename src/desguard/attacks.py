@@ -292,22 +292,21 @@ def sub_attacker(
     model: AttackedModel,
     keep: Iterable[tuple] | None = None,
     seed: int | None = None,
-    keep_probability: float = 0.5,
 ) -> AttackedModel:
     """Weaker attacker: retain only the selected attack self-loop sites.
 
     `keep` is a collection of (supervisor state, attack event) pairs; when
-    omitted, a random subset is drawn with the given seed.  The closed
-    loop loses the attack transitions at every other site, then the
-    states no longer reachable, so the language is always a subset of the
-    all-out model's language.
+    omitted, each site is kept with probability 1/2, drawn with the given
+    seed.  The closed loop loses the attack transitions at every other
+    site, then the states no longer reachable, so the language is always
+    a subset of the all-out model's language.
     """
     if model.mode != MODE_AE:
         raise UnsupportedModeError("sub-attackers are defined for actuator-enablement models")
     sites = attack_sites(model)
     if keep is None:
         rng = random.Random(seed)
-        keep_set = {site for site in sites if rng.random() < keep_probability}
+        keep_set = {site for site in sites if rng.random() < 0.5}
     else:
         keep_set = set(keep)
         unknown = keep_set - set(sites)

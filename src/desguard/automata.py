@@ -16,6 +16,10 @@ attack and labeled models, observers, witnesses, defended runs), and the
 closures under a set of events, `reach` forward and `coreach` backward,
 which stand in for fixpoints.  `restrict` is the one cut: it keeps a
 set of states and drops the edges that leave it.
+
+`STATE_LIMIT` is the module's one setting: the state budget of every
+construction and search, read by `explore` when it runs, so setting it
+bounds them all.
 """
 
 from __future__ import annotations
@@ -31,9 +35,8 @@ GENUINE = "genuine"
 AE_ATTACKED = "ae-attacked"
 SE_ERASED = "se-erased"
 SI_ONSET = "si-onset"
-RENAMED = "renamed"
 
-DEFAULT_STATE_LIMIT = 1_000_000
+STATE_LIMIT = 1_000_000
 
 
 class AttributeConflictError(ValueError):
@@ -41,7 +44,7 @@ class AttributeConflictError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A construction exceeded the configured state budget."""
+    """A construction exceeded the state budget, `STATE_LIMIT`."""
 
 
 def state_name(state: State) -> str:
@@ -135,7 +138,7 @@ class Alphabet(Value):
     Artifact events (kind != genuine) record the genuine event they were
     derived from in ``base``.  Construction enforces the structural rules:
     erased events are unobservable, insertion-onset events are unobservable
-    and uncontrollable, renamed events are unobservable.
+    and uncontrollable.
     """
 
     infos: Mapping[str, EventInfo]
@@ -151,26 +154,14 @@ class Alphabet(Value):
                 raise ValueError(
                     f"insertion-onset event {name!r} must be unobservable and uncontrollable"
                 )
-            if info.kind == RENAMED and info.observable:
-                raise ValueError(f"renamed event {name!r} must be unobservable")
 
     @classmethod
     def from_sets(
-        cls,
-        events: Iterable[str],
-        observable: Iterable[str],
-        controllable: Iterable[str],
-        vulnerable: Iterable[str] = (),
+        cls, events: Iterable[str], observable: Iterable[str], controllable: Iterable[str]
     ) -> "Alphabet":
         observable = set(observable)
         controllable = set(controllable)
-        vulnerable = set(vulnerable)
-        return cls(
-            {
-                e: EventInfo(e in observable, e in controllable, e in vulnerable)
-                for e in events
-            }
-        )
+        return cls({e: EventInfo(e in observable, e in controllable) for e in events})
 
     def __contains__(self, event: str) -> bool:
         return event in self.infos
@@ -343,7 +334,6 @@ def explore(
     starts: Iterable[State],
     successors: Callable[[State], Iterable[tuple[object, State]]],
     goal: Callable[[State], bool] | None = None,
-    limit: int = DEFAULT_STATE_LIMIT,
     overflow: str = "search exceeded {limit} states",
 ) -> tuple[dict, State | None]:
     """Breadth-first search from `starts`; returns (parents, found).
@@ -352,9 +342,10 @@ def explore(
     reached node, in discovery order, to its (predecessor, label) and each
     start to None, ready for `path_to`.  `found` is the first dequeued
     node satisfying `goal`, where the search stops, or None.  Reaching
-    more than `limit` nodes raises ResourceLimitError with the `overflow`
-    message.
+    more than `STATE_LIMIT` nodes, read when the search starts, raises
+    ResourceLimitError with the `overflow` message, its `{limit}` filled in.
     """
+    limit = STATE_LIMIT
     parents: dict = dict.fromkeys(starts)
     queue = deque(parents)
     while queue:
@@ -425,9 +416,7 @@ def accessible(automaton: Automaton) -> Automaton:
     return restrict(automaton, reach(automaton, (automaton.initial,), automaton.events))
 
 
-def parallel_compose(
-    a: Automaton, b: Automaton, max_states: int = DEFAULT_STATE_LIMIT
-) -> Automaton:
+def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
     """Parallel composition: shared events synchronize, private ones interleave.
 
     Shared events are those declared by both components, whether or not they
@@ -456,9 +445,7 @@ def parallel_compose(
                 yield event, target
 
     initial = (a.initial, b.initial)
-    states, _ = explore(
-        (initial,), moves, limit=max_states, overflow="composition exceeded {limit} states"
-    )
+    states, _ = explore((initial,), moves, overflow="composition exceeded {limit} states")
     marked = frozenset(
         (sa, sb) for sa, sb in states if sa in a.marked and sb in b.marked
     )
@@ -523,7 +510,6 @@ class EstimateTable:
 def observer(
     automaton: Automaton,
     hidden: Iterable[str],
-    max_states: int = DEFAULT_STATE_LIMIT,
     estimates: EstimateTable | None = None,
     stop: Callable[[frozenset], bool] | None = None,
     live: frozenset | None = None,
@@ -563,9 +549,7 @@ def observer(
         return edges
 
     initial = estimates.initial
-    states, _ = explore(
-        (initial,), moves, stop, limit=max_states, overflow="observer exceeded {limit} states"
-    )
+    states, _ = explore((initial,), moves, stop, overflow="observer exceeded {limit} states")
     for state in states:  # the states never expanded, by `stop` or `live`
         out.setdefault(state, {})
     marked = frozenset(s for s in states if s & automaton.marked)

@@ -26,7 +26,6 @@ from .attacks import (
 from .automata import (
     AE_ATTACKED,
     GENUINE,
-    RENAMED,
     SE_ERASED,
     SI_ONSET,
     Alphabet,
@@ -56,7 +55,7 @@ UNCONTROLLABLE_UNSAFE = "uncontrollable-unsafe"
 VERIFIER_PAIR_UNSAFE = "verifier-pair-unsafe"
 VERIFIER_POST_DETECTION_UNSAFE = "verifier-post-detection-unsafe"
 
-EVENT_KINDS = (GENUINE, AE_ATTACKED, SE_ERASED, SI_ONSET, RENAMED)
+EVENT_KINDS = (GENUINE, AE_ATTACKED, SE_ERASED, SI_ONSET)
 ARTIFACT_KINDS = frozenset(rule.kind for rule in _RULES.values())
 
 
@@ -450,12 +449,14 @@ def _dot_id(text: str) -> str:
 
 def to_dot(
     automaton: Automaton,
-    alphabet: Alphabet | None = None,
+    alphabet: Alphabet,
     unsafe: frozenset = frozenset(),
     title: str = "model",
 ) -> str:
     """Graphviz rendering: unsafe states are boxes, marked states are
-    double circles, attack-artifact transitions are dashed."""
+    double circles, and transitions on events whose kind in `alphabet`,
+    which declares every event of `automaton`, is an attack artifact are
+    dashed."""
     name = _names(automaton)
     unsafe_names = {state_name(s) for s in unsafe}
     marked_names = {name[s] for s in automaton.marked}
@@ -474,12 +475,7 @@ def to_dot(
         (name[s], e, name[d]) for s, row in automaton._out.items() for e, d in row.items()
     )
     for src, event, dst in edges:
-        style = ""
-        artificial = artifact_suffix(event) is not None
-        if alphabet is not None and event in alphabet:
-            artificial = alphabet[event].kind != GENUINE
-        if artificial:
-            style = ", style=dashed"
+        style = ", style=dashed" if alphabet[event].kind != GENUINE else ""
         lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} [label={_dot_id(event)}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -101,7 +101,7 @@ class ExecutionState(Value):
 
     @property
     def composed(self):
-        return self.labeled.names[self.node[0] >> 1]
+        return self.labeled.decode(self.node[0])[0]
 
     @property
     def estimate(self) -> frozenset:
@@ -298,12 +298,12 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
         if first_attack is not None:
             latencies.append(len(trace) - 1 - first_attack)
 
-    names = analysis.labeled.names
+    decode = analysis.labeled.decode
     return RunReport(
         explored=len(parents),
         unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0] in unsafe),
         stuck_runs=tuple(
-            (path_to(parents, n), names[n[0] >> 1]) for n in parents if next(moves(n), None) is None
+            (path_to(parents, n), decode(n[0])[0]) for n in parents if next(moves(n), None) is None
         ),
         detection_latencies=tuple(latencies),
         attack_transitions=attack_transitions,

@@ -182,7 +182,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         # Both labeled copies of a closed-loop state have its closed-loop
         # successors, so they reach an unsafe state or neither does.
         continued = reach(aut, entries, uncontrollable) & live
-        x_uc = frozenset(labeled.names[s >> 1] for s in continued)
+        x_uc = frozenset(labeled.decode(s)[0] for s in continued)
         if continued.isdisjoint(unsafe):
             return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
         condition = UNCONTROLLABLE_UNSAFE
@@ -195,7 +195,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             return ((e, t) for e, t in aut.out_edges(state) if e in uncontrollable)
 
         parents, _ = explore([aut.run(trace)], uncontrollable_moves)
-        first = min(unsafe.intersection(parents), key=lambda s: state_name(labeled.names[s >> 1]))
+        first = min(unsafe.intersection(parents), key=lambda s: state_name(labeled.decode(s)[0]))
         trace += path_to(parents, first)
     return Verdict(
         safe=False,
@@ -275,7 +275,7 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
             return Verdict(safe=True, method=VERIFIER)
     labeled = analysis.labeled
     normal, attacked = found
-    normal = normal if normal == SINK else labeled.names[normal >> 1]
+    normal = normal if normal == SINK else labeled.decode(normal)[0]
     return Verdict(
         safe=False,
         method=VERIFIER,

@@ -374,6 +374,7 @@ class TestBadInputExitCodes:
         pytest.param(["simulate", "{model}", "--policy", "{deep}"],
                      None, 2, id="simulate-script-nested-too-deeply"),
         pytest.param(["check", "{plant}"], None, 2, id="check-given-a-plant"),
+        pytest.param(["export", "{renamed_kind}"], None, 2, id="export-renamed-event-kind"),
         pytest.param(["build", "{model}", "{supervisor}", "--mode", "ae", "--vulnerable", "b"],
                      None, 2, id="build-given-an-attack-model"),
         pytest.param(["simulate", "{model}", "--policy", "random:abc"],
@@ -404,6 +405,11 @@ class TestBadInputExitCodes:
         foreign_spec.write_text(
             dumps_doc(model_to_doc(Automaton.build("1", [("1", "zz", "1")]), foreign))
         )
+        renamed_kind = tmp_path / "renamed_kind.json"
+        doc = json.loads(plant.read_text())
+        doc["events"].append({"name": "a#r", "observable": False, "controllable": False,
+                              "kind": "renamed", "base": "a"})
+        renamed_kind.write_text(json.dumps(doc))
         paths = {
             "model": demo_model_file,
             "plant": plant,
@@ -414,6 +420,7 @@ class TestBadInputExitCodes:
             "deep": deep,
             "empty_spec": empty_spec,
             "foreign_spec": foreign_spec,
+            "renamed_kind": renamed_kind,
         }
         result = runner.invoke(main, [arg.format(**paths) for arg in args])
         assert result.exit_code == code, result.output

@@ -1,12 +1,10 @@
-"""Raises no other test reaches, and the labeling overflow: each test pins
-its exception type and message."""
-
-import functools
+"""Raises no other test reaches, and the state budget: each test pins its
+exception type and message."""
 
 import pytest
 from cli_runner import CliRunner
 
-from desguard import diagnosis, modelio, systems
+from desguard import automata, diagnosis, modelio, systems
 from desguard.attacks import (
     MODE_AE,
     UnsupportedModeError,
@@ -14,10 +12,12 @@ from desguard.attacks import (
     VulnerabilitySpec,
     build_model,
 )
-from desguard.automata import Alphabet, EstimateTable, ResourceLimitError, explore
+from desguard.automata import Alphabet, EstimateTable, ResourceLimitError
 from desguard.cli import main
-from desguard.runtime import AttackerPolicy
+from desguard.modelio import DIAGNOSER, VERIFIER
+from desguard.runtime import AttackerPolicy, run_exhaustive
 from desguard.safety import check_model
+from desguard.synthesis import check_observability, supremal_controllable
 
 
 def demo_model():
@@ -46,12 +46,6 @@ def unknown_policy_kind():
     AttackerPolicy("xx").filter_attacks(frozenset({"b#a"}), 0)
 
 
-def labeling_overflow():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(diagnosis, "explore", functools.partial(explore, limit=3))
-        diagnosis.label_compose(demo_model())
-
-
 @pytest.mark.parametrize("call, kind, message", [
     pytest.param(unknown_mode, UnsupportedModeError, "unknown attack mode 'xx'",
                  id="unknown-mode"),
@@ -65,8 +59,6 @@ def labeling_overflow():
                  id="unknown-policy-kind"),
     pytest.param(lambda: check_model(demo_model(), "xx"), ValueError, "unknown method 'xx'",
                  id="unknown-method"),
-    pytest.param(labeling_overflow, ResourceLimitError, "labeling exceeded 3 states",
-                 id="labeling-overflow"),
 ])
 def test_raise_pins_type_and_message(call, kind, message):
     with pytest.raises(kind) as raised:
@@ -75,10 +67,68 @@ def test_raise_pins_type_and_message(call, kind, message):
     assert raised.value.args == (message,)
 
 
-def test_labeling_overflow_makes_check_exit_4(monkeypatch, tmp_path):
+def on_model(route):
+    """Run `route` on the model once its analysis is built."""
+    def prepare(system, model):
+        model.analysis
+        return lambda: route(model)
+    return prepare
+
+
+def traffic_synthesis():
+    """The traffic plant, its admissible behavior and its alphabet."""
+    plant = systems.traffic_plant()
+    return plant, systems.traffic_admissible(plant), systems.traffic_alphabet()
+
+
+def synthesis_product(system, model):
+    plant, admissible, alphabet = traffic_synthesis()
+    return lambda: supremal_controllable(plant, admissible, alphabet.uncontrollable_events())
+
+
+def observability_search(system, model):
+    """The traffic pair search: 40 pairs over a product of 28 states."""
+    plant, admissible, alphabet = traffic_synthesis()
+    supremal = supremal_controllable(plant, admissible, alphabet.uncontrollable_events())
+    observable, controllable = alphabet.observable_events(), alphabet.controllable_events()
+    return lambda: check_observability(plant, supremal, observable, controllable)
+
+
+# Each case builds its inputs under the default budget and returns the one
+# bounded construction to run under `budget`, which it must overflow.  The
+# model is traffic under actuator enablement: 36 closed-loop and labeled
+# states, 30 diagnoser states, 31 verifier nodes before its witness.
+@pytest.mark.parametrize("prepare, budget, message", [
+    pytest.param(lambda system, model: lambda: build_model(
+                     MODE_AE, system.plant, system.supervisor, system.vuln),
+                 10, "composition exceeded 10 states", id="build_model"),
+    pytest.param(on_model(diagnosis.label_compose), 10,
+                 "labeling exceeded 10 states", id="label_compose"),
+    pytest.param(on_model(lambda model: check_model(model, DIAGNOSER)), 10,
+                 "observer exceeded 10 states", id="diagnoser-observer"),
+    pytest.param(synthesis_product, 10,
+                 "composition exceeded 10 states", id="supremal_controllable"),
+    pytest.param(observability_search, 30,
+                 "search exceeded 30 states", id="check_observability"),
+    pytest.param(on_model(lambda model: check_model(model, VERIFIER)), 10,
+                 "verifier search exceeded 10 states", id="verifier-search"),
+    pytest.param(on_model(run_exhaustive), 10,
+                 "exhaustive exploration exceeded 10 nodes", id="run_exhaustive"),
+])
+def test_state_budget_pins_each_overflow(
+    monkeypatch, traffic_ae, traffic_ae_model, prepare, budget, message
+):
+    construct = prepare(traffic_ae, traffic_ae_model)
+    monkeypatch.setattr(automata, "STATE_LIMIT", budget)
+    with pytest.raises(ResourceLimitError) as raised:
+        construct()
+    assert raised.value.args == (message,)
+
+
+def test_state_budget_makes_check_exit_4(monkeypatch, tmp_path):
     path = tmp_path / "model.json"
     path.write_text(modelio.dumps_doc(modelio.attacked_to_doc(demo_model())))
-    monkeypatch.setattr(diagnosis, "explore", functools.partial(explore, limit=3))
+    monkeypatch.setattr(automata, "STATE_LIMIT", 3)
     result = CliRunner().invoke(main, ["check", str(path), "--method", "all"])
     assert result.exit_code == 4, result.output
     assert result.stdout == ""

@@ -234,6 +234,15 @@ class TestValidation:
                          r"transitions\[0\] must be an object", id="transition-not-an-object"),
             pytest.param(False, lambda d: d["events"][0].update(kind="forged"),
                          "unknown kind 'forged'", id="unknown-event-kind"),
+            pytest.param(
+                False,
+                lambda d: d["events"].append(
+                    {"name": "a#r", "observable": False, "controllable": False,
+                     "kind": "renamed", "base": "a"}
+                ),
+                r"events\[3\]: unknown kind 'renamed'",
+                id="renamed-event-kind",
+            ),
             pytest.param(False, lambda d: d.update(marked=["zz"]),
                          r"marked\[0\] unknown state 'zz'", id="marked-undeclared"),
             pytest.param(
