@@ -47,17 +47,18 @@ class ResourceLimitError(RuntimeError):
     """A construction exceeded the state budget, `STATE_LIMIT`."""
 
 
-def state_name(state: State) -> str:
+def state_name(state: State, part: Callable[[State], str] | None = None) -> str:
     """Render a state as a stable display name.
 
     Tuples become "(a,b)", frozensets become "{a,b}" with members sorted,
     everything else is str()'d.  Used for canonical ordering and for all
-    serialized output.
+    serialized output.  `part` renders the members (default: this
+    function); a memo passed there renders each member once.
     """
     if isinstance(state, frozenset):
-        return "{" + ",".join(sorted(state_name(s) for s in state)) + "}"
+        return "{" + ",".join(sorted(map(part or state_name, state))) + "}"
     if isinstance(state, tuple):
-        return "(" + ",".join(state_name(s) for s in state) + ")"
+        return "(" + ",".join(map(part or state_name, state)) + ")"
     return str(state)
 
 
@@ -334,7 +335,8 @@ def explore(
     starts: Iterable[State],
     successors: Callable[[State], Iterable[tuple[object, State]]],
     goal: Callable[[State], bool] | None = None,
-    overflow: str = "search exceeded {limit} states",
+    *,
+    overflow: str,
 ) -> tuple[dict, State | None]:
     """Breadth-first search from `starts`; returns (parents, found).
 
@@ -343,7 +345,8 @@ def explore(
     start to None, ready for `path_to`.  `found` is the first dequeued
     node satisfying `goal`, where the search stops, or None.  Reaching
     more than `STATE_LIMIT` nodes, read when the search starts, raises
-    ResourceLimitError with the `overflow` message, its `{limit}` filled in.
+    ResourceLimitError with the `overflow` message, its `{limit}` filled in;
+    each caller names its own construction or search there.
     """
     limit = STATE_LIMIT
     parents: dict = dict.fromkeys(starts)

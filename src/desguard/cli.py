@@ -89,11 +89,16 @@ def _load_attacked(path: str) -> AttackedModel:
     return loaded
 
 
+_SLICE = 1 << 16
+
+
 def _emit(text: str, out: str | None):
     if out:
         try:
             with open(out, "w", encoding="utf-8", errors="backslashreplace") as handle:
-                handle.write(text)
+                # In slices, so that no encoded copy of the whole text is held.
+                for start in range(0, len(text), _SLICE):
+                    handle.write(text[start : start + _SLICE])
         except OSError as exc:
             _fail(str(exc))
     else:
@@ -102,6 +107,17 @@ def _emit(text: str, out: str | None):
 
 def build(args) -> None:
     """Build the closed-loop attack model from plant and supervisor files."""
+    model = _attack_model(args)
+    try:
+        text = dumps_doc(attacked_to_doc(model))
+    except ValueError as exc:
+        _fail(str(exc))
+    _emit(text, args.out)
+
+
+def _attack_model(args) -> AttackedModel:
+    """`build`'s model; the loaded plant and supervisor go when it returns,
+    before the model is written."""
     plant_doc = _load_plain(args.plant_file)
     supervisor_doc = _load_plain(args.supervisor_file)
     events = [e for e in (s.strip() for s in args.vulnerable.split(",")) if e]
@@ -114,11 +130,9 @@ def build(args) -> None:
             vulnerable_sensors=frozenset(events) if args.mode != "ae" else frozenset(),
             unsafe_plant_states=plant_doc.unsafe,
         )
-        model = build_model(args.mode, plant_doc.automaton, supervisor_doc.automaton, vuln)
-        text = dumps_doc(attacked_to_doc(model))
+        return build_model(args.mode, plant_doc.automaton, supervisor_doc.automaton, vuln)
     except (VulnerabilityError, ValueError) as exc:
         _fail(str(exc))
-    _emit(text, args.out)
 
 
 def check(args) -> int:

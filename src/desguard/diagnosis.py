@@ -248,7 +248,7 @@ def build_verifier(model: AttackedModel) -> VerifierArtifacts:
                 pair_edges.append((node, event, target))
         return edges
 
-    explore([start], recorded)
+    explore([start], recorded, overflow="verifier construction exceeded {limit} states")
     return VerifierArtifacts(
         Automaton.build(start, pair_edges),
         Automaton.build(tracked(start), tracker_edges),
@@ -372,7 +372,12 @@ def confusion_witness(
             and (not unsafe_only or attacked in unsafe)
         )
 
-    parents, found = explore([(start, require_event is None)], moves, confused)
+    parents, found = explore(
+        [(start, require_event is None)],
+        moves,
+        confused,
+        overflow="confusion witness search exceeded {limit} states",
+    )
     if found is None:
         return None
     trace = path_to(parents, found)

@@ -7,13 +7,18 @@ a provenance header (mode, vulnerable set, tool version) plus
 "components", the supervisor and plant names of every composed state;
 loaded, its states are those (supervisor, plant) name pairs, whose
 rendering must be the state's own name.
+
+Writing a model costs about twice its text in memory: each document
+renders every state once (`_Renderer`), and `dumps_doc` writes each
+array of records, such as `transitions` or `components`, as one chunk.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from json.encoder import encode_basestring_ascii
+from itertools import repeat
+from operator import itemgetter
 from typing import NoReturn
 
 from . import __version__
@@ -191,9 +196,22 @@ def _bad_transition(entry, here: str, state_map: dict, infos: dict) -> NoReturn:
     raise ModelFormatError(f"{here}: duplicate transition on {event!r} from {src!r}")
 
 
-def _names(automaton: Automaton) -> dict:
-    """Each state's display name, rendered once; two states may not share one."""
-    name = {s: state_name(s) for s in automaton.states}
+class _Renderer(dict):
+    """`state_name` for one document: each state object, and each member
+    of a tuple or frozenset state, is rendered once.  The memo is keyed by
+    identity and holds its states, so states that are equal but typed
+    differently (`1`, `1.0`, `True`) are never given one another's name."""
+
+    def __call__(self, state) -> str:
+        hit = self.get(id(state))
+        if hit is None:
+            hit = self[id(state)] = (state, state_name(state, self))
+        return hit[1]
+
+
+def _names(automaton: Automaton, render: _Renderer) -> dict:
+    """Each state's display name; two states may not share one."""
+    name = dict(zip(automaton.states, map(render, automaton.states)))
     if len(set(name.values())) < len(name):
         names = sorted(name.values())
         shared = next(a for a, b in zip(names, names[1:]) if a == b)
@@ -205,11 +223,12 @@ def model_to_doc(
     automaton: Automaton, alphabet: Alphabet, unsafe: frozenset = frozenset()
 ) -> dict:
     """Canonical plain document for a plant/supervisor."""
-    return _model_doc(automaton, alphabet, unsafe, _names(automaton))
+    render = _Renderer()
+    return _model_doc(automaton, alphabet, unsafe, _names(automaton, render), render)
 
 
-def _model_doc(automaton, alphabet, unsafe, name) -> dict:
-    """`model_to_doc` with each state's name already in `name`."""
+def _model_doc(automaton, alphabet, unsafe, name, render) -> dict:
+    """`model_to_doc` with each state's name already in `name`, as `render` gave it."""
     events = []
     for event in sorted(automaton.events):
         info = alphabet[event]
@@ -236,15 +255,16 @@ def _model_doc(automaton, alphabet, unsafe, name) -> dict:
                 (name[s], e, name[d]) for s, row in automaton._out.items() for e, d in row.items()
             )
         ],
-        "unsafe": sorted(state_name(s) for s in unsafe),
+        "unsafe": sorted(map(render, unsafe)),
     }
 
 
 def attacked_to_doc(model: AttackedModel) -> dict:
     """Canonical document for a built attack model, with provenance."""
     aut = model.model
-    name = _names(aut)
-    doc = _model_doc(aut, model.alphabet, model.unsafe_states, name)
+    render = _Renderer()
+    name = _names(aut, render)
+    doc = _model_doc(aut, model.alphabet, model.unsafe_states, name, render)
     doc["format"] = ATTACKED_MODEL_FORMAT
     doc["tool_version"] = __version__
     doc["mode"] = model.mode
@@ -252,11 +272,10 @@ def attacked_to_doc(model: AttackedModel) -> dict:
         e for e in model.alphabet if model.alphabet[e].vulnerable
     )
     doc["attack_events"] = sorted(model.attack_events)
-    part = functools.cache(state_name)  # component states recur across pairs
     doc["components"] = {
         name[s]: {
-            "supervisor": part(s[0]),
-            "plant": part(s[1]),
+            "supervisor": render(s[0]),
+            "plant": render(s[1]),
         }
         for s in sorted(aut.states, key=name.__getitem__)
     }
@@ -330,6 +349,9 @@ def dumps_doc(doc: dict) -> str:
 
     `json.dumps` encodes indented output in pure Python; this writer
     quotes every string with the C encoder instead.  Keys are strings.
+    An array of strings or of records, and an object whose values are
+    records (`_joined`), is written as one chunk, so the writer holds
+    about twice the text it returns: the chunks, then their join.
     """
     chunks = []
     _write(doc, "\n", chunks)
@@ -342,34 +364,59 @@ def _write(value, newline: str, chunks: list) -> None:
     indentation of the line `value` starts on."""
     if isinstance(value, str):
         chunks.append(encode_basestring_ascii(value))
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
-        opener = "{"
-        for key, item in sorted(value.items()):
-            chunks.append(f"{opener}{inner}{encode_basestring_ascii(key)}: ")
-            _write(item, inner, chunks)
-            opener = ","
-        chunks.append(newline + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            chunks.append("[]")
-            return
-        inner = newline + "  "
-        if all(isinstance(item, str) for item in value):
-            items = ("," + inner).join(map(encode_basestring_ascii, value))
-            chunks.append(f"[{inner}{items}{newline}]")
-            return
-        opener = "["
-        for item in value:
-            chunks.append(opener + inner)
-            _write(item, inner, chunks)
-            opener = ","
-        chunks.append(newline + "]")
-    else:
+        return
+    if not isinstance(value, (dict, list, tuple)):
         chunks.append(json.dumps(value))
+        return
+    if not value:
+        chunks.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = newline + "  "
+    if isinstance(value, dict):
+        opener, closer, keys = "{", "}", sorted(value)
+        items = [value[key] for key in keys]
+        joined = _joined(items, inner, keys)
+    else:
+        opener, closer, keys, items = "[", "]", None, value
+        joined = _joined(items, inner) if type(value) is list else None
+    if joined is not None:
+        chunks += (opener + inner, joined, newline + closer)
+        return
+    for i, item in enumerate(items):
+        key = "" if keys is None else encode_basestring_ascii(keys[i]) + ": "
+        chunks.append(opener + inner + key)
+        _write(item, inner, chunks)
+        opener = ","
+    chunks.append(newline + closer)
+
+
+def _joined(items: list, inner: str, keys: list | None = None) -> str | None:
+    """`items` as JSON text, each on a line indented by `inner`, joined by
+    commas into one string; with `keys`, each after its key, as an
+    object's members.  Only strings (array items) and records are joined:
+    dicts with the first item's keys and string values, each written
+    from one set of heads with the keys sorted and quoted once.  None for
+    anything else, which the generic writer takes."""
+    first = items[0]
+    try:
+        if isinstance(first, str) and keys is None:
+            return ("," + inner).join(map(encode_basestring_ascii, items))
+        if type(first) is not dict or not first:
+            return None
+        fields = sorted(first)
+        if set(map(type, items)) != {dict} or set(map(len, items)) != {len(fields)}:
+            return None
+        # Each record is the join of its key heads, repeated, and its values.
+        parts = []
+        for head, field in zip(["{"] + [","] * (len(fields) - 1), fields):
+            head += inner + "  " + encode_basestring_ascii(field) + ": "
+            parts += (repeat(head), map(encode_basestring_ascii, map(itemgetter(field), items)))
+        parts.append(repeat(inner + "}"))
+        if keys is not None:
+            parts[:0] = (map(encode_basestring_ascii, keys), repeat(": "))
+        return ("," + inner).join(map("".join, zip(*parts)))
+    except (KeyError, TypeError):  # a key missing, or a value not a string
+        return None
 
 
 def load_path(path: str):
@@ -457,8 +504,9 @@ def to_dot(
     double circles, and transitions on events whose kind in `alphabet`,
     which declares every event of `automaton`, is an attack artifact are
     dashed."""
-    name = _names(automaton)
-    unsafe_names = {state_name(s) for s in unsafe}
+    render = _Renderer()
+    name = _names(automaton, render)
+    unsafe_names = set(map(render, unsafe))
     marked_names = {name[s] for s in automaton.marked}
     lines = [f"digraph {_dot_id(title)} {{", "  rankdir=LR;", "  node [shape=circle];"]
     lines.append("  __start [shape=point, label=\"\"];")

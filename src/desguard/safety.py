@@ -157,7 +157,9 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         # Every member of a reachable estimate is reachable paired with
         # it, so the search finds a witness.
         start, moves = defended_moves(analysis, live)
-        parents, found = explore([start], moves, confused)
+        parents, found = explore(
+            [start], moves, confused, overflow="diagnoser witness search exceeded {limit} states"
+        )
         return Verdict(
             safe=False,
             method=DIAGNOSER,
@@ -194,7 +196,11 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         def uncontrollable_moves(state):
             return ((e, t) for e, t in aut.out_edges(state) if e in uncontrollable)
 
-        parents, _ = explore([aut.run(trace)], uncontrollable_moves)
+        parents, _ = explore(
+            [aut.run(trace)],
+            uncontrollable_moves,
+            overflow="uncontrollable continuation search exceeded {limit} states",
+        )
         first = min(unsafe.intersection(parents), key=lambda s: state_name(labeled.decode(s)[0]))
         trace += path_to(parents, first)
     return Verdict(
@@ -229,7 +235,12 @@ def _detection_edge_witness(analysis, diagnoser, arrivals):
                 return
             yield event, target
 
-    parents, _ = explore([start], expand, lambda node: bool(found))
+    parents, _ = explore(
+        [start],
+        expand,
+        lambda node: bool(found),
+        overflow="detection edge search exceeded {limit} states",
+    )
     node, event, estimate = found[0]
     return path_to(parents, node) + (event,), analysis.labeled.estimate_name(estimate)
 

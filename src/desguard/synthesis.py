@@ -55,7 +55,10 @@ def supremal_controllable(
     def inside(state):
         return [(e, target) for e, target in product._out[state].items() if target not in bad]
 
-    return restrict(product, frozenset(explore([product.initial], inside)[0]))
+    kept, _ = explore(
+        [product.initial], inside, overflow="controllable part exceeded {limit} states"
+    )
+    return restrict(product, frozenset(kept))
 
 
 def check_observability(
@@ -102,7 +105,12 @@ def check_observability(
                 yield (event, "second"), (one, target)
 
     start = (product.initial, product.initial)
-    parents, found = explore([start], moves, lambda node: conflict(node) is not None)
+    parents, found = explore(
+        [start],
+        moves,
+        lambda node: conflict(node) is not None,
+        overflow="observability search exceeded {limit} states",
+    )
     if found is None:
         return True, None
     labels = path_to(parents, found)

@@ -290,7 +290,7 @@ def naive_supremal_controllable(
         if product.initial not in good:
             return None
         # Keep only what is still reachable inside the surviving states.
-        good = set(explore([product.initial], inside)[0])
+        good = set(explore([product.initial], inside, overflow="trim exceeded {limit} states")[0])
     # Every state of `good` is reachable inside `good`: the result is accessible.
     out = {
         src: {event: dst for event, dst in row.items() if dst in good}

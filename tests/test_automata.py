@@ -239,11 +239,14 @@ def graph_moves(edges):
     return lambda node: out.get(node, [])
 
 
+WALK = "walk exceeded {limit} states"
+
+
 class TestExplore:
     EDGES = [("r", "a", "x"), ("r", "b", "y"), ("x", "c", "z"), ("y", "d", "z"), ("z", "e", "r")]
 
     def test_parents_in_discovery_order(self):
-        parents, found = explore(["r"], graph_moves(self.EDGES))
+        parents, found = explore(["r"], graph_moves(self.EDGES), overflow=WALK)
         assert found is None
         assert list(parents.items()) == [
             ("r", None), ("x", ("r", "a")), ("y", ("r", "b")), ("z", ("x", "c")),
@@ -251,7 +254,7 @@ class TestExplore:
         assert path_to(parents, "z") == ("a", "c")
 
     def test_every_start_is_a_root(self):
-        parents, _ = explore(["y", "x", "y"], graph_moves(self.EDGES))
+        parents, _ = explore(["y", "x", "y"], graph_moves(self.EDGES), overflow=WALK)
         assert list(parents.items()) == [
             ("y", None), ("x", None), ("z", ("y", "d")), ("r", ("z", "e")),
         ]
@@ -263,13 +266,15 @@ class TestExplore:
             expanded.append(node)
             return graph_moves(self.EDGES)(node)
 
-        parents, found = explore(["r"], moves, goal=lambda n: n in {"y", "z"})
+        parents, found = explore(["r"], moves, goal=lambda n: n in {"y", "z"}, overflow=WALK)
         assert found == "y"
         assert expanded == ["r", "x"]
         assert "z" in parents  # discovered from x before y was dequeued
 
     def test_goal_can_be_a_start(self):
-        parents, found = explore(["r"], graph_moves(self.EDGES), goal=lambda n: n == "r")
+        parents, found = explore(
+            ["r"], graph_moves(self.EDGES), goal=lambda n: n == "r", overflow=WALK
+        )
         assert found == "r"
         assert parents == {"r": None}
 
@@ -277,9 +282,9 @@ class TestExplore:
         # The budget is read when the search starts, not when it is defined.
         monkeypatch.setattr(automata, "STATE_LIMIT", 3)
         with pytest.raises(ResourceLimitError, match="walk exceeded 3 states"):
-            explore(["r"], graph_moves(self.EDGES), overflow="walk exceeded {limit} states")
+            explore(["r"], graph_moves(self.EDGES), overflow=WALK)
         monkeypatch.setattr(automata, "STATE_LIMIT", 4)
-        parents, _ = explore(["r"], graph_moves(self.EDGES))
+        parents, _ = explore(["r"], graph_moves(self.EDGES), overflow=WALK)
         assert len(parents) == 4
 
 

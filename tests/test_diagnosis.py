@@ -283,7 +283,7 @@ class TestTrackerMoves:
             assert ours.states == reference.states
             assert ours.transitions == reference.transitions
         start, moves = product
-        parents, _ = explore([start], moves)
+        parents, _ = explore([start], moves, overflow="tracker walk exceeded {limit} states")
         pairs = {node for node in parents if node[0] != SINK}
         sinks = {node for node in parents if node[0] == SINK}
         assert set(map(pair, pairs)) == artifacts.verifier.states

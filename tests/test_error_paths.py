@@ -67,12 +67,18 @@ def test_raise_pins_type_and_message(call, kind, message):
     assert raised.value.args == (message,)
 
 
-def on_model(route):
-    """Run `route` on the model once its analysis is built."""
-    def prepare(system, model):
+def on_model(route, fixture="traffic_ae_model"):
+    """Run `route` on the model of `fixture` once its analysis is built."""
+    def prepare(request):
+        model = request.getfixturevalue(fixture)
         model.analysis
         return lambda: route(model)
     return prepare
+
+
+def attack_build(request):
+    system = request.getfixturevalue("traffic_ae")
+    return lambda: build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
 
 
 def traffic_synthesis():
@@ -81,12 +87,12 @@ def traffic_synthesis():
     return plant, systems.traffic_admissible(plant), systems.traffic_alphabet()
 
 
-def synthesis_product(system, model):
+def synthesis_product(request):
     plant, admissible, alphabet = traffic_synthesis()
     return lambda: supremal_controllable(plant, admissible, alphabet.uncontrollable_events())
 
 
-def observability_search(system, model):
+def observability_search(request):
     """The traffic pair search: 40 pairs over a product of 28 states."""
     plant, admissible, alphabet = traffic_synthesis()
     supremal = supremal_controllable(plant, admissible, alphabet.uncontrollable_events())
@@ -96,12 +102,12 @@ def observability_search(system, model):
 
 # Each case builds its inputs under the default budget and returns the one
 # bounded construction to run under `budget`, which it must overflow.  The
-# model is traffic under actuator enablement: 36 closed-loop and labeled
-# states, 30 diagnoser states, 31 verifier nodes before its witness.
+# model is traffic under actuator enablement unless the case names another:
+# 36 closed-loop and 47 labeled states, 15 observer states, 19 verifier nodes
+# before its witness.  Under sensor insertion the observer keeps 17 states
+# and the uncertain-unsafe witness search reaches 21 nodes.
 @pytest.mark.parametrize("prepare, budget, message", [
-    pytest.param(lambda system, model: lambda: build_model(
-                     MODE_AE, system.plant, system.supervisor, system.vuln),
-                 10, "composition exceeded 10 states", id="build_model"),
+    pytest.param(attack_build, 10, "composition exceeded 10 states", id="build_model"),
     pytest.param(on_model(diagnosis.label_compose), 10,
                  "labeling exceeded 10 states", id="label_compose"),
     pytest.param(on_model(lambda model: check_model(model, DIAGNOSER)), 10,
@@ -109,16 +115,16 @@ def observability_search(system, model):
     pytest.param(synthesis_product, 10,
                  "composition exceeded 10 states", id="supremal_controllable"),
     pytest.param(observability_search, 30,
-                 "search exceeded 30 states", id="check_observability"),
+                 "observability search exceeded 30 states", id="check_observability"),
+    pytest.param(on_model(lambda model: check_model(model, DIAGNOSER), "traffic_si_model"), 18,
+                 "diagnoser witness search exceeded 18 states", id="diagnoser-witness"),
     pytest.param(on_model(lambda model: check_model(model, VERIFIER)), 10,
                  "verifier search exceeded 10 states", id="verifier-search"),
     pytest.param(on_model(run_exhaustive), 10,
                  "exhaustive exploration exceeded 10 nodes", id="run_exhaustive"),
 ])
-def test_state_budget_pins_each_overflow(
-    monkeypatch, traffic_ae, traffic_ae_model, prepare, budget, message
-):
-    construct = prepare(traffic_ae, traffic_ae_model)
+def test_state_budget_pins_each_overflow(monkeypatch, request, prepare, budget, message):
+    construct = prepare(request)
     monkeypatch.setattr(automata, "STATE_LIMIT", budget)
     with pytest.raises(ResourceLimitError) as raised:
         construct()

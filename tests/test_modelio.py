@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from desguard.attacks import MODES, build_model
 from desguard.automata import Alphabet, Automaton, EventInfo, state_name
 
+from desguard import modelio
 from desguard.modelio import (
     VERDICT_SCHEMA,
     ModelFormatError,
@@ -356,6 +358,58 @@ VALUES = st.recursive(
     | st.dictionaries(NAMES, inner, max_size=4),
     max_leaves=24,
 )
+# Record keys and values: NAMES' odd characters plus %-template and
+# format-string syntax.
+FIELDS = st.lists(
+    st.sampled_from(list('ab"\\/\x00\x1f\x7f\n\t\u00e9\u2028\u2603\U0001f600%{}') + ["%s", "%%"]),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def record_arrays(draw):
+    """Dicts with one key set and string values, as `transitions` holds."""
+    keys = draw(st.lists(FIELDS, min_size=1, max_size=4, unique=True))
+    return draw(st.lists(st.fixed_dictionaries({key: FIELDS for key in keys}), min_size=1,
+                         max_size=5))
+
+
+RECORD_ARRAYS = record_arrays()
+# An object whose values are records, as `components` is.
+RECORD_OBJECTS = RECORD_ARRAYS.flatmap(
+    lambda array: st.lists(FIELDS, min_size=len(array), max_size=len(array), unique=True).map(
+        lambda keys: dict(zip(keys, array))
+    )
+)
+
+
+@st.composite
+def near_misses(draw):
+    """A record array or object one change away from being joined whole."""
+    array = [dict(record) for record in draw(RECORD_ARRAYS)]
+    i = draw(st.integers(0, len(array) - 1))
+    change = draw(st.sampled_from(["extra", "missing", "scalar", "nested", "tuple", "single",
+                                   "empty"]))
+    if change == "extra":
+        array[i][draw(FIELDS.filter(lambda key: key not in array[i]))] = draw(FIELDS)
+    elif change == "missing":
+        del array[i][draw(st.sampled_from(sorted(array[i])))]
+    elif change in ("scalar", "nested"):
+        values = SCALARS.filter(lambda v: not isinstance(v, str)) if change == "scalar" else VALUES
+        array[i][draw(st.sampled_from(sorted(array[i])))] = draw(values)
+    elif change == "tuple":
+        return tuple(array)
+    elif change == "single":
+        return array[i]
+    else:
+        array[i] = {}
+    if draw(st.booleans()):
+        return dict(zip(draw(st.lists(FIELDS, min_size=len(array), max_size=len(array),
+                                      unique=True)), array))
+    return array
+
+
+RECORD_CASES = RECORD_ARRAYS | RECORD_OBJECTS | near_misses()
 MODEL_FIXTURES = [
     ("actuator_model", "actuator_demo"),
     ("erasure_model", "erasure_demo"),
@@ -425,3 +479,94 @@ class TestWriter:
         doc = {"": [], "b": {}, "c": None, "d": [True, False, 0, -7, 2**70], "e": ("x", ("y",))}
         assert dumps_doc(doc) == reference_dump(doc)
         assert dumps_doc({}) == "{}\n"
+
+    @given(RECORD_CASES)
+    @settings(max_examples=300, deadline=None)
+    def test_record_arrays_objects_and_near_misses(self, case):
+        for doc in ({"x": case, "y": [case]}, case if isinstance(case, dict) else {"": case}):
+            assert dumps_doc(doc) == reference_dump(doc)
+
+    @given(RECORD_ARRAYS)
+    @settings(max_examples=100, deadline=None)
+    def test_records_are_joined_whole(self, array):
+        """A record array, and an object of records, is one chunk."""
+        assert modelio._joined(array, "\n  ") is not None
+        keys = [str(i) for i in range(len(array))]
+        assert modelio._joined(array, "\n  ", keys) is not None
+
+    @pytest.mark.parametrize("items", [
+        pytest.param([{"a": "1", "b": "2"}, {"a": "1", "b": "2", "c": "3"}], id="extra-key"),
+        pytest.param([{"a": "1", "b": "2"}, {"a": "1"}], id="missing-key"),
+        pytest.param([{"a": "1", "b": "2"}, {"a": "1", "c": "2"}], id="other-key"),
+        pytest.param([{"a": "1", "b": "2"}, {"a": "1", "b": 2}], id="int-value"),
+        pytest.param([{"a": "1", "b": None}, {"a": "1", "b": "2"}], id="null-value"),
+        pytest.param([{"a": "1", "b": ["2"]}], id="nested-value"),
+        pytest.param([{"a": "1", "b": {"c": "2"}}], id="nested-object"),
+        pytest.param([{}, {}], id="empty-records"),
+        pytest.param([{"a": "1"}, {}], id="one-empty-record"),
+        pytest.param([{"a": "1"}, "b"], id="record-then-string"),
+        pytest.param(["a", {"a": "1"}], id="string-then-record"),
+        pytest.param([{"a": "1"}, [("a", "1")]], id="record-then-pairs"),
+    ])
+    def test_near_misses_take_the_generic_path(self, items):
+        keys = [str(i) for i in range(len(items))]
+        assert modelio._joined(items, "\n  ", keys) is None
+        if not isinstance(items[0], str):
+            assert modelio._joined(items, "\n  ") is None
+        for doc in ({"x": items}, dict(zip(keys, items))):
+            assert dumps_doc(doc) == reference_dump(doc)
+
+    def test_single_record_and_tuple_of_records_take_the_generic_path(self, monkeypatch):
+        record = {"a": "%s", "b": "{}"}
+        assert modelio._joined(list(record.values()), "\n  ", list(record)) is None
+        joined = []
+        monkeypatch.setattr(modelio, "_joined", lambda *args: joined.append(args))
+        doc = {"x": (record, dict(record))}
+        assert dumps_doc(doc) == reference_dump(doc)
+        assert [items for items, *_ in joined] == [[(record, dict(record))], ["%s", "{}"], ["%s", "{}"]]
+
+    @pytest.mark.parametrize("fixture", ["traffic_ae_model", "traffic_se_model", "traffic_si_model"])
+    def test_writer_holds_at_most_three_times_its_text(self, request, fixture):
+        doc = attacked_to_doc(request.getfixturevalue(fixture))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = dumps_doc(doc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text), (peak, len(text))
+
+
+# Members that are equal but typed differently, and render differently.
+ATOMS = st.sampled_from([1, 1.0, True, 0, 0.0, False, "1", "True", "a", "(1,1)", "{}"])
+STATES = st.recursive(
+    ATOMS,
+    lambda inner: st.tuples(inner, inner)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.frozensets(inner, max_size=3),
+    max_leaves=10,
+)
+
+
+class TestRenderer:
+    """One renderer per document gives each state its `state_name`."""
+
+    @given(st.lists(STATES, min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_state_name(self, states):
+        render = modelio._Renderer()
+        for state in states + states:
+            assert render(state) == state_name(state)
+
+    def test_equal_members_of_other_types_are_rendered_apart(self):
+        render = modelio._Renderer()
+        pairs = [(1, "x"), (1.0, "x"), (True, "x"), ((1, 1.0), True), ((True, 1), 1.0)]
+        sets = [frozenset({1}), frozenset({1.0}), frozenset({True}), frozenset({(1, 0)}),
+                frozenset({(1.0, False)})]
+        for state in pairs + sets + pairs + sets:
+            assert render(state) == state_name(state)
+        assert [render(p) for p in pairs] == ["(1,x)", "(1.0,x)", "(True,x)", "((1,1.0),True)",
+                                              "((True,1),1.0)"]
+        assert [render(s) for s in sets] == ["{1}", "{1.0}", "{True}", "{(1,0)}", "{(1.0,False)}"]

@@ -112,7 +112,7 @@ def reference_verifier(model):
     if product is None:
         return None, None, None
     start, moves = product
-    parents, _ = explore([start], moves)
+    parents, _ = explore([start], moves, overflow="tracker walk exceeded {limit} states")
     labeled = model.analysis.labeled
     unsafe = model.unsafe_states
     named = {node: decoded_pair(labeled, node) for node in parents}

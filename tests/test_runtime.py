@@ -201,7 +201,7 @@ class TestCertaintyLatches:
         for _, model in _models(request):
             analysis = model.analysis
             start, moves = defended_moves(analysis, analysis.labeled.automaton.states)
-            parents, _ = explore([start], moves)
+            parents, _ = explore([start], moves, overflow="defended walk exceeded {limit} states")
             for node in parents:
                 if classify(node[1]) != CERTAIN:
                     continue
