@@ -127,10 +127,12 @@ class AttackedModel(Value):
 
     @cached_property
     def analysis(self) -> Analysis:
-        """Event classes and labeled model shared by every decision route."""
-        from .diagnosis import analyze
+        """The one analysis context that every decision route reads: the
+        labeled model, its names, unsafe states and their co-reach, and the
+        estimate table, all built by one `diagnosis.label_compose` call."""
+        from .diagnosis import label_compose
 
-        return analyze(self)
+        return label_compose(self)
 
 
 def _check_inputs(plant: Automaton, supervisor: Automaton, alphabet: Alphabet) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, NoReturn
 
 from . import __version__
@@ -55,12 +56,31 @@ if TYPE_CHECKING:
     from .runtime import AttackerPolicy
 
 
-def _echo(text: str, err: bool = False) -> None:
-    """Write `text` to stdout (or stderr) as UTF-8 bytes, then flush."""
+_SLICE = 1 << 16
+
+
+def _echo(text: str, out: str | None = None, err: bool = False) -> None:
+    """Write `text` as UTF-8 bytes to the file `out`, or else to stdout
+    (stderr with `err`), then close or flush it.  No write is larger than
+    64 KiB, so no encoded copy of the whole text is held.  An `out` file
+    that cannot be written exits 2; a closed stdout drops the rest."""
     stream = sys.stderr if err else sys.stdout
     stream.flush()
-    stream.buffer.write(text.encode("utf-8", "backslashreplace"))
-    stream.buffer.flush()
+    try:
+        with open(out, "wb") if out else nullcontext(stream.buffer) as handle:
+            for start in range(0, len(text), _SLICE):
+                data = text[start : start + _SLICE].encode("utf-8", "backslashreplace")
+                # A 64 Ki-character slice can encode to more than 64 KiB.
+                for at in range(0, len(data), _SLICE):
+                    handle.write(memoryview(data)[at : at + _SLICE])
+            handle.flush()
+    except OSError as exc:
+        if out:
+            _fail(str(exc))
+        # A reader that has gone (`desguard build | head`) gets no more, and
+        # the command ends as it would have.
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def _fail(message: str, code: int = 2) -> NoReturn:
@@ -89,22 +109,6 @@ def _load_attacked(path: str) -> AttackedModel:
     return loaded
 
 
-_SLICE = 1 << 16
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8", errors="backslashreplace") as handle:
-                # In slices, so that no encoded copy of the whole text is held.
-                for start in range(0, len(text), _SLICE):
-                    handle.write(text[start : start + _SLICE])
-        except OSError as exc:
-            _fail(str(exc))
-    else:
-        _echo(text)
-
-
 def build(args) -> None:
     """Build the closed-loop attack model from plant and supervisor files."""
     model = _attack_model(args)
@@ -112,7 +116,7 @@ def build(args) -> None:
         text = dumps_doc(attacked_to_doc(model))
     except ValueError as exc:
         _fail(str(exc))
-    _emit(text, args.out)
+    _echo(text, args.out)
 
 
 def _attack_model(args) -> AttackedModel:
@@ -156,12 +160,12 @@ def check(args) -> int:
         agree = len({v.safe for v in verdicts}) == 1
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking, methods_agree=agree)
         doc["method"] = ALL_METHODS
-        _emit(dumps_doc(doc), args.out)
+        _echo(dumps_doc(doc), args.out)
         if not agree:
             _fail("methods disagree", code=3)
     else:
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking)
-        _emit(dumps_doc(doc), args.out)
+        _echo(dumps_doc(doc), args.out)
     if deadlocks:
         _echo(f"warning: reachable deadlocks at plant states {', '.join(deadlocks)}\n", err=True)
     return 0 if verdict.safe else 1
@@ -174,7 +178,7 @@ def export(args) -> None:
         text = to_dot(loaded.model, loaded.alphabet, loaded.unsafe_states, title=args.model_file)
     else:
         text = to_dot(loaded.automaton, loaded.alphabet, loaded.unsafe, title=args.model_file)
-    _emit(text, args.out)
+    _echo(text, args.out)
 
 
 def _parse_policy(spec: str, seed: int) -> AttackerPolicy:
@@ -246,7 +250,7 @@ def synthesize(args) -> None:
         _fail(str(exc), code=1)
     except ModelFormatError as exc:
         _fail(str(exc))
-    _emit(text, args.out)
+    _echo(text, args.out)
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -1,18 +1,19 @@
-"""Attack diagnosis: labeled models, diagnosers, and verifiers.
+"""Attack diagnosis: the per-model analysis, diagnosers, and verifiers.
 
 Detection is a fault-diagnosis problem where the "faults" are the attack
-artifact events of a closed-loop model.  `label_compose` numbers the
-closed-loop states once per model and attaches an absorbing attack label
-as the low bit: the labeled state ``2 * i + label`` is closed-loop state
-`names[i]`, clean (0) or attacked (1).  Every route works on these ints,
-and names are rendered only where output is written.  The diagnoser is
-the observer of the labeled model and classifies each estimate as
-normal, uncertain, or certain by its members' label bits.
+artifact events of a closed-loop model.  `label_compose` builds the one
+per-model analysis context, `Analysis`, that every decision route reads.
+It numbers the closed-loop states once and attaches an absorbing attack
+label as the low bit: the labeled state ``2 * i + label`` is closed-loop
+state `names[i]`, clean (0) or attacked (1).  Every route works on these
+ints, and names are rendered only where output is written.  The
+diagnoser is the observer of the labeled model and classifies each
+estimate as normal, uncertain, or certain by its members' label bits.
 
-Every estimate the package computes comes from one `EstimateTable` per
-model, held on `Analysis`: the diagnoser's observer, the online detector
-and the defended product of `runtime` all step through it, so each
-unobservable closure and each step is computed at most once per model.
+Besides the labeled model, `Analysis` holds the model's one
+`EstimateTable`: the diagnoser's observer, the online detector and the
+defended product of `runtime` all step through it, so each unobservable
+closure and each step is computed at most once per model.
 `build_diagnoser` can end at the first estimate a predicate accepts.
 `Analysis` also holds one backward closure per model, the labeled states
 from which an unsafe state is reachable; the verifier, oracle and witness
@@ -61,18 +62,36 @@ UNCERTAIN = "uncertain"
 SINK = "A"
 
 
-class LabeledAutomaton(Value):
-    """Closed-loop model whose states carry an absorbing attack label.
+class Analysis(Value):
+    """The per-model context that every decision route reads.
 
-    The states of `automaton` are ints: ``2 * i`` is closed-loop state
-    `names[i]` labeled clean, ``2 * i + 1`` the same state labeled
-    attacked.  `index` maps each closed-loop state to its number `i`.
+    Built once per model by `label_compose`, and reached through
+    `AttackedModel.analysis`: the event classes; the labeled model
+    `automaton`, whose states are ints, ``2 * i`` closed-loop state
+    `names[i]` labeled clean and ``2 * i + 1`` the same state labeled
+    attacked; `unsafe` (the labeled states whose closed-loop state is
+    unsafe); the closed-loop states the attack-free loop already reaches
+    among them (`nominal_unsafe`); `unsafe_coreach` (the labeled states
+    from which an unsafe state is reachable, inside which the searches for
+    a violation stay); and the detector's estimate table.  The table fills
+    lazily and is shared by the observer, the defended-run exploration and
+    step-by-step runs, so between them each unobservable closure is
+    computed at most once per model; it keeps the estimate steps taken for
+    as long as the model lives.  Diagnosers and verifier searches are
+    rebuilt per call, so a model kept alive does not keep their memory
+    alive too.
     """
 
+    observable: frozenset[str]
+    unobservable: frozenset[str]
+    controllable: frozenset[str]
+    uncontrollable: frozenset[str]
     automaton: Automaton
-    label_events: frozenset[str]
     names: tuple
-    index: dict
+    unsafe: frozenset[int]
+    nominal_unsafe: frozenset
+    unsafe_coreach: frozenset[int]
+    estimates: EstimateTable
 
     def decode(self, state: int) -> tuple:
         """The labeled state as (closed-loop state, CLEAN or ATTACKED)."""
@@ -83,16 +102,17 @@ class LabeledAutomaton(Value):
         return state_name(frozenset(map(self.decode, estimate)))
 
 
-def label_compose(model: AttackedModel) -> LabeledAutomaton:
-    """Number the closed-loop states in row order and label them.
+def label_compose(model: AttackedModel) -> Analysis:
+    """The analysis of `model`: its closed loop, numbered in row order and labeled.
 
     One `explore` of the closed loop from the clean initial state in which
     the label bit latches to 1 on the first attack event: the closed
     loop's product with a two-state flag automaton, built directly, each
     row in the closed loop's event order.  Every attack event is a
     closed-loop event, as every way of making an `AttackedModel` ensures.
+    The rest of the context is derived from the labeled model.
     """
-    aut, attack_events = model.model, model.attack_events
+    aut, attack_events, alphabet = model.model, model.attack_events, model.alphabet
     names = tuple(aut._out)
     index = {state: i for i, state in enumerate(names)}
     closed_rows = list(aut._out.values())
@@ -111,56 +131,22 @@ def label_compose(model: AttackedModel) -> LabeledAutomaton:
     marked_numbers = {index[s] for s in aut.marked}
     marked = frozenset(s for s in states if s >> 1 in marked_numbers)
     labeled = Automaton._unchecked(frozenset(states), aut.events, rows, initial, marked)
-    return LabeledAutomaton(labeled, attack_events, names, index)
-
-
-class Analysis(Value):
-    """Per-model structures that every decision route needs.
-
-    Reached through `AttackedModel.analysis`, which builds it once: the
-    event classes, the labeled model, `unsafe` (the labeled states whose
-    closed-loop state is unsafe), the closed-loop states the attack-free
-    loop already reaches among them (`nominal_unsafe`), `unsafe_coreach`
-    (the labeled states from which an unsafe state is reachable, inside
-    which the searches for a violation stay), and the detector's estimate
-    table.  The table fills lazily and is shared by the observer, the
-    defended-run exploration and step-by-step runs, so between them each
-    unobservable closure is computed at most once per model; it keeps the
-    estimate steps taken for as long as the model lives.  Diagnosers and
-    verifier searches are rebuilt per call, so a model kept alive does not
-    keep their memory alive too.
-    """
-
-    observable: frozenset[str]
-    unobservable: frozenset[str]
-    controllable: frozenset[str]
-    uncontrollable: frozenset[str]
-    labeled: LabeledAutomaton
-    unsafe: frozenset[int]
-    nominal_unsafe: frozenset
-    unsafe_coreach: frozenset[int]
-    estimates: EstimateTable
-
-
-def analyze(model: AttackedModel) -> Analysis:
-    alphabet = model.alphabet
-    unobservable = alphabet.unobservable_events()
-    labeled = label_compose(model)
-    aut, index = labeled.automaton, labeled.index
     numbers = [index[state] for state in model.unsafe_states if state in index]
-    unsafe = frozenset(s for i in numbers for s in (2 * i, 2 * i + 1) if s in aut.states)
+    unsafe = frozenset(s for i in numbers for s in (2 * i, 2 * i + 1) if s in states)
+    unobservable = alphabet.unobservable_events()
     return Analysis(
         observable=alphabet.observable_events(),
         unobservable=unobservable,
         controllable=alphabet.controllable_events(),
         uncontrollable=alphabet.uncontrollable_events(),
-        labeled=labeled,
+        automaton=labeled,
+        names=names,
         unsafe=unsafe,
         # The label latches on the first attack event, so a closed-loop state
         # appears labeled clean exactly when an attack-free string reaches it.
-        nominal_unsafe=frozenset(labeled.names[s >> 1] for s in unsafe if not s & 1),
-        unsafe_coreach=coreach(aut, unsafe),
-        estimates=EstimateTable(aut, unobservable),
+        nominal_unsafe=frozenset(names[s >> 1] for s in unsafe if not s & 1),
+        unsafe_coreach=coreach(labeled, unsafe),
+        estimates=EstimateTable(labeled, unobservable),
     )
 
 
@@ -182,22 +168,20 @@ class Diagnoser(Value):
 
 
 def build_diagnoser(
-    labeled: LabeledAutomaton,
-    unobservable: Iterable[str],
-    estimates: EstimateTable | None = None,
+    analysis: Analysis,
     stop: Callable[[frozenset], bool] | None = None,
     live: frozenset | None = None,
 ) -> Diagnoser:
     """Observer of the labeled model, with each estimate classified.
 
-    `estimates`, `stop` and `live` go to `observer`: a shared estimate
-    table, a predicate at whose first satisfying estimate the construction
-    ends, and the labeled states an estimate must meet to be expanded
-    (`Analysis.unsafe_coreach` for the diagnoser test).  Either of the
-    last two leaves a partial diagnoser, whose every discovered estimate
-    is classified.
+    The observer steps through the model's estimate table.  `stop` and
+    `live` go to `observer`: a predicate at whose first satisfying
+    estimate the construction ends, and the labeled states an estimate
+    must meet to be expanded (`Analysis.unsafe_coreach` for the diagnoser
+    test).  Either leaves a partial diagnoser, whose every discovered
+    estimate is classified.
     """
-    obs = observer(labeled.automaton, unobservable, estimates=estimates, stop=stop, live=live)
+    obs = observer(analysis.automaton, analysis.unobservable, analysis.estimates, stop, live)
     return Diagnoser(obs, {s: classify(s) for s in obs.states})
 
 
@@ -274,7 +258,7 @@ def tracker_moves(model: AttackedModel, keep: frozenset | None = None):
     attacked behavior).
     """
     analysis = model.analysis
-    labeled = analysis.labeled.automaton
+    labeled = analysis.automaton
     if keep is None:
         keep = coreach(labeled, [s for s in labeled.states if s & 1])
     if labeled.initial not in keep:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
 from .automata import Trace, Value, explore, path_to, state_name
-from .diagnosis import CERTAIN, Analysis, LabeledAutomaton, classify
+from .diagnosis import CERTAIN, Analysis, classify
 
 
 class IllegalEventError(ValueError):
@@ -90,10 +90,10 @@ class AttackerPolicy(Value, frozen=False):
 
 class ExecutionState(Value):
     """One point of a closed-loop run: a node of the defended product,
-    (labeled state, estimate), the labeled model that names its states,
+    (labeled state, estimate), the model's analysis that names its states,
     and the run that reached it."""
 
-    labeled: LabeledAutomaton
+    analysis: Analysis
     node: tuple
     trace: Trace = ()
     observed: Trace = ()
@@ -101,7 +101,7 @@ class ExecutionState(Value):
 
     @property
     def composed(self):
-        return self.labeled.decode(self.node[0])[0]
+        return self.analysis.decode(self.node[0])[0]
 
     @property
     def estimate(self) -> frozenset:
@@ -122,11 +122,11 @@ class ExecutionState(Value):
 
 
 def _product(model: AttackedModel):
-    return defended_moves(model.analysis, model.analysis.labeled.automaton.states)
+    return defended_moves(model.analysis, model.analysis.automaton.states)
 
 
 def initial_state(model: AttackedModel) -> ExecutionState:
-    return ExecutionState(model.analysis.labeled, _product(model)[0])
+    return ExecutionState(model.analysis, _product(model)[0])
 
 
 def _choices(
@@ -174,7 +174,7 @@ def step(
     if choice in model.analysis.observable:
         observed += (choice,)
     used = state.decisions_used + (1 if attacks else 0)
-    return ExecutionState(state.labeled, moves[choice], state.trace + (choice,), observed, used)
+    return ExecutionState(state.analysis, moves[choice], state.trace + (choice,), observed, used)
 
 
 def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[ExecutionState]:
@@ -212,7 +212,7 @@ def defended_moves(analysis: Analysis, live: frozenset):
     latches: non-certain nodes are reached only through non-certain ones,
     where nothing is pruned.
     """
-    aut = analysis.labeled.automaton
+    aut = analysis.automaton
     estimates = analysis.estimates
     observable = analysis.observable
     controllable = analysis.controllable
@@ -258,7 +258,7 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
     analysis = model.analysis
     attack_events = model.attack_events
     unsafe = analysis.unsafe
-    live = analysis.unsafe_coreach if stop_at_breach else analysis.labeled.automaton.states
+    live = analysis.unsafe_coreach if stop_at_breach else analysis.automaton.states
     start, moves = defended_moves(analysis, live)
     if start[0] not in live:
         return RunReport(0, (), (), (), 0)
@@ -298,7 +298,7 @@ def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunRep
         if first_attack is not None:
             latencies.append(len(trace) - 1 - first_attack)
 
-    decode = analysis.labeled.decode
+    decode = analysis.decode
     return RunReport(
         explored=len(parents),
         unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0] in unsafe),
@@ -318,7 +318,7 @@ def log_records(states: list[ExecutionState]) -> list[dict]:
             "event": st.trace[-1] if index else None,
             "plant": state_name(st.plant_state),
             "supervisor": state_name(st.supervisor_state),
-            "diagnoser": st.labeled.estimate_name(st.estimate),
+            "diagnoser": st.analysis.estimate_name(st.estimate),
             "safe_mode": st.safe_mode,
         }
         for index, st in enumerate(states)

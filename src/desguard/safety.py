@@ -134,8 +134,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     """
     _require_safe_nominal(model)
     analysis = model.analysis
-    labeled = analysis.labeled
-    aut = labeled.automaton
+    aut = analysis.automaton
     live = analysis.unsafe_coreach
     if aut.initial not in live:
         return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
@@ -146,9 +145,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     def condition1(estimate):
         return not unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
 
-    diagnoser = build_diagnoser(
-        labeled, analysis.unobservable, analysis.estimates, condition1, live
-    )
+    diagnoser = build_diagnoser(analysis, condition1, live)
     if any(map(condition1, diagnoser.automaton.states)):
 
         def confused(node):
@@ -165,7 +162,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             method=DIAGNOSER,
             violated_condition=UNCERTAIN_UNSAFE,
             counterexample=path_to(parents, found) or None,
-            witness_state=labeled.estimate_name(found[1]),
+            witness_state=analysis.estimate_name(found[1]),
         )
 
     # The entry states: labeled, and attacked, as each is in a certain estimate.
@@ -184,7 +181,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         # Both labeled copies of a closed-loop state have its closed-loop
         # successors, so they reach an unsafe state or neither does.
         continued = reach(aut, entries, uncontrollable) & live
-        x_uc = frozenset(labeled.decode(s)[0] for s in continued)
+        x_uc = frozenset(analysis.decode(s)[0] for s in continued)
         if continued.isdisjoint(unsafe):
             return Verdict(safe=True, method=DIAGNOSER, x_uc=x_uc)
         condition = UNCONTROLLABLE_UNSAFE
@@ -201,7 +198,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
             uncontrollable_moves,
             overflow="uncontrollable continuation search exceeded {limit} states",
         )
-        first = min(unsafe.intersection(parents), key=lambda s: state_name(labeled.decode(s)[0]))
+        first = min(unsafe.intersection(parents), key=lambda s: state_name(analysis.decode(s)[0]))
         trace += path_to(parents, first)
     return Verdict(
         safe=False,
@@ -242,7 +239,7 @@ def _detection_edge_witness(analysis, diagnoser, arrivals):
         overflow="detection edge search exceeded {limit} states",
     )
     node, event, estimate = found[0]
-    return path_to(parents, node) + (event,), analysis.labeled.estimate_name(estimate)
+    return path_to(parents, node) + (event,), analysis.estimate_name(estimate)
 
 
 def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
@@ -284,15 +281,14 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
         found = next((node for node in parents if node[0] == SINK and node[1] in unsafe), None)
         if found is None:
             return Verdict(safe=True, method=VERIFIER)
-    labeled = analysis.labeled
     normal, attacked = found
-    normal = normal if normal == SINK else labeled.decode(normal)[0]
+    normal = normal if normal == SINK else analysis.decode(normal)[0]
     return Verdict(
         safe=False,
         method=VERIFIER,
         violated_condition=condition,
         counterexample=strip_renamed(path_to(parents, found)) or None,
-        witness_state=state_name((normal, labeled.decode(attacked))),
+        witness_state=state_name((normal, analysis.decode(attacked))),
     )
 
 

@@ -38,7 +38,7 @@ from desguard.automata import (
     parallel_compose,
     state_name,
 )
-from desguard.diagnosis import ATTACKED, CLEAN, SINK, Diagnoser, LabeledAutomaton
+from desguard.diagnosis import ATTACKED, CLEAN, SINK, Analysis, Diagnoser
 from desguard.runtime import AttackerPolicy, ExecutionState, _choices
 
 
@@ -125,25 +125,25 @@ def relabeled(automaton: Automaton, rename) -> Automaton:
     )
 
 
-def decoded(labeled: LabeledAutomaton) -> Automaton:
+def decoded(analysis: Analysis) -> Automaton:
     """The labeled model over (closed-loop state, CLEAN/ATTACKED) pairs."""
-    return relabeled(labeled.automaton, labeled.decode)
+    return relabeled(analysis.automaton, analysis.decode)
 
 
-def decoded_pair(labeled: LabeledAutomaton, node: tuple) -> tuple:
+def decoded_pair(analysis: Analysis, node: tuple) -> tuple:
     """A `tracker_moves` node with its closed-loop states named: the
     attack-free side without its (clean) label, the attacked side decoded."""
     normal, attacked = node
     if normal != SINK:
-        normal = labeled.names[normal >> 1]
-    return normal, labeled.decode(attacked)
+        normal = analysis.names[normal >> 1]
+    return normal, analysis.decode(attacked)
 
 
-def decoded_tracked(labeled: LabeledAutomaton, node: tuple) -> tuple:
+def decoded_tracked(analysis: Analysis, node: tuple) -> tuple:
     """A `build_verifier` tracker state, decoded as `decoded_pair` does."""
     if node[0] == SINK:
-        return decoded_pair(labeled, node)
-    return decoded_pair(labeled, node[0]), labeled.decode(node[1])
+        return decoded_pair(analysis, node)
+    return decoded_pair(analysis, node[0]), analysis.decode(node[1])
 
 
 def generates(automaton: Automaton, trace: Iterable[str]) -> bool:
@@ -215,20 +215,20 @@ def naive_reach(automaton: Automaton, source, allowed) -> frozenset:
         current = nxt
 
 
-def diagnoser_initial(labeled, unobservable) -> frozenset:
-    """Initial state estimate of a labeled model, closed from scratch."""
-    automaton = labeled.automaton
+def diagnoser_initial(analysis, unobservable) -> frozenset:
+    """Initial state estimate of an analysis's labeled model, closed from scratch."""
+    automaton = analysis.automaton
     return naive_reach(automaton, automaton.initial, unobservable)
 
 
-def diagnoser_step(labeled, unobservable, estimate: frozenset, event: str) -> frozenset:
+def diagnoser_step(analysis, unobservable, estimate: frozenset, event: str) -> frozenset:
     """Advance a state estimate by one observed event, closing from scratch.
 
     Raises KeyError when no member of the estimate can execute the event.
     The reference the shared estimate table is checked against: nothing
     is remembered between calls.
     """
-    automaton = labeled.automaton
+    automaton = analysis.automaton
     targets = {
         target
         for member in estimate

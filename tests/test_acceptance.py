@@ -171,10 +171,10 @@ def test_criterion_6_small_sensor_fixtures():
     erasure_model = build_model("se", erasure.plant, erasure.supervisor, erasure.vuln)
     verdict = check_gf_safe_diagnoser(erasure_model)
     assert not verdict.safe
-    labeled = label_compose(erasure_model)
-    diagnoser = build_diagnoser(labeled, erasure_model.alphabet.unobservable_events())
+    analysis = label_compose(erasure_model)
+    diagnoser = build_diagnoser(analysis)
     uncertain_plants = {
-        frozenset(erasure_model.plant_component(labeled.decode(member)[0]) for member in estimate)
+        frozenset(erasure_model.plant_component(analysis.decode(member)[0]) for member in estimate)
         for estimate, kind in diagnoser.classification.items()
         if kind == "uncertain"
     }
@@ -186,8 +186,7 @@ def test_criterion_6_small_sensor_fixtures():
     insertion = insertion_demo_system()
     insertion_model = build_model("si", insertion.plant, insertion.supervisor, insertion.vuln)
     assert not check_gf_safe_diagnoser(insertion_model).safe
-    labeled = label_compose(insertion_model)
-    diagnoser = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
+    diagnoser = build_diagnoser(label_compose(insertion_model))
     assert not states_of(diagnoser, CERTAIN)
     report(6, "erasure fixture uncertain on plants {3,5}; insertion fixture undetectable",
            max(elapsed_erasure, time.monotonic() - start_insertion), 1.0)

@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
-from desguard import automata, diagnosis, runtime
+from desguard import automata, diagnosis
 from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model, sub_attacker
 from desguard.automata import Alphabet, Automaton, state_name
-from desguard.diagnosis import label_compose
+from desguard.diagnosis import build_verifier, confusion_witness, label_compose
 from desguard.runtime import AttackerPolicy, initial_state, run, run_exhaustive, step
 from desguard.safety import (
     check_ae_safe_verifier,
@@ -46,18 +47,27 @@ def _assert_routes_match_fresh(model, system, mode):
                 assert route(model) == fresh[route], (route.__name__, order)
 
 
-def _count_label_compose(monkeypatch) -> list:
-    calls = []
+def _record_label_compose(monkeypatch) -> list:
+    """The result of each `label_compose` call from now on.
+
+    The function is swapped for a recording wrapper in every loaded
+    desguard module that holds it, as the benchmark's tracer does, so no
+    caller escapes the record.
+    """
+    results = []
     original = diagnosis.label_compose
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        results.append(result)
+        return result
 
-    # Patch every module that binds the name, so no caller escapes the count.
-    monkeypatch.setattr(diagnosis, "label_compose", counting)
-    monkeypatch.setattr(runtime, "label_compose", counting, raising=False)
-    return calls
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "desguard":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, recording)
+    return results
 
 
 class TestCacheSafety:
@@ -82,7 +92,7 @@ class TestCacheSafety:
         weaker = sub_attacker(model, keep=[])
         assert weaker.analysis is not model.analysis
         assert (
-            canonical_doc(weaker.analysis.labeled.automaton)
+            canonical_doc(weaker.analysis.automaton)
             == canonical_doc(label_compose(weaker).automaton)
         )
         for route in ROUTES:
@@ -97,9 +107,8 @@ class TestCacheSafety:
 
         unlabeled = model.replace(attack_events=frozenset())
         assert unlabeled.analysis is not model.analysis
-        assert unlabeled.analysis.labeled.label_events == frozenset()
-        labeled = unlabeled.analysis.labeled
-        assert {labeled.decode(state)[1] for state in labeled.automaton.states} == {
+        analysis = unlabeled.analysis
+        assert {analysis.decode(state)[1] for state in analysis.automaton.states} == {
             diagnosis.CLEAN
         }
 
@@ -114,9 +123,31 @@ class TestCacheSafety:
         assert model.analysis.observable == model.alphabet.observable_events()
 
 
+# Every reader of the analysis, each on a model of its own.
+READERS = {
+    "diagnoser": check_gf_safe_diagnoser,
+    "verifier": check_ae_safe_verifier,
+    "oracle": oracle_defense_simulation,
+    "build_verifier": build_verifier,
+    "confusion_witness": confusion_witness,
+    "run_exhaustive": run_exhaustive,
+    "simulate": lambda model: run(model, AttackerPolicy.all_out(), 20),
+}
+
+
 class TestSharedLabeledModel:
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_the_analysis_is_one_label_compose_call(self, monkeypatch, traffic_si, reader):
+        # The benchmark times the analysis as the `label_compose` span, so
+        # no reader may build any part of it outside that call.
+        results = _record_label_compose(monkeypatch)
+        model = _build(traffic_si, "si")
+        READERS[reader](model)
+        assert len(results) == 1
+        assert results[0] is model.analysis
+
     def test_three_routes_and_oracle_compose_once(self, monkeypatch, traffic_si):
-        calls = _count_label_compose(monkeypatch)
+        calls = _record_label_compose(monkeypatch)
         model = _build(traffic_si, "si")
         for route in ROUTES:
             route(model)
@@ -136,7 +167,7 @@ class TestSharedLabeledModel:
         vuln = VulnerabilitySpec(
             alphabet, vulnerable_actuators={"c"}, unsafe_plant_states={"3"}
         )
-        calls = _count_label_compose(monkeypatch)
+        calls = _record_label_compose(monkeypatch)
         model = build_model(MODE_AE, plant, supervisor, vuln)
         policy = AttackerPolicy.scripted([None] * 20)
         state = initial_state(model)
@@ -160,7 +191,7 @@ class TestSharedLabeledModel:
             route(model)
         run_exhaustive(model)
         assert len(run(model, AttackerPolicy.all_out(), 20)) > 1
-        labeled = model.analysis.labeled.automaton
+        labeled = model.analysis.automaton
         sources = [sources for automaton, sources in closed if automaton is labeled]
         assert sources
         assert len(sources) == len(set(sources))

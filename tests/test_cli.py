@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import io
 import json
 import os
 import re
@@ -552,6 +553,72 @@ class TestExport:
         assert (shown.exception, written.exception) == (None, None)
         assert out.read_bytes() == shown.stdout_bytes
         assert b'"\\ud800" -> "t"' in shown.stdout_bytes
+
+
+class _Recording(io.BytesIO):
+    """A byte buffer that records the size of each write and stays
+    readable when closed."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, data) -> int:
+        self.sizes.append(len(data))
+        return super().write(data)
+
+    def close(self) -> None:
+        pass
+
+
+# 1 MiB of characters: plain ASCII, and a mix with two- and four-byte
+# characters and a lone surrogate, which is written as a six-byte escape.
+TEXTS = {
+    "ascii": ("x" * 63 + "\n") * (1 << 14),
+    "mixed": ("é \U0001f600 \ud800 " * (1 << 18))[: 1 << 20],
+}
+
+
+class TestWriter:
+    """`cli._echo` writes stdout, stderr and `--out` files in slices."""
+
+    @pytest.mark.parametrize("text", sorted(TEXTS))
+    @pytest.mark.parametrize("target", ["stdout", "stderr", "out"])
+    def test_no_write_is_larger_than_64_kib(self, monkeypatch, target, text):
+        text = TEXTS[text]
+        assert len(text) == 1 << 20
+        buffer = _Recording()
+        if target == "out":
+            monkeypatch.setattr(cli, "open", lambda path, mode: buffer, raising=False)
+            cli._echo(text, "written.txt")
+        else:
+            monkeypatch.setattr(sys, target, io.TextIOWrapper(buffer, encoding="utf-8"))
+            cli._echo(text, err=target == "stderr")
+        assert buffer.getvalue() == text.encode("utf-8", "backslashreplace")
+        assert len(buffer.sizes) > 1
+        assert max(buffer.sizes) <= 1 << 16
+
+    def test_a_reader_that_leaves_early_ends_nothing(self, tmp_path):
+        # A chain plant whose Graphviz export fills several 64 KiB slices;
+        # the reader leaves after 9 bytes, as `desguard export | head` does.
+        states = [f"s{i}" for i in range(8000)]
+        plant = Automaton.build("s0", [(a, "go", b) for a, b in zip(states, states[1:])])
+        alphabet = Alphabet.from_sets(["go"], observable=["go"], controllable=["go"])
+        path = tmp_path / "plant.json"
+        path.write_text(dumps_doc(model_to_doc(plant, alphabet)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "desguard.cli", "export", str(path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert process.stdout.read(9) == b'digraph "'
+        process.stdout.close()
+        assert process.wait(timeout=120) == 0
+        assert process.stderr.read() == b""
+        process.stderr.close()
 
 
 class TestSimulate:

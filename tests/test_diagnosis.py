@@ -38,8 +38,8 @@ from langtools import (
 
 class TestLabelCompose:
     def test_demo_chain_labels(self, actuator_model):
-        labeled = label_compose(actuator_model)
-        doc = canonical_doc(decoded(labeled))
+        analysis = label_compose(actuator_model)
+        doc = canonical_doc(decoded(analysis))
         assert doc["transitions"] == [
             ("((1,1),N)", "a", "((2,2),N)"),
             ("((2,2),N)", "b#a", "((2,3),Y)"),
@@ -49,15 +49,15 @@ class TestLabelCompose:
     def test_no_attack_events_all_clean(self, actuator_demo):
         vuln = VulnerabilitySpec(actuator_demo.vuln.alphabet)
         model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
-        labeled = label_compose(model)
-        assert all(label == CLEAN for _, label in decoded(labeled).states)
+        analysis = label_compose(model)
+        assert all(label == CLEAN for _, label in decoded(analysis).states)
 
     def test_label_is_absorbing(
         self, actuator_model, erasure_model, insertion_model, traffic_si_model
     ):
         for model in (actuator_model, erasure_model, insertion_model, traffic_si_model):
-            labeled = label_compose(model)
-            for (src, _event), dst in decoded(labeled).transitions.items():
+            analysis = label_compose(model)
+            for (src, _event), dst in decoded(analysis).transitions.items():
                 assert not (src[1] == ATTACKED and dst[1] == CLEAN)
 
 
@@ -65,11 +65,11 @@ class TestDiagnoser:
     def test_demo_diagnoser_mirrors_labeled_model(self, actuator_model):
         # Every event of the demo model is observable, so the estimates are
         # singletons and the diagnoser has the labeled model's shape.
-        labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
-        assert len(diag.automaton.states) == len(labeled.automaton.states)
+        analysis = label_compose(actuator_model)
+        diag = build_diagnoser(analysis)
+        assert len(diag.automaton.states) == len(analysis.automaton.states)
         assert all(len(q) == 1 for q in diag.automaton.states)
-        names = {labeled.estimate_name(q): c for q, c in diag.classification.items()}
+        names = {analysis.estimate_name(q): c for q, c in diag.classification.items()}
         assert names == {
             "{((1,1),N)}": NORMAL,
             "{((2,2),N)}": NORMAL,
@@ -78,21 +78,22 @@ class TestDiagnoser:
         }
 
     def test_erasure_demo_has_uncertain_state(self, erasure_model):
-        labeled = label_compose(erasure_model)
-        diag = build_diagnoser(labeled, erasure_model.alphabet.unobservable_events())
-        names = {labeled.estimate_name(q) for q, c in diag.classification.items() if c == UNCERTAIN}
+        analysis = label_compose(erasure_model)
+        diag = build_diagnoser(analysis)
+        classes = diag.classification.items()
+        names = {analysis.estimate_name(q) for q, c in classes if c == UNCERTAIN}
         assert "{((3,3),N),((3,5),Y)}" in names
 
     def test_insertion_demo_never_certain(self, insertion_model):
-        labeled = label_compose(insertion_model)
-        diag = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
+        analysis = label_compose(insertion_model)
+        diag = build_diagnoser(analysis)
         assert not states_of(diag, CERTAIN)
 
     def test_classification_exhaustive_and_exclusive(self, traffic_si_model):
-        labeled = label_compose(traffic_si_model)
-        diag = build_diagnoser(labeled, traffic_si_model.alphabet.unobservable_events())
+        analysis = label_compose(traffic_si_model)
+        diag = build_diagnoser(analysis)
         for estimate, kind in diag.classification.items():
-            labels = {labeled.decode(state)[1] for state in estimate}
+            labels = {analysis.decode(state)[1] for state in estimate}
             if kind == NORMAL:
                 assert labels == {CLEAN}
             elif kind == CERTAIN:
@@ -101,47 +102,47 @@ class TestDiagnoser:
                 assert labels == {CLEAN, ATTACKED}
 
     def test_initial_is_normal_without_silent_attacks(self, actuator_model):
-        labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
+        analysis = label_compose(actuator_model)
+        diag = build_diagnoser(analysis)
         assert diag.classification[diag.automaton.initial] == NORMAL
 
     def test_incremental_matches_batch(self, erasure_model, traffic_si_model):
         for model in (erasure_model, traffic_si_model):
-            labeled = label_compose(model)
+            analysis = label_compose(model)
             unobservable = model.alphabet.unobservable_events()
-            diag = build_diagnoser(labeled, unobservable)
+            diag = build_diagnoser(analysis)
             for trace in enumerate_traces(model.model, 5):
                 observation = project(trace, model.alphabet.observable_events())
                 batch = diag.automaton.run(observation)
-                estimate = diagnoser_initial(labeled, unobservable)
+                estimate = diagnoser_initial(analysis, unobservable)
                 for event in observation:
-                    estimate = diagnoser_step(labeled, unobservable, estimate, event)
+                    estimate = diagnoser_step(analysis, unobservable, estimate, event)
                 assert estimate == batch
 
     def test_step_rejects_inconsistent_observation(self, actuator_model):
-        labeled = label_compose(actuator_model)
-        estimate = diagnoser_initial(labeled, frozenset())
+        analysis = label_compose(actuator_model)
+        estimate = diagnoser_initial(analysis, frozenset())
         with pytest.raises(KeyError):
-            diagnoser_step(labeled, frozenset(), estimate, "c")
+            diagnoser_step(analysis, frozenset(), estimate, "c")
 
 
 class TestFirstEnteredCertain:
     def test_empty_without_certain_states(self, insertion_model):
-        labeled = label_compose(insertion_model)
-        diag = build_diagnoser(labeled, insertion_model.alphabet.unobservable_events())
+        analysis = label_compose(insertion_model)
+        diag = build_diagnoser(analysis)
         assert {dst for _, _, dst in first_entered_certain(diag)} == set()
 
     def test_demo_first_certain(self, actuator_model):
-        labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
-        targets = {labeled.estimate_name(dst) for _, _, dst in first_entered_certain(diag)}
+        analysis = label_compose(actuator_model)
+        diag = build_diagnoser(analysis)
+        targets = {analysis.estimate_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert targets == {"{((2,3),Y)}"}
 
     def test_certain_after_certain_excluded(self, actuator_model):
         # ((2,4),Y) is certain but only entered from the certain ((2,3),Y).
-        labeled = label_compose(actuator_model)
-        diag = build_diagnoser(labeled, actuator_model.alphabet.unobservable_events())
-        names = {labeled.estimate_name(dst) for _, _, dst in first_entered_certain(diag)}
+        analysis = label_compose(actuator_model)
+        diag = build_diagnoser(analysis)
+        names = {analysis.estimate_name(dst) for _, _, dst in first_entered_certain(diag)}
         assert "{((2,4),Y)}" not in names
 
 
@@ -185,8 +186,8 @@ class TestVerifier:
 
     def test_demo_tracker_contains_post_detection_unsafe(self, actuator_model):
         artifacts = build_verifier(actuator_model)
-        labeled = actuator_model.analysis.labeled
-        names = {state_name(decoded_tracked(labeled, s)) for s in artifacts.tracker.states}
+        analysis = actuator_model.analysis
+        names = {state_name(decoded_tracked(analysis, s)) for s in artifacts.tracker.states}
         assert "(A,((2,4),Y))" in names
 
     def test_sink_self_loops_are_uncontrollable_plus_attacks(self, actuator_model):
@@ -233,7 +234,7 @@ class TestVerifier:
             if artifacts.verifier is None:
                 continue
             for state in artifacts.verifier.states:
-                normal, (base, label) = decoded_pair(model.analysis.labeled, state)
+                normal, (base, label) = decoded_pair(model.analysis, state)
                 assert normal in model.model.states
                 assert label in (CLEAN, ATTACKED)
                 assert base in model.model.states
@@ -269,13 +270,13 @@ class TestTrackerMoves:
             assert built.verifier is None and built.tracker is None
             assert confusion_witness(model) is None
             return False
-        labeled = model.analysis.labeled
+        analysis = model.analysis
 
         def pair(node):
-            return decoded_pair(labeled, node)
+            return decoded_pair(analysis, node)
 
         def tracked(node):
-            return decoded_tracked(labeled, node)
+            return decoded_tracked(analysis, node)
 
         for name, decode in (("verifier", pair), ("tracker", tracked)):
             ours, reference = relabeled(getattr(built, name), decode), getattr(artifacts, name)

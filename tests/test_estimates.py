@@ -60,17 +60,17 @@ def reference_diagnoser(model):
     """Initial estimate, estimates and transitions, in discovery order, of
     the labeled model's observer: a plain breadth-first search whose every
     step closes its estimate from scratch."""
-    labeled = model.analysis.labeled
+    analysis = model.analysis
     hidden = model.alphabet.unobservable_events()
-    initial = diagnoser_initial(labeled, hidden)
+    initial = diagnoser_initial(analysis, hidden)
     seen = {initial: None}
     queue = deque(seen)
     transitions = []
     while queue:
         estimate = queue.popleft()
-        events = {e for m in estimate for e in labeled.automaton.active_events(m)}
+        events = {e for m in estimate for e in analysis.automaton.active_events(m)}
         for event in sorted(events - hidden):
-            target = diagnoser_step(labeled, hidden, estimate, event)
+            target = diagnoser_step(analysis, hidden, estimate, event)
             transitions.append(((estimate, event), target))
             if target not in seen:
                 seen[target] = None
@@ -102,8 +102,8 @@ def reference_conditions(model, states, transitions):
     """The diagnoser conditions that hold on the complete reference
     diagnoser, in order of precedence, and x_uc."""
     unsafe = model.unsafe_states
-    labeled = model.analysis.labeled
-    decode = labeled.decode
+    analysis = model.analysis
+    decode = analysis.decode
     held = []
     if any(
         classify(e) == UNCERTAIN
@@ -111,7 +111,7 @@ def reference_conditions(model, states, transitions):
         for e in states
     ):
         held.append(UNCERTAIN_UNSAFE)
-    aut = labeled.automaton
+    aut = analysis.automaton
     entries = {
         target
         for (src, event), dst in transitions
@@ -134,13 +134,13 @@ def reference_breach(model, trace):
     """Condition of a breached run, replayed with from-scratch steps: as
     the diagnoser test defines them, by certainty at the end and before
     the run's last event."""
-    labeled = model.analysis.labeled
+    analysis = model.analysis
     hidden = model.alphabet.unobservable_events()
-    estimate = previous = diagnoser_initial(labeled, hidden)
+    estimate = previous = diagnoser_initial(analysis, hidden)
     for event in trace:
         previous = estimate
         if event not in hidden:
-            estimate = diagnoser_step(labeled, hidden, estimate, event)
+            estimate = diagnoser_step(analysis, hidden, estimate, event)
     if classify(estimate) != CERTAIN:
         return UNCERTAIN_UNSAFE
     if classify(previous) != CERTAIN:
@@ -152,8 +152,8 @@ def complete_route(model, monkeypatch):
     """The diagnoser test with a complete observer wherever it builds
     one: its conditions and witnesses are the pruned test's."""
 
-    def complete(labeled, unobservable, estimates, stop, live):
-        return build_diagnoser(labeled, unobservable, estimates, stop)
+    def complete(analysis, stop, live):
+        return build_diagnoser(analysis, stop)
 
     with monkeypatch.context() as patch:
         patch.setattr(safety, "build_diagnoser", complete)
@@ -169,7 +169,7 @@ def _check_diagnoser(model, monkeypatch):
     # closed-loop states that can reach an unsafe state.
     reported = held[:1] in ([], [UNCONTROLLABLE_UNSAFE])
     analysis = model.analysis
-    alive = {analysis.labeled.decode(state)[0] for state in analysis.unsafe_coreach}
+    alive = {analysis.decode(state)[0] for state in analysis.unsafe_coreach}
     assert verdict.x_uc == (x_uc & alive if reported else None)
     complete = complete_route(model, monkeypatch)
     assert complete.violated_condition == verdict.violated_condition
@@ -178,12 +178,10 @@ def _check_diagnoser(model, monkeypatch):
 
     # The pruned observer, on a table of its own that records each estimate
     # it expands.
-    table = EstimateTable(analysis.labeled.automaton, analysis.unobservable)
+    table = EstimateTable(analysis.automaton, analysis.unobservable)
     expanded, moves = [], table.moves
     table.moves = lambda estimate: expanded.append(estimate) or moves(estimate)
-    pruned = build_diagnoser(
-        analysis.labeled, analysis.unobservable, table, live=analysis.unsafe_coreach
-    )
+    pruned = build_diagnoser(analysis.replace(estimates=table), live=analysis.unsafe_coreach)
     reached, live_estimates = reference_pruned(model, estimates, transitions)
     assert pruned.automaton.states == reached
     assert expanded == live_estimates
@@ -195,7 +193,7 @@ def _check_diagnoser(model, monkeypatch):
     # The routes have filled the shared table in their own order by now.
     check_ae_safe_verifier(model)
     oracle_defense_simulation(model)
-    built = build_diagnoser(analysis.labeled, analysis.unobservable, analysis.estimates)
+    built = build_diagnoser(analysis)
     assert built.automaton.initial == initial
     assert built.automaton.states == set(estimates)
     assert list(built.automaton.transitions.items()) == transitions

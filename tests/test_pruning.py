@@ -78,11 +78,9 @@ def fixture_models(request):
 def check_labeling(model):
     direct = label_compose(model)
     generic = parallel_compose(model.model, flag_automaton(model.attack_events))
-    assert direct.label_events == model.attack_events
     # Closed-loop state i is numbered in row order; decoding its labeled
     # states 2 * i (clean) and 2 * i + 1 (attacked) gives the reference.
     assert direct.names == tuple(model.model._out)
-    assert direct.index == {state: i for i, state in enumerate(direct.names)}
     assert all(type(state) is int for state in direct.automaton.states)
     ours = decoded(direct)
     assert ours.states == generic.states
@@ -95,9 +93,9 @@ def check_labeling(model):
 
 
 def check_unsafe_coreach(model):
-    labeled = model.analysis.labeled
-    aut = labeled.automaton
-    unsafe = frozenset(s for s in aut.states if labeled.decode(s)[0] in model.unsafe_states)
+    analysis = model.analysis
+    aut = analysis.automaton
+    unsafe = frozenset(s for s in aut.states if analysis.decode(s)[0] in model.unsafe_states)
     assert model.analysis.unsafe == unsafe
     expected = frozenset(s for s in aut.states if naive_reach(aut, s, aut.events) & unsafe)
     assert model.analysis.unsafe_coreach == expected
@@ -113,9 +111,8 @@ def reference_verifier(model):
         return None, None, None
     start, moves = product
     parents, _ = explore([start], moves, overflow="tracker walk exceeded {limit} states")
-    labeled = model.analysis.labeled
     unsafe = model.unsafe_states
-    named = {node: decoded_pair(labeled, node) for node in parents}
+    named = {node: decoded_pair(model.analysis, node) for node in parents}
     goals = [n for n in parents if named[n][1][1] == ATTACKED and named[n][1][0] in unsafe]
     pairs = [n for n in goals if n[0] != SINK]
     if pairs:
@@ -165,7 +162,7 @@ def test_harmless_models_are_decided_without_search(mode):
     harmless = [
         model
         for model in random_models(mode)
-        if model.analysis.labeled.automaton.initial not in model.analysis.unsafe_coreach
+        if model.analysis.automaton.initial not in model.analysis.unsafe_coreach
     ]
     assert harmless
     for model in harmless:

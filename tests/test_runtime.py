@@ -200,7 +200,7 @@ class TestCertaintyLatches:
     def test_certain_nodes_lead_only_to_certain_nodes(self, request):
         for _, model in _models(request):
             analysis = model.analysis
-            start, moves = defended_moves(analysis, analysis.labeled.automaton.states)
+            start, moves = defended_moves(analysis, analysis.automaton.states)
             parents, _ = explore([start], moves, overflow="defended walk exceeded {limit} states")
             for node in parents:
                 if classify(node[1]) != CERTAIN:
@@ -222,7 +222,7 @@ class TestCertaintyLatches:
                 continue
             analysis = model.analysis
             estimates = analysis.estimates
-            labeled, hidden = analysis.labeled.automaton, analysis.unobservable
+            labeled, hidden = analysis.automaton, analysis.unobservable
             # The check's observer expands only estimates meeting the co-reach.
             pruned = observer(labeled, hidden, live=analysis.unsafe_coreach)
             remembered = dict(estimates._steps)  # filled by the check's observer
@@ -266,7 +266,7 @@ class TestEngineWalksTheProduct:
     def test_every_run_is_a_walk_of_the_defended_product(self, request):
         for seed, model in _models(request):
             analysis = model.analysis
-            start, moves = defended_moves(analysis, analysis.labeled.automaton.states)
+            start, moves = defended_moves(analysis, analysis.automaton.states)
             policies = [AttackerPolicy.all_out()]
             policies += [AttackerPolicy.seeded_random(0.5, s) for s in range(3)]
             for policy in policies:
@@ -274,7 +274,7 @@ class TestEngineWalksTheProduct:
                 for st in run(model, policy, 40):
                     node = start if node is None else dict(moves(node))[st.trace[-1]]
                     assert st.node == node, (seed, st.trace)
-                    assert analysis.labeled.decode(node[0])[0] == st.composed, (seed, st.trace)
+                    assert analysis.decode(node[0])[0] == st.composed, (seed, st.trace)
                     assert node[1] == st.estimate, (seed, st.trace)
                     assert enabled_choices(st, model, AttackerPolicy.all_out()) == frozenset(
                         event for event, _ in moves(node)

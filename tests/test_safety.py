@@ -128,15 +128,15 @@ class TestCounterexamples:
     def _defense_cannot_block(self, model, trace):
         # Replay against the online defense: no event of the trace may be
         # disabled at the moment it occurs.
-        labeled = label_compose(model)
+        analysis = label_compose(model)
         unobservable = model.alphabet.unobservable_events()
         controllable = model.alphabet.controllable_events()
-        estimate = diagnoser_initial(labeled, unobservable)
+        estimate = diagnoser_initial(analysis, unobservable)
         for event in trace:
             if classify(estimate) == CERTAIN and event in controllable:
                 return False
             if event not in unobservable:
-                estimate = diagnoser_step(labeled, unobservable, estimate, event)
+                estimate = diagnoser_step(analysis, unobservable, estimate, event)
         return True
 
     def test_replay_and_unblockability(

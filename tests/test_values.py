@@ -30,13 +30,12 @@ MAKERS = {
     "AttackedModel": demo_model,
     "_Rule": lambda: attacks._RULES[MODE_AE].replace(),
     "ModelDocument": demo_document,
-    "LabeledAutomaton": lambda: diagnosis.label_compose(demo_model()),
     "Analysis": lambda: SHARED.analysis.replace(),
-    "Diagnoser": lambda: diagnosis.build_diagnoser(
-        diagnosis.label_compose(SHARED), SHARED.analysis.unobservable
-    ),
+    "Diagnoser": lambda: diagnosis.build_diagnoser(diagnosis.label_compose(SHARED)),
     "VerifierArtifacts": lambda: diagnosis.build_verifier(demo_model()),
-    "ExecutionState": lambda: runtime.initial_state(demo_model()),
+    # A state holds its model's analysis, whose estimate table compares by
+    # identity, so equal states come from one model.
+    "ExecutionState": lambda: runtime.initial_state(SHARED),
     "RunReport": lambda: runtime.run_exhaustive(demo_model()),
     "Verdict": lambda: safety.check_ae_safe_verifier(demo_model()),
     "System": systems.actuator_demo_system,

@@ -180,7 +180,7 @@ def test_fixture_runs_are_pinned(fixture, request):
 @pytest.mark.parametrize("mode, seed", sorted(FROZEN_RUNS_SHA256))
 def test_runs_through_the_freeze_are_pinned(mode, seed):
     model = random_model(random.Random(seed), mode)
-    labeled = model.analysis.labeled.automaton
+    labeled = model.analysis.automaton
     controllable = model.analysis.controllable
     assert any(
         state.safe_mode and any(e in controllable for e, _ in labeled.out_edges(state.node[0]))
