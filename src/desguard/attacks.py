@@ -17,9 +17,8 @@ differ only in the artifact event and where the supervisor self-loops it
 a fresh state, named when the search first reaches it.  The attack
 happens at every opportunity (the worst case).  Every closed-loop state
 is a (supervisor, plant) pair, whether the model was built here or
-loaded from a file.  `sub_attacker` derives weaker attackers from an
-actuator-enablement model by dropping attack opportunities from its
-closed loop.
+loaded from a file.  `sub_attacker` derives weaker attackers, in any
+mode, by dropping attack opportunities from a closed loop.
 """
 
 from __future__ import annotations
@@ -297,14 +296,13 @@ def sub_attacker(
 ) -> AttackedModel:
     """Weaker attacker: retain only the selected attack self-loop sites.
 
-    `keep` is a collection of (supervisor state, attack event) pairs; when
-    omitted, each site is kept with probability 1/2, drawn with the given
-    seed.  The closed loop loses the attack transitions at every other
-    site, then the states no longer reachable, so the language is always
-    a subset of the all-out model's language.
+    A site is a (supervisor state, attack event) pair where the supervisor
+    self-loops the artifact, in ae, se and si alike.  `keep` is a
+    collection of sites; when omitted, each site is kept with probability
+    1/2, drawn with the given seed.  The closed loop loses the attack
+    transitions at every other site, then the states no longer reachable,
+    so the language is always a subset of the all-out model's language.
     """
-    if model.mode != MODE_AE:
-        raise UnsupportedModeError("sub-attackers are defined for actuator-enablement models")
     sites = attack_sites(model)
     if keep is None:
         rng = random.Random(seed)

@@ -214,6 +214,8 @@ def simulate(args) -> None:
     """Run the closed loop once, printing one JSON record per step."""
     from .runtime import IllegalEventError, log_records, run
 
+    if args.max_steps < 0:
+        _fail(f"--max-steps must not be negative, got {args.max_steps}")
     model = _load_attacked(args.model_file)
     attacker = _parse_policy(args.policy, args.seed)
     try:

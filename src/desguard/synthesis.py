@@ -1,11 +1,12 @@
 """Supervisor synthesis support.
 
 Covers the standard pipeline used to obtain the supervisors this package
-analyzes: restrict an admissible-behavior automaton against the plant,
-compute the supremal controllable sublanguage, check observability of the
-result, and realize a partial-observation supervisor whose enabled
-unobservable events appear as self-loops.  No step iterates to a
-fixpoint: each is one closure or one search over the product.
+analyzes: compose an admissible-behavior automaton with the plant once,
+keep its supremal controllable part, and realize a partial-observation
+supervisor, the observer of that product with enabled unobservable
+events as self-loops.  The observer also decides observability;
+`check_observability`'s pair search explains a refusal.  No step
+iterates to a fixpoint: each is one closure or one search.
 """
 
 from __future__ import annotations
@@ -125,30 +126,29 @@ def realize_supervisor(
     observable: Iterable[str],
     controllable: Iterable[str],
 ) -> Automaton:
-    """Observer-style supervisor realization.
+    """Observer-style realization of `supremal_controllable`'s product.
 
-    States are observation-consistent estimate sets of the admissible
-    behavior; enabled unobservable events appear as self-loops.  Refuses
-    (with the witness) when the behavior is not observable.  All states
-    are marked so that composition with the plant preserves the plant's
-    marking.
+    `admissible` is taken as given: its states are (spec state, plant
+    state) pairs.  The supervisor's states are its estimates, all marked
+    so that composition keeps the plant's marking; enabled unobservable
+    events self-loop.  States share an estimate exactly when
+    observation-equivalent strings reach them, so no estimate may enable a
+    controllable event one of its members forbids; else this refuses with
+    `check_observability`'s witness.
     """
-    ok, witness = check_observability(plant, admissible, observable, controllable)
-    if not ok:
-        raise RealizationError(witness)
-    observable = frozenset(observable)
+    observable, controllable = frozenset(observable), frozenset(controllable)
     hidden = admissible.events - observable
     skeleton = observer(admissible, hidden)
-    out = {}
+    rows, out = admissible._out, {}
     for estimate, row in skeleton._out.items():
-        enabled_hidden = set()
-        for member in estimate:
-            enabled_hidden |= admissible.active_events(member) & hidden
-        out[estimate] = {**row, **dict.fromkeys(enabled_hidden, estimate)}
-    return Automaton._unchecked(
-        skeleton.states,
-        admissible.events | plant.events,
-        out,
-        skeleton.initial,
-        skeleton.states,
-    )
+        enabled = set().union(*(rows[member] for member in estimate))
+        if any(
+            event in enabled and event not in rows[member]
+            for member in estimate
+            for event in controllable.intersection(plant._out[member[1]])
+        ):
+            _, witness = check_observability(plant, admissible, observable, controllable)
+            raise RealizationError(witness)
+        out[estimate] = {**row, **dict.fromkeys(enabled & hidden, estimate)}
+    events = admissible.events | plant.events
+    return Automaton._unchecked(skeleton.states, events, out, skeleton.initial, skeleton.states)

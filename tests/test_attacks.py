@@ -11,7 +11,6 @@ from desguard.attacks import (
     MODE_SE,
     MODE_SI,
     SE_SUFFIX,
-    UnsupportedModeError,
     VulnerabilityError,
     VulnerabilitySpec,
     attack_sites,
@@ -21,6 +20,7 @@ from desguard.attacks import (
 from desguard.automata import Alphabet, Automaton, EventInfo, parallel_compose, state_name
 from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 
+from generators import random_system
 from langtools import (
     base_event,
     canonical_doc,
@@ -353,9 +353,27 @@ class TestSubAttacker:
                 weaker = sub_attacker(model, seed=seed)
                 assert enumerate_traces(weaker.model, 5) <= full
 
-    def test_non_actuator_mode_rejected(self, erasure_model):
-        with pytest.raises(UnsupportedModeError):
-            sub_attacker(erasure_model, keep=[])
+    def test_keeping_no_site_of_an_event_drops_it(self):
+        # In every mode, a weaker attacker that keeps no site of one
+        # vulnerable event has the rows `build_model` gives without it.
+        rng = random.Random(99)
+        checked = dict.fromkeys((MODE_AE, MODE_SE, MODE_SI), 0)
+        for index in range(90):
+            mode = (MODE_AE, MODE_SE, MODE_SI)[index % 3]
+            system = random_system(rng, mode)
+            vuln = system.vuln
+            model = build_model(mode, system.plant, system.supervisor, vuln)
+            field = "vulnerable_actuators" if mode == MODE_AE else "vulnerable_sensors"
+            vulnerable = getattr(vuln, field)
+            for event in sorted(vulnerable):
+                keep = [s for s in attack_sites(model) if model.alphabet[s[1]].base != event]
+                weaker = sub_attacker(model, keep=keep)
+                without = vuln.replace(**{field: vulnerable - {event}})
+                fewer = build_model(mode, system.plant, system.supervisor, without)
+                assert weaker.model._out == fewer.model._out
+                assert weaker.unsafe_states == fewer.unsafe_states
+                checked[mode] += 1
+        assert min(checked.values()) >= 30, checked
 
     def test_loaded_model_matches_built(self, actuator_model, traffic_ae_model):
         # A model read back from its `desguard build` document has the

@@ -636,6 +636,12 @@ class TestSimulate:
         assert len(records) == 1
         assert records[0]["event"] is None
 
+    def test_negative_max_steps_exit_2(self, runner, demo_model_file):
+        result = runner.invoke(main, ["simulate", str(demo_model_file), "--max-steps", "-3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: --max-steps must not be negative, got -3\n"
+
     def test_random_zero_probability_never_attacks(self, runner, demo_model_file):
         result = runner.invoke(
             main, ["simulate", str(demo_model_file), "--policy", "random:0.0"]

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from desguard.automata import Automaton, accessible, parallel_compose
+from desguard import synthesis
+from desguard.automata import Automaton, accessible, parallel_compose, restrict
 from desguard.synthesis import (
     RealizationError,
     check_observability,
@@ -247,15 +248,18 @@ class TestRealization:
         admissible = accessible(
             Automaton(plant.states, plant.events, transitions, plant.initial)
         )
-        supervisor = realize_supervisor(plant, admissible, plant.events, plant.events)
-        closed = parallel_compose(supervisor, plant)
         product = parallel_compose(admissible, plant)
+        supervisor = realize_supervisor(plant, product, plant.events, plant.events)
+        closed = parallel_compose(supervisor, plant)
         assert language_equal(closed, product, 6)
 
     def test_demo_supervisor_closed_loop(self, actuator_demo):
         admissible = Automaton.build("1", [("1", "a", "2")], events=["a", "b", "c"])
         supervisor = realize_supervisor(
-            actuator_demo.plant, admissible, {"a", "b", "c"}, {"b"}
+            actuator_demo.plant,
+            parallel_compose(admissible, actuator_demo.plant),
+            {"a", "b", "c"},
+            {"b"},
         )
         closed = parallel_compose(supervisor, actuator_demo.plant)
         assert enumerate_traces(closed, 5) == {(), ("a",)}
@@ -263,7 +267,7 @@ class TestRealization:
     def test_refuses_unobservable_admissible(self):
         plant, admissible = two_branch_unobservable_plant()
         with pytest.raises(RealizationError):
-            realize_supervisor(plant, admissible, {"c"}, {"c"})
+            realize_supervisor(plant, parallel_compose(admissible, plant), {"c"}, {"c"})
 
     def test_traffic_closed_loop_language_and_safety(self, traffic_ae):
         # The realized supervisor reproduces the supremal behavior exactly
@@ -285,3 +289,39 @@ class TestRealization:
         for (src, event), dst in supervisor.transitions.items():
             if event in hidden:
                 assert src == dst
+
+
+class TestOneProduct:
+    """`realize_supervisor` composes nothing and runs no pair search unless
+    it refuses: its observer decides, and the pair search only explains."""
+
+    def realize(self, monkeypatch, spec):
+        plant, alphabet = traffic_plant(), traffic_alphabet()
+        supremal = supremal_controllable(plant, spec(plant), alphabet.uncontrollable_events())
+        calls = {"check_observability": 0, "parallel_compose": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(synthesis, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(synthesis, name, counted)
+        try:
+            realize_supervisor(
+                plant, supremal, alphabet.observable_events(), alphabet.controllable_events()
+            )
+        except RealizationError as exc:
+            return calls, exc
+        return calls, None
+
+    def test_success_calls_neither(self, monkeypatch):
+        calls, refusal = self.realize(monkeypatch, traffic_admissible)
+        assert refusal is None
+        assert calls == {"check_observability": 0, "parallel_compose": 0}
+
+    def test_refusal_calls_each_once(self, monkeypatch):
+        # Without the (1,2)/(2,1) cut, the detectors cannot tell a1 from a1·a2.
+        calls, refusal = self.realize(
+            monkeypatch, lambda plant: restrict(plant, plant.states - traffic_collisions())
+        )
+        assert calls == {"check_observability": 1, "parallel_compose": 1}
+        assert refusal.witness == (("a1",), ("a1", "a2"), "b1")

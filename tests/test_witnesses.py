@@ -32,7 +32,13 @@ from desguard.safety import (
     check_gf_safe_diagnoser,
     oracle_defense_simulation,
 )
-from desguard.synthesis import check_observability, supremal_controllable
+from desguard.modelio import dumps_doc, model_to_doc
+from desguard.synthesis import (
+    RealizationError,
+    check_observability,
+    realize_supervisor,
+    supremal_controllable,
+)
 
 from generators import random_automaton, random_model
 from langtools import canonical_doc
@@ -163,6 +169,7 @@ RANDOM_SHA256 = {
 }
 
 OBSERVABILITY_SHA256 = "44e8ed1c49428bd965178a75587ab23c79aebf50b64d23d014aa0d385b75318f"
+REALIZATION_SHA256 = "36a3e398cff5c5c3e9d01e28cac52faf1fa9f8aa96c73ceee19a3135ec52ce4a"
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURE_SHA256))
@@ -226,3 +233,59 @@ def test_observability_witnesses_are_pinned():
             None if witness is None else [list(witness[0]), list(witness[1]), witness[2]],
         ])
     assert _digest(rendered) == OBSERVABILITY_SHA256
+
+
+def synthesis_cases():
+    """`observability_cases` and 1,000 more seeded (plant, spec) pairs over
+    two to five events, at three densities."""
+    yield from observability_cases()
+    rng = random.Random(7)
+    for _ in range(1000):
+        events = ["a", "b", "c", "d", "e"][: rng.randint(2, 5)]
+        plant = random_automaton(rng, rng.randint(2, 7), events, rng.choice([0.3, 0.5, 0.7]))
+        spec = random_automaton(rng, rng.randint(1, 7), events, rng.choice([0.3, 0.5, 0.7]))
+        observable = sorted(e for e in events if rng.random() < 0.6)
+        controllable = sorted(e for e in events if rng.random() < 0.6)
+        yield plant, spec, observable, controllable
+
+
+def realizations():
+    """Per synthesis case: the plant, `supremal_controllable`'s product (None
+    for the empty language), the observable and controllable sets, and the
+    supervisor document `realize_supervisor` writes or its refusal."""
+    for plant, spec, observable, controllable in synthesis_cases():
+        alphabet = Alphabet.from_sets(sorted(plant.events | spec.events), observable, controllable)
+        supremal = supremal_controllable(plant, spec, alphabet.uncontrollable_events())
+        if supremal is None:
+            yield plant, None, observable, controllable, None
+            continue
+        try:
+            supervisor = realize_supervisor(plant, supremal, observable, controllable)
+        except RealizationError as exc:
+            outcome = exc
+        else:
+            outcome = dumps_doc(model_to_doc(supervisor, alphabet))
+        yield plant, supremal, observable, controllable, outcome
+
+
+def test_realization_refuses_exactly_the_unobservable():
+    """The observer's decision is the pair search's: a refusal whenever
+    `check_observability` fails on the same product, with its witness."""
+    refused = 0
+    for plant, supremal, observable, controllable, outcome in realizations():
+        if supremal is None:
+            continue
+        ok, witness = check_observability(plant, supremal, observable, controllable)
+        assert ok == (not isinstance(outcome, RealizationError))
+        if not ok:
+            refused += 1
+            assert outcome.witness == witness
+    assert refused >= 60
+
+
+def test_realizations_are_pinned():
+    rendered = [
+        outcome if outcome is None or isinstance(outcome, str) else str(outcome)
+        for *_, outcome in realizations()
+    ]
+    assert _digest(rendered) == REALIZATION_SHA256
