@@ -15,7 +15,8 @@ with parent pointers and the one that builds automata (composition,
 attack and labeled models, observers, witnesses, defended runs), and the
 closures under a set of events, `reach` forward and `coreach` backward,
 which stand in for fixpoints.  `restrict` is the one cut: it keeps a
-set of states and drops the edges that leave it.
+set of states and drops the edges that leave it.  `accessible` cuts
+nothing: no edge leaves the reachable states, so it shares their rows.
 
 `STATE_LIMIT` is the module's one setting: the state budget of every
 construction and search, read by `explore` when it runs, so setting it
@@ -24,7 +25,7 @@ bounds them all.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 State = Hashable
@@ -55,6 +56,8 @@ def state_name(state: State, part: Callable[[State], str] | None = None) -> str:
     serialized output.  `part` renders the members (default: this
     function); a memo passed there renders each member once.
     """
+    if type(state) is str:
+        return state
     if isinstance(state, frozenset):
         return "{" + ",".join(sorted(map(part or state_name, state))) + "}"
     if isinstance(state, tuple):
@@ -415,8 +418,13 @@ def restrict(automaton: Automaton, keep: frozenset) -> Automaton:
 
 
 def accessible(automaton: Automaton) -> Automaton:
-    """Restrict to the part reachable from the initial state."""
-    return restrict(automaton, reach(automaton, (automaton.initial,), automaton.events))
+    """`restrict` to the states reachable from the initial state, whose
+    rows, in their order, are shared whole: no edge leaves them."""
+    keep = reach(automaton, (automaton.initial,), automaton.events)
+    out = {src: row for src, row in automaton._out.items() if src in keep}
+    return Automaton._unchecked(
+        keep, automaton.events, out, automaton.initial, automaton.marked & keep
+    )
 
 
 def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
@@ -425,33 +433,32 @@ def parallel_compose(a: Automaton, b: Automaton) -> Automaton:
     Shared events are those declared by both components, whether or not they
     label any transition.  States of the result are (a_state, b_state) pairs;
     a pair is marked when both components are.  Only the accessible part is
-    returned.
+    returned, its states in breadth-first discovery order from the initial
+    pair; a row holds `a`'s moves, then `b`'s private ones, each by event.
     """
     shared = a.events & b.events
+    a_out, b_out = a._out, b._out
+    b_private = b.events - shared
     out: dict = {}
 
     def moves(node):
         sa, sb = node
+        a_row, b_row = a_out[sa], b_out[sb]
         row = out[node] = {}
-        for event, ta in a.out_edges(sa):
+        for event in sorted(a_row):
             if event not in shared:
-                target = (ta, sb)
-            elif (tb := b._out[sb].get(event)) is not None:
-                target = (ta, tb)
-            else:
-                continue
-            row[event] = target
-            yield event, target
-        for event, tb in b.out_edges(sb):
-            if event not in shared:
-                target = row[event] = (sa, tb)
-                yield event, target
+                row[event] = (a_row[event], sb)
+            elif (tb := b_row.get(event)) is not None:
+                row[event] = (a_row[event], tb)
+        if b_private:
+            for event in sorted(b_row):
+                if event not in shared:
+                    row[event] = (sa, b_row[event])
+        return row.items()
 
     initial = (a.initial, b.initial)
     states, _ = explore((initial,), moves, overflow="composition exceeded {limit} states")
-    marked = frozenset(
-        (sa, sb) for sa, sb in states if sa in a.marked and sb in b.marked
-    )
+    marked = frozenset((sa, sb) for sa, sb in states if sa in a.marked and sb in b.marked)
     return Automaton._unchecked(frozenset(states), a.events | b.events, out, initial, marked)
 
 
@@ -461,11 +468,12 @@ class EstimateTable:
     An estimate is a frozenset of states closed under hidden events.  The
     table holds the hidden-event closure of each state, computed on first
     use and at most once.  One estimate step is then the union of the
-    closures of its members' successors on the event; the union is exact
-    because the closure distributes over union.  `step` also remembers
-    each (estimate, event) result, because the searches over (state,
-    estimate) pairs take the same step once per member; `moves` takes
-    every step through it, so the observer fills the same memo.
+    closures of its members' successors on the event, in member order;
+    the union is exact because the closure distributes over union.  The
+    table also remembers each (estimate, event) result, because the
+    searches over (state, estimate) pairs take the same step once per
+    member.  `step` takes one step and `moves` every visible one in a
+    single pass over the members' rows; both fill one memo via `_union`.
     """
 
     def __init__(self, automaton: Automaton, hidden: Iterable[str]):
@@ -500,14 +508,25 @@ class EstimateTable:
             ]
             if not parts:
                 raise KeyError(f"event {event!r} is infeasible at the current estimate")
-            result = self._steps[key] = frozenset().union(*parts)
+            result = self._union(key, parts)
         return result
 
     def moves(self, estimate: frozenset) -> list[tuple[str, frozenset]]:
         """Every (visible event, `step` result) from `estimate`, sorted by event."""
-        out = self.automaton._out
-        events = {event for member in estimate for event in out[member]} - self.hidden
-        return [(event, self.step(estimate, event)) for event in sorted(events)]
+        out, hidden, closures = self.automaton._out, self.hidden, self._closures
+        parts: defaultdict[str, list] = defaultdict(list)
+        for member in estimate:
+            for event, target in out[member].items():
+                if event not in hidden:
+                    parts[event].append(closures.get(target) or self.closure(target))
+        return [(event, self._union((estimate, event), parts[event])) for event in sorted(parts)]
+
+    def _union(self, key: tuple[frozenset, str], parts: list[frozenset]) -> frozenset:
+        """`key`'s step, remembered: the union of `parts`, its successors' closures."""
+        result = self._steps.get(key)
+        if result is None:
+            result = self._steps[key] = frozenset().union(*parts)
+        return result
 
 
 def observer(
@@ -555,7 +574,7 @@ def observer(
     states, _ = explore((initial,), moves, stop, overflow="observer exceeded {limit} states")
     for state in states:  # the states never expanded, by `stop` or `live`
         out.setdefault(state, {})
-    marked = frozenset(s for s in states if s & automaton.marked)
+    marked = frozenset(s for s in states if not automaton.marked.isdisjoint(s))
     return Automaton._unchecked(frozenset(states), visible, out, initial, marked)
 
 

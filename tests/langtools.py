@@ -305,6 +305,42 @@ def language_equal(a: Automaton, b: Automaton, max_len: int) -> bool:
     return enumerate_traces(a, max_len) == enumerate_traces(b, max_len)
 
 
+def reference_compose(a: Automaton, b: Automaton) -> Automaton:
+    """Parallel composition as `parallel_compose`'s docstring states it.
+
+    A plain breadth-first search over pairs from the initial pair, asking
+    each component one event at a time: a shared event (declared by both)
+    moves both components and needs both to have it, a private one moves
+    its own component.  Each pair's row holds `a`'s moves in event order,
+    then `b`'s private moves in event order; pairs are numbered, and rows
+    kept, in discovery order; a pair is marked when both halves are.
+    """
+    shared = a.events & b.events
+    initial = (a.initial, b.initial)
+    out: dict = {}
+    discovered, seen = [initial], {initial}
+    for node in discovered:  # grows while it is walked: a FIFO queue
+        sa, sb = node
+        row = out[node] = {}
+        for event in sorted(a.events):
+            ta = a.successor(sa, event)
+            if ta is None:
+                continue
+            if event not in shared:
+                row[event] = (ta, sb)
+            elif (tb := b.successor(sb, event)) is not None:
+                row[event] = (ta, tb)
+        for event in sorted(b.events - shared):
+            if (tb := b.successor(sb, event)) is not None:
+                row[event] = (sa, tb)
+        for target in row.values():
+            if target not in seen:
+                seen.add(target)
+                discovered.append(target)
+    marked = frozenset((sa, sb) for sa, sb in out if sa in a.marked and sb in b.marked)
+    return Automaton._unchecked(frozenset(out), a.events | b.events, out, initial, marked)
+
+
 def flag_automaton(label_events) -> Automaton:
     """Two-state automaton that latches to Y once a label event occurs.
 

@@ -21,15 +21,16 @@ from desguard.automata import (
     parallel_compose,
     path_to,
     reach,
+    restrict,
     state_name,
 )
-from desguard.attacks import MODE_AE, attack_sites, build_model, sub_attacker
+from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, attack_sites, build_model, sub_attacker
 from desguard.diagnosis import CERTAIN, classify, label_compose
 from desguard.modelio import attacked_to_doc, model_to_doc, parse_attacked, parse_model
 from desguard.synthesis import RealizationError, realize_supervisor, supremal_controllable
 from desguard.systems import traffic_admissible, traffic_alphabet, traffic_plant
 
-from generators import random_automaton, random_system
+from generators import random_automaton, random_model, random_system
 from langtools import (
     canonical_doc,
     enumerate_traces,
@@ -39,7 +40,60 @@ from langtools import (
     naive_reach,
     project,
     projected_language,
+    reference_compose,
 )
+
+
+def rows_in_order(automaton):
+    """Every state with its row's (event, target) items, in table order."""
+    return [(state, list(row.items())) for state, row in automaton._out.items()]
+
+
+def raw_automaton(rng, n_states, events):
+    """A random automaton as drawn, unreachable states included, with
+    random marked states and each row's events in a random order."""
+    states = [str(i) for i in range(n_states)]
+    transitions = {
+        (src, event): rng.choice(states)
+        for src in states
+        for event in rng.sample(events, len(events))
+        if rng.random() < 0.4
+    }
+    marked = frozenset(s for s in states if rng.random() < 0.4)
+    return Automaton(frozenset(states), frozenset(events), transitions, "0", marked)
+
+
+# Component alphabets: private events on both sides, on the first side
+# only (the second has none, so its rows are skipped), on the second side
+# only, and no shared events at all.
+COMPOSE_ALPHABETS = {
+    "private-both": ("abc", "bcd"),
+    "private-first": ("abc", "ab"),
+    "private-second": ("ab", "abc"),
+    "no-shared": ("ab", "cd"),
+}
+
+
+def compose_pairs(kind):
+    """Seeded component pairs of one kind for the reference comparison."""
+    rng = random.Random(27)
+    if kind in COMPOSE_ALPHABETS:
+        first, second = COMPOSE_ALPHABETS[kind]
+        for _ in range(25):
+            yield (
+                raw_automaton(rng, rng.randint(1, 6), list(first)),
+                raw_automaton(rng, rng.randint(1, 6), list(second)),
+            )
+    elif kind == "self":
+        for _ in range(25):
+            automaton = raw_automaton(rng, rng.randint(1, 6), list("abc"))
+            yield automaton, automaton
+    else:
+        for mode in (MODE_AE, MODE_SE, MODE_SI):
+            for _ in range(5):
+                system = random_system(rng, mode)
+                yield system.supervisor, system.plant
+                yield system.plant, system.supervisor
 
 
 def chain(*events, marked=()):
@@ -117,6 +171,23 @@ class TestParallelCompose:
                 assert project(trace, a.events) in lang_a
                 assert project(trace, b.events) in lang_b
 
+    @pytest.mark.parametrize("kind", [*COMPOSE_ALPHABETS, "self", "random-system"])
+    def test_matches_the_reference_search(self, kind):
+        # Same automaton, same state discovery order, same row order; and
+        # `accessible` is `restrict` to the reachable states, rows in order,
+        # on each component and on the composition, sharing its rows.
+        for a, b in compose_pairs(kind):
+            composed = parallel_compose(a, b)
+            reference = reference_compose(a, b)
+            assert composed == reference
+            assert rows_in_order(composed) == rows_in_order(reference)
+            for automaton in (a, b, composed):
+                kept = accessible(automaton)
+                cut = restrict(automaton, reach(automaton, (automaton.initial,), automaton.events))
+                assert kept == cut
+                assert rows_in_order(kept) == rows_in_order(cut)
+                assert all(row is automaton._out[state] for state, row in kept._out.items())
+
 
 class TestObserver:
     def test_no_hidden_events_is_identity(self):
@@ -164,6 +235,43 @@ class TestObserver:
             observer(a, {"u"}, estimates=EstimateTable(chain("u", "a"), {"u"}))
         with pytest.raises(ValueError):
             observer(a, {"u"}, estimates=EstimateTable(a, ()))
+
+
+class TestEstimateTable:
+    @staticmethod
+    def assert_moves_are_steps(automaton, hidden):
+        """`moves` on one table against `step` on a fresh one, for every
+        observer estimate; returns how many estimates have no visible move
+        and how many hold a state whose only moves are hidden."""
+        moved, stepped = EstimateTable(automaton, hidden), EstimateTable(automaton, hidden)
+        stuck = hidden_only = 0
+        for estimate in observer(automaton, hidden)._out:
+            rows = [automaton._out[member] for member in estimate]
+            visible = sorted({event for row in rows for event in row} - hidden)
+            moves = moved.moves(estimate)
+            assert moves == [(event, stepped.step(estimate, event)) for event in visible]
+            assert all(moved._steps[estimate, event] is step for event, step in moves)
+            stuck += not moves
+            hidden_only += any(row and row.keys() <= hidden for row in rows)
+        assert moved._steps == stepped._steps
+        assert moved._closures == stepped._closures
+        return stuck, hidden_only
+
+    def test_moves_are_steps_on_random_automata(self):
+        rng = random.Random(31)
+        counts = []
+        for _ in range(60):
+            automaton = raw_automaton(rng, rng.randint(1, 9), list("abuv"))
+            counts.append(self.assert_moves_are_steps(automaton, frozenset("uv")))
+        stuck, hidden_only = map(sum, zip(*counts))
+        assert stuck and hidden_only
+
+    @pytest.mark.parametrize("mode", [MODE_AE, MODE_SE, MODE_SI])
+    def test_moves_are_steps_on_labeled_models(self, mode):
+        rng = random.Random(32)
+        for _ in range(10):
+            analysis = random_model(rng, mode).analysis
+            self.assert_moves_are_steps(analysis.automaton, analysis.unobservable)
 
 
 class TestReach:
@@ -294,6 +402,16 @@ class TestPathTo:
         assert path_to(parents, "y") == ("a", "b")
         assert path_to(parents, "z") == ("c",)
         assert path_to(parents, "r") == ()
+
+
+class TestStateName:
+    def test_strings_render_as_themselves_and_subclasses_as_str(self):
+        class Name(str):
+            pass
+
+        assert state_name("a,b") == "a,b"
+        assert type(state_name(Name("a"))) is str
+        assert state_name((Name("a"), frozenset({"c", Name("b")}))) == "(a,{b,c})"
 
 
 class TestProject:
