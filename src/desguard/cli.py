@@ -7,7 +7,8 @@ policy script, an unwritable `--out` file, a `synthesize` spec over
 events the plant does not declare, or a `simulate` policy that is
 malformed or scripts a decision that is not an open attack
 opportunity), 3 method disagreement with --method all, 4 state budget
-exceeded (no verdict; `synthesize` writes no supervisor).
+(`--max-states`) exceeded (no verdict; `synthesize` writes no
+supervisor).
 
 `check` exits 2 without a verdict when the model's attack-free closed
 loop already reaches an unsafe state: every route assumes a supervisor
@@ -25,7 +26,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, Iterable, NoReturn
 
 from . import __version__
 from .attacks import (
@@ -38,6 +39,7 @@ from .attacks import (
     build_model,
 )
 from .automata import ResourceLimitError, blocking_states, deadlock_states, state_name
+from . import automata  # bound once .attacks has loaded it, not through the lazy package
 from .modelio import (
     ALL_METHODS,
     DIAGNOSER,
@@ -45,7 +47,7 @@ from .modelio import (
     ModelDocument,
     ModelFormatError,
     attacked_to_doc,
-    dumps_doc,
+    doc_chunks,
     load_path,
     model_to_doc,
     to_dot,
@@ -59,20 +61,23 @@ if TYPE_CHECKING:
 _SLICE = 1 << 16
 
 
-def _echo(text: str, out: str | None = None, err: bool = False) -> None:
-    """Write `text` as UTF-8 bytes to the file `out`, or else to stdout
-    (stderr with `err`), then close or flush it.  No write is larger than
-    64 KiB, so no encoded copy of the whole text is held.  An `out` file
-    that cannot be written exits 2; a closed stdout drops the rest."""
+def _echo(text: str | Iterable[str], out: str | None = None, err: bool = False) -> None:
+    """Write `text`, a string or an iterable of string chunks such as
+    `doc_chunks`, as UTF-8 bytes to the file `out`, or else to stdout
+    (stderr with `err`), then close or flush it.  Each chunk is encoded
+    and written when it is taken, in writes of at most 64 KiB, so neither
+    the whole text nor an encoded copy of it is held.  An `out` file that
+    cannot be written exits 2; a closed stdout drops the rest."""
     stream = sys.stderr if err else sys.stdout
     stream.flush()
     try:
         with open(out, "wb") if out else nullcontext(stream.buffer) as handle:
-            for start in range(0, len(text), _SLICE):
-                data = text[start : start + _SLICE].encode("utf-8", "backslashreplace")
-                # A 64 Ki-character slice can encode to more than 64 KiB.
-                for at in range(0, len(data), _SLICE):
-                    handle.write(memoryview(data)[at : at + _SLICE])
+            for chunk in [text] if isinstance(text, str) else text:
+                for start in range(0, len(chunk), _SLICE):
+                    data = chunk[start : start + _SLICE].encode("utf-8", "backslashreplace")
+                    # A 64 Ki-character slice can encode to more than 64 KiB.
+                    for at in range(0, len(data), _SLICE):
+                        handle.write(memoryview(data)[at : at + _SLICE])
             handle.flush()
     except OSError as exc:
         if out:
@@ -113,10 +118,10 @@ def build(args) -> None:
     """Build the closed-loop attack model from plant and supervisor files."""
     model = _attack_model(args)
     try:
-        text = dumps_doc(attacked_to_doc(model))
+        doc = attacked_to_doc(model)
     except ValueError as exc:
         _fail(str(exc))
-    _echo(text, args.out)
+    _echo(doc_chunks(doc), args.out)
 
 
 def _attack_model(args) -> AttackedModel:
@@ -160,12 +165,12 @@ def check(args) -> int:
         agree = len({v.safe for v in verdicts}) == 1
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking, methods_agree=agree)
         doc["method"] = ALL_METHODS
-        _echo(dumps_doc(doc), args.out)
+        _echo(doc_chunks(doc), args.out)
         if not agree:
             _fail("methods disagree", code=3)
     else:
         doc = verdict_to_doc(verdict, deadlocks=deadlocks, blocking=blocking)
-        _echo(dumps_doc(doc), args.out)
+        _echo(doc_chunks(doc), args.out)
     if deadlocks:
         _echo(f"warning: reachable deadlocks at plant states {', '.join(deadlocks)}\n", err=True)
     return 0 if verdict.safe else 1
@@ -247,12 +252,12 @@ def synthesize(args) -> None:
             alphabet.observable_events(),
             alphabet.controllable_events(),
         )
-        text = dumps_doc(model_to_doc(supervisor, alphabet))
+        doc = model_to_doc(supervisor, alphabet)
     except RealizationError as exc:
         _fail(str(exc), code=1)
     except ModelFormatError as exc:
         _fail(str(exc))
-    _echo(text, args.out)
+    _echo(doc_chunks(doc), args.out)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -264,16 +269,22 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def command(run, *positionals, out=True):
+    def command(run, *positionals, out=True, budget=True):
         doc = " ".join(run.__doc__.split())
         sub = commands.add_parser(
             run.__name__, help=doc.split(";")[0], description=doc, allow_abbrev=False
         )
-        sub.set_defaults(run=run)
+        sub.set_defaults(run=run, max_states=None)
         for name in positionals:
             sub.add_argument(name)
         if out:
             sub.add_argument("--out", help="Output path (default: stdout).")
+        if budget:
+            sub.add_argument(
+                "--max-states", type=_state_budget, metavar="N",
+                help="State budget of every construction and search; exceeding it exits 4 "
+                f"(default: {automata.STATE_LIMIT:,}).",
+            )
         return sub
 
     sub = command(build, "plant_file", "supervisor_file")
@@ -282,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     command(check, "model_file").add_argument(
         "--method", choices=[*METHODS, ALL_METHODS], default=DIAGNOSER, help="(default: %(default)s)"
     )
-    command(export, "model_file").add_argument(
+    command(export, "model_file", budget=False).add_argument(
         "--format", choices=["dot"], default="dot", help="(default: %(default)s)"
     )
     sub = command(simulate, "model_file", out=False)
@@ -294,13 +305,30 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _state_budget(text: str) -> int:
+    """A `--max-states` value: a positive integer."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return budget
+
+
 def main(argv: list[str] | None = None) -> NoReturn:
-    """Run one command line (default: ``sys.argv[1:]``); exit with its code."""
+    """Run one command line (default: ``sys.argv[1:]``); exit with its code.
+    `--max-states` sets `automata.STATE_LIMIT` while the command runs."""
     args = _parser().parse_args(argv)
+    limit = automata.STATE_LIMIT
+    if args.max_states is not None:
+        automata.STATE_LIMIT = args.max_states
     try:
         code = args.run(args)
     except ResourceLimitError as exc:
         _fail(str(exc), code=4)
+    finally:
+        automata.STATE_LIMIT = limit
     sys.exit(code or 0)
 
 

@@ -8,9 +8,12 @@ a provenance header (mode, vulnerable set, tool version) plus
 loaded, its states are those (supervisor, plant) name pairs, whose
 rendering must be the state's own name.
 
-Writing a model costs about twice its text in memory: each document
-renders every state once (`_Renderer`), and `dumps_doc` writes each
-array of records, such as `transitions` or `components`, as one chunk.
+Model files stream both ways.  Each document renders every state once
+(`_Renderer`), and `doc_chunks` yields its text in pieces, an array of
+records such as `transitions` or `components` a batch at a time, so a
+writer holds one piece, not the text.  `load_path` reads each transition
+record as a `(from, event, to)` tuple of shared name strings, not as a
+dict.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 from json.encoder import encode_basestring_ascii
 from itertools import repeat
 from operator import itemgetter
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from . import __version__
 from .attacks import (
@@ -144,16 +147,20 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
 
     out = {state: {} for state in state_map.values()}
     for i, entry in enumerate(transitions):
-        # The keys of `state_map` and `infos` are strings, so a row whose
-        # names are all found there is well typed; any other row is
-        # checked again, key by key, for its error message.
+        # A row is a (from, event, to) triple, as `load_path` reads one, or
+        # an object with those keys.  The keys of `state_map` and `infos`
+        # are strings, so a row whose names are all found there is well
+        # typed; any other row is checked again, key by key, for its error
+        # message.
         try:
-            row, target = out[state_map[entry["from"]]], state_map[entry["to"]]
-            event = entry["event"]
+            src, event, dst = (
+                entry if type(entry) is tuple else (entry["from"], entry["event"], entry["to"])
+            )
+            row, target = out[state_map[src]], state_map[dst]
             if event in infos and event not in row:
                 row[event] = target
                 continue
-        except (KeyError, TypeError):
+        except (KeyError, TypeError, ValueError):
             pass
         _bad_transition(entry, f"{where}: transitions[{i}]", state_map, infos)
 
@@ -183,6 +190,7 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
 
 def _bad_transition(entry, here: str, state_map: dict, infos: dict) -> NoReturn:
     """Raise the error for a transition row `_parse` could not add."""
+    entry = _object(entry)
     if not isinstance(entry, dict):
         raise ModelFormatError(f"{here} must be an object")
     src = _require(entry, "from", str, here)
@@ -345,31 +353,38 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
 
 def dumps_doc(doc: dict) -> str:
     """`doc` as JSON indented by two spaces with sorted keys, plus a final
-    newline: the text of ``json.dumps(doc, indent=2, sort_keys=True)``.
-
-    `json.dumps` encodes indented output in pure Python; this writer
-    quotes every string with the C encoder instead.  Keys are strings.
-    An array of strings or of records, and an object whose values are
-    records (`_joined`), is written as one chunk, so the writer holds
-    about twice the text it returns: the chunks, then their join.
-    """
-    chunks = []
-    _write(doc, "\n", chunks)
-    chunks.append("\n")
-    return "".join(chunks)
+    newline: the text of ``json.dumps(doc, indent=2, sort_keys=True)``,
+    joined from `doc_chunks`.  It holds about twice that text: the chunks,
+    then their join.  To write a document, pass its chunks on instead."""
+    return "".join(doc_chunks(doc))
 
 
-def _write(value, newline: str, chunks: list) -> None:
-    """Append `value` as JSON to `chunks`; `newline` is a line break and the
+# Items of an array that `doc_chunks` renders into one piece: a piece of
+# transition records stays under 64 KiB.
+_BATCH = 512
+
+
+def doc_chunks(doc: dict) -> Iterator[str]:
+    """The text of `dumps_doc(doc)` in pieces, each rendered when taken; an
+    array of strings or records, or an object of records (`_joined`), comes
+    `_BATCH` items at a time.  `json.dumps` encodes indented output in pure
+    Python; this writer quotes every string with the C encoder instead.
+    Keys are strings."""
+    yield from _write(doc, "\n")
+    yield "\n"
+
+
+def _write(value, newline: str) -> Iterator[str]:
+    """`value` as JSON text in pieces; `newline` is a line break and the
     indentation of the line `value` starts on."""
     if isinstance(value, str):
-        chunks.append(encode_basestring_ascii(value))
+        yield encode_basestring_ascii(value)
         return
     if not isinstance(value, (dict, list, tuple)):
-        chunks.append(json.dumps(value))
+        yield json.dumps(value)
         return
     if not value:
-        chunks.append("{}" if isinstance(value, dict) else "[]")
+        yield "{}" if isinstance(value, dict) else "[]"
         return
     inner = newline + "  "
     if isinstance(value, dict):
@@ -380,59 +395,116 @@ def _write(value, newline: str, chunks: list) -> None:
         opener, closer, keys, items = "[", "]", None, value
         joined = _joined(items, inner) if type(value) is list else None
     if joined is not None:
-        chunks += (opener + inner, joined, newline + closer)
+        yield opener + inner
+        yield from joined
+        yield newline + closer
         return
     for i, item in enumerate(items):
         key = "" if keys is None else encode_basestring_ascii(keys[i]) + ": "
-        chunks.append(opener + inner + key)
-        _write(item, inner, chunks)
+        yield opener + inner + key
+        yield from _write(item, inner)
         opener = ","
-    chunks.append(newline + closer)
+    yield newline + closer
 
 
-def _joined(items: list, inner: str, keys: list | None = None) -> str | None:
-    """`items` as JSON text, each on a line indented by `inner`, joined by
-    commas into one string; with `keys`, each after its key, as an
-    object's members.  Only strings (array items) and records are joined:
-    dicts with the first item's keys and string values, each written
-    from one set of heads with the keys sorted and quoted once.  None for
-    anything else, which the generic writer takes."""
-    first = items[0]
+def _joined(items: list, inner: str, keys: list | None = None) -> Iterator[str] | None:
+    """`items` as JSON text, each on a line indented by `inner`, separated
+    by commas, in pieces of `_BATCH` items; with `keys`, each after its
+    key, as an object's members.  Only strings (array items) and records
+    are joined: dicts with the first item's keys and string values, each
+    written from one set of heads with the keys sorted and quoted once.
+    None for anything else, which the generic writer takes; that is
+    decided here, before any piece is rendered."""
+    types = set(map(type, items))
+    if types == {str} and keys is None:
+        return _batches(items, None, inner, lambda batch, _: map(encode_basestring_ascii, batch))
+    fields = sorted(items[0]) if types == {dict} else None
+    if not fields or set(map(len, items)) != {len(fields)}:
+        return None
     try:
-        if isinstance(first, str) and keys is None:
-            return ("," + inner).join(map(encode_basestring_ascii, items))
-        if type(first) is not dict or not first:
+        if any(set(map(type, map(itemgetter(field), items))) != {str} for field in fields):
             return None
-        fields = sorted(first)
-        if set(map(type, items)) != {dict} or set(map(len, items)) != {len(fields)}:
-            return None
+    except KeyError:
+        return None
+    heads = [
+        head + inner + "  " + encode_basestring_ascii(field) + ": "
+        for head, field in zip(["{"] + [","] * (len(fields) - 1), fields)
+    ]
+
+    def records(batch: list, batch_keys: list | None):
         # Each record is the join of its key heads, repeated, and its values.
         parts = []
-        for head, field in zip(["{"] + [","] * (len(fields) - 1), fields):
-            head += inner + "  " + encode_basestring_ascii(field) + ": "
-            parts += (repeat(head), map(encode_basestring_ascii, map(itemgetter(field), items)))
+        for head, field in zip(heads, fields):
+            parts += (repeat(head), map(encode_basestring_ascii, map(itemgetter(field), batch)))
         parts.append(repeat(inner + "}"))
-        if keys is not None:
-            parts[:0] = (map(encode_basestring_ascii, keys), repeat(": "))
-        return ("," + inner).join(map("".join, zip(*parts)))
-    except (KeyError, TypeError):  # a key missing, or a value not a string
-        return None
+        if batch_keys is not None:
+            parts[:0] = (map(encode_basestring_ascii, batch_keys), repeat(": "))
+        return map("".join, zip(*parts))
+
+    return _batches(items, keys, inner, records)
+
+
+def _batches(items: list, keys: list | None, inner: str, render) -> Iterator[str]:
+    """The join of `render(batch, batch_keys)` over `items` (and `keys`), a
+    batch of `_BATCH` at a time, separated by commas and `inner`."""
+    separator = "," + inner
+    for start in range(0, len(items), _BATCH):
+        stop = start + _BATCH
+        if start:
+            yield separator
+        yield separator.join(render(items[start:stop], keys and keys[start:stop]))
+
+
+# The keys of a transition record, in the order of a row.
+_ROW = ("from", "event", "to")
 
 
 def load_path(path: str):
-    """Load a model file; returns ModelDocument or AttackedModel by format."""
+    """Load a model file; returns ModelDocument or AttackedModel by format.
+
+    An object of exactly a transition record's keys, with string values,
+    is decoded as the row ``(from, event, to)``, each name one string
+    object per file.  Where `_parse` reads another object, a row is turned
+    back into it (`_object`), so every message is the decoded document's.
+    """
+    names: dict[str, str] = {}
+    name = names.setdefault
+
+    def row(record: dict):
+        if len(record) == 3:
+            try:
+                src, event, dst = record["from"], record["event"], record["to"]
+            except KeyError:
+                return record
+            if type(src) is type(event) is type(dst) is str:
+                return name(src, src), name(event, event), name(dst, dst)
+        return record
+
     with open(path, encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            doc = _object(json.load(handle, object_hook=row))
         except ValueError as exc:  # undecodable bytes or malformed JSON
             raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
         except RecursionError as exc:  # nested deeper than the decoder's stack
             raise ModelFormatError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: document must be an object")
+    if "components" in doc:
+        doc["components"] = _object(doc["components"])
+    if type(doc.get("events")) is list:
+        doc["events"] = events = list(map(_object, doc["events"]))
+        for entry in events:
+            if type(entry) is dict and "kind" in entry:
+                entry["kind"] = _object(entry["kind"])
     if doc.get("format") == ATTACKED_MODEL_FORMAT:
         return parse_attacked(doc, where=path)
     return parse_model(doc, where=path)
+
+
+def _object(value):
+    """`value`, or, for a row, the transition record it stands for, with
+    its keys in the order `doc_chunks` writes them."""
+    return dict(sorted(zip(_ROW, value))) if type(value) is tuple else value
 
 
 VERDICT_SCHEMA = {

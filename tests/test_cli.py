@@ -12,7 +12,7 @@ import pytest
 from cli_runner import CliRunner
 
 import desguard
-from desguard import cli, runtime, safety, synthesis
+from desguard import automata, cli, runtime, safety, synthesis
 from desguard.automata import Alphabet, Automaton, ResourceLimitError
 from desguard.cli import main
 from desguard.modelio import dumps_doc, model_to_doc
@@ -846,3 +846,92 @@ class TestColdProcess:
         assert code == result.exit_code == 0
         assert result.stdout_bytes == f"desguard, version {desguard.__version__}\n".encode()
         assert result.stderr_bytes == b""
+
+
+def run_cli(*args):
+    """Run `python -m desguard.cli ARGS` in a fresh interpreter with src on
+    the path; returns its exit code, stdout and stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "desguard.cli", *map(str, args)],
+        capture_output=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestMaxStates:
+    """`--max-states N` sets the state budget that every construction and
+    search reads; a command that exceeds it exits 4, names the
+    construction, and writes no result."""
+
+    @pytest.fixture()
+    def traffic_si_files(self, runner, traffic_files, tmp_path):
+        """The traffic plant, its synthesized supervisor, and the model built
+        under sensor insertion on the section-4 detectors."""
+        plant, spec = traffic_files
+        supervisor = tmp_path / "supervisor.json"
+        model = tmp_path / "model.json"
+        for args in (
+            ["synthesize", plant, spec, "--out", supervisor],
+            ["build", plant, supervisor, "--mode", "si", "--vulnerable", "a4,b4", "--out", model],
+        ):
+            assert runner.invoke(main, list(map(str, args))).exit_code == 0
+        return plant, supervisor, model
+
+    def test_build_exits_4_naming_the_composition(self, traffic_si_files, tmp_path):
+        plant, supervisor, _ = traffic_si_files
+        build = ["build", plant, supervisor, "--mode", "si", "--vulnerable", "a4,b4"]
+        out = tmp_path / "budget.json"
+        for args in (build + ["--max-states", "5", "--out", out], build + ["--max-states", "5"]):
+            assert run_cli(*args) == (4, b"", b"error: composition exceeded 5 states\n")
+        assert not out.exists()
+
+    def test_check_exits_4_naming_the_labeling(self, traffic_si_files, tmp_path):
+        _, _, model = traffic_si_files
+        out = tmp_path / "verdict.json"
+        assert run_cli("check", model, "--method", "all", "--max-states", "20", "--out", out) == (
+            4, b"", b"error: labeling exceeded 20 states\n"
+        )
+        assert not out.exists()
+
+    def test_synthesize_and_simulate_read_the_budget(self, runner, traffic_si_files, tmp_path):
+        plant, supervisor, model = traffic_si_files
+        out = tmp_path / "synthesized.json"
+        result = runner.invoke(
+            main, ["synthesize", str(plant), str(supervisor), "--max-states", "10", "--out", str(out)]
+        )
+        assert (result.exit_code, result.stderr) == (4, "error: composition exceeded 10 states\n")
+        assert not out.exists()
+        result = runner.invoke(main, ["simulate", str(model), "--max-states", "10"])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            4, "", "error: labeling exceeded 10 states\n"
+        )
+
+    def test_a_budget_the_model_fits_in_changes_nothing(self, runner, traffic_si_files):
+        _, _, model = traffic_si_files
+        args = ["check", str(model), "--method", "all"]
+        unbounded = runner.invoke(main, args)
+        bounded = runner.invoke(main, args + ["--max-states", "1000"])
+        assert unbounded.exit_code == bounded.exit_code == 1
+        assert bounded.stdout_bytes == unbounded.stdout_bytes
+
+    def test_the_budget_holds_for_one_command(self, runner, traffic_si_files):
+        _, _, model = traffic_si_files
+        limit = automata.STATE_LIMIT
+        assert runner.invoke(main, ["check", str(model), "--max-states", "5"]).exit_code == 4
+        assert automata.STATE_LIMIT == limit
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x", "1.5", ""])
+    def test_a_budget_that_is_not_a_positive_integer_exits_2(self, runner, demo_model_file, value):
+        result = runner.invoke(main, ["check", str(demo_model_file), f"--max-states={value}"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert (
+            f"error: argument --max-states: must be a positive integer, got {value!r}"
+            in result.stderr
+        )
+
+    def test_export_takes_no_budget(self, runner, demo_model_file):
+        result = runner.invoke(main, ["export", str(demo_model_file), "--max-states", "5"])
+        assert result.exit_code == 2

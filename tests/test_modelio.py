@@ -1,21 +1,24 @@
 import json
 import random
 import tracemalloc
+from itertools import product
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desguard.attacks import MODES, build_model
+from desguard.attacks import MODES, AttackedModel, build_model
 from desguard.automata import Alphabet, Automaton, EventInfo, state_name
 
-from desguard import modelio
+from desguard import cli, modelio
 from desguard.modelio import (
     VERDICT_SCHEMA,
     ModelFormatError,
     attacked_to_doc,
+    doc_chunks,
     dumps_doc,
+    load_path,
     model_to_doc,
     parse_attacked,
     parse_model,
@@ -24,7 +27,7 @@ from desguard.modelio import (
 )
 from desguard.safety import check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation
 
-from generators import random_system
+from generators import random_model, random_system
 
 
 def demo_doc():
@@ -126,6 +129,66 @@ class TestModelRoundTrip:
         assert doc["tool_version"]
 
 
+# Documents one change away from a valid one: whether the change applies to
+# the attack model or the demo plant, the change, and the message it raises.
+MALFORMED = [
+    pytest.param(False, lambda d: d["states"].append("2"),
+                 "duplicate state '2'", id="duplicate-state"),
+    pytest.param(False, lambda d: d["events"].append(dict(d["events"][0])),
+                 "duplicate event 'a'", id="duplicate-event"),
+    pytest.param(False, lambda d: d["events"].__setitem__(1, "b"),
+                 r"events\[1\] must be an object", id="event-not-an-object"),
+    pytest.param(False, lambda d: d["transitions"].__setitem__(0, ["1", "a", "2"]),
+                 r"transitions\[0\] must be an object", id="transition-not-an-object"),
+    pytest.param(False, lambda d: d["events"][0].update(kind="forged"),
+                 "unknown kind 'forged'", id="unknown-event-kind"),
+    pytest.param(
+        False,
+        lambda d: d["events"].append(
+            {"name": "a#r", "observable": False, "controllable": False,
+             "kind": "renamed", "base": "a"}
+        ),
+        r"events\[3\]: unknown kind 'renamed'",
+        id="renamed-event-kind",
+    ),
+    pytest.param(False, lambda d: d.update(marked=["zz"]),
+                 r"marked\[0\] unknown state 'zz'", id="marked-undeclared"),
+    pytest.param(
+        False,
+        lambda d: d["events"].append(
+            {"name": "a#e", "observable": True, "controllable": False,
+             "kind": "se-erased", "base": "a"}
+        ),
+        "erased event 'a#e' must be unobservable",
+        id="observable-erasure",
+    ),
+    pytest.param(True, lambda d: d.update(mode="xx"),
+                 "unknown mode 'xx'", id="unknown-mode"),
+    pytest.param(True, lambda d: d["components"].pop(d["initial"]),
+                 r"components missing state '\(1,1\)'",
+                 id="state-missing-from-components"),
+    pytest.param(True, lambda d: d.update(attack_events=["zz"]),
+                 r"undeclared attack events \['zz'\]", id="undeclared-attack-events"),
+    pytest.param(True, lambda d: d.update(attack_events=["a"]),
+                 r"attack_events \['a'\] are not the ae-attacked events \['b#a'\]",
+                 id="genuine-attack-event"),
+    pytest.param(True, lambda d: d.update(attack_events=[]),
+                 r"attack_events \[\] are not the ae-attacked events \['b#a'\]",
+                 id="artifact-left-out"),
+    pytest.param(True, lambda d: d.update(mode="se"),
+                 r"se model declares other modes' artifacts \['b#a'\]",
+                 id="artifact-of-another-mode"),
+    pytest.param(True, lambda d: d.update(vulnerable=["a", "zz"]),
+                 r"vulnerable \['a', 'zz'\] are not the attack events' base events "
+                 r"\['b'\]",
+                 id="vulnerable-list-not-the-bases"),
+    pytest.param(True, lambda d: d["events"][0].update(vulnerable=True),
+                 r"events flagged vulnerable \['a', 'b'\] are not the attack events' "
+                 r"base events \['b'\]",
+                 id="flagged-events-not-the-bases"),
+]
+
+
 class TestValidation:
     def test_unknown_state_in_transition(self):
         doc = demo_doc()
@@ -223,65 +286,7 @@ class TestValidation:
             parse_attacked(doc)
 
 
-    @pytest.mark.parametrize(
-        "attacked, mutate, message",
-        [
-            pytest.param(False, lambda d: d["states"].append("2"),
-                         "duplicate state '2'", id="duplicate-state"),
-            pytest.param(False, lambda d: d["events"].append(dict(d["events"][0])),
-                         "duplicate event 'a'", id="duplicate-event"),
-            pytest.param(False, lambda d: d["events"].__setitem__(1, "b"),
-                         r"events\[1\] must be an object", id="event-not-an-object"),
-            pytest.param(False, lambda d: d["transitions"].__setitem__(0, ["1", "a", "2"]),
-                         r"transitions\[0\] must be an object", id="transition-not-an-object"),
-            pytest.param(False, lambda d: d["events"][0].update(kind="forged"),
-                         "unknown kind 'forged'", id="unknown-event-kind"),
-            pytest.param(
-                False,
-                lambda d: d["events"].append(
-                    {"name": "a#r", "observable": False, "controllable": False,
-                     "kind": "renamed", "base": "a"}
-                ),
-                r"events\[3\]: unknown kind 'renamed'",
-                id="renamed-event-kind",
-            ),
-            pytest.param(False, lambda d: d.update(marked=["zz"]),
-                         r"marked\[0\] unknown state 'zz'", id="marked-undeclared"),
-            pytest.param(
-                False,
-                lambda d: d["events"].append(
-                    {"name": "a#e", "observable": True, "controllable": False,
-                     "kind": "se-erased", "base": "a"}
-                ),
-                "erased event 'a#e' must be unobservable",
-                id="observable-erasure",
-            ),
-            pytest.param(True, lambda d: d.update(mode="xx"),
-                         "unknown mode 'xx'", id="unknown-mode"),
-            pytest.param(True, lambda d: d["components"].pop(d["initial"]),
-                         r"components missing state '\(1,1\)'",
-                         id="state-missing-from-components"),
-            pytest.param(True, lambda d: d.update(attack_events=["zz"]),
-                         r"undeclared attack events \['zz'\]", id="undeclared-attack-events"),
-            pytest.param(True, lambda d: d.update(attack_events=["a"]),
-                         r"attack_events \['a'\] are not the ae-attacked events \['b#a'\]",
-                         id="genuine-attack-event"),
-            pytest.param(True, lambda d: d.update(attack_events=[]),
-                         r"attack_events \[\] are not the ae-attacked events \['b#a'\]",
-                         id="artifact-left-out"),
-            pytest.param(True, lambda d: d.update(mode="se"),
-                         r"se model declares other modes' artifacts \['b#a'\]",
-                         id="artifact-of-another-mode"),
-            pytest.param(True, lambda d: d.update(vulnerable=["a", "zz"]),
-                         r"vulnerable \['a', 'zz'\] are not the attack events' base events "
-                         r"\['b'\]",
-                         id="vulnerable-list-not-the-bases"),
-            pytest.param(True, lambda d: d["events"][0].update(vulnerable=True),
-                         r"events flagged vulnerable \['a', 'b'\] are not the attack events' "
-                         r"base events \['b'\]",
-                         id="flagged-events-not-the-bases"),
-        ],
-    )
+    @pytest.mark.parametrize("attacked, mutate, message", MALFORMED)
     def test_malformed_document(self, actuator_model, attacked, mutate, message):
         doc = attacked_to_doc(actuator_model) if attacked else demo_doc()
         mutate(doc)
@@ -438,6 +443,23 @@ def model_docs(model, system):
     return docs
 
 
+# Arrays one change away from a record array: each takes the generic path.
+NEAR_MISSES = [
+    pytest.param([{"a": "1", "b": "2"}, {"a": "1", "b": "2", "c": "3"}], id="extra-key"),
+    pytest.param([{"a": "1", "b": "2"}, {"a": "1"}], id="missing-key"),
+    pytest.param([{"a": "1", "b": "2"}, {"a": "1", "c": "2"}], id="other-key"),
+    pytest.param([{"a": "1", "b": "2"}, {"a": "1", "b": 2}], id="int-value"),
+    pytest.param([{"a": "1", "b": None}, {"a": "1", "b": "2"}], id="null-value"),
+    pytest.param([{"a": "1", "b": ["2"]}], id="nested-value"),
+    pytest.param([{"a": "1", "b": {"c": "2"}}], id="nested-object"),
+    pytest.param([{}, {}], id="empty-records"),
+    pytest.param([{"a": "1"}, {}], id="one-empty-record"),
+    pytest.param([{"a": "1"}, "b"], id="record-then-string"),
+    pytest.param(["a", {"a": "1"}], id="string-then-record"),
+    pytest.param([{"a": "1"}, [("a", "1")]], id="record-then-pairs"),
+]
+
+
 class TestWriter:
     """`dumps_doc` writes exactly the standard library's indented encoding."""
 
@@ -494,20 +516,7 @@ class TestWriter:
         keys = [str(i) for i in range(len(array))]
         assert modelio._joined(array, "\n  ", keys) is not None
 
-    @pytest.mark.parametrize("items", [
-        pytest.param([{"a": "1", "b": "2"}, {"a": "1", "b": "2", "c": "3"}], id="extra-key"),
-        pytest.param([{"a": "1", "b": "2"}, {"a": "1"}], id="missing-key"),
-        pytest.param([{"a": "1", "b": "2"}, {"a": "1", "c": "2"}], id="other-key"),
-        pytest.param([{"a": "1", "b": "2"}, {"a": "1", "b": 2}], id="int-value"),
-        pytest.param([{"a": "1", "b": None}, {"a": "1", "b": "2"}], id="null-value"),
-        pytest.param([{"a": "1", "b": ["2"]}], id="nested-value"),
-        pytest.param([{"a": "1", "b": {"c": "2"}}], id="nested-object"),
-        pytest.param([{}, {}], id="empty-records"),
-        pytest.param([{"a": "1"}, {}], id="one-empty-record"),
-        pytest.param([{"a": "1"}, "b"], id="record-then-string"),
-        pytest.param(["a", {"a": "1"}], id="string-then-record"),
-        pytest.param([{"a": "1"}, [("a", "1")]], id="record-then-pairs"),
-    ])
+    @pytest.mark.parametrize("items", NEAR_MISSES)
     def test_near_misses_take_the_generic_path(self, items):
         keys = [str(i) for i in range(len(items))]
         assert modelio._joined(items, "\n  ", keys) is None
@@ -537,6 +546,221 @@ class TestWriter:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * len(text), (peak, len(text))
+
+
+BATCH = modelio._BATCH
+
+
+def batch_doc(length: int) -> dict:
+    """A record array, an object of records and a string array of `length`
+    items each, with quotes, backslashes and non-ASCII characters."""
+    names = [f'"{i}\\é' for i in range(length)]
+    records = [{"event": f"e{i % 3}", "from": name, "to": f"({i},☃)"}
+               for i, name in enumerate(names)]
+    return {"components": dict(zip(names, records)), "states": names, "transitions": records}
+
+
+class TestStreamedWriter:
+    """`doc_chunks` yields the text of `dumps_doc` in pieces: an array of
+    strings or records, or an object of records, a batch at a time."""
+
+    @pytest.mark.parametrize("length", [1, BATCH - 1, BATCH, BATCH + 1, 3 * BATCH])
+    def test_arrays_around_a_batch(self, length):
+        doc = batch_doc(length)
+        chunks = list(doc_chunks(doc))
+        assert "".join(chunks) == reference_dump(doc)
+        # Each record's "to" is written once, under the array or the object.
+        per_chunk = [chunk.count('"to": ') for chunk in chunks]
+        assert max(per_chunk) == min(length, BATCH)
+        assert sum(per_chunk) == 2 * length
+        strings = list(doc_chunks({"states": doc["states"]}))
+        assert max(chunk.count("\\u00e9") for chunk in strings) == min(length, BATCH)
+
+    @pytest.mark.parametrize("items", NEAR_MISSES)
+    def test_a_near_miss_after_whole_batches_takes_the_generic_path(self, items):
+        """The path is decided for the whole array before any of it is
+        written, so a near miss in its last batch sends all of it to the
+        generic writer."""
+        items = [{"a": "1", "b": "2"}] * (2 * BATCH) + items
+        keys = [str(i) for i in range(len(items))]
+        assert modelio._joined(items, "\n  ") is None
+        assert modelio._joined(items, "\n  ", keys) is None
+        for doc in ({"x": items}, dict(zip(keys, items))):
+            assert "".join(doc_chunks(doc)) == reference_dump(doc)
+
+    @pytest.mark.parametrize("model_fixture, system_fixture", MODEL_FIXTURES)
+    def test_echo_writes_the_dumped_bytes(self, request, tmp_path, model_fixture, system_fixture):
+        model = request.getfixturevalue(model_fixture)
+        docs = model_docs(model, request.getfixturevalue(system_fixture)) + [batch_doc(3 * BATCH)]
+        for doc in docs:
+            cli._echo(doc_chunks(doc), str(tmp_path / "doc.json"))
+            assert (tmp_path / "doc.json").read_bytes() == dumps_doc(doc).encode()
+
+    @pytest.mark.parametrize("fixture", ["traffic_ae_model", "traffic_se_model", "traffic_si_model"])
+    def test_a_streamed_write_holds_a_bounded_part_of_its_text(self, request, tmp_path, fixture):
+        """Writing a document to a file holds a few 64 KiB slices and one
+        batch, however long the text: the fixture's document, and the same
+        with its transitions repeated to over 2 MB of text, peak under the
+        one bound (165-205 KB were measured: the encoded slice, the batch's
+        chunk and its records)."""
+        doc = attacked_to_doc(request.getfixturevalue(fixture))
+        longer = dict(doc, transitions=doc["transitions"] * 400)
+        bound = 4 * cli._SLICE
+        for each in (doc, longer):
+            size = len(dumps_doc(each))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                cli._echo(doc_chunks(each), str(tmp_path / "doc.json"))
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (peak, size)
+        assert size > 4 * bound
+
+
+def loaded(model):
+    """A loaded model, with each state's transitions in the order it holds them."""
+    automaton = model.model if isinstance(model, AttackedModel) else model.automaton
+    return model, [(state, list(row.items())) for state, row in automaton._out.items()]
+
+
+def parse_file(path) -> object:
+    """The file at `path` decoded by `json.loads` and then parsed."""
+    doc = json.loads(path.read_text())
+    attacked = isinstance(doc, dict) and doc.get("format") == modelio.ATTACKED_MODEL_FORMAT
+    return (parse_attacked if attacked else parse_model)(doc, where=str(path))
+
+
+# An object with a transition record's keys, where no transition is read.
+ROW_SHAPED = {"event": "e", "from": "f", "to": "t"}
+
+
+class TestStreamedLoader:
+    """`load_path` reads each transition record as a row tuple, and loads
+    and refuses what `parse_model` and `parse_attacked` load and refuse
+    after `json.loads`."""
+
+    def assert_loads_as_parsed(self, tmp_path, docs):
+        path = tmp_path / "model.json"
+        for doc in docs:
+            path.write_text(dumps_doc(doc))
+            assert loaded(load_path(str(path))) == loaded(parse_file(path))
+
+    @pytest.mark.parametrize("model_fixture, system_fixture", MODEL_FIXTURES)
+    def test_fixtures(self, request, tmp_path, model_fixture, system_fixture):
+        model = request.getfixturevalue(model_fixture)
+        docs = model_docs(model, request.getfixturevalue(system_fixture))[:3]
+        self.assert_loads_as_parsed(tmp_path, docs)
+
+    @pytest.mark.parametrize("seed, mode", list(product(range(10), MODES)))
+    def test_random_models(self, tmp_path, seed, mode):
+        model = random_model(random.Random(seed), mode)
+        self.assert_loads_as_parsed(tmp_path, [attacked_to_doc(model)])
+
+    def test_each_name_is_one_string_object(self, monkeypatch, tmp_path, traffic_si_model):
+        path = tmp_path / "model.json"
+        path.write_text(dumps_doc(attacked_to_doc(traffic_si_model)))
+        rows = []
+        real = json.load
+
+        def spy(handle, **kwargs):
+            doc = real(handle, **kwargs)
+            rows.extend(doc["transitions"])
+            return doc
+
+        monkeypatch.setattr(modelio.json, "load", spy)
+        load_path(str(path))
+        assert rows and all(type(row) is tuple for row in rows)
+        names = [name for row in rows for name in row]
+        assert len({id(name) for name in names}) == len(set(names))
+
+    def test_a_record_with_an_extra_key_still_loads(self, tmp_path):
+        doc = demo_doc()
+        doc["transitions"][1]["note"] = "kept out of the model"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert load_path(str(path)).automaton.successor("2", "b") == "3"
+        assert loaded(load_path(str(path))) == loaded(parse_model(doc, where=str(path)))
+
+    @pytest.mark.parametrize("mutate, message", [
+        pytest.param(lambda t: t[0].pop("to"), "transitions[0]: missing key 'to'", id="missing-key"),
+        pytest.param(lambda t: t[1].update({"from": 2}), "transitions[1]: key 'from' must be str",
+                     id="int-state"),
+        pytest.param(lambda t: t[1].update(event=None), "transitions[1]: key 'event' must be str",
+                     id="null-event"),
+        pytest.param(lambda t: t[2].update(to=["4"]), "transitions[2]: key 'to' must be str",
+                     id="list-state"),
+        pytest.param(lambda t: t[0].update(to="99"), "transitions[0]: unknown state '99'",
+                     id="unknown-state"),
+        pytest.param(lambda t: t[1].update(event="zz"), "transitions[1]: unknown event 'zz'",
+                     id="unknown-event"),
+        pytest.param(lambda t: t.append({"from": "1", "event": "a", "to": "3"}),
+                     "transitions[3]: duplicate transition on 'a' from '1'", id="duplicate"),
+        pytest.param(lambda t: t.__setitem__(0, ["1", "a", "2"]),
+                     "transitions[0] must be an object", id="array-row"),
+        pytest.param(lambda t: t.__setitem__(0, "1 a 2"), "transitions[0] must be an object",
+                     id="string-row"),
+    ])
+    def test_bad_transitions_through_files(self, tmp_path, mutate, message):
+        doc = demo_doc()
+        mutate(doc["transitions"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        with pytest.raises(ModelFormatError) as raised:
+            load_path(str(path))
+        assert str(raised.value) == f"{path}: {message}"
+        with pytest.raises(ModelFormatError) as parsed:
+            parse_file(path)
+        assert str(parsed.value) == str(raised.value)
+
+    @pytest.mark.parametrize("attacked, mutate, message", MALFORMED + [
+        pytest.param(False, lambda d: d.clear() or d.update(ROW_SHAPED),
+                     "missing key 'states'", id="document-shaped-as-a-row"),
+        pytest.param(False, lambda d: d["events"].__setitem__(1, ROW_SHAPED),
+                     r"events\[1\]: missing key 'name'", id="event-shaped-as-a-row"),
+        pytest.param(False, lambda d: d["events"][0].update(kind=ROW_SHAPED),
+                     "unknown kind {'event': 'e', 'from': 'f', 'to': 't'}",
+                     id="kind-shaped-as-a-row"),
+        pytest.param(True, lambda d: d.update(components=ROW_SHAPED),
+                     "components missing state", id="components-shaped-as-a-row"),
+        pytest.param(True, lambda d: d["components"].__setitem__(d["initial"], ROW_SHAPED),
+                     "needs supervisor and plant names", id="component-shaped-as-a-row"),
+    ])
+    def test_malformed_documents_through_files(
+        self, tmp_path, actuator_model, attacked, mutate, message
+    ):
+        """A file gives the message its decoded document gives, also where
+        an object other than a transition has a transition record's keys."""
+        doc = attacked_to_doc(actuator_model) if attacked else demo_doc()
+        mutate(doc)
+        path = tmp_path / "model.json"
+        path.write_text(dumps_doc(doc))
+        with pytest.raises(ModelFormatError, match=message) as raised:
+            load_path(str(path))
+        with pytest.raises(ModelFormatError) as parsed:
+            parse_file(path)
+        assert str(raised.value) == str(parsed.value)
+
+    def test_load_holds_less_than_the_decoded_records(self, tmp_path, traffic_si_model):
+        """Decoding a dict per transition, `load_path` peaked at 3.60-4.15
+        times this file's size (CPython 3.10-3.13); its rows take it to
+        2.95-3.27 times.  The first load in a process also pays one-time
+        allocations, so the load measured is the second."""
+        path = tmp_path / "model.json"
+        path.write_text(dumps_doc(attacked_to_doc(traffic_si_model)))
+        size = path.stat().st_size
+        load_path(str(path))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            load_path(str(path))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.45 * size, (peak, size)
 
 
 # Members that are equal but typed differently, and render differently.
