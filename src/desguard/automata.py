@@ -6,9 +6,11 @@ automaton stores one transition table, a row {event: target} per state,
 which the package's builders fill as they explore.  Every value in this
 module is immutable after construction and every operation is a pure
 function, so automata, rows included, can be shared freely between
-concurrent workers.  The one exception is `EstimateTable`, a memo that
-fills as it is read; each entry is a pure function of the automaton, so
-a concurrent reader at worst computes one twice.
+concurrent workers.  The one exception is `EstimateTable`, a memo of
+each estimate's moves that fills as it is read; each entry is a pure
+function of the automaton and never changes once made, so observers
+keep the entries as their rows, and a concurrent reader at worst
+computes one twice.
 
 The package has three searches, all here: `explore`, the one search
 with parent pointers and the one that builds automata (composition,
@@ -466,21 +468,17 @@ class EstimateTable:
     """State estimates of one automaton under one hidden event set.
 
     An estimate is a frozenset of states closed under hidden events.  The
-    table holds the hidden-event closure of each state, computed on first
-    use and at most once.  One estimate step is then the union of the
-    closures of its members' successors on the event, in member order;
-    the union is exact because the closure distributes over union.  The
-    table also remembers each (estimate, event) result, because the
-    searches over (state, estimate) pairs take the same step once per
-    member.  `step` takes one step and `moves` every visible one in a
-    single pass over the members' rows; both fill one memo via `_union`.
+    table holds each state's hidden-event closure and each estimate's
+    `moves`, both made on first use and at most once.  A move is the union
+    of the closures of the members' successors on the event, in member
+    order; it is exact because the closure distributes over union.
     """
 
     def __init__(self, automaton: Automaton, hidden: Iterable[str]):
         self.automaton = automaton
         self.hidden = frozenset(hidden)
         self._closures: dict[State, frozenset] = {}
-        self._steps: dict[tuple[frozenset, str], frozenset] = {}
+        self._moves: dict[frozenset, dict[str, frozenset]] = {}
         self.initial = self.closure(automaton.initial)
 
     def closure(self, state: State) -> frozenset:
@@ -490,43 +488,22 @@ class EstimateTable:
             closure = self._closures[state] = reach(self.automaton, (state,), self.hidden)
         return closure
 
-    def step(self, estimate: frozenset, event: str) -> frozenset:
-        """The estimate after observing `event`.
-
-        Raises KeyError when no member of the estimate can execute the
-        event; the caller is then observing something inconsistent with
-        the automaton.
-        """
-        key = (estimate, event)
-        result = self._steps.get(key)
-        if result is None:
-            out = self.automaton._out
-            parts = [
-                self.closure(target)
-                for member in estimate
-                if (target := out[member].get(event)) is not None
-            ]
-            if not parts:
-                raise KeyError(f"event {event!r} is infeasible at the current estimate")
-            result = self._union(key, parts)
-        return result
-
-    def moves(self, estimate: frozenset) -> list[tuple[str, frozenset]]:
-        """Every (visible event, `step` result) from `estimate`, sorted by event."""
-        out, hidden, closures = self.automaton._out, self.hidden, self._closures
-        parts: defaultdict[str, list] = defaultdict(list)
-        for member in estimate:
-            for event, target in out[member].items():
-                if event not in hidden:
-                    parts[event].append(closures.get(target) or self.closure(target))
-        return [(event, self._union((estimate, event), parts[event])) for event in sorted(parts)]
-
-    def _union(self, key: tuple[frozenset, str], parts: list[frozenset]) -> frozenset:
-        """`key`'s step, remembered: the union of `parts`, its successors' closures."""
-        result = self._steps.get(key)
-        if result is None:
-            result = self._steps[key] = frozenset().union(*parts)
-        return result
+    def moves(self, estimate: frozenset) -> dict[str, frozenset]:
+        """`{visible event: next estimate}` from `estimate`, by event, made in
+        one pass over the members' rows; an event no member can execute has
+        no entry.  Every call returns this one dict, which no reader changes."""
+        row = self._moves.get(estimate)
+        if row is None:
+            out, hidden, closures = self.automaton._out, self.hidden, self._closures
+            parts: defaultdict[str, list] = defaultdict(list)
+            for member in estimate:
+                for event, target in out[member].items():
+                    if event not in hidden:
+                        parts[event].append(closures.get(target) or self.closure(target))
+            row = self._moves[estimate] = {
+                event: frozenset().union(*parts[event]) for event in sorted(parts)
+            }
+        return row
 
 
 def observer(
@@ -540,9 +517,10 @@ def observer(
 
     Observer states are frozensets of source states (canonical, so two runs
     produce byte-identical serializations).  The initial observer state is
-    the hidden-event closure of the source initial state.  Steps come from
-    `estimates`, the table of `automaton` and `hidden` a caller keeps for
-    reuse, or from a table of this call's own.  With `stop`, the search
+    the hidden-event closure of the source initial state.  An expanded
+    state's row is its `moves` dict, kept as it is, from `estimates`, the
+    table of `automaton` and `hidden` a caller keeps for reuse, or from a
+    table of this call's own.  With `stop`, the search
     ends at the first observer state it dequeues that satisfies it: the
     result then holds only the states discovered so far and the
     transitions of the states already expanded.  With `live`, an observer
@@ -566,9 +544,8 @@ def observer(
     def moves(current):
         if live is not None and live.isdisjoint(current):
             return ()
-        edges = estimates.moves(current)
-        out[current] = dict(edges)
-        return edges
+        row = out[current] = estimates.moves(current)
+        return row.items()
 
     initial = estimates.initial
     states, _ = explore((initial,), moves, stop, overflow="observer exceeded {limit} states")

@@ -12,8 +12,9 @@ estimate as normal, uncertain, or certain by its members' label bits.
 
 Besides the labeled model, `Analysis` holds the model's one
 `EstimateTable`: the diagnoser's observer, the online detector and the
-defended product of `runtime` all step through it, so each unobservable
-closure and each step is computed at most once per model.
+defended product of `runtime` all read each estimate's moves from it,
+so each unobservable closure and each estimate's move map is computed
+at most once per model, and the observer's rows are the table's maps.
 `build_diagnoser` can end at the first estimate a predicate accepts.
 `Analysis` also holds one backward closure per model, the labeled states
 from which an unsafe state is reachable; the verifier, oracle and witness
@@ -75,11 +76,10 @@ class Analysis(Value):
     from which an unsafe state is reachable, inside which the searches for
     a violation stay); and the detector's estimate table.  The table fills
     lazily and is shared by the observer, the defended-run exploration and
-    step-by-step runs, so between them each unobservable closure is
-    computed at most once per model; it keeps the estimate steps taken for
-    as long as the model lives.  Diagnosers and verifier searches are
-    rebuilt per call, so a model kept alive does not keep their memory
-    alive too.
+    step-by-step runs, so between them each closure and each estimate's
+    moves are computed at most once per model, and kept for as long as
+    the model lives.  Diagnosers and verifier searches are rebuilt per
+    call, so a model kept alive does not keep their memory alive too.
     """
 
     observable: frozenset[str]

@@ -321,9 +321,11 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
     if unknown:
         raise ModelFormatError(f"{where}: undeclared attack events {sorted(unknown)}")
     # As `build_model` makes them: the attack events are the events of the
-    # mode's artifact kind, no event has another mode's artifact kind, and
-    # the vulnerable events, flagged and listed, are their base events.
-    kind = _RULES[mode].kind
+    # mode's artifact kind, no event has another mode's artifact kind, the
+    # vulnerable events, flagged and listed, are their base events, and the
+    # mode's rule gives each attack event's attributes from its base event.
+    rule = _RULES[mode]
+    kind = rule.kind
     kinds = {event: info.kind for event, info in base.alphabet.infos.items()}
     foreign = sorted(e for e, k in kinds.items() if k != kind and k in ARTIFACT_KINDS)
     if foreign:
@@ -341,6 +343,21 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
         if names != bases:
             raise ModelFormatError(
                 f"{where}: {what} {names} are not the attack events' base events {bases}"
+            )
+    need = "observable" if rule.on_sensors else "controllable"
+    for event in sorted(attack_events):
+        info = base.alphabet[event]
+        genuine = base.alphabet[info.base]
+        if not getattr(genuine, need):
+            raise ModelFormatError(
+                f"{where}: attack event {event!r} needs its base event {info.base!r} {need}"
+            )
+        observable, controllable = rule.artifact_info(genuine)
+        if (info.observable, info.controllable) != (observable, controllable):
+            raise ModelFormatError(
+                f"{where}: attack event {event!r} must be "
+                f"{'' if observable else 'un'}observable and "
+                f"{'' if controllable else 'un'}controllable, as {mode} makes it from {info.base!r}"
             )
     return AttackedModel(
         model=base.automaton,

@@ -9,7 +9,7 @@ simulate` runs), the exhaustive check (`run_exhaustive`, whose search
 for a breach is the oracle), the oracle's breach naming
 (`safety._classify_breach`) and the diagnoser's two witness searches.
 Attack opportunities are filtered through an attacker policy, and every
-estimate step reads the model's shared estimate table
+estimate's moves come from the model's shared estimate table
 (`Analysis.estimates`).  For a verdict the check searches only the
 labeled states that can still reach an unsafe state (one backward
 closure per model) and stops at the first unsafe run.
@@ -210,7 +210,8 @@ def defended_moves(analysis: Analysis, live: frozenset):
     No labeled state outside `live` is entered (the start node is the
     caller's to check).  The attack label is absorbing, so certainty
     latches: non-certain nodes are reached only through non-certain ones,
-    where nothing is pruned.
+    where nothing is pruned.  A node reads its estimate's `moves` once;
+    they hold every observable event of its labeled state, a member.
     """
     aut = analysis.automaton
     estimates = analysis.estimates
@@ -223,11 +224,12 @@ def defended_moves(analysis: Analysis, live: frozenset):
         safe_mode = certain.get(estimate)
         if safe_mode is None:
             safe_mode = certain[estimate] = classify(estimate) == CERTAIN
+        steps = estimates.moves(estimate)
         for event, target in aut.out_edges(lstate):
             if (safe_mode and event in controllable) or target not in live:
                 continue
             if event in observable:
-                yield event, (target, estimates.step(estimate, event))
+                yield event, (target, steps[event])
             else:
                 yield event, (target, estimate)
 

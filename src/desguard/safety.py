@@ -148,21 +148,18 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     diagnoser = build_diagnoser(analysis, condition1, live)
     if any(map(condition1, diagnoser.automaton.states)):
 
-        def confused(node):
-            return node[0] in unsafe and classify(node[1]) == UNCERTAIN
+        def confused(_node, target):
+            return target[0] in unsafe and classify(target[1]) == UNCERTAIN
 
-        # Every member of a reachable estimate is reachable paired with
-        # it, so the search finds a witness.
-        start, moves = defended_moves(analysis, live)
-        parents, found = explore(
-            [start], moves, confused, overflow="diagnoser witness search exceeded {limit} states"
+        trace, estimate = _witness(
+            analysis, confused, "diagnoser witness search exceeded {limit} states"
         )
         return Verdict(
             safe=False,
             method=DIAGNOSER,
             violated_condition=UNCERTAIN_UNSAFE,
-            counterexample=path_to(parents, found) or None,
-            witness_state=analysis.estimate_name(found[1]),
+            counterexample=trace,
+            witness_state=estimate,
         )
 
     # The entry states: labeled, and attacked, as each is in a certain estimate.
@@ -187,7 +184,12 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         condition = UNCONTROLLABLE_UNSAFE
         arrivals = entries & coreach(aut, unsafe, uncontrollable)
 
-    trace, estimate = _detection_edge_witness(analysis, diagnoser, arrivals)
+    certain = {s for s, c in diagnoser.classification.items() if c == CERTAIN}
+
+    def detecting(node, target):
+        return target[0] in arrivals and target[1] in certain and node[1] not in certain
+
+    trace, estimate = _witness(analysis, detecting, "detection edge search exceeded {limit} states")
     if condition == UNCONTROLLABLE_UNSAFE:
 
         def uncontrollable_moves(state):
@@ -210,36 +212,29 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     )
 
 
-def _detection_edge_witness(analysis, diagnoser, arrivals):
-    """Shortest trace whose last event first makes the estimate certain,
-    arriving in a labeled state in `arrivals`, and the name of the
-    certain estimate it enters.
+def _witness(analysis, accept, overflow):
+    """Shortest defended run whose last move `accept(node, target)` takes,
+    and the name of the estimate that move enters.
 
-    The search expands each node once; the first non-certain node with
-    such an edge ends it, and its first such edge, in `out_edges` order,
-    ends the trace.  Every member of an estimate is reachable paired with
-    it, so the search finds one whenever some entry state is an arrival.
+    A breadth-first search of the defended product in the co-reach, named
+    `overflow`, ends at the first move accepted: the move that discovers
+    the first node a goal on nodes holds at, the clean start aside.  Every
+    member of a reachable estimate is reachable paired with it, so each
+    caller's search finds a witness.
     """
-    classification = diagnoser.classification
     start, moves = defended_moves(analysis, analysis.unsafe_coreach)
-    found = []  # (node, event, certain estimate) of the detection edge
+    found = []  # the accepted (node, event, target)
 
     def expand(node):
-        detecting = classification[node[1]] != CERTAIN
         for event, target in moves(node):
-            if detecting and classification[target[1]] == CERTAIN and target[0] in arrivals:
-                found.append((node, event, target[1]))
+            if accept(node, target):
+                found.append((node, event, target))
                 return
             yield event, target
 
-    parents, _ = explore(
-        [start],
-        expand,
-        lambda node: bool(found),
-        overflow="detection edge search exceeded {limit} states",
-    )
-    node, event, estimate = found[0]
-    return path_to(parents, node) + (event,), analysis.estimate_name(estimate)
+    parents, _ = explore([start], expand, lambda node: bool(found), overflow=overflow)
+    node, event, target = found[0]
+    return path_to(parents, node) + (event,), analysis.estimate_name(target[1])
 
 
 def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
@@ -318,8 +313,8 @@ def _classify_breach(analysis: Analysis, trace: Trace) -> str:
     """Name the defense failure a breached run exhibits.
 
     The run is replayed through the defended product the oracle just
-    searched, whose estimate steps are all in the table; a trace that is
-    no defended run raises KeyError.  Certainty at the end and before the
+    searched, whose estimates' moves are all in the table; a trace that
+    is no defended run raises KeyError.  Certainty at the end and before the
     last event tells conditions 1, 2 and 3 apart, as the diagnoser test
     does: condition 2 is an unsafe state entered on the edge that first
     makes the estimate certain.

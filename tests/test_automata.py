@@ -1,5 +1,6 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +34,7 @@ from desguard.systems import traffic_admissible, traffic_alphabet, traffic_plant
 from generators import random_automaton, random_model, random_system
 from langtools import (
     canonical_doc,
+    diagnoser_step,
     enumerate_traces,
     generates,
     has_preimage,
@@ -240,21 +242,22 @@ class TestObserver:
 class TestEstimateTable:
     @staticmethod
     def assert_moves_are_steps(automaton, hidden):
-        """`moves` on one table against `step` on a fresh one, for every
-        observer estimate; returns how many estimates have no visible move
+        """`moves` of every observer estimate against the reference
+        `diagnoser_step`; returns how many estimates have no visible move
         and how many hold a state whose only moves are hidden."""
-        moved, stepped = EstimateTable(automaton, hidden), EstimateTable(automaton, hidden)
+        table = EstimateTable(automaton, hidden)
+        reference = SimpleNamespace(automaton=automaton)  # what `diagnoser_step` reads
         stuck = hidden_only = 0
-        for estimate in observer(automaton, hidden)._out:
+        for estimate, kept in observer(automaton, hidden, table)._out.items():
             rows = [automaton._out[member] for member in estimate]
             visible = sorted({event for row in rows for event in row} - hidden)
-            moves = moved.moves(estimate)
-            assert moves == [(event, stepped.step(estimate, event)) for event in visible]
-            assert all(moved._steps[estimate, event] is step for event, step in moves)
+            moves = table.moves(estimate)
+            # The observer's row is the table's one dict for the estimate.
+            assert moves is kept is table.moves(estimate)
+            assert list(moves) == visible
+            assert moves == {e: diagnoser_step(reference, hidden, estimate, e) for e in visible}
             stuck += not moves
             hidden_only += any(row and row.keys() <= hidden for row in rows)
-        assert moved._steps == stepped._steps
-        assert moved._closures == stepped._closures
         return stuck, hidden_only
 
     def test_moves_are_steps_on_random_automata(self):

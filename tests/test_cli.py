@@ -239,6 +239,20 @@ class TestCheck:
         assert result.stdout == ""
         assert f"error: {demo_model_file}: " in result.output and message in result.output
 
+    def test_attack_event_build_model_cannot_write_exit_2(self, runner, demo_model_file):
+        """A controllable ``b#a`` loaded as it is would change the diagnoser's
+        condition; the loader refuses it, naming the event."""
+        doc = json.loads(demo_model_file.read_text())
+        next(e for e in doc["events"] if e["name"] == "b#a")["controllable"] = True
+        demo_model_file.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["check", str(demo_model_file), "--method", "all"])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == (
+            f"error: {demo_model_file}: attack event 'b#a' must be observable and "
+            "uncontrollable, as ae makes it from 'b'\n"
+        )
+
     @pytest.mark.parametrize("command", ["check", "export"])
     @pytest.mark.parametrize(
         "event,key,value",

@@ -36,12 +36,6 @@ def plant_events_missing():
     build_model(MODE_AE, demo.plant, demo.supervisor, VulnerabilitySpec(alphabet))
 
 
-def infeasible_step():
-    plant = systems.actuator_demo_system().plant
-    table = EstimateTable(plant, ())
-    table.step(table.initial, "c")
-
-
 def unknown_policy_kind():
     AttackerPolicy("xx").filter_attacks(frozenset({"b#a"}), 0)
 
@@ -53,8 +47,6 @@ def unknown_policy_kind():
                  "plant uses events missing from the alphabet", id="plant-events-missing"),
     pytest.param(lambda: systems.actuator_demo_system().plant.successor("zz", "a"), KeyError,
                  "unknown state 'zz'", id="successor-of-unknown-state"),
-    pytest.param(infeasible_step, KeyError, "event 'c' is infeasible at the current estimate",
-                 id="infeasible-estimate-step"),
     pytest.param(unknown_policy_kind, ValueError, "unknown policy kind 'xx'",
                  id="unknown-policy-kind"),
     pytest.param(lambda: check_model(demo_model(), "xx"), ValueError, "unknown method 'xx'",
@@ -65,6 +57,16 @@ def test_raise_pins_type_and_message(call, kind, message):
         call()
     assert type(raised.value) is kind
     assert raised.value.args == (message,)
+
+
+def test_infeasible_event_is_absent_from_moves():
+    """The estimate table has no move on an event no member can execute:
+    the demo plant's initial estimate {1} moves on a alone, not on c."""
+    plant = systems.actuator_demo_system().plant
+    table = EstimateTable(plant, ())
+    moves = table.moves(table.initial)
+    assert "c" in plant.events
+    assert moves == {"a": frozenset({"2"})}
 
 
 def on_model(route, fixture="traffic_ae_model"):

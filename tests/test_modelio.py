@@ -265,6 +265,39 @@ class TestValidation:
         with pytest.raises(ModelFormatError, match=message):
             parse_attacked(doc)
 
+    @pytest.mark.parametrize("fixture, event, changes, message", [
+        pytest.param("actuator_model", "b#a", {"controllable": True},
+                     "attack event 'b#a' must be observable and uncontrollable, "
+                     "as ae makes it from 'b'", id="ae-controllable-artifact"),
+        pytest.param("actuator_model", "b#a", {"controllable": True, "observable": False},
+                     "attack event 'b#a' must be observable and uncontrollable, "
+                     "as ae makes it from 'b'", id="ae-controllable-hidden-artifact"),
+        pytest.param("actuator_model", "b", {"controllable": False},
+                     "attack event 'b#a' needs its base event 'b' controllable",
+                     id="ae-uncontrollable-base"),
+        pytest.param("erasure_model", "b#e", {"controllable": True},
+                     "attack event 'b#e' must be unobservable and uncontrollable, "
+                     "as se makes it from 'b'", id="se-controllable-artifact"),
+        pytest.param("erasure_model", "b", {"observable": False},
+                     "attack event 'b#e' needs its base event 'b' observable",
+                     id="se-unobservable-base"),
+        pytest.param("insertion_model", "b", {"observable": False},
+                     "attack event 'b#i' needs its base event 'b' observable",
+                     id="si-unobservable-base"),
+    ])
+    def test_attack_events_are_what_the_mode_makes(
+        self, request, fixture, event, changes, message
+    ):
+        """An attack event `build_model` could not have written is refused:
+        its attributes are the mode's rule applied to its base event, and
+        the attacker reaches that event (a sensor under se and si, an
+        actuator under ae)."""
+        doc = attacked_to_doc(request.getfixturevalue(fixture))
+        next(entry for entry in doc["events"] if entry["name"] == event).update(changes)
+        with pytest.raises(ModelFormatError) as raised:
+            parse_attacked(doc)
+        assert str(raised.value) == f"model: {message}"
+
     def test_attacked_requires_components(self, actuator_model):
         doc = attacked_to_doc(actuator_model)
         del doc["components"]

@@ -5,8 +5,8 @@ import pytest
 
 from desguard import runtime
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
-from desguard.automata import explore, observer, state_name
-from desguard.diagnosis import CERTAIN, classify
+from desguard.automata import explore, state_name
+from desguard.diagnosis import CERTAIN, build_diagnoser, classify
 from desguard.modelio import attacked_to_doc, dumps_doc, parse_attacked
 from desguard.runtime import (
     AttackerPolicy,
@@ -21,7 +21,7 @@ from desguard.runtime import (
 from desguard.safety import check_gf_safe_diagnoser
 
 from generators import random_model
-from langtools import enabled_choices
+from langtools import diagnoser_step, enabled_choices
 
 
 class TestStep:
@@ -216,20 +216,28 @@ class TestCertaintyLatches:
             assert modes == sorted(modes)
 
     def test_observer_steps_are_the_shared_table_steps(self, request):
+        """The diagnoser's observers keep the table's move maps as their
+        rows, and the defended product steps to the maps' own estimates."""
         checked = 0
         for _, model in _models(request):
             if model.analysis.nominal_unsafe or not check_gf_safe_diagnoser(model).safe:
                 continue
             analysis = model.analysis
-            estimates = analysis.estimates
-            labeled, hidden = analysis.automaton, analysis.unobservable
+            moves, live = analysis.estimates.moves, analysis.unsafe_coreach
             # The check's observer expands only estimates meeting the co-reach.
-            pruned = observer(labeled, hidden, live=analysis.unsafe_coreach)
-            remembered = dict(estimates._steps)  # filled by the check's observer
-            for (estimate, event), target in pruned.transitions.items():
-                assert remembered[estimate, event] == target
-            for (estimate, event), target in observer(labeled, hidden).transitions.items():
-                assert estimates.step(estimate, event) == target
+            pruned = build_diagnoser(analysis, live=live).automaton
+            for estimate, row in pruned._out.items():
+                assert row is moves(estimate) or (live.isdisjoint(estimate) and row == {})
+            for estimate, row in build_diagnoser(analysis).automaton._out.items():
+                assert row is moves(estimate)
+                for event, target in row.items():
+                    assert target == diagnoser_step(analysis, analysis.unobservable, estimate, event)
+            start, product = defended_moves(analysis, analysis.automaton.states)
+            parents, _ = explore([start], product, overflow="defended walk exceeded {limit} states")
+            for lstate, estimate in parents:
+                for event, (_, target) in product((lstate, estimate)):
+                    if event in analysis.observable:
+                        assert target is moves(estimate)[event]
             checked += bool(pruned.transitions)
         assert checked
 
