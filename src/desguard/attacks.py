@@ -36,6 +36,7 @@ from .automata import (
     EventInfo,
     Value,
     accessible,
+    collector_paused,
     explore,
     state_name,
 )
@@ -188,6 +189,7 @@ _RULES = {
 }
 
 
+@collector_paused
 def build_model(
     mode: str,
     plant: Automaton,

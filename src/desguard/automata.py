@@ -23,11 +23,17 @@ nothing: no edge leaves the reachable states, so it shares their rows.
 `STATE_LIMIT` is the module's one setting: the state budget of every
 construction and search, read by `explore` when it runs, so setting it
 bounds them all.
+
+`collector_paused` is the one place the library touches the cyclic
+garbage collector: the calls that build a whole-model structure run
+with it off, as the rows they fill make no cycles for it to find.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import defaultdict, deque
+from functools import wraps
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 State = Hashable
@@ -40,6 +46,24 @@ SE_ERASED = "se-erased"
 SI_ONSET = "si-onset"
 
 STATE_LIMIT = 1_000_000
+
+
+def collector_paused(fn: Callable) -> Callable:
+    """`fn`, run with the cyclic garbage collector off.  The pause is
+    process-wide while the call runs, and undone when it returns or raises;
+    a call made with the collector off, as a nested one is, leaves it off."""
+
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class AttributeConflictError(ValueError):

@@ -18,11 +18,15 @@ Output is UTF-8 whatever the locale, with a backslash escape for what
 UTF-8 cannot encode.  `check`, `simulate` and `synthesize` import the
 analysis modules they run inside their bodies, so `build` and `export`
 load only the attack builder, the automata and the file format.
+
+As the program entry, `main()` freezes the start-up objects out of every
+later pass of the cyclic collector, which stays on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from contextlib import nullcontext
@@ -38,7 +42,7 @@ from .attacks import (
     VulnerabilitySpec,
     build_model,
 )
-from .automata import ResourceLimitError, blocking_states, deadlock_states, state_name
+from .automata import ResourceLimitError, state_name
 from . import automata  # bound once .attacks has loaded it, not through the lazy package
 from .modelio import (
     ALL_METHODS,
@@ -151,10 +155,8 @@ def check(args) -> int:
     from .safety import NominalUnsafeError, check_model
 
     model = _load_attacked(args.model_file)
-    deadlocks = sorted(
-        {state_name(model.plant_component(s)) for s in deadlock_states(model.model)}
-    )
-    blocking = bool(blocking_states(model.model))
+    deadlocks = sorted({state_name(model.plant_component(s)) for s in model.analysis.deadlocks})
+    blocking = model.analysis.blocking
     methods = METHODS if args.method == ALL_METHODS else (args.method,)
     try:
         verdicts = [check_model(model, m) for m in methods]
@@ -318,7 +320,11 @@ def _state_budget(text: str) -> int:
 
 def main(argv: list[str] | None = None) -> NoReturn:
     """Run one command line (default: ``sys.argv[1:]``); exit with its code.
-    `--max-states` sets `automata.STATE_LIMIT` while the command runs."""
+    `--max-states` sets `automata.STATE_LIMIT` while the command runs.
+    With no `argv`, the program entry, it first calls `gc.freeze()`; given
+    an argument list, it leaves the collector as it finds it."""
+    if argv is None:
+        gc.freeze()
     args = _parser().parse_args(argv)
     limit = automata.STATE_LIMIT
     if args.max_states is not None:

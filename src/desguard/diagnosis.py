@@ -19,7 +19,9 @@ at most once per model, and the observer's rows are the table's maps.
 `Analysis` also holds one backward closure per model, the labeled states
 from which an unsafe state is reachable; the verifier, oracle and witness
 searches never enter a state outside it, and the diagnoser test expands
-no estimate that shares no state with it.
+no estimate that shares no state with it.  `deadlocks` and `blocking`,
+the closed loop's hygiene checks, are read off the labeled rows when
+first asked for, so the routes never pay for them.
 
 The verifier offers a polynomial alternative to the diagnoser: it pairs
 the renamed attack-free behavior with the attacked behavior so that
@@ -35,6 +37,7 @@ verifier and tracker automata.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .attacks import RENAME_SUFFIX, AttackedModel
@@ -44,6 +47,7 @@ from .automata import (
     State,
     Trace,
     Value,
+    collector_paused,
     coreach,
     explore,
     observer,
@@ -80,6 +84,7 @@ class Analysis(Value):
     moves are computed at most once per model, and kept for as long as
     the model lives.  Diagnosers and verifier searches are rebuilt per
     call, so a model kept alive does not keep their memory alive too.
+    `marks` says whether the closed loop declares a marked state.
     """
 
     observable: frozenset[str]
@@ -92,6 +97,7 @@ class Analysis(Value):
     nominal_unsafe: frozenset
     unsafe_coreach: frozenset[int]
     estimates: EstimateTable
+    marks: bool
 
     def decode(self, state: int) -> tuple:
         """The labeled state as (closed-loop state, CLEAN or ATTACKED)."""
@@ -101,7 +107,20 @@ class Analysis(Value):
         """`state_name` of a set of labeled states, each decoded."""
         return state_name(frozenset(map(self.decode, estimate)))
 
+    @cached_property
+    def deadlocks(self) -> frozenset:
+        """The closed loop's `automata.deadlock_states`."""
+        out, marked = self.automaton._out, self.automaton.marked
+        return frozenset(self.names[s >> 1] for s in out if not out[s] and s not in marked)
 
+    @cached_property
+    def blocking(self) -> bool:
+        """Whether the closed loop's `automata.blocking_states` is non-empty."""
+        aut = self.automaton
+        return self.marks and len(coreach(aut, aut.marked)) < len(aut.states)
+
+
+@collector_paused
 def label_compose(model: AttackedModel) -> Analysis:
     """The analysis of `model`: its closed loop, numbered in row order and labeled.
 
@@ -147,6 +166,7 @@ def label_compose(model: AttackedModel) -> Analysis:
         nominal_unsafe=frozenset(names[s >> 1] for s in unsafe if not s & 1),
         unsafe_coreach=coreach(labeled, unsafe),
         estimates=EstimateTable(labeled, unobservable),
+        marks=bool(aut.marked),
     )
 
 

@@ -41,7 +41,9 @@ from __future__ import annotations
 
 
 from .attacks import AttackedModel
-from .automata import Trace, Value, coreach, explore, path_to, reach, state_name
+from .automata import (
+    Trace, Value, collector_paused, coreach, explore, path_to, reach, state_name
+)
 from .diagnosis import (
     CERTAIN,
     SINK,
@@ -107,6 +109,7 @@ class Verdict(Value):
     witness_state: str | None = None
 
 
+@collector_paused
 def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     """Diagnoser-based safe-controllability test.
 
@@ -237,6 +240,7 @@ def _witness(analysis, accept, overflow):
     return path_to(parents, node) + (event,), analysis.estimate_name(target[1])
 
 
+@collector_paused
 def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     """Verifier-based safe-controllability test.
 
@@ -287,6 +291,7 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     )
 
 
+@collector_paused
 def oracle_defense_simulation(model: AttackedModel) -> Verdict:
     """Ground-truth check: exhaustively run the closed loop under the defense.
 

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .automata import Automaton, coreach, explore, observer, parallel_compose, path_to, restrict
+from .automata import (
+    Automaton, collector_paused, coreach, explore, observer, parallel_compose, path_to, restrict
+)
 
 
 class RealizationError(ValueError):
@@ -29,6 +31,7 @@ class RealizationError(ValueError):
         )
 
 
+@collector_paused
 def supremal_controllable(
     plant: Automaton, admissible: Automaton, uncontrollable: Iterable[str]
 ) -> Automaton | None:
@@ -120,6 +123,7 @@ def check_observability(
     return False, (first, second, conflict(found))
 
 
+@collector_paused
 def realize_supervisor(
     plant: Automaton,
     admissible: Automaton,

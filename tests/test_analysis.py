@@ -3,12 +3,15 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
+import desguard
+import desguard.synthesis  # noqa: F401  (the traffic generator reads lib.synthesis)
 from desguard import automata, diagnosis
-from desguard.attacks import MODE_AE, VulnerabilitySpec, build_model, sub_attacker
-from desguard.automata import Alphabet, Automaton, state_name
+from desguard.attacks import MODE_AE, AttackedModel, VulnerabilitySpec, build_model, sub_attacker
+from desguard.automata import Alphabet, Automaton, blocking_states, deadlock_states, state_name
 from desguard.diagnosis import build_verifier, confusion_witness, label_compose
 from desguard.runtime import AttackerPolicy, initial_state, run, run_exhaustive, step
 from desguard.safety import (
@@ -17,7 +20,10 @@ from desguard.safety import (
     oracle_defense_simulation,
 )
 
-from generators import random_system
+from generators import random_model, random_system
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 from langtools import canonical_doc
 
 ROUTES = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
@@ -296,3 +302,50 @@ def test_traffic_oracle_report_is_pinned(request, system_fixture):
         assert [(t, state_name(s)) for t, s in report.stuck_runs] == stuck_runs
         assert report.detection_latencies == latencies
         assert report.attack_transitions == attacks
+
+
+def _assert_hygiene_matches_the_closed_loop(model):
+    analysis = model.analysis
+    assert analysis.deadlocks == deadlock_states(model.model)
+    assert analysis.blocking is bool(blocking_states(model.model))
+
+
+class TestHygieneFromTheAnalysis:
+    """`Analysis.deadlocks` and `Analysis.blocking` equal the closed loop's
+    `automata.deadlock_states` and `automata.blocking_states`."""
+
+    @pytest.mark.parametrize("model_fixture", [f[0] for f in FIXTURES])
+    def test_fixtures(self, request, model_fixture):
+        _assert_hygiene_matches_the_closed_loop(request.getfixturevalue(model_fixture))
+
+    @pytest.mark.parametrize("mode", ["ae", "se", "si"])
+    def test_random_models(self, mode):
+        for seed in range(200):
+            rng = random.Random(seed)
+            model = random_model(rng, mode)
+            _assert_hygiene_matches_the_closed_loop(model)
+            # The generator marks no state; mark some to exercise blocking.
+            loop = model.model
+            states = sorted(loop.states, key=state_name)
+            marked = frozenset(rng.sample(states, min(2, len(states))))
+            _assert_hygiene_matches_the_closed_loop(
+                model.replace(model=loop.replace(marked=marked))
+            )
+
+    def test_cli_roundtrip_models(self):
+        cases = workloads.generate(desguard, workloads.CLI_ROUNDTRIP, 0, {})
+        assert len(cases) == 9
+        for case in cases:
+            _assert_hygiene_matches_the_closed_loop(workloads.build(case))
+
+    def test_a_marking_no_reachable_state_reaches_blocks(self):
+        # A hand-written closed loop may declare states it never reaches.
+        loop = Automaton.build(("s", "0"), [(("s", "0"), "a", ("s", "1"))], states=[("s", "2")])
+        alphabet = Alphabet.from_sets(["a"], ["a"], ["a"])
+        model = AttackedModel(loop, alphabet, frozenset(), frozenset(), MODE_AE)
+        _assert_hygiene_matches_the_closed_loop(model)
+        assert not model.analysis.blocking
+        assert model.analysis.deadlocks == {("s", "1")}
+        marked = model.replace(model=loop.replace(marked=frozenset({("s", "2")})))
+        _assert_hygiene_matches_the_closed_loop(marked)
+        assert marked.analysis.blocking
