@@ -50,11 +50,11 @@ from .modelio import (
     METHODS,
     ModelDocument,
     ModelFormatError,
-    attacked_to_doc,
+    attacked_chunks,
     doc_chunks,
+    dot_chunks,
     load_path,
     model_to_doc,
-    to_dot,
     verdict_to_doc,
 )
 
@@ -122,10 +122,10 @@ def build(args) -> None:
     """Build the closed-loop attack model from plant and supervisor files."""
     model = _attack_model(args)
     try:
-        doc = attacked_to_doc(model)
+        chunks = attacked_chunks(model)
     except ValueError as exc:
         _fail(str(exc))
-    _echo(doc_chunks(doc), args.out)
+    _echo(chunks, args.out)
 
 
 def _attack_model(args) -> AttackedModel:
@@ -182,10 +182,10 @@ def export(args) -> None:
     """Export a model as a Graphviz graph."""
     loaded = _load(args.model_file)
     if isinstance(loaded, AttackedModel):
-        text = to_dot(loaded.model, loaded.alphabet, loaded.unsafe_states, title=args.model_file)
+        parts = loaded.model, loaded.alphabet, loaded.unsafe_states
     else:
-        text = to_dot(loaded.automaton, loaded.alphabet, loaded.unsafe, title=args.model_file)
-    _echo(text, args.out)
+        parts = loaded.automaton, loaded.alphabet, loaded.unsafe
+    _echo(dot_chunks(*parts, title=args.model_file), args.out)
 
 
 def _parse_policy(spec: str, seed: int) -> AttackerPolicy:

@@ -11,18 +11,23 @@ rendering must be the state's own name.
 Model files stream both ways.  Each document renders every state once
 (`_Renderer`), and `doc_chunks` yields its text in pieces, an array of
 records such as `transitions` or `components` a batch at a time, so a
-writer holds one piece, not the text.  `load_path` reads each transition
-record as a `(from, event, to)` tuple of shared name strings, not as a
-dict.
+writer holds one piece, not the text.  `desguard build` writes through
+`attacked_chunks`, which renders those two arrays straight from the
+closed loop's rows: it holds the model, each state's display name and
+one piece, and builds no record.  `load_path` holds the file's text while
+it decodes it, and reads each transition record as an `(event, from, to)`
+tuple and each components record as a `(supervisor, plant)` pair of
+shared name strings, not as a dict.
 """
 
 from __future__ import annotations
 
 import json
+from functools import partial
 from json.encoder import encode_basestring_ascii
-from itertools import repeat
+from itertools import islice, repeat
 from operator import itemgetter
-from typing import Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from . import __version__
 from .attacks import (
@@ -147,14 +152,14 @@ def _parse(doc: dict, where: str, state_of) -> ModelDocument:
 
     out = {state: {} for state in state_map.values()}
     for i, entry in enumerate(transitions):
-        # A row is a (from, event, to) triple, as `load_path` reads one, or
+        # A row is an (event, from, to) triple, as `load_path` reads one, or
         # an object with those keys.  The keys of `state_map` and `infos`
         # are strings, so a row whose names are all found there is well
         # typed; any other row is checked again, key by key, for its error
         # message.
         try:
-            src, event, dst = (
-                entry if type(entry) is tuple else (entry["from"], entry["event"], entry["to"])
+            event, src, dst = (
+                entry if type(entry) is tuple else (entry["event"], entry["from"], entry["to"])
             )
             row, target = out[state_map[src]], state_map[dst]
             if event in infos and event not in row:
@@ -206,11 +211,14 @@ def _bad_transition(entry, here: str, state_map: dict, infos: dict) -> NoReturn:
 
 class _Renderer(dict):
     """`state_name` for one document: each state object, and each member
-    of a tuple or frozenset state, is rendered once.  The memo is keyed by
-    identity and holds its states, so states that are equal but typed
-    differently (`1`, `1.0`, `True`) are never given one another's name."""
+    of a tuple or frozenset state, is rendered once; a string is its own
+    name and is not kept.  The memo is keyed by identity and holds its
+    states, so states that are equal but typed differently (`1`, `1.0`,
+    `True`) are never given one another's name."""
 
     def __call__(self, state) -> str:
+        if type(state) is str:
+            return state
         hit = self.get(id(state))
         if hit is None:
             hit = self[id(state)] = (state, state_name(state, self))
@@ -227,16 +235,42 @@ def _names(automaton: Automaton, render: _Renderer) -> dict:
     return name
 
 
+def _layout(automaton: Automaton, render: _Renderer):
+    """Each state's display name (`_names`), the states sorted by name, and
+    the transitions as rows ``(event, from, to)`` of names, each made when
+    taken, in the order of the sorted ``(from, event, to)`` triples: a row
+    of the automaton holds one target per event, so that is each state's
+    row by event, the states by name."""
+    name = _names(automaton, render)
+    order = sorted(automaton.states, key=name.__getitem__)
+    out = automaton._out
+    rows = (
+        (event, name[state], name[row[event]])
+        for state, row in zip(order, map(out.__getitem__, order))
+        for event in sorted(row)
+    )
+    return name, order, rows
+
+
+# The keys of a transition record and of a components record, sorted, as
+# the rows of `_layout` and `_attacked_doc` give their values.
+_ROW_KEYS = ("event", "from", "to")
+_PAIR_KEYS = ("plant", "supervisor")
+
+
 def model_to_doc(
     automaton: Automaton, alphabet: Alphabet, unsafe: frozenset = frozenset()
 ) -> dict:
     """Canonical plain document for a plant/supervisor."""
-    render = _Renderer()
-    return _model_doc(automaton, alphabet, unsafe, _names(automaton, render), render)
+    doc, _, rows = _model_doc(automaton, alphabet, unsafe, _Renderer())
+    doc["transitions"] = [{"event": e, "from": s, "to": d} for e, s, d in rows]
+    return doc
 
 
-def _model_doc(automaton, alphabet, unsafe, name, render) -> dict:
-    """`model_to_doc` with each state's name already in `name`, as `render` gave it."""
+def _model_doc(automaton, alphabet, unsafe, render):
+    """`model_to_doc` but its transitions, each state named by `render`;
+    with the states sorted by name and the transitions' rows (`_layout`)."""
+    name, order, rows = _layout(automaton, render)
     events = []
     for event in sorted(automaton.events):
         info = alphabet[event]
@@ -251,43 +285,53 @@ def _model_doc(automaton, alphabet, unsafe, name, render) -> dict:
             entry["kind"] = info.kind
             entry["base"] = info.base
         events.append(entry)
-    return {
+    doc = {
         "format": AUTOMATON_FORMAT,
-        "states": sorted(name.values()),
+        "states": [name[s] for s in order],
         "initial": name[automaton.initial],
         "marked": sorted(name[s] for s in automaton.marked),
         "events": events,
-        "transitions": [
-            {"from": src, "event": event, "to": dst}
-            for src, event, dst in sorted(
-                (name[s], e, name[d]) for s, row in automaton._out.items() for e, d in row.items()
-            )
-        ],
         "unsafe": sorted(map(render, unsafe)),
     }
+    return doc, order, rows
 
 
 def attacked_to_doc(model: AttackedModel) -> dict:
     """Canonical document for a built attack model, with provenance."""
-    aut = model.model
-    render = _Renderer()
-    name = _names(aut, render)
-    doc = _model_doc(aut, model.alphabet, model.unsafe_states, name, render)
-    doc["format"] = ATTACKED_MODEL_FORMAT
-    doc["tool_version"] = __version__
-    doc["mode"] = model.mode
-    doc["vulnerable"] = sorted(
-        e for e in model.alphabet if model.alphabet[e].vulnerable
-    )
-    doc["attack_events"] = sorted(model.attack_events)
-    doc["components"] = {
-        name[s]: {
-            "supervisor": render(s[0]),
-            "plant": render(s[1]),
-        }
-        for s in sorted(aut.states, key=name.__getitem__)
-    }
+    doc, rows, components = _attacked_doc(model)
+    doc["transitions"] = [{"event": e, "from": s, "to": d} for e, s, d in rows]
+    doc["components"] = {key: {"plant": p, "supervisor": s} for key, p, s in components}
     return doc
+
+
+def attacked_chunks(model: AttackedModel) -> Iterator[str]:
+    """The text of `dumps_doc(attacked_to_doc(model))` in pieces, its
+    transitions and components rendered from the closed loop's rows a
+    batch at a time (`_records`): no record is built.  Two states that
+    share a display name raise here, before the first piece."""
+    doc, rows, components = _attacked_doc(model)
+    doc["transitions"] = partial(_records, rows, _ROW_KEYS)
+    doc["components"] = partial(_records, components, _PAIR_KEYS, keyed=True)
+    return doc_chunks(doc)
+
+
+def _attacked_doc(model: AttackedModel):
+    """`attacked_to_doc` but its transitions and components, which come as
+    rows of names in the document's order: ``(event, from, to)`` and
+    ``(state, plant, supervisor)``."""
+    render = _Renderer()
+    doc, order, rows = _model_doc(model.model, model.alphabet, model.unsafe_states, render)
+    doc.update(
+        format=ATTACKED_MODEL_FORMAT,
+        tool_version=__version__,
+        mode=model.mode,
+        vulnerable=sorted(e for e in model.alphabet if model.alphabet[e].vulnerable),
+        attack_events=sorted(model.attack_events),
+    )
+    components = (
+        (key, render(state[1]), render(state[0])) for key, state in zip(doc["states"], order)
+    )
+    return doc, rows, components
 
 
 def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
@@ -300,10 +344,11 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
     def composed(state: str) -> tuple[str, str]:
         if state not in components:
             raise ModelFormatError(f"{where}: components missing state {state!r}")
-        entry = components[state]
-        if not isinstance(entry, dict):
-            entry = {}
-        supervisor, plant = entry.get("supervisor"), entry.get("plant")
+        # A pair, as `load_path` reads a record, or the record itself.
+        pair = components[state]
+        if isinstance(pair, dict):
+            pair = pair.get("supervisor"), pair.get("plant")
+        supervisor, plant = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
         if not (isinstance(supervisor, str) and isinstance(plant, str)):
             raise ModelFormatError(
                 f"{where}: components[{state!r}] needs supervisor and plant names (strings)"
@@ -313,7 +358,7 @@ def parse_attacked(doc: dict, where: str = "model") -> AttackedModel:
             raise ModelFormatError(
                 f"{where}: state {state!r} is not named after its components {rendered!r}"
             )
-        return supervisor, plant
+        return pair
 
     base = _parse(doc, where, composed)
     attack_events = frozenset(_strings(doc, "attack_events", where))
@@ -393,9 +438,13 @@ def doc_chunks(doc: dict) -> Iterator[str]:
 
 def _write(value, newline: str) -> Iterator[str]:
     """`value` as JSON text in pieces; `newline` is a line break and the
-    indentation of the line `value` starts on."""
+    indentation of the line `value` starts on.  A callable value renders
+    itself from `newline` (`attacked_chunks`)."""
     if isinstance(value, str):
         yield encode_basestring_ascii(value)
+        return
+    if callable(value):
+        yield from value(newline)
         return
     if not isinstance(value, (dict, list, tuple)):
         yield json.dumps(value)
@@ -403,19 +452,18 @@ def _write(value, newline: str) -> Iterator[str]:
     if not value:
         yield "{}" if isinstance(value, dict) else "[]"
         return
-    inner = newline + "  "
     if isinstance(value, dict):
-        opener, closer, keys = "{", "}", sorted(value)
+        keys = sorted(value)
         items = [value[key] for key in keys]
-        joined = _joined(items, inner, keys)
+        joined = _joined(items, newline, keys)
     else:
-        opener, closer, keys, items = "[", "]", None, value
-        joined = _joined(items, inner) if type(value) is list else None
+        keys, items = None, value
+        joined = _joined(items, newline) if type(value) is list else None
     if joined is not None:
-        yield opener + inner
         yield from joined
-        yield newline + closer
         return
+    opener, closer = "[]" if keys is None else "{}"
+    inner = newline + "  "
     for i, item in enumerate(items):
         key = "" if keys is None else encode_basestring_ascii(keys[i]) + ": "
         yield opener + inner + key
@@ -424,17 +472,16 @@ def _write(value, newline: str) -> Iterator[str]:
     yield newline + closer
 
 
-def _joined(items: list, inner: str, keys: list | None = None) -> Iterator[str] | None:
-    """`items` as JSON text, each on a line indented by `inner`, separated
-    by commas, in pieces of `_BATCH` items; with `keys`, each after its
-    key, as an object's members.  Only strings (array items) and records
-    are joined: dicts with the first item's keys and string values, each
-    written from one set of heads with the keys sorted and quoted once.
-    None for anything else, which the generic writer takes; that is
-    decided here, before any piece is rendered."""
+def _joined(items: list, newline: str, keys: list | None = None) -> Iterator[str] | None:
+    """`items` as the JSON text of an array written at `newline`, or with
+    `keys` as an object's members, a batch of `_BATCH` items per piece.
+    Only strings (array items) and records are joined: dicts with the
+    first item's keys and string values (`_records`).  None for anything
+    else, which the generic writer takes; that is decided here, before any
+    piece is rendered."""
     types = set(map(type, items))
     if types == {str} and keys is None:
-        return _batches(items, None, inner, lambda batch, _: map(encode_basestring_ascii, batch))
+        return _batches(items, newline, partial(map, encode_basestring_ascii))
     fields = sorted(items[0]) if types == {dict} else None
     if not fields or set(map(len, items)) != {len(fields)}:
         return None
@@ -443,58 +490,84 @@ def _joined(items: list, inner: str, keys: list | None = None) -> Iterator[str] 
             return None
     except KeyError:
         return None
+    columns = [map(itemgetter(field), items) for field in fields]
+    if keys is None:
+        return _records(zip(*columns), fields, newline)
+    return _records(zip(keys, *columns), fields, newline, keyed=True)
+
+
+def _records(rows: Iterable[tuple], fields, newline: str, keyed: bool = False) -> Iterator[str]:
+    """Records as the JSON text of an array written at `newline`, or with
+    `keyed` of an object: each row is a tuple of strings, its key when
+    `keyed` and then its value of each of `fields`, which are sorted.  The
+    keys are quoted once by the C encoder into one head per field, and
+    each record is the join of its heads and its quoted values."""
+    inner = newline + "  "
     heads = [
         head + inner + "  " + encode_basestring_ascii(field) + ": "
         for head, field in zip(["{"] + [","] * (len(fields) - 1), fields)
     ]
+    if keyed:
+        heads[:1] = ["", ": " + heads[0]]
 
-    def records(batch: list, batch_keys: list | None):
-        # Each record is the join of its key heads, repeated, and its values.
+    def render(batch: list):
         parts = []
-        for head, field in zip(heads, fields):
-            parts += (repeat(head), map(encode_basestring_ascii, map(itemgetter(field), batch)))
-        parts.append(repeat(inner + "}"))
-        if batch_keys is not None:
-            parts[:0] = (map(encode_basestring_ascii, batch_keys), repeat(": "))
-        return map("".join, zip(*parts))
+        for head, column in zip(heads, zip(*batch)):
+            parts += (repeat(head), map(encode_basestring_ascii, column))
+        return map("".join, zip(*parts, repeat(inner + "}")))
 
-    return _batches(items, keys, inner, records)
+    return _batches(rows, newline, render, "{}" if keyed else "[]")
 
 
-def _batches(items: list, keys: list | None, inner: str, render) -> Iterator[str]:
-    """The join of `render(batch, batch_keys)` over `items` (and `keys`), a
-    batch of `_BATCH` at a time, separated by commas and `inner`."""
-    separator = "," + inner
-    for start in range(0, len(items), _BATCH):
-        stop = start + _BATCH
-        if start:
-            yield separator
-        yield separator.join(render(items[start:stop], keys and keys[start:stop]))
+def _batches(items: Iterable, newline: str, render, brackets: str = "[]") -> Iterator[str]:
+    """`brackets` around `items` written at `newline`, one on each line,
+    separated by commas: the join of `render(batch)` over `_BATCH` items at
+    a time, or the bare brackets when there are none."""
+    inner = newline + "  "
+    separator, lead = "," + inner, brackets[0] + inner
+    for batch in _batched(items):
+        yield lead
+        yield separator.join(render(batch))
+        lead = separator
+        del batch  # before the next batch is taken
+    yield newline + brackets[1] if lead == separator else brackets
 
 
-# The keys of a transition record, in the order of a row.
-_ROW = ("from", "event", "to")
+def _batched(items: Iterable) -> Iterator[list]:
+    """`items` in lists of `_BATCH`, the last one shorter."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _BATCH)), [])
 
 
 def load_path(path: str):
     """Load a model file; returns ModelDocument or AttackedModel by format.
 
     An object of exactly a transition record's keys, with string values,
-    is decoded as the row ``(from, event, to)``, each name one string
-    object per file.  Where `_parse` reads another object, a row is turned
-    back into it (`_object`), so every message is the decoded document's.
+    is decoded as the row ``(event, from, to)``, and one of exactly a
+    components record's keys, with string values, as the pair
+    ``(supervisor, plant)``; each name is one string object per file.
+    Where `_parse` reads another object, a row or a pair is turned back
+    into it (`_object`), so every message is the decoded document's.
     """
     names: dict[str, str] = {}
     name = names.setdefault
 
     def row(record: dict):
-        if len(record) == 3:
+        size = len(record)
+        if size == 3:
             try:
                 src, event, dst = record["from"], record["event"], record["to"]
             except KeyError:
                 return record
             if type(src) is type(event) is type(dst) is str:
-                return name(src, src), name(event, event), name(dst, dst)
+                return name(event, event), name(src, src), name(dst, dst)
+        elif size == 2:
+            try:
+                supervisor, plant = record["supervisor"], record["plant"]
+            except KeyError:
+                return record
+            if type(supervisor) is type(plant) is str:
+                return name(supervisor, supervisor), name(plant, plant)
         return record
 
     with open(path, encoding="utf-8") as handle:
@@ -519,9 +592,12 @@ def load_path(path: str):
 
 
 def _object(value):
-    """`value`, or, for a row, the transition record it stands for, with
-    its keys in the order `doc_chunks` writes them."""
-    return dict(sorted(zip(_ROW, value))) if type(value) is tuple else value
+    """`value`, or, for a row or a pair, the transition or components
+    record it stands for, with its keys in the order `doc_chunks` writes
+    them."""
+    if type(value) is not tuple:
+        return value
+    return dict(sorted(zip(_ROW_KEYS if len(value) == 3 else ("supervisor", "plant"), value)))
 
 
 VERDICT_SCHEMA = {
@@ -593,26 +669,38 @@ def to_dot(
     double circles, and transitions on events whose kind in `alphabet`,
     which declares every event of `automaton`, is an attack artifact are
     dashed."""
+    return "".join(dot_chunks(automaton, alphabet, unsafe, title))
+
+
+def dot_chunks(
+    automaton: Automaton,
+    alphabet: Alphabet,
+    unsafe: frozenset = frozenset(),
+    title: str = "model",
+) -> Iterator[str]:
+    """The text of `to_dot` in pieces of `_BATCH` lines, each rendered when
+    taken: the states sorted by name, then the transitions in the order of
+    a model file's (`_layout`)."""
     render = _Renderer()
-    name = _names(automaton, render)
+    name, order, rows = _layout(automaton, render)
     unsafe_names = set(map(render, unsafe))
     marked_names = {name[s] for s in automaton.marked}
-    lines = [f"digraph {_dot_id(title)} {{", "  rankdir=LR;", "  node [shape=circle];"]
-    lines.append("  __start [shape=point, label=\"\"];")
-    for state in sorted(name.values()):
-        if state in unsafe_names:
-            shape = "box"
-        elif state in marked_names:
-            shape = "doublecircle"
-        else:
-            shape = "circle"
-        lines.append(f"  {_dot_id(state)} [shape={shape}];")
-    lines.append(f"  __start -> {_dot_id(name[automaton.initial])};")
-    edges = sorted(
-        (name[s], e, name[d]) for s, row in automaton._out.items() for e, d in row.items()
-    )
-    for src, event, dst in edges:
-        style = ", style=dashed" if alphabet[event].kind != GENUINE else ""
-        lines.append(f"  {_dot_id(src)} -> {_dot_id(dst)} [label={_dot_id(event)}{style}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+
+    def lines() -> Iterator[str]:
+        yield f"digraph {_dot_id(title)} {{\n  rankdir=LR;\n  node [shape=circle];\n"
+        yield '  __start [shape=point, label=""];\n'
+        for state in map(name.__getitem__, order):
+            if state in unsafe_names:
+                shape = "box"
+            elif state in marked_names:
+                shape = "doublecircle"
+            else:
+                shape = "circle"
+            yield f"  {_dot_id(state)} [shape={shape}];\n"
+        yield f"  __start -> {_dot_id(name[automaton.initial])};\n"
+        for event, src, dst in rows:
+            style = ", style=dashed" if alphabet[event].kind != GENUINE else ""
+            yield f"  {_dot_id(src)} -> {_dot_id(dst)} [label={_dot_id(event)}{style}];\n"
+        yield "}\n"
+
+    return map("".join, _batched(lines()))

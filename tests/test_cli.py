@@ -151,6 +151,16 @@ class TestBuild:
         assert "'(a,b,c)'" in result.output
         assert not out.exists()
 
+    def test_ambiguous_state_names_write_nothing_to_stdout(self, runner, ambiguous_files):
+        """The writer checks the display names before its first piece."""
+        plant, supervisor = ambiguous_files
+        result = runner.invoke(
+            main, ["build", str(plant), str(supervisor), "--mode", "ae", "--vulnerable", "x"]
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: two states share the display name '(a,b,c)'\n"
+
     def test_insertion_name_collision_exit_2(self, runner, insertion_collision_demo, tmp_path):
         system = insertion_collision_demo
         plant = tmp_path / "plant.json"

@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 from desguard.attacks import MODES, AttackedModel, build_model
 from desguard.automata import Alphabet, Automaton, EventInfo, state_name
 
+import desguard.synthesis  # noqa: F401  (the traffic generator reads lib.synthesis)
 from desguard import cli, modelio
 from desguard.modelio import (
     VERDICT_SCHEMA,
     ModelFormatError,
+    attacked_chunks,
     attacked_to_doc,
     doc_chunks,
     dumps_doc,
@@ -28,6 +32,9 @@ from desguard.modelio import (
 from desguard.safety import check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation
 
 from generators import random_model, random_system
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 
 def demo_doc():
@@ -186,6 +193,20 @@ MALFORMED = [
                  r"events flagged vulnerable \['a', 'b'\] are not the attack events' "
                  r"base events \['b'\]",
                  id="flagged-events-not-the-bases"),
+    # Component records that are not a supervisor and plant name pair.
+    pytest.param(True, lambda d: d["components"][d["initial"]].update(note="x", plant="9"),
+                 r"state '\(1,1\)' is not named after its components '\(1,9\)'",
+                 id="component-with-an-extra-key"),
+    pytest.param(True, lambda d: d["components"][d["initial"]].update(plant=1),
+                 r"components\['\(1,1\)'\] needs supervisor and plant names",
+                 id="component-with-a-non-string-value"),
+    pytest.param(True, lambda d: d["components"].__setitem__(d["initial"], ["1", "1"]),
+                 r"components\['\(1,1\)'\] needs supervisor and plant names",
+                 id="component-as-a-list"),
+    pytest.param(True, lambda d: d["components"].__setitem__(
+                     d["initial"], {"event": "a", "from": "1", "to": "1"}),
+                 r"components\['\(1,1\)'\] needs supervisor and plant names",
+                 id="component-with-a-row-s-keys"),
 ]
 
 
@@ -634,8 +655,8 @@ class TestStreamedWriter:
         """Writing a document to a file holds a few 64 KiB slices and one
         batch, however long the text: the fixture's document, and the same
         with its transitions repeated to over 2 MB of text, peak under the
-        one bound (165-205 KB were measured: the encoded slice, the batch's
-        chunk and its records)."""
+        one bound (165-210 KB were measured: the encoded slice, the batch's
+        chunk, its records and their rows)."""
         doc = attacked_to_doc(request.getfixturevalue(fixture))
         longer = dict(doc, transitions=doc["transitions"] * 400)
         bound = 4 * cli._SLICE
@@ -651,6 +672,82 @@ class TestStreamedWriter:
                 tracemalloc.stop()
             assert peak <= bound, (peak, size)
         assert size > 4 * bound
+
+
+def marked_and_safe(model, rng: random.Random):
+    """`model` with some of its states marked and none unsafe."""
+    aut = model.model
+    states = sorted(aut.states, key=state_name)
+    marked = frozenset(rng.sample(states, rng.randint(1, len(states))))
+    return model.replace(
+        model=Automaton(aut.states, aut.events, aut.transitions, aut.initial, marked),
+        unsafe_states=frozenset(),
+    )
+
+
+def odd_names(automaton):
+    """`automaton` with each state renamed to a string with a quote, a
+    backslash and non-ASCII characters, and the renaming."""
+    rename = {state: f'q"\\{state_name(state)}\u00e9\u2603' for state in automaton.states}
+    renamed = Automaton(
+        frozenset(rename.values()),
+        automaton.events,
+        {(rename[s], e): rename[d] for (s, e), d in automaton.transitions.items()},
+        rename[automaton.initial],
+        frozenset(map(rename.get, automaton.marked)),
+    )
+    return renamed, rename
+
+
+class TestAttackedWriter:
+    """`attacked_chunks`, which `desguard build` writes through, gives the
+    text of its reference, `dumps_doc(attacked_to_doc(model))`; the
+    transitions, there and in `to_dot`, come in sorted-triple order."""
+
+    def assert_writes_reference(self, model) -> str:
+        doc = attacked_to_doc(model)
+        text = "".join(attacked_chunks(model))
+        assert text == dumps_doc(doc)
+        triples = [(t["from"], t["event"], t["to"]) for t in doc["transitions"]]
+        assert triples == sorted(triples)
+        dot = to_dot(model.model, model.alphabet).splitlines()
+        edges = dot[next(i for i, line in enumerate(dot) if line.startswith("  __start ->")) + 1:-1]
+        quote = modelio._dot_id
+        heads = [f"  {quote(src)} -> {quote(dst)} [label={quote(event)}"
+                 for src, event, dst in triples]
+        assert len(edges) == len(heads) and all(map(str.startswith, edges, heads))
+        return text
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_random_models(self, mode):
+        """Each model as built (no marked states) and with some states
+        marked and none unsafe."""
+        unsafe = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            model = random_model(rng, mode)
+            unsafe += bool(model.unsafe_states)
+            for each in (model, marked_and_safe(model, rng)):
+                self.assert_writes_reference(each)
+        assert unsafe  # some models as built have unsafe states
+
+    @pytest.mark.parametrize("vehicles, sections", [(3, 6), (4, 6)])
+    def test_traffic_models(self, vehicles, sections):
+        system = workloads.traffic_system(desguard, vehicles, sections, random.Random(0))
+        for case in workloads.traffic_cases(system):
+            model = build_model(case.mode, system.plant, system.supervisor, case.vuln())
+            self.assert_writes_reference(model)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_names_with_quotes_backslashes_and_non_ascii(self, mode):
+        for seed in range(20):
+            system = random_system(random.Random(seed), mode)
+            plant, rename = odd_names(system.plant)
+            supervisor, _ = odd_names(system.supervisor)
+            unsafe = frozenset(map(rename.get, system.vuln.unsafe_plant_states))
+            vuln = system.vuln.replace(unsafe_plant_states=unsafe)
+            text = self.assert_writes_reference(build_model(mode, plant, supervisor, vuln))
+            assert '\\"' in text and "\\\\" in text and "\\u00e9\\u2603" in text
 
 
 def loaded(model):
@@ -708,6 +805,21 @@ class TestStreamedLoader:
         assert rows and all(type(row) is tuple for row in rows)
         names = [name for row in rows for name in row]
         assert len({id(name) for name in names}) == len(set(names))
+
+    def test_component_pairs_share_one_string_per_name(self, tmp_path, traffic_si_model):
+        path = tmp_path / "model.json"
+        path.write_text(dumps_doc(attacked_to_doc(traffic_si_model)))
+        states = load_path(str(path)).model.states
+        assert all(type(state) is tuple and len(state) == 2 for state in states)
+        names = [name for state in states for name in state]
+        assert len({id(name) for name in names}) == len(set(names)) < len(names)
+
+    def test_a_component_with_an_extra_key_still_loads(self, tmp_path, actuator_model):
+        doc = attacked_to_doc(actuator_model)
+        doc["components"][doc["initial"]]["note"] = "kept out of the model"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert loaded(load_path(str(path))) == loaded(parse_file(path))
 
     def test_a_record_with_an_extra_key_still_loads(self, tmp_path):
         doc = demo_doc()
