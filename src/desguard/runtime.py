@@ -4,25 +4,27 @@ The defense is one rule: advance the detector's state estimate on each
 observed event, and once the estimate is certain, disable every
 controllable event.  `defended_moves` states it once, as the successor
 function of the defended product over (labeled state, estimate) nodes.
-It has five readers: the step-by-step engine (`step`, which `desguard
-simulate` runs), the exhaustive check (`run_exhaustive`, whose search
-for a breach is the oracle), the oracle's breach naming
-(`safety._classify_breach`) and the diagnoser's two witness searches.
-Attack opportunities are filtered through an attacker policy, and every
-estimate's moves come from the model's shared estimate table
-(`Analysis.estimates`).  For a verdict the check searches only the
-labeled states that can still reach an unsafe state (one backward
-closure per model) and stops at the first unsafe run.
+It has two readers: the step-by-step engine (`step`, which `desguard
+simulate` runs) and `defended_search`, the one search of the product,
+which ends at the first move its caller accepts.  The exhaustive check
+(`run_exhaustive`, the oracle) accepts a move into an unsafe state, and
+the diagnoser's two witness searches accept the moves their conditions
+name.  Attack opportunities are filtered through an attacker policy,
+and every estimate's moves come from the model's shared estimate table
+(`Analysis.estimates`).  The search keeps to the labeled states that can
+still reach an unsafe state (one backward closure per model).
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import Iterable
 
 from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
 from .automata import Trace, Value, explore, path_to, state_name
 from .diagnosis import CERTAIN, Analysis, classify
+from .modelio import FIRST_CERTAIN_UNSAFE, UNCERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE
 
 
 class IllegalEventError(ValueError):
@@ -189,20 +191,22 @@ def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[Ex
 
 
 class RunReport(Value):
-    """Outcome of exhaustively exploring all runs under a policy."""
+    """The defense's first breach: the nodes reached, the run (if any), its condition."""
 
     explored: int
-    unsafe_runs: tuple[Trace, ...]
-    stuck_runs: tuple[tuple[Trace, object], ...]
-    detection_latencies: tuple[int, ...]
-    attack_transitions: int
+    unsafe_runs: tuple[Trace, ...] = ()
+    violated_condition: str | None = None
 
     @property
     def defense_breached(self) -> bool:
         return bool(self.unsafe_runs)
 
 
-def defended_moves(analysis: Analysis, live: frozenset):
+def _is_certain(estimate: frozenset) -> bool:
+    return classify(estimate) == CERTAIN
+
+
+def defended_moves(analysis: Analysis, live: frozenset, certain=None):
     """Start node and successor function of the defended product, on the fly.
 
     Nodes are (labeled state, estimate) pairs, an int and a frozenset of
@@ -212,18 +216,19 @@ def defended_moves(analysis: Analysis, live: frozenset):
     latches: non-certain nodes are reached only through non-certain ones,
     where nothing is pruned.  A node reads its estimate's `moves` once;
     they hold every observable event of its labeled state, a member.
+    `certain(estimate)` says whether an estimate is certain; by default it
+    is a memo of this product's own, so each estimate is classified once.
     """
     aut = analysis.automaton
     estimates = analysis.estimates
     observable = analysis.observable
     controllable = analysis.controllable
-    certain = {}  # estimate -> whether it is certain, classified once
+    if certain is None:
+        certain = cache(_is_certain)
 
     def moves(node):
         lstate, estimate = node
-        safe_mode = certain.get(estimate)
-        if safe_mode is None:
-            safe_mode = certain[estimate] = classify(estimate) == CERTAIN
+        safe_mode = certain(estimate)
         steps = estimates.moves(estimate)
         for event, target in aut.out_edges(lstate):
             if (safe_mode and event in controllable) or target not in live:
@@ -236,80 +241,68 @@ def defended_moves(analysis: Analysis, live: frozenset):
     return (aut.initial, estimates.initial), moves
 
 
-def run_exhaustive(model: AttackedModel, stop_at_breach: bool = False) -> RunReport:
-    """Explore every run of the closed loop under the online defense.
+def defended_search(analysis: Analysis, accept, overflow: str, certain=None):
+    """Breadth-first search of the defended product, named `overflow`, to
+    the first move `accept(node, target)` takes: (parents, the accepted
+    (node, event, target) or None).
 
-    One breadth-first search of `defended_moves`.  Reports the runs that
-    reach an unsafe state despite the defense, the runs that get stuck,
-    and the detection latency (events between the first attack artifact
-    and certainty) along the exploration tree.
-
-    With `stop_at_breach` the search skips labeled states outside
-    `Analysis.unsafe_coreach` (nothing is searched when the initial one
-    is outside) and ends at the first unsafe node it dequeues.  Whatever
-    reaches a kept node is kept, so kept nodes are discovered in the
-    order and along the paths of the full exploration.  The report then
-    counts the kept nodes reached so far and the attack transitions into
-    them, and its only run is the one to that node, the shortest unsafe
-    run and the first of that length in discovery order; stuck runs and
-    latencies are not collected.
-
-    The attacker is all-out: randomized and scripted policies do not
-    define a run tree independent of exploration order.
+    It stays inside `Analysis.unsafe_coreach`: whatever reaches a kept
+    labeled state is kept, so it discovers the kept nodes in the order and
+    along the paths of the unpruned search.  The start is never accepted,
+    nor searched when outside the co-reach.  `certain` is as in `defended_moves`.
     """
-    analysis = model.analysis
-    attack_events = model.attack_events
-    unsafe = analysis.unsafe
-    live = analysis.unsafe_coreach if stop_at_breach else analysis.automaton.states
-    start, moves = defended_moves(analysis, live)
+    live = analysis.unsafe_coreach
+    start, moves = defended_moves(analysis, live, certain)
     if start[0] not in live:
-        return RunReport(0, (), (), (), 0)
-    attack_transitions = 0
+        return {}, None
+    found = []
 
-    def counted(node):
-        nonlocal attack_transitions
+    def expand(node):
         for event, target in moves(node):
-            if event in attack_events:
-                attack_transitions += 1
+            if accept(node, target):
+                found.append((node, event, target))
+                return
             yield event, target
 
-    parents, breach = explore(
-        [start],
-        counted,
-        (lambda node: node[0] in unsafe) if stop_at_breach else None,
-        overflow="exhaustive exploration exceeded {limit} nodes",
+    parents, _ = explore([start], expand, lambda node: bool(found), overflow=overflow)
+    return parents, (found[0] if found else None)
+
+
+def run_exhaustive(model: AttackedModel) -> RunReport:
+    """Run the closed loop under the online defense up to its first breach.
+
+    `defended_search` ends at the first move into an unsafe labeled state:
+    the shortest breached run, the first of its length in discovery order.
+    `explored` counts the nodes reached, the breached one included.  An
+    unsafe start, which the search never accepts, is the empty run,
+    breached before any attack and so naming no condition.  Otherwise the
+    move's two estimates name it, read through the search's own memo so
+    that no estimate is classified twice: not certain after the move is
+    condition 1, certain first on it condition 2, certain before it
+    condition 3, as the diagnoser test defines them.  The attacker is
+    all-out: other policies define no run tree independent of search order.
+    """
+    analysis = model.analysis
+    unsafe = analysis.unsafe
+    if analysis.automaton.initial in unsafe:
+        return RunReport(1, ((),))
+    certain = cache(_is_certain)
+    parents, found = defended_search(
+        analysis,
+        lambda _node, target: target[0] in unsafe,
+        "exhaustive exploration exceeded {limit} nodes",
+        certain,
     )
-    if stop_at_breach:
-        return RunReport(
-            explored=len(parents),
-            unsafe_runs=() if breach is None else (path_to(parents, breach),),
-            stuck_runs=(),
-            detection_latencies=(),
-            attack_transitions=attack_transitions,
-        )
-
-    def certain(node):
-        return classify(node[1]) == CERTAIN
-
-    latencies = []
-    for node, parent in parents.items():
-        if not certain(node) or (parent is not None and certain(parent[0])):
-            continue
-        trace = path_to(parents, node)
-        first_attack = next((i for i, e in enumerate(trace) if e in attack_events), None)
-        if first_attack is not None:
-            latencies.append(len(trace) - 1 - first_attack)
-
-    decode = analysis.decode
-    return RunReport(
-        explored=len(parents),
-        unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0] in unsafe),
-        stuck_runs=tuple(
-            (path_to(parents, n), decode(n[0])[0]) for n in parents if next(moves(n), None) is None
-        ),
-        detection_latencies=tuple(latencies),
-        attack_transitions=attack_transitions,
-    )
+    if found is None:
+        return RunReport(len(parents))
+    node, event, target = found
+    if not certain(target[1]):
+        condition = UNCERTAIN_UNSAFE
+    elif not certain(node[1]):
+        condition = FIRST_CERTAIN_UNSAFE
+    else:
+        condition = UNCONTROLLABLE_UNSAFE
+    return RunReport(len(parents) + 1, (path_to(parents, node) + (event,),), condition)
 
 
 def log_records(states: list[ExecutionState]) -> list[dict]:

@@ -7,14 +7,14 @@ independent routes decide the property:
 
 * the diagnoser test stops its observer at the first estimate that
   violates the first condition, else decides the other two from the states
-  entered on its detection edges; its witnesses come from a search of the
-  defended product (`runtime.defended_moves`), unpruned before detection,
+  entered on its detection edges; its witnesses come from the one search
+  of the defended product (`runtime.defended_search`),
 * the verifier test inspects observation-equivalent string pairs and the
   post-detection tracker, in one on-the-fly search of the tracker product
   (`diagnosis.tracker_moves`) that stops at the first violation,
-* the exhaustive simulation literally runs the defense over every run, a
-  search of the defended product up to the first run that reaches an
-  unsafe state.
+* the exhaustive simulation literally runs the defense over the closed
+  loop (`runtime.run_exhaustive`): the same search, up to the first move
+  into an unsafe state, whose two estimates name the violated condition.
 
 All three must agree; the simulation is the ground truth the other two
 are checked against.  All three read the model's one estimate table and
@@ -23,13 +23,12 @@ attack-free closed loop already reaches an unsafe state, each raises
 `NominalUnsafeError` instead of answering.
 
 A labeled state from which no unsafe state is reachable cannot matter
-to any condition.  The verifier search, the simulation and the
-diagnoser's witness searches skip such states, computed by one backward
-closure per model (`Analysis.unsafe_coreach`), and the diagnoser's
-observer does not expand an estimate that holds none but such states.
-All three answer safe without searching when the initial state is
-outside the closure.  Whatever reaches a kept state is kept, so a
-breadth-first search visits the kept nodes in the order and along the
+to any condition.  The two searches skip such states, computed by one
+backward closure per model (`Analysis.unsafe_coreach`), and the
+diagnoser's observer does not expand an estimate that holds none but
+such states.  All three answer safe without searching when the initial
+state is outside the closure.  Whatever reaches a kept state is kept, so
+a breadth-first search visits the kept nodes in the order and along the
 paths of the unpruned search, and finds the same witnesses; each of the
 diagnoser's conditions needs an estimate member inside the closure, so
 the pruned observer meets every estimate they read.  The diagnoser's
@@ -41,15 +40,11 @@ from __future__ import annotations
 
 
 from .attacks import AttackedModel
-from .automata import (
-    Trace, Value, collector_paused, coreach, explore, path_to, reach, state_name
-)
+from .automata import Trace, Value, collector_paused, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
     CERTAIN,
     SINK,
     UNCERTAIN,
-    Analysis,
-    Diagnoser,
     build_diagnoser,
     classify,
     first_entered_certain,
@@ -66,7 +61,7 @@ from .modelio import (
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
 )
-from .runtime import defended_moves, run_exhaustive
+from .runtime import defended_search, run_exhaustive
 
 
 class NominalUnsafeError(ValueError):
@@ -154,15 +149,17 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         def confused(_node, target):
             return target[0] in unsafe and classify(target[1]) == UNCERTAIN
 
-        trace, estimate = _witness(
+        # Every member of a reachable estimate is reachable paired with it,
+        # so this search and the detection edge search find their move.
+        parents, (node, event, target) = defended_search(
             analysis, confused, "diagnoser witness search exceeded {limit} states"
         )
         return Verdict(
             safe=False,
             method=DIAGNOSER,
             violated_condition=UNCERTAIN_UNSAFE,
-            counterexample=trace,
-            witness_state=estimate,
+            counterexample=path_to(parents, node) + (event,),
+            witness_state=analysis.estimate_name(target[1]),
         )
 
     # The entry states: labeled, and attacked, as each is in a certain estimate.
@@ -192,14 +189,17 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     def detecting(node, target):
         return target[0] in arrivals and target[1] in certain and node[1] not in certain
 
-    trace, estimate = _witness(analysis, detecting, "detection edge search exceeded {limit} states")
+    parents, (node, event, target) = defended_search(
+        analysis, detecting, "detection edge search exceeded {limit} states"
+    )
+    trace = path_to(parents, node) + (event,)
     if condition == UNCONTROLLABLE_UNSAFE:
 
         def uncontrollable_moves(state):
             return ((e, t) for e, t in aut.out_edges(state) if e in uncontrollable)
 
         parents, _ = explore(
-            [aut.run(trace)],
+            [target[0]],
             uncontrollable_moves,
             overflow="uncontrollable continuation search exceeded {limit} states",
         )
@@ -211,33 +211,8 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         violated_condition=condition,
         counterexample=trace,
         x_uc=x_uc,
-        witness_state=estimate,
+        witness_state=analysis.estimate_name(target[1]),
     )
-
-
-def _witness(analysis, accept, overflow):
-    """Shortest defended run whose last move `accept(node, target)` takes,
-    and the name of the estimate that move enters.
-
-    A breadth-first search of the defended product in the co-reach, named
-    `overflow`, ends at the first move accepted: the move that discovers
-    the first node a goal on nodes holds at, the clean start aside.  Every
-    member of a reachable estimate is reachable paired with it, so each
-    caller's search finds a witness.
-    """
-    start, moves = defended_moves(analysis, analysis.unsafe_coreach)
-    found = []  # the accepted (node, event, target)
-
-    def expand(node):
-        for event, target in moves(node):
-            if accept(node, target):
-                found.append((node, event, target))
-                return
-            yield event, target
-
-    parents, _ = explore([start], expand, lambda node: bool(found), overflow=overflow)
-    node, event, target = found[0]
-    return path_to(parents, node) + (event,), analysis.estimate_name(target[1])
 
 
 @collector_paused
@@ -293,46 +268,18 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
 
 @collector_paused
 def oracle_defense_simulation(model: AttackedModel) -> Verdict:
-    """Ground-truth check: exhaustively run the closed loop under the defense.
+    """Ground-truth check: run the closed loop under the defense.
 
     Safe iff no run reaches an unsafe state once controllable events are
-    pruned from the moment detection is certain.  The exploration stays
-    among the labeled states that can reach an unsafe state and stops at
-    its first unsafe node, which ends the shortest breached run.
+    pruned from the moment detection is certain.  The verdict reads the
+    shortest breached run and its condition off `run_exhaustive`'s report.
     """
     _require_safe_nominal(model)
-    report = run_exhaustive(model, stop_at_breach=True)
+    report = run_exhaustive(model)
     if not report.defense_breached:
         return Verdict(safe=True, method=ORACLE)
     (trace,) = report.unsafe_runs
-    condition = _classify_breach(model.analysis, trace)
-    return Verdict(
-        safe=False,
-        method=ORACLE,
-        violated_condition=condition,
-        counterexample=trace,
-    )
-
-
-def _classify_breach(analysis: Analysis, trace: Trace) -> str:
-    """Name the defense failure a breached run exhibits.
-
-    The run is replayed through the defended product the oracle just
-    searched, whose estimates' moves are all in the table; a trace that
-    is no defended run raises KeyError.  Certainty at the end and before the
-    last event tells conditions 1, 2 and 3 apart, as the diagnoser test
-    does: condition 2 is an unsafe state entered on the edge that first
-    makes the estimate certain.
-    """
-    start, moves = defended_moves(analysis, analysis.unsafe_coreach)
-    node = previous = start
-    for event in trace:
-        previous, node = node, dict(moves(node))[event]
-    if classify(node[1]) != CERTAIN:
-        return UNCERTAIN_UNSAFE
-    if classify(previous[1]) != CERTAIN:
-        return FIRST_CERTAIN_UNSAFE
-    return UNCONTROLLABLE_UNSAFE
+    return Verdict(False, ORACLE, report.violated_condition, trace)
 
 
 def check_model(model: AttackedModel, method: str = DIAGNOSER) -> Verdict:

@@ -7,7 +7,9 @@ model and the verifier are composed from their parts with the generic
 controllable part is pruned round by round.  The trace helpers the
 tests share (projection, dilation and compression of artifacts, the
 events a run may take next, an automaton's canonical document) live here
-too: the library needs none.
+too: the library needs none.  So do the references for the oracle, which
+stops at the first breach: the full report of every defended run, and
+the replay that names a breached run's condition.
 """
 
 from collections import deque
@@ -35,11 +37,14 @@ from desguard.automata import (
     accessible,
     coreach,
     explore,
+    Value,
     parallel_compose,
+    path_to,
     state_name,
 )
-from desguard.diagnosis import ATTACKED, CLEAN, SINK, Analysis, Diagnoser
-from desguard.runtime import AttackerPolicy, ExecutionState, _choices
+from desguard.diagnosis import ATTACKED, CERTAIN, CLEAN, SINK, Analysis, Diagnoser, classify
+from desguard.modelio import FIRST_CERTAIN_UNSAFE, UNCERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE
+from desguard.runtime import AttackerPolicy, ExecutionState, _choices, defended_moves
 
 
 def project(trace: Iterable[str], observable: Iterable[str]) -> Trace:
@@ -95,6 +100,88 @@ def enabled_choices(
 ) -> frozenset[str]:
     """Events that may occur next, after safe-mode and policy filtering."""
     return _choices(state, model, policy)[0]
+
+
+class RunReport(Value):
+    """Every defended run of a closed loop, as `exhaustive_report` finds them."""
+
+    explored: int
+    unsafe_runs: tuple[Trace, ...]
+    stuck_runs: tuple[tuple[Trace, object], ...]
+    detection_latencies: tuple[int, ...]
+    attack_transitions: int
+
+    @property
+    def defense_breached(self) -> bool:
+        return bool(self.unsafe_runs)
+
+
+def exhaustive_report(model: AttackedModel) -> RunReport:
+    """Explore every run of the closed loop under the online defense.
+
+    One breadth-first search of `defended_moves` over every labeled
+    state, unpruned and never stopped.  Reports the runs that reach an
+    unsafe state despite the defense, the runs that get stuck, the
+    detection latency (events between the first attack artifact and
+    certainty) along the exploration tree, and the attack transitions
+    taken.  The attacker is all-out.
+    """
+    analysis = model.analysis
+    attack_events = model.attack_events
+    start, moves = defended_moves(analysis, analysis.automaton.states)
+    attack_transitions = 0
+
+    def counted(node):
+        nonlocal attack_transitions
+        for event, target in moves(node):
+            if event in attack_events:
+                attack_transitions += 1
+            yield event, target
+
+    parents, _ = explore([start], counted, overflow="exhaustive exploration exceeded {limit} nodes")
+
+    def certain(node):
+        return classify(node[1]) == CERTAIN
+
+    latencies = []
+    for node, parent in parents.items():
+        if not certain(node) or (parent is not None and certain(parent[0])):
+            continue
+        trace = path_to(parents, node)
+        first_attack = next((i for i, e in enumerate(trace) if e in attack_events), None)
+        if first_attack is not None:
+            latencies.append(len(trace) - 1 - first_attack)
+
+    decode = analysis.decode
+    return RunReport(
+        explored=len(parents),
+        unsafe_runs=tuple(path_to(parents, n) for n in parents if n[0] in analysis.unsafe),
+        stuck_runs=tuple(
+            (path_to(parents, n), decode(n[0])[0]) for n in parents if next(moves(n), None) is None
+        ),
+        detection_latencies=tuple(latencies),
+        attack_transitions=attack_transitions,
+    )
+
+
+def classify_breach(analysis: Analysis, trace: Trace) -> str:
+    """Name the defense failure a breached run exhibits, by replaying it.
+
+    The run is replayed through the defended product in the co-reach; a
+    trace that is no defended run raises KeyError.  Certainty at the end
+    and before the last event tells conditions 1, 2 and 3 apart, as the
+    diagnoser test does: condition 2 is an unsafe state entered on the
+    edge that first makes the estimate certain.
+    """
+    start, moves = defended_moves(analysis, analysis.unsafe_coreach)
+    node = previous = start
+    for event in trace:
+        previous, node = node, dict(moves(node))[event]
+    if classify(node[1]) != CERTAIN:
+        return UNCERTAIN_UNSAFE
+    if classify(previous[1]) != CERTAIN:
+        return FIRST_CERTAIN_UNSAFE
+    return UNCONTROLLABLE_UNSAFE
 
 
 def canonical_doc(automaton: Automaton) -> dict:

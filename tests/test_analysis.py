@@ -24,7 +24,7 @@ from generators import random_model, random_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from langtools import canonical_doc
+from langtools import canonical_doc, exhaustive_report
 
 ROUTES = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
 
@@ -296,7 +296,7 @@ def test_traffic_oracle_report_is_pinned(request, system_fixture):
     ]
     model = _build(request.getfixturevalue(system_fixture), mode)
     for _ in range(2):
-        report = run_exhaustive(model)
+        report = exhaustive_report(model)
         assert report.explored == explored
         assert report.unsafe_runs == unsafe_runs
         assert [(t, state_name(s)) for t, s in report.stuck_runs] == stuck_runs

@@ -2,7 +2,7 @@
 
 The references recompute every unobservable closure from scratch
 (`langtools.diagnoser_step`) and explore every defended run
-(`run_exhaustive`'s full report).  The table must give the same
+(`langtools.exhaustive_report`).  The table must give the same
 observer, in the same discovery order.  The diagnoser test, which
 expands only estimates meeting the unsafe co-reach and stops its
 observer at the first violation of condition 1, must decide as the
@@ -38,7 +38,13 @@ from desguard.safety import (
 )
 
 from generators import random_model
-from langtools import diagnoser_initial, diagnoser_step, naive_reach
+from langtools import (
+    classify_breach,
+    diagnoser_initial,
+    diagnoser_step,
+    exhaustive_report,
+    naive_reach,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -201,9 +207,9 @@ def _check_diagnoser(model, monkeypatch):
 
 def _check_oracle(model):
     verdict = oracle_defense_simulation(model)
-    full = run_exhaustive(model)
+    full = exhaustive_report(model)
     assert verdict.safe == (not full.unsafe_runs)
-    stopped = run_exhaustive(model, stop_at_breach=True)
+    stopped = run_exhaustive(model)
     assert stopped.explored <= full.explored
     if verdict.safe:
         assert stopped.unsafe_runs == ()
@@ -243,7 +249,7 @@ def test_random_diagnoser_counterexamples_name_their_condition(mode):
         verdict = check_gf_safe_diagnoser(model)
         if not verdict.safe:
             unsafe += 1
-            named = safety._classify_breach(model.analysis, verdict.counterexample)
+            named = classify_breach(model.analysis, verdict.counterexample)
             assert named == verdict.violated_condition, seed
     assert unsafe
 

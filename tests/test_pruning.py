@@ -39,7 +39,7 @@ from desguard.safety import (
 )
 
 from generators import random_model
-from langtools import decoded, decoded_pair, flag_automaton, naive_reach
+from langtools import decoded, decoded_pair, exhaustive_report, flag_automaton, naive_reach
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
@@ -166,8 +166,8 @@ def test_harmless_models_are_decided_without_search(mode):
     ]
     assert harmless
     for model in harmless:
-        assert run_exhaustive(model, stop_at_breach=True) == RunReport(0, (), (), (), 0)
-        assert not run_exhaustive(model).unsafe_runs
+        assert run_exhaustive(model) == RunReport(0, (), None)
+        assert not exhaustive_report(model).unsafe_runs
         assert tracker_moves(model, keep=model.analysis.unsafe_coreach) is None
         assert check_ae_safe_verifier(model).safe
         assert oracle_defense_simulation(model).safe

@@ -21,7 +21,7 @@ from desguard.runtime import (
 from desguard.safety import check_gf_safe_diagnoser
 
 from generators import random_model
-from langtools import diagnoser_step, enabled_choices
+from langtools import diagnoser_step, enabled_choices, exhaustive_report
 
 
 class TestStep:
@@ -112,8 +112,11 @@ class TestStep:
 
 
 class TestRunExhaustive:
+    """The full reports of every defended run (`langtools.exhaustive_report`)
+    and the oracle's search, which stops at the first breach."""
+
     def test_demo_has_single_unsafe_run(self, actuator_model):
-        report = run_exhaustive(actuator_model)
+        report = exhaustive_report(actuator_model)
         assert report.unsafe_runs == (("a", "b#a", "c"),)
         assert report.defense_breached
         assert report.detection_latencies == (0,)
@@ -124,12 +127,12 @@ class TestRunExhaustive:
             unsafe_plant_states=actuator_demo.vuln.unsafe_plant_states,
         )
         model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
-        report = run_exhaustive(model)
+        report = exhaustive_report(model)
         assert report.attack_transitions == 0
         assert not report.defense_breached
 
     def test_traffic_erasure_runs_end_at_deadlock_or_destination(self, traffic_se_model):
-        report = run_exhaustive(traffic_se_model)
+        report = exhaustive_report(traffic_se_model)
         assert not report.defense_breached
         allowed = {"(0,3)", "(3,0)", "(5,3)", "(3,5)", "(5,5)"}
         for _trace, composed in report.stuck_runs:
@@ -137,7 +140,7 @@ class TestRunExhaustive:
             assert plant in allowed
 
     def test_traffic_insertion_has_unsafe_run_with_b4_onset(self, traffic_si_model):
-        report = run_exhaustive(traffic_si_model)
+        report = exhaustive_report(traffic_si_model)
         assert report.defense_breached
         assert any("b4#i" in trace for trace in report.unsafe_runs)
 
@@ -157,6 +160,19 @@ class TestRunExhaustive:
             report = run_exhaustive(model)
             verdict = check_gf_safe_diagnoser(model)
             assert report.defense_breached == (not verdict.safe)
+
+    def test_an_unsafe_start_is_the_empty_breached_run(self, actuator_demo):
+        # The search never accepts its start, so the check reads it first.
+        vuln = VulnerabilitySpec(
+            actuator_demo.vuln.alphabet,
+            vulnerable_actuators=actuator_demo.vuln.vulnerable_actuators,
+            unsafe_plant_states=frozenset({actuator_demo.plant.initial}),
+        )
+        model = build_model(MODE_AE, actuator_demo.plant, actuator_demo.supervisor, vuln)
+        assert model.model.initial in model.unsafe_states
+        report = run_exhaustive(model)
+        assert report.unsafe_runs == ((),)
+        assert report.defense_breached
 
 
 class TestLogs:
@@ -262,7 +278,7 @@ class TestCertaintyIsClassifiedOnce:
             return classify(estimate)
 
         monkeypatch.setattr(runtime, "classify", counted)
-        report = run_exhaustive(model, stop_at_breach=True)
+        report = run_exhaustive(model)
         assert len(classified) <= len(set(classified))
         # Premise: the search expands more nodes than it meets estimates.
         assert report.explored > len(set(classified))

@@ -1,11 +1,9 @@
-import collections
-import itertools
 import json
 import random
 
 import pytest
 
-from desguard import diagnosis, safety
+from desguard import diagnosis, runtime
 from desguard.attacks import MODE_AE, MODE_SE, MODES, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, label_compose
@@ -16,7 +14,6 @@ from desguard.safety import (
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
     NominalUnsafeError,
-    _classify_breach,
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
     oracle_defense_simulation,
@@ -25,7 +22,7 @@ from desguard.modelio import load_path
 from desguard.systems import System
 
 from generators import random_model
-from langtools import diagnoser_initial, diagnoser_step
+from langtools import classify_breach, diagnoser_initial, diagnoser_step
 
 ALL_CHECKS = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
 
@@ -224,43 +221,64 @@ class TestDefenseCornerCases:
             assert check(model).safe
 
     def test_breach_naming_refuses_a_run_the_defense_cuts(self):
-        # The oracle's breach naming replays the defended product, so a
+        # The reference breach naming replays the defended product, so a
         # trace through an event frozen after detection is no breach.
         system = observable_actuator_corner_system()
         model = build_model(MODE_AE, system.plant, system.supervisor, system.vuln)
         with pytest.raises(KeyError):
-            _classify_breach(model.analysis, ("s#a", "d"))
+            classify_breach(model.analysis, ("s#a", "d"))
 
 
 class TestDetectionEdgeWitness:
     def test_each_node_is_expanded_once(self, monkeypatch):
-        # The witness search for conditions 2 and 3 finds its detection
-        # edge among the moves it expands, not by taking them again.
-        expanded = collections.Counter()  # (search, node) -> times expanded
-        product = safety.defended_moves
-        searches = itertools.count()
+        # The diagnoser's witness searches and the oracle are one search of
+        # the defended product: it finds its accepted move among the moves
+        # it expands, not by taking them again, and expands no node after
+        # that move's source.
+        searches = []  # per search, the nodes it expanded, in order
+        product = runtime.defended_moves
 
-        def counting(analysis, live):
-            start, moves = product(analysis, live)
-            search = next(searches)
+        def recording(analysis, live, certain=None):
+            start, moves = product(analysis, live, certain)
+            expanded = []
+            searches.append(expanded)
 
             def counted(node):
-                expanded[search, node] += 1
+                expanded.append(node)
                 return moves(node)
 
             return start, counted
 
-        monkeypatch.setattr(safety, "defended_moves", counting)
-        witnessed = 0
+        monkeypatch.setattr(runtime, "defended_moves", recording)
+        witnessed = breached = 0
         for seed in range(60):
             for mode in MODES:
-                verdict = check_gf_safe_diagnoser(random_model(random.Random(seed), mode))
-                witnessed += verdict.violated_condition in (
-                    FIRST_CERTAIN_UNSAFE,
-                    UNCONTROLLABLE_UNSAFE,
-                )
+                model = random_model(random.Random(seed), mode)
+                analysis = model.analysis
+                for check in (check_gf_safe_diagnoser, oracle_defense_simulation):
+                    searches.clear()
+                    verdict = check(model)
+                    for expanded in searches:
+                        assert len(expanded) == len(set(expanded)), (seed, mode, check)
+                    if verdict.safe:
+                        continue
+                    assert len(searches) == 1
+                    condition = verdict.violated_condition
+                    if check is oracle_defense_simulation:
+                        breached += 1
+                    else:
+                        witnessed += condition in (FIRST_CERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE)
+                    node, moves = product(analysis, analysis.automaton.states)
+                    walk = [node]
+                    for event in verdict.counterexample:
+                        walk.append(dict(moves(walk[-1]))[event])
+                    if check is check_gf_safe_diagnoser and condition == UNCONTROLLABLE_UNSAFE:
+                        # The witness runs on past its detection edge.
+                        assert searches[0][-1] in walk[:-1], (seed, mode, check)
+                    else:
+                        assert searches[0][-1] == walk[-2], (seed, mode, check)
         assert witnessed >= 10
-        assert max(expanded.values()) == 1
+        assert breached >= 10
 
 
 class TestEmptyUnsafeCoreach:

@@ -7,6 +7,8 @@ from desguard import attacks, automata, diagnosis, modelio, runtime, safety, sys
 from desguard.attacks import MODE_AE, VulnerabilityError, VulnerabilitySpec, build_model
 from desguard.automata import AE_ATTACKED, SE_ERASED, Alphabet, EventInfo, Value
 
+import langtools
+
 
 def demo_model():
     demo = systems.actuator_demo_system()
@@ -198,8 +200,7 @@ PINNED_REPRS = {
     ),
     "RunReport": (
         "RunReport(explored=4, unsafe_runs=(('a', 'b#a', 'c'),), "
-        "stuck_runs=((('a', 'b#a', 'c'), ('2', '4')),), detection_latencies=(0,), "
-        "attack_transitions=1)"
+        "violated_condition='uncontrollable-unsafe')"
     ),
     "AttackerPolicy": "AttackerPolicy(kind='random', decisions=(), probability=0.25, seed=3)",
 }
@@ -211,3 +212,13 @@ def test_repr_is_pinned(name):
     if name == "AttackerPolicy":
         value.rng()
     assert repr(value) == PINNED_REPRS[name]
+
+
+def test_reference_report_repr_is_pinned():
+    # The full report of every defended run left the library for the tests'
+    # references; its repr is the one the library's report had.
+    assert repr(langtools.exhaustive_report(demo_model())) == (
+        "RunReport(explored=4, unsafe_runs=(('a', 'b#a', 'c'),), "
+        "stuck_runs=((('a', 'b#a', 'c'), ('2', '4')),), detection_latencies=(0,), "
+        "attack_transitions=1)"
+    )

@@ -24,7 +24,6 @@ from desguard.runtime import (
     initial_state,
     log_records,
     run,
-    run_exhaustive,
     step,
 )
 from desguard.safety import (
@@ -41,7 +40,7 @@ from desguard.synthesis import (
 )
 
 from generators import random_automaton, random_model
-from langtools import canonical_doc
+from langtools import canonical_doc, exhaustive_report
 
 
 def _trace(trace):
@@ -52,7 +51,7 @@ def _render(model) -> dict:
     diagnoser = check_gf_safe_diagnoser(model)
     verifier = check_ae_safe_verifier(model)
     oracle = oracle_defense_simulation(model)
-    report = run_exhaustive(model)
+    report = exhaustive_report(model)
     witness = confusion_witness(model)
     return {
         "diagnoser": [
@@ -206,6 +205,11 @@ def test_tour_witnesses_are_pinned():
 @pytest.mark.parametrize("mode", [MODE_AE, MODE_SE, MODE_SI])
 def test_random_model_witnesses_are_pinned(mode):
     rendered = [_render(random_model(random.Random(seed), mode)) for seed in range(200)]
+    # The oracle and the diagnoser's witnesses run one search of the
+    # defended product, the verifier none of it: all three must agree.
+    for seed, routes in enumerate(rendered):
+        answers = {routes[route][0] is None for route in ("diagnoser", "verifier", "oracle")}
+        assert len(answers) == 1, (mode, seed, routes)
     assert _digest(rendered) == RANDOM_SHA256[mode]
 
 
