@@ -127,7 +127,8 @@ class AttackedModel(Value):
 
     @cached_property
     def analysis(self) -> Analysis:
-        """The one analysis context that every decision route reads: the
+        """The one analysis context that every decision route reads once
+        the model has an unsafe state (without one, none needs it): the
         labeled model, its names, unsafe states and their co-reach, and the
         estimate table, all built by one `diagnosis.label_compose` call."""
         from .diagnosis import label_compose

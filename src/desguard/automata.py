@@ -535,7 +535,7 @@ def observer(
     hidden: Iterable[str],
     estimates: EstimateTable | None = None,
     stop: Callable[[frozenset], bool] | None = None,
-    live: frozenset | None = None,
+    expand: Callable[[frozenset], bool] | None = None,
 ) -> Automaton:
     """Subset-construction observer with respect to a hidden event set.
 
@@ -547,13 +547,18 @@ def observer(
     table of this call's own.  With `stop`, the search
     ends at the first observer state it dequeues that satisfies it: the
     result then holds only the states discovered so far and the
-    transitions of the states already expanded.  With `live`, an observer
-    state that shares no source state with it is discovered but not
-    expanded: it keeps no transitions.  Every member of an estimate is
-    reached from a member of each estimate before it, so when `live` is
-    closed backward (holds whatever reaches it), the expanded states are
-    exactly the complete observer's states reached through estimates
-    meeting `live`, with the same transitions, in the same order.
+    transitions of the states already expanded.  With `expand`, an
+    observer state it rejects is discovered but not expanded: it keeps no
+    transitions.  The pruned observer is exact when whatever a rejected
+    state reaches in the complete observer is rejected too: its expanded
+    states are then exactly the complete observer's states reached through
+    accepted ones, with the same transitions, in the same order, and a
+    `stop` that holds only where `expand` does ends at the same state.
+    Every member of an estimate is reached from a member of each estimate
+    before it, so two kinds of predicate qualify, and so does their
+    conjunction: meeting a set closed backward (holding whatever reaches
+    it), and not lying inside a set closed forward, such as the states
+    past an absorbing event.
     """
     hidden = frozenset(hidden)
     if not hidden <= automaton.events:
@@ -566,14 +571,14 @@ def observer(
     out: dict = {}
 
     def moves(current):
-        if live is not None and live.isdisjoint(current):
+        if expand is not None and not expand(current):
             return ()
         row = out[current] = estimates.moves(current)
         return row.items()
 
     initial = estimates.initial
     states, _ = explore((initial,), moves, stop, overflow="observer exceeded {limit} states")
-    for state in states:  # the states never expanded, by `stop` or `live`
+    for state in states:  # the states never expanded, by `stop` or `expand`
         out.setdefault(state, {})
     marked = frozenset(s for s in states if not automaton.marked.isdisjoint(s))
     return Automaton._unchecked(frozenset(states), visible, out, initial, marked)

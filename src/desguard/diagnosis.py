@@ -2,7 +2,8 @@
 
 Detection is a fault-diagnosis problem where the "faults" are the attack
 artifact events of a closed-loop model.  `label_compose` builds the one
-per-model analysis context, `Analysis`, that every decision route reads.
+per-model analysis context, `Analysis`, that every decision route reads
+on a model with an unsafe state.
 It numbers the closed-loop states once and attaches an absorbing attack
 label as the low bit: the labeled state ``2 * i + label`` is closed-loop
 state `names[i]`, clean (0) or attacked (1).  Every route works on these
@@ -15,13 +16,14 @@ Besides the labeled model, `Analysis` holds the model's one
 defended product of `runtime` all read each estimate's moves from it,
 so each unobservable closure and each estimate's move map is computed
 at most once per model, and the observer's rows are the table's maps.
-`build_diagnoser` can end at the first estimate a predicate accepts.
-`Analysis` also holds one backward closure per model, the labeled states
-from which an unsafe state is reachable; the verifier, oracle and witness
-searches never enter a state outside it, and the diagnoser test expands
-no estimate that shares no state with it.  `deadlocks` and `blocking`,
-the closed loop's hygiene checks, are read off the labeled rows when
-first asked for, so the routes never pay for them.
+`build_diagnoser` can end at the first estimate a predicate accepts, and
+expand only the estimates another accepts.  `Analysis` also holds one
+backward closure per model, the labeled states from which an unsafe
+state is reachable; the verifier, oracle and witness searches never
+enter a state outside it, and the diagnoser test expands no estimate
+that shares no state with it, nor any certain one.  `deadlocks` and
+`blocking`, the closed loop's hygiene checks, are read off the labeled
+rows when first asked for, so the routes never pay for them.
 
 The verifier offers a polynomial alternative to the diagnoser: it pairs
 the renamed attack-free behavior with the attacked behavior so that
@@ -190,18 +192,18 @@ class Diagnoser(Value):
 def build_diagnoser(
     analysis: Analysis,
     stop: Callable[[frozenset], bool] | None = None,
-    live: frozenset | None = None,
+    expand: Callable[[frozenset], bool] | None = None,
 ) -> Diagnoser:
     """Observer of the labeled model, with each estimate classified.
 
     The observer steps through the model's estimate table.  `stop` and
-    `live` go to `observer`: a predicate at whose first satisfying
-    estimate the construction ends, and the labeled states an estimate
-    must meet to be expanded (`Analysis.unsafe_coreach` for the diagnoser
-    test).  Either leaves a partial diagnoser, whose every discovered
-    estimate is classified.
+    `expand` go to `observer`: a predicate at whose first satisfying
+    estimate the construction ends, and one an estimate must satisfy to
+    be expanded (for the diagnoser test: it meets `Analysis.unsafe_coreach`
+    and is not certain).  Either leaves a partial diagnoser, whose every
+    discovered estimate is classified.
     """
-    obs = observer(analysis.automaton, analysis.unobservable, analysis.estimates, stop, live)
+    obs = observer(analysis.automaton, analysis.unobservable, analysis.estimates, stop, expand)
     return Diagnoser(obs, {s: classify(s) for s in obs.states})
 
 

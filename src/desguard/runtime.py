@@ -132,14 +132,15 @@ def initial_state(model: AttackedModel) -> ExecutionState:
 
 
 def _choices(
-    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
+    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy, product
 ) -> tuple[frozenset[str], frozenset[str], dict]:
     """(Events that may occur next, attack opportunities open, moves by
-    event) at `state`.  The moves are the defended product's; attack
-    artifacts that are uncontrollable in the model are never blocked by
-    the defense, only by the policy, which filters them with one draw.
+    event) at `state`, a node of the defended `product`'s successor
+    function.  Attack artifacts that are uncontrollable in the model are
+    never blocked by the defense, only by the policy, which filters them
+    with one draw.
     """
-    moves = dict(_product(model)[1](state.node))
+    moves = dict(product(state.node))
     enabled = frozenset(moves)
     attacks = enabled & model.attack_events
     taken = policy.filter_attacks(attacks, state.decisions_used)
@@ -157,9 +158,21 @@ def step(
     A random policy picks from the same draw that decided what is
     enabled.  Returns None when `choice` is None and nothing is enabled:
     the run has ended.  The chosen move's target is the next node, with
-    the estimate and safe mode the exhaustive check reaches there.
+    the estimate and safe mode the exhaustive check reaches there.  Each
+    call makes its own product; `run` makes one for all its steps.
     """
-    enabled, attacks, moves = _choices(state, model, policy)
+    return _advance(state, model, policy, choice, _product(model)[1])
+
+
+def _advance(
+    state: ExecutionState,
+    model: AttackedModel,
+    policy: AttackerPolicy,
+    choice: str | None,
+    product,
+) -> ExecutionState | None:
+    """`step` through the successor function of a defended product already made."""
+    enabled, attacks, moves = _choices(state, model, policy, product)
     if choice is None:
         if not enabled:
             return None
@@ -180,10 +193,15 @@ def step(
 
 
 def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[ExecutionState]:
-    """Auto-step until nothing is enabled or `max_steps` events occurred."""
-    states = [initial_state(model)]
+    """Auto-step until nothing is enabled or `max_steps` events occurred.
+
+    The run steps through one defended product, whose memo classifies
+    each estimate it reaches once.
+    """
+    start, product = _product(model)
+    states = [ExecutionState(model.analysis, start)]
     for _ in range(max_steps):
-        advanced = step(states[-1], model, policy)
+        advanced = _advance(states[-1], model, policy, None, product)
         if advanced is None:
             break
         states.append(advanced)
@@ -202,7 +220,8 @@ class RunReport(Value):
         return bool(self.unsafe_runs)
 
 
-def _is_certain(estimate: frozenset) -> bool:
+def is_certain(estimate: frozenset) -> bool:
+    """Whether the estimate is certain: the defense has frozen control."""
     return classify(estimate) == CERTAIN
 
 
@@ -224,7 +243,7 @@ def defended_moves(analysis: Analysis, live: frozenset, certain=None):
     observable = analysis.observable
     controllable = analysis.controllable
     if certain is None:
-        certain = cache(_is_certain)
+        certain = cache(is_certain)
 
     def moves(node):
         lstate, estimate = node
@@ -286,7 +305,7 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
     unsafe = analysis.unsafe
     if analysis.automaton.initial in unsafe:
         return RunReport(1, ((),))
-    certain = cache(_is_certain)
+    certain = cache(is_certain)
     parents, found = defended_search(
         analysis,
         lambda _node, target: target[0] in unsafe,

@@ -17,10 +17,12 @@ independent routes decide the property:
   into an unsafe state, whose two estimates name the violated condition.
 
 All three must agree; the simulation is the ground truth the other two
-are checked against.  All three read the model's one estimate table and
-assume a supervisor that is safe without attacks: on a model whose
-attack-free closed loop already reaches an unsafe state, each raises
-`NominalUnsafeError` instead of answering.
+are checked against.  A model with no unsafe state is safe under any
+defense, and all three say so without building its analysis.  Otherwise
+all three read the model's one estimate table and assume a supervisor
+that is safe without attacks: on a model whose attack-free closed loop
+already reaches an unsafe state, each raises `NominalUnsafeError`
+instead of answering.
 
 A labeled state from which no unsafe state is reachable cannot matter
 to any condition.  The two searches skip such states, computed by one
@@ -31,18 +33,21 @@ state is outside the closure.  Whatever reaches a kept state is kept, so
 a breadth-first search visits the kept nodes in the order and along the
 paths of the unpruned search, and finds the same witnesses; each of the
 diagnoser's conditions needs an estimate member inside the closure, so
-the pruned observer meets every estimate they read.  The diagnoser's
-`x_uc` is therefore reported among the closed-loop states that can
-still reach an unsafe state.
+the pruned observer meets every estimate they read.  Nor does the
+observer expand a certain estimate: the attack label is absorbing, so
+every estimate a certain one reaches is certain too, and the conditions
+read only uncertain estimates and the first edges into certain ones.
+The diagnoser's `x_uc` is reported among the closed-loop states that
+can still reach an unsafe state.
 """
 
 from __future__ import annotations
 
+from functools import cache
 
 from .attacks import AttackedModel
 from .automata import Trace, Value, collector_paused, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
-    CERTAIN,
     SINK,
     UNCERTAIN,
     build_diagnoser,
@@ -61,7 +66,7 @@ from .modelio import (
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
 )
-from .runtime import defended_search, run_exhaustive
+from .runtime import defended_search, is_certain, run_exhaustive
 
 
 class NominalUnsafeError(ValueError):
@@ -72,7 +77,17 @@ class NominalUnsafeError(ValueError):
     """
 
 
-def _require_safe_nominal(model: AttackedModel) -> None:
+def _must_search(model: AttackedModel) -> bool:
+    """Whether a route has to analyze `model`; the one guard of all three.
+
+    No defense can fail where nothing is unsafe: on a model without an
+    unsafe state every route answers safe, and none builds
+    `model.analysis`.  Otherwise each assumes a supervisor that is safe
+    without attacks, and raises `NominalUnsafeError` on a model whose
+    attack-free loop already reaches an unsafe state.
+    """
+    if not model.unsafe_states:
+        return False
     reached = model.analysis.nominal_unsafe
     if reached:
         names = sorted({state_name(model.plant_component(s)) for s in reached})
@@ -81,6 +96,7 @@ def _require_safe_nominal(model: AttackedModel) -> None:
             f"{', '.join(names)}; safe controllability assumes a supervisor "
             "that is safe without attacks"
         )
+    return True
 
 
 class Verdict(Value):
@@ -113,24 +129,29 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     unsafe state is reached, or (3) an unsafe state is reachable from a
     first-detection point through uncontrollable events alone.
 
-    The observer expands only estimates that meet `unsafe_coreach`, and
-    none is built when the initial labeled state is outside it: the
-    model is then safe, with an empty `x_uc`.  Condition 1 takes
-    precedence, so the observer stops at the first estimate that
-    violates it.  Otherwise conditions 2 and 3 read the diagnoser's entry
-    states: the labeled states entered on its detection edges, before
-    the unobservable closure, whose further states need post-detection
-    events the defense governs.  An entry state that can reach an unsafe
-    state is entered from an estimate member that can too, so the pruned
-    observer has every such edge.  Condition 2 is an unsafe entry state;
-    condition 3 an unsafe state in the entry states' uncontrollable
-    closure, kept to the states that can reach an unsafe state; `x_uc`
-    names their closed-loop states.  The witness search ends at a
-    detection edge into an unsafe entry state (2) or one in the unsafe
-    states' uncontrollable backward closure (3), which the shortest
+    The observer expands only the estimates that meet `unsafe_coreach` and
+    are not certain (certainty latches, so no condition reads what a certain
+    one leads to), and none is built when the model has no unsafe state or
+    the initial labeled state is outside the co-reach: the model is then
+    safe, with an empty `x_uc`.  Condition 1 takes precedence, so the
+    observer stops at the first estimate that violates it.  Otherwise
+    conditions 2 and 3 read the diagnoser's entry states: the labeled states
+    entered on its detection edges, before the unobservable closure, whose
+    further states need post-detection events the defense governs.  An entry
+    state that can reach an unsafe state is entered from an estimate member
+    that can too, so the pruned observer has every such edge.  Condition 2
+    is an unsafe entry state; condition 3 an unsafe state in the entry
+    states' uncontrollable closure, kept to the states that can reach an
+    unsafe state; `x_uc` names their closed-loop states.  The witness search
+    ends at a detection edge into an unsafe entry state (2) or one in the
+    unsafe states' uncontrollable backward closure (3), which the shortest
     uncontrollable run to the first unsafe state by name then completes.
+    The searches classify the estimates they meet, which the observer may
+    never have discovered, through the certainty memo the observer's
+    predicate fills.
     """
-    _require_safe_nominal(model)
+    if not _must_search(model):
+        return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
     analysis = model.analysis
     aut = analysis.automaton
     live = analysis.unsafe_coreach
@@ -138,12 +159,17 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
     # The attack-free loop is safe, so every unsafe labeled state is attacked.
     unsafe = analysis.unsafe
+    # One certainty memo for the observer and both witness searches.
+    certain = cache(is_certain)
 
     # Condition 1: unsafe state inside an uncertain estimate, label attacked.
     def condition1(estimate):
         return not unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
 
-    diagnoser = build_diagnoser(analysis, condition1, live)
+    def expand(estimate):
+        return not live.isdisjoint(estimate) and not certain(estimate)
+
+    diagnoser = build_diagnoser(analysis, condition1, expand)
     if any(map(condition1, diagnoser.automaton.states)):
 
         def confused(_node, target):
@@ -152,7 +178,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         # Every member of a reachable estimate is reachable paired with it,
         # so this search and the detection edge search find their move.
         parents, (node, event, target) = defended_search(
-            analysis, confused, "diagnoser witness search exceeded {limit} states"
+            analysis, confused, "diagnoser witness search exceeded {limit} states", certain
         )
         return Verdict(
             safe=False,
@@ -184,13 +210,11 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         condition = UNCONTROLLABLE_UNSAFE
         arrivals = entries & coreach(aut, unsafe, uncontrollable)
 
-    certain = {s for s, c in diagnoser.classification.items() if c == CERTAIN}
-
     def detecting(node, target):
-        return target[0] in arrivals and target[1] in certain and node[1] not in certain
+        return target[0] in arrivals and certain(target[1]) and not certain(node[1])
 
     parents, (node, event, target) = defended_search(
-        analysis, detecting, "detection edge search exceeded {limit} states"
+        analysis, detecting, "detection edge search exceeded {limit} states", certain
     )
     trace = path_to(parents, node) + (event,)
     if condition == UNCONTROLLABLE_UNSAFE:
@@ -234,7 +258,8 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     unsafe state; as the attack-free loop is safe, these all reach an
     attacked label, so only nodes that lead to no violation are dropped.
     """
-    _require_safe_nominal(model)
+    if not _must_search(model):
+        return Verdict(safe=True, method=VERIFIER)
     analysis = model.analysis
     product = tracker_moves(model, keep=analysis.unsafe_coreach)
     if product is None:
@@ -274,7 +299,8 @@ def oracle_defense_simulation(model: AttackedModel) -> Verdict:
     pruned from the moment detection is certain.  The verdict reads the
     shortest breached run and its condition off `run_exhaustive`'s report.
     """
-    _require_safe_nominal(model)
+    if not _must_search(model):
+        return Verdict(safe=True, method=ORACLE)
     report = run_exhaustive(model)
     if not report.defense_breached:
         return Verdict(safe=True, method=ORACLE)

@@ -44,7 +44,7 @@ from desguard.automata import (
 )
 from desguard.diagnosis import ATTACKED, CERTAIN, CLEAN, SINK, Analysis, Diagnoser, classify
 from desguard.modelio import FIRST_CERTAIN_UNSAFE, UNCERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE
-from desguard.runtime import AttackerPolicy, ExecutionState, _choices, defended_moves
+from desguard.runtime import AttackerPolicy, ExecutionState, _choices, _product, defended_moves
 
 
 def project(trace: Iterable[str], observable: Iterable[str]) -> Trace:
@@ -99,7 +99,7 @@ def enabled_choices(
     state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
 ) -> frozenset[str]:
     """Events that may occur next, after safe-mode and policy filtering."""
-    return _choices(state, model, policy)[0]
+    return _choices(state, model, policy, _product(model)[1])[0]
 
 
 class RunReport(Value):

@@ -105,8 +105,9 @@ def observability_search(request):
 # Each case builds its inputs under the default budget and returns the one
 # bounded construction to run under `budget`, which it must overflow.  The
 # model is traffic under actuator enablement unless the case names another:
-# 36 closed-loop and 47 labeled states, 15 observer states, 19 verifier nodes
-# before its witness.  Under sensor insertion the observer keeps 17 states
+# 36 closed-loop and 47 labeled states, 19 verifier nodes before its witness,
+# and 13 states in the diagnoser test's observer, which leaves certain
+# estimates unexpanded.  Under sensor insertion the observer keeps 17 states
 # and the uncertain-unsafe witness search reaches 21 nodes.
 @pytest.mark.parametrize("prepare, budget, message", [
     pytest.param(attack_build, 10, "composition exceeded 10 states", id="build_model"),

@@ -4,12 +4,13 @@ The references recompute every unobservable closure from scratch
 (`langtools.diagnoser_step`) and explore every defended run
 (`langtools.exhaustive_report`).  The table must give the same
 observer, in the same discovery order.  The diagnoser test, which
-expands only estimates meeting the unsafe co-reach and stops its
-observer at the first violation of condition 1, must decide as the
-complete reference diagnoser does, with the witnesses of the same test
-run on a complete observer, and report the reference `x_uc` cut to the
-co-reach; its pruned observer must expand exactly the reference
-estimates reached through estimates meeting the co-reach.  The oracle,
+expands only the estimates that meet the unsafe co-reach and are not
+certain, and stops its observer at the first violation of condition 1,
+must decide as the complete reference diagnoser does, with the verdict
+of the same test run on a complete observer, and report the reference
+`x_uc` cut to the co-reach; an observer pruned to the co-reach alone
+must expand exactly the reference estimates reached through estimates
+meeting it.  The oracle,
 which stops at the first unsafe node, must report the shortest breached
 run of the full report.
 """
@@ -154,22 +155,26 @@ def reference_breach(model, trace):
     return UNCONTROLLABLE_UNSAFE
 
 
-def complete_route(model, monkeypatch):
-    """The diagnoser test with a complete observer wherever it builds
-    one: its conditions and witnesses are the pruned test's."""
+def recorded_route(model, monkeypatch, complete=False):
+    """The diagnoser test and the diagnosers it builds; with `complete`,
+    a complete observer wherever it builds one."""
+    built = []
 
-    def complete(analysis, stop, live):
-        return build_diagnoser(analysis, stop)
+    def recording(analysis, stop, expand):
+        built.append(build_diagnoser(analysis, stop, None if complete else expand))
+        return built[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(safety, "build_diagnoser", complete)
-        return check_gf_safe_diagnoser(model)
+        patch.setattr(safety, "build_diagnoser", recording)
+        return check_gf_safe_diagnoser(model), built
 
 
 def _check_diagnoser(model, monkeypatch):
+    """Returns the number of certain estimates the test's observer
+    discovered and left unexpanded."""
     initial, estimates, transitions = reference_diagnoser(model)
     held, x_uc = reference_conditions(model, estimates, transitions)
-    verdict = check_gf_safe_diagnoser(model)
+    verdict, diagnosers = recorded_route(model, monkeypatch)
     assert verdict.violated_condition == (held[0] if held else None)
     # x_uc is reported once conditions 1 and 2 are ruled out, among the
     # closed-loop states that can reach an unsafe state.
@@ -177,17 +182,26 @@ def _check_diagnoser(model, monkeypatch):
     analysis = model.analysis
     alive = {analysis.decode(state)[0] for state in analysis.unsafe_coreach}
     assert verdict.x_uc == (x_uc & alive if reported else None)
-    complete = complete_route(model, monkeypatch)
-    assert complete.violated_condition == verdict.violated_condition
-    assert complete.counterexample == verdict.counterexample
-    assert complete.witness_state == verdict.witness_state
+    # The test's observer expands no certain estimate, and decides and
+    # witnesses as a complete one does.
+    unexpanded = 0
+    for diagnoser in diagnosers:
+        for estimate, row in diagnoser.automaton._out.items():
+            if diagnoser.classification[estimate] == CERTAIN:
+                assert row == {}
+                unexpanded += 1
+    complete, _ = recorded_route(model, monkeypatch, complete=True)
+    assert complete == verdict
 
-    # The pruned observer, on a table of its own that records each estimate
-    # it expands.
+    # The observer pruned to the co-reach, on a table of its own that records
+    # each estimate it expands.
     table = EstimateTable(analysis.automaton, analysis.unobservable)
     expanded, moves = [], table.moves
     table.moves = lambda estimate: expanded.append(estimate) or moves(estimate)
-    pruned = build_diagnoser(analysis.replace(estimates=table), live=analysis.unsafe_coreach)
+    live = analysis.unsafe_coreach
+    pruned = build_diagnoser(
+        analysis.replace(estimates=table), expand=lambda estimate: not live.isdisjoint(estimate)
+    )
     reached, live_estimates = reference_pruned(model, estimates, transitions)
     assert pruned.automaton.states == reached
     assert expanded == live_estimates
@@ -203,6 +217,7 @@ def _check_diagnoser(model, monkeypatch):
     assert built.automaton.initial == initial
     assert built.automaton.states == set(estimates)
     assert list(built.automaton.transitions.items()) == transitions
+    return unexpanded
 
 
 def _check_oracle(model):
@@ -227,8 +242,10 @@ def test_fixture_diagnoser_matches_reference(fixture, request, monkeypatch):
 
 @pytest.mark.parametrize("mode", [MODE_AE, MODE_SE, MODE_SI])
 def test_random_diagnoser_matches_reference(mode, monkeypatch):
+    unexpanded = 0
     for seed in SEEDS:
-        _check_diagnoser(random_model(random.Random(seed), mode), monkeypatch)
+        unexpanded += _check_diagnoser(random_model(random.Random(seed), mode), monkeypatch)
+    assert unexpanded  # premise: the test's observer left certain estimates unexpanded
 
 
 def test_traffic_3x6_diagnoser_matches_reference(monkeypatch):
@@ -287,6 +304,48 @@ def both_conditions_model():
         unsafe_plant_states=frozenset({"1", "2"}),
     )
     return build_model(MODE_AE, plant, supervisor, vuln)
+
+
+def late_detection_model():
+    """Condition 2 at observation depth 4, after a shorter certain run.
+
+    Everything is observed.  Attacking x is detected at once, and the
+    uncontrollable y and z then reach the unsafe T at depth 3, through an
+    estimate that only certain estimates reach.  T is first entered at
+    detection after u, v and w, by attacking e.
+    """
+    plant = Automaton.build("0", [
+        ("0", "x", "P"), ("P", "y", "S"), ("S", "z", "T"),
+        ("0", "u", "Q"), ("Q", "v", "R"), ("R", "w", "S2"), ("S2", "e", "T"),
+    ])
+    supervisor = Automaton.build(
+        "s", [("s", "u", "s"), ("s", "v", "s"), ("s", "w", "s")], events=["u", "v", "w", "x", "e"]
+    )
+    events = ["x", "y", "z", "u", "v", "w", "e"]
+    alphabet = Alphabet.from_sets(events, observable=events, controllable=["x", "u", "v", "w", "e"])
+    vuln = VulnerabilitySpec(
+        alphabet,
+        vulnerable_actuators=frozenset({"x", "e"}),
+        unsafe_plant_states=frozenset({"T"}),
+    )
+    return build_model(MODE_AE, plant, supervisor, vuln)
+
+
+def test_detection_edge_certainty_is_classified(monkeypatch):
+    """The detection edge search classifies the estimates it meets: the
+    estimate after x and y, which the test's observer never discovers, is
+    certain, so the move on z into T is not a detection edge."""
+    model = late_detection_model()
+    verdict, (diagnoser,) = recorded_route(model, monkeypatch)
+    assert verdict.violated_condition == FIRST_CERTAIN_UNSAFE
+    assert verdict.counterexample == ("u", "v", "w", "e#a")
+    assert classify_breach(model.analysis, verdict.counterexample) == FIRST_CERTAIN_UNSAFE
+    # Premise: the estimate the run x#a, y reaches is not discovered.
+    estimate = model.analysis.estimates.initial
+    for event in ("x#a", "y"):
+        estimate = model.analysis.estimates.moves(estimate)[event]
+    assert estimate not in diagnoser.automaton.states
+    _check_diagnoser(model, monkeypatch)
 
 
 def test_condition1_takes_precedence_over_condition2():

@@ -240,8 +240,8 @@ class TestCertaintyLatches:
                 continue
             analysis = model.analysis
             moves, live = analysis.estimates.moves, analysis.unsafe_coreach
-            # The check's observer expands only estimates meeting the co-reach.
-            pruned = build_diagnoser(analysis, live=live).automaton
+            # An observer pruned to the co-reach expands only estimates meeting it.
+            pruned = build_diagnoser(analysis, expand=lambda e: not live.isdisjoint(e)).automaton
             for estimate, row in pruned._out.items():
                 assert row is moves(estimate) or (live.isdisjoint(estimate) and row == {})
             for estimate, row in build_diagnoser(analysis).automaton._out.items():
@@ -282,6 +282,22 @@ class TestCertaintyIsClassifiedOnce:
         assert len(classified) <= len(set(classified))
         # Premise: the search expands more nodes than it meets estimates.
         assert report.explored > len(set(classified))
+
+    def test_run_classifies_each_estimate_once(self, monkeypatch):
+        """A step-by-step run steps through one product and its one memo."""
+        model = random_model(random.Random(1), MODE_AE)
+        model.analysis
+        classified = []
+
+        def counted(estimate):
+            classified.append(estimate)
+            return classify(estimate)
+
+        monkeypatch.setattr(runtime, "classify", counted)
+        states = run(model, AttackerPolicy.all_out(), 40)
+        assert len(classified) == len(set(classified))
+        # Premise: the run takes more steps than it meets estimates.
+        assert len(states) > len(set(classified))
 
 
 class TestEngineWalksTheProduct:

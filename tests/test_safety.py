@@ -8,12 +8,16 @@ from desguard.attacks import MODE_AE, MODE_SE, MODES, VulnerabilitySpec, build_m
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, label_compose
 from desguard.safety import (
+    DIAGNOSER,
     FIRST_CERTAIN_UNSAFE,
+    ORACLE,
     UNCERTAIN_UNSAFE,
     UNCONTROLLABLE_UNSAFE,
+    VERIFIER,
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
     NominalUnsafeError,
+    Verdict,
     check_ae_safe_verifier,
     check_gf_safe_diagnoser,
     oracle_defense_simulation,
@@ -25,6 +29,15 @@ from generators import random_model
 from langtools import classify_breach, diagnoser_initial, diagnoser_step
 
 ALL_CHECKS = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
+FIXTURES = [
+    "actuator_model",
+    "blocking_model",
+    "erasure_model",
+    "insertion_model",
+    "traffic_ae_model",
+    "traffic_se_model",
+    "traffic_si_model",
+]
 
 
 def safe_actuator_system() -> System:
@@ -309,6 +322,28 @@ class TestEmptyUnsafeCoreach:
         verdict = check_gf_safe_diagnoser(model)
         assert verdict.safe and verdict.x_uc == frozenset()
         assert calls == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_unsafe_state_builds_no_analysis(self, request, mode):
+        """On a model without an unsafe state every route answers safe, as
+        the search it skips would, and none labels the model."""
+        fixtures = [request.getfixturevalue(name) for name in FIXTURES]
+        models = [m for m in fixtures if m.mode == mode]
+        models += [random_model(random.Random(seed), mode) for seed in range(200)]
+        checked = 0
+        for model in models:
+            if model.unsafe_states:
+                continue
+            fresh = model.replace()  # a new instance: no analysis built yet
+            verdicts = [check(fresh) for check in ALL_CHECKS]
+            assert verdicts == [
+                Verdict(True, DIAGNOSER, x_uc=frozenset()),
+                Verdict(True, VERIFIER),
+                Verdict(True, ORACLE),
+            ]
+            assert "analysis" not in vars(fresh)
+            checked += 1
+        assert checked >= 60
 
     def test_counter_sees_the_observer(self, monkeypatch, traffic_ae_model):
         assert traffic_ae_model.analysis.unsafe_coreach
