@@ -3,19 +3,20 @@
 Detection is a fault-diagnosis problem where the "faults" are the attack
 artifact events of a closed-loop model.  `label_compose` builds the one
 per-model analysis context, `Analysis`, that every decision route reads
-on a model with an unsafe state.
-It numbers the closed-loop states once and attaches an absorbing attack
-label as the low bit: the labeled state ``2 * i + label`` is closed-loop
-state `names[i]`, clean (0) or attacked (1).  Every route works on these
-ints, and names are rendered only where output is written.  The
-diagnoser is the observer of the labeled model and classifies each
-estimate as normal, uncertain, or certain by its members' label bits.
+on a model with an unsafe state.  It numbers the closed-loop states once
+and attaches an absorbing attack label as the low bit: the labeled state
+``2 * i + label`` is closed-loop state `names[i]`, clean (0) or attacked
+(1).  Every route works on these ints, and names are rendered only where
+output is written.  The diagnoser is the observer of the labeled model
+and classifies each estimate as normal, uncertain, or certain by its
+members' label bits.
 
 Besides the labeled model, `Analysis` holds the model's one
 `EstimateTable`: the diagnoser's observer, the online detector and the
 defended product of `runtime` all read each estimate's moves from it,
 so each unobservable closure and each estimate's move map is computed
 at most once per model, and the observer's rows are the table's maps.
+So is each estimate's certainty, in the model's one memo `certain`.
 `build_diagnoser` can end at the first estimate a predicate accepts, and
 expand only the estimates another accepts.  `Analysis` also holds one
 backward closure per model, the labeled states from which an unsafe
@@ -31,15 +32,14 @@ observation-equivalent string pairs become joint states, and a tracker
 follows the attacked behavior past detection.  `tracker_moves` is the
 one construction of that product: its start node and successor
 function, read straight off the labeled model, whose clean states are
-the attack-free behavior.  The verifier test searches all of it and
-`confusion_witness` its pairs (never past a detected node), without
+the attack-free behavior.  The verifier test searches it without
 building any automaton; `build_verifier` records one search of it as the
 verifier and tracker automata.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .attacks import RENAME_SUFFIX, AttackedModel
@@ -53,7 +53,6 @@ from .automata import (
     coreach,
     explore,
     observer,
-    path_to,
     state_name,
 )
 
@@ -80,13 +79,15 @@ class Analysis(Value):
     unsafe); the closed-loop states the attack-free loop already reaches
     among them (`nominal_unsafe`); `unsafe_coreach` (the labeled states
     from which an unsafe state is reachable, inside which the searches for
-    a violation stay); and the detector's estimate table.  The table fills
-    lazily and is shared by the observer, the defended-run exploration and
-    step-by-step runs, so between them each closure and each estimate's
-    moves are computed at most once per model, and kept for as long as
-    the model lives.  Diagnosers and verifier searches are rebuilt per
-    call, so a model kept alive does not keep their memory alive too.
-    `marks` says whether the closed loop declares a marked state.
+    a violation stay); the detector's estimate table; and `certain`, the
+    memo of `is_certain` over its estimates.  The table and the memo fill
+    lazily and are shared by the observer, the defended-run exploration
+    and step-by-step runs, so between them each closure, each estimate's
+    moves and each estimate's certainty are computed at most once per
+    model, and kept for as long as the model lives.  Diagnosers and
+    verifier searches are rebuilt per call, so a model kept alive does not
+    keep their memory alive too.  `marks` says whether the closed loop
+    declares a marked state.
     """
 
     observable: frozenset[str]
@@ -99,6 +100,7 @@ class Analysis(Value):
     nominal_unsafe: frozenset
     unsafe_coreach: frozenset[int]
     estimates: EstimateTable
+    certain: Callable[[frozenset], bool]
     marks: bool
 
     def decode(self, state: int) -> tuple:
@@ -168,6 +170,7 @@ def label_compose(model: AttackedModel) -> Analysis:
         nominal_unsafe=frozenset(names[s >> 1] for s in unsafe if not s & 1),
         unsafe_coreach=coreach(labeled, unsafe),
         estimates=EstimateTable(labeled, unobservable),
+        certain=cache(is_certain),
         marks=bool(aut.marked),
     )
 
@@ -180,6 +183,11 @@ def classify(estimate: Iterable[int]) -> str:
     if labels == {1}:
         return CERTAIN
     return UNCERTAIN
+
+
+def is_certain(estimate: frozenset) -> bool:
+    """Whether the estimate is certain: the defense has frozen control."""
+    return classify(estimate) == CERTAIN
 
 
 class Diagnoser(Value):
@@ -324,68 +332,3 @@ def tracker_moves(model: AttackedModel, keep: frozenset | None = None):
 def strip_renamed(trace: Iterable[str]) -> Trace:
     """Project a verifier trace onto the attacked side (drop renamed events)."""
     return tuple(e for e in trace if not e.endswith(RENAME_SUFFIX))
-
-
-def recover_normal(
-    trace: Iterable[str], attack_events: frozenset[str], observable: frozenset[str]
-) -> Trace:
-    """Project a verifier trace onto the attack-free side.
-
-    Keeps shared (observable, non-attack) events and un-renames private
-    normal moves; private attacked moves are dropped.
-    """
-    out = []
-    for event in trace:
-        if event.endswith(RENAME_SUFFIX):
-            out.append(event[: -len(RENAME_SUFFIX)])
-        elif event in observable and event not in attack_events:
-            out.append(event)
-    return tuple(out)
-
-
-def confusion_witness(
-    model: AttackedModel,
-    require_event: str | None = None,
-    unsafe_only: bool = False,
-) -> tuple[Trace, Trace] | None:
-    """A pair (attack-free trace, attacked trace) with equal observations.
-
-    Searches the pairs of the tracker product, never past a sink node,
-    for one whose attacked component is labeled, optionally insisting
-    that the attacked trace contain `require_event` and/or end in an
-    unsafe state.  Returns None when the attacked behavior is never
-    observation-equivalent to attack-free behavior.
-    """
-    product = tracker_moves(model)
-    if product is None:
-        return None
-    start, pair_moves = product
-
-    def moves(node):
-        pair, satisfied = node
-        if pair[0] != SINK:
-            for event, target in pair_moves(pair):
-                yield event, (target, satisfied or event == require_event)
-
-    unsafe = model.analysis.unsafe
-
-    def confused(node):
-        (normal, attacked), satisfied = node
-        return (
-            normal != SINK
-            and attacked & 1
-            and satisfied
-            and (not unsafe_only or attacked in unsafe)
-        )
-
-    parents, found = explore(
-        [(start, require_event is None)],
-        moves,
-        confused,
-        overflow="confusion witness search exceeded {limit} states",
-    )
-    if found is None:
-        return None
-    trace = path_to(parents, found)
-    normal_trace = recover_normal(trace, model.attack_events, model.analysis.observable)
-    return normal_trace, strip_renamed(trace)

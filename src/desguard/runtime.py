@@ -10,20 +10,20 @@ which ends at the first move its caller accepts.  The exhaustive check
 (`run_exhaustive`, the oracle) accepts a move into an unsafe state, and
 the diagnoser's two witness searches accept the moves their conditions
 name.  Attack opportunities are filtered through an attacker policy,
-and every estimate's moves come from the model's shared estimate table
-(`Analysis.estimates`).  The search keeps to the labeled states that can
-still reach an unsafe state (one backward closure per model).
+and every estimate's moves and certainty come from the model's shared
+estimate table and certainty memo (`Analysis.estimates`, `.certain`).
+The search keeps to the labeled states that can still reach an unsafe
+state (one backward closure per model).  `run` is a loop of `step`.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache
 from typing import Iterable
 
 from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
 from .automata import Trace, Value, explore, path_to, state_name
-from .diagnosis import CERTAIN, Analysis, classify
+from .diagnosis import Analysis
 from .modelio import FIRST_CERTAIN_UNSAFE, UNCERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE
 
 
@@ -112,7 +112,7 @@ class ExecutionState(Value):
     @property
     def safe_mode(self) -> bool:
         """Controllable events are disabled once the estimate is certain."""
-        return classify(self.estimate) == CERTAIN
+        return self.analysis.certain(self.estimate)
 
     @property
     def supervisor_state(self):
@@ -132,15 +132,14 @@ def initial_state(model: AttackedModel) -> ExecutionState:
 
 
 def _choices(
-    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy, product
+    state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
 ) -> tuple[frozenset[str], frozenset[str], dict]:
     """(Events that may occur next, attack opportunities open, moves by
-    event) at `state`, a node of the defended `product`'s successor
-    function.  Attack artifacts that are uncontrollable in the model are
-    never blocked by the defense, only by the policy, which filters them
-    with one draw.
+    event) at `state`, a node of the defended product.  Attack artifacts
+    that are uncontrollable in the model are never blocked by the defense,
+    only by the policy, which filters them with one draw.
     """
-    moves = dict(product(state.node))
+    moves = dict(_product(model)[1](state.node))
     enabled = frozenset(moves)
     attacks = enabled & model.attack_events
     taken = policy.filter_attacks(attacks, state.decisions_used)
@@ -158,21 +157,9 @@ def step(
     A random policy picks from the same draw that decided what is
     enabled.  Returns None when `choice` is None and nothing is enabled:
     the run has ended.  The chosen move's target is the next node, with
-    the estimate and safe mode the exhaustive check reaches there.  Each
-    call makes its own product; `run` makes one for all its steps.
+    the estimate and safe mode the exhaustive check reaches there.
     """
-    return _advance(state, model, policy, choice, _product(model)[1])
-
-
-def _advance(
-    state: ExecutionState,
-    model: AttackedModel,
-    policy: AttackerPolicy,
-    choice: str | None,
-    product,
-) -> ExecutionState | None:
-    """`step` through the successor function of a defended product already made."""
-    enabled, attacks, moves = _choices(state, model, policy, product)
+    enabled, attacks, moves = _choices(state, model, policy)
     if choice is None:
         if not enabled:
             return None
@@ -193,16 +180,10 @@ def _advance(
 
 
 def run(model: AttackedModel, policy: AttackerPolicy, max_steps: int) -> list[ExecutionState]:
-    """Auto-step until nothing is enabled or `max_steps` events occurred.
-
-    The run steps through one defended product, whose memo classifies
-    each estimate it reaches once.
-    """
-    start, product = _product(model)
-    states = [ExecutionState(model.analysis, start)]
+    """Auto-step until nothing is enabled or `max_steps` events occurred."""
+    states = [initial_state(model)]
     for _ in range(max_steps):
-        advanced = _advance(states[-1], model, policy, None, product)
-        if advanced is None:
+        if (advanced := step(states[-1], model, policy)) is None:
             break
         states.append(advanced)
     return states
@@ -220,12 +201,7 @@ class RunReport(Value):
         return bool(self.unsafe_runs)
 
 
-def is_certain(estimate: frozenset) -> bool:
-    """Whether the estimate is certain: the defense has frozen control."""
-    return classify(estimate) == CERTAIN
-
-
-def defended_moves(analysis: Analysis, live: frozenset, certain=None):
+def defended_moves(analysis: Analysis, live: frozenset):
     """Start node and successor function of the defended product, on the fly.
 
     Nodes are (labeled state, estimate) pairs, an int and a frozenset of
@@ -235,15 +211,14 @@ def defended_moves(analysis: Analysis, live: frozenset, certain=None):
     latches: non-certain nodes are reached only through non-certain ones,
     where nothing is pruned.  A node reads its estimate's `moves` once;
     they hold every observable event of its labeled state, a member.
-    `certain(estimate)` says whether an estimate is certain; by default it
-    is a memo of this product's own, so each estimate is classified once.
+    Whether an estimate is certain is read from the model's memo,
+    `Analysis.certain`, so each estimate is classified once per model.
     """
     aut = analysis.automaton
     estimates = analysis.estimates
     observable = analysis.observable
     controllable = analysis.controllable
-    if certain is None:
-        certain = cache(is_certain)
+    certain = analysis.certain
 
     def moves(node):
         lstate, estimate = node
@@ -260,7 +235,7 @@ def defended_moves(analysis: Analysis, live: frozenset, certain=None):
     return (aut.initial, estimates.initial), moves
 
 
-def defended_search(analysis: Analysis, accept, overflow: str, certain=None):
+def defended_search(analysis: Analysis, accept, overflow: str):
     """Breadth-first search of the defended product, named `overflow`, to
     the first move `accept(node, target)` takes: (parents, the accepted
     (node, event, target) or None).
@@ -268,10 +243,10 @@ def defended_search(analysis: Analysis, accept, overflow: str, certain=None):
     It stays inside `Analysis.unsafe_coreach`: whatever reaches a kept
     labeled state is kept, so it discovers the kept nodes in the order and
     along the paths of the unpruned search.  The start is never accepted,
-    nor searched when outside the co-reach.  `certain` is as in `defended_moves`.
+    nor searched when outside the co-reach.
     """
     live = analysis.unsafe_coreach
-    start, moves = defended_moves(analysis, live, certain)
+    start, moves = defended_moves(analysis, live)
     if start[0] not in live:
         return {}, None
     found = []
@@ -295,8 +270,8 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
     `explored` counts the nodes reached, the breached one included.  An
     unsafe start, which the search never accepts, is the empty run,
     breached before any attack and so naming no condition.  Otherwise the
-    move's two estimates name it, read through the search's own memo so
-    that no estimate is classified twice: not certain after the move is
+    move's two estimates name it, read through the model's certainty memo
+    so that no estimate is classified twice: not certain after the move is
     condition 1, certain first on it condition 2, certain before it
     condition 3, as the diagnoser test defines them.  The attacker is
     all-out: other policies define no run tree independent of search order.
@@ -305,19 +280,17 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
     unsafe = analysis.unsafe
     if analysis.automaton.initial in unsafe:
         return RunReport(1, ((),))
-    certain = cache(is_certain)
     parents, found = defended_search(
         analysis,
         lambda _node, target: target[0] in unsafe,
         "exhaustive exploration exceeded {limit} nodes",
-        certain,
     )
     if found is None:
         return RunReport(len(parents))
     node, event, target = found
-    if not certain(target[1]):
+    if not analysis.certain(target[1]):
         condition = UNCERTAIN_UNSAFE
-    elif not certain(node[1]):
+    elif not analysis.certain(node[1]):
         condition = FIRST_CERTAIN_UNSAFE
     else:
         condition = UNCONTROLLABLE_UNSAFE

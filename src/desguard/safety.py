@@ -17,33 +17,34 @@ independent routes decide the property:
   into an unsafe state, whose two estimates name the violated condition.
 
 All three must agree; the simulation is the ground truth the other two
-are checked against.  A model with no unsafe state is safe under any
-defense, and all three say so without building its analysis.  Otherwise
-all three read the model's one estimate table and assume a supervisor
-that is safe without attacks: on a model whose attack-free closed loop
-already reaches an unsafe state, each raises `NominalUnsafeError`
-instead of answering.
+are checked against.  They pass one guard, `_must_search`.  A model with
+no unsafe state is safe under any defense, and all three say so without
+building its analysis.  Otherwise all three read the model's one
+estimate table and certainty memo, and assume a supervisor that is safe
+without attacks: on a model whose attack-free closed loop already
+reaches an unsafe state, each raises `NominalUnsafeError` instead of
+answering.
 
 A labeled state from which no unsafe state is reachable cannot matter
 to any condition.  The two searches skip such states, computed by one
 backward closure per model (`Analysis.unsafe_coreach`), and the
 diagnoser's observer does not expand an estimate that holds none but
-such states.  All three answer safe without searching when the initial
-state is outside the closure.  Whatever reaches a kept state is kept, so
-a breadth-first search visits the kept nodes in the order and along the
-paths of the unpruned search, and finds the same witnesses; each of the
-diagnoser's conditions needs an estimate member inside the closure, so
-the pruned observer meets every estimate they read.  Nor does the
-observer expand a certain estimate: the attack label is absorbing, so
-every estimate a certain one reaches is certain too, and the conditions
-read only uncertain estimates and the first edges into certain ones.
-The diagnoser's `x_uc` is reported among the closed-loop states that
-can still reach an unsafe state.
+such states.  Every labeled state is reachable, so an unsafe state is
+reachable exactly when the initial state is inside the closure; when it
+is not, the guard answers safe for all three without searching.
+Whatever reaches a kept state is kept, so a breadth-first search visits
+the kept nodes in the order and along the paths of the unpruned search,
+and finds the same witnesses; each of the diagnoser's conditions needs
+an estimate member inside the closure, so the pruned observer meets
+every estimate they read.  Nor does the observer expand a certain
+estimate: the attack label is absorbing, so every estimate a certain one
+reaches is certain too, and the conditions read only uncertain estimates
+and the first edges into certain ones.  The diagnoser's `x_uc` is
+reported among the closed-loop states that can still reach an unsafe
+state.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .attacks import AttackedModel
 from .automata import Trace, Value, collector_paused, coreach, explore, path_to, reach, state_name
@@ -66,7 +67,7 @@ from .modelio import (
     VERIFIER_PAIR_UNSAFE,
     VERIFIER_POST_DETECTION_UNSAFE,
 )
-from .runtime import defended_search, is_certain, run_exhaustive
+from .runtime import defended_search, run_exhaustive
 
 
 class NominalUnsafeError(ValueError):
@@ -78,25 +79,28 @@ class NominalUnsafeError(ValueError):
 
 
 def _must_search(model: AttackedModel) -> bool:
-    """Whether a route has to analyze `model`; the one guard of all three.
+    """Whether some unsafe state is reachable; the one guard of all three routes.
 
-    No defense can fail where nothing is unsafe: on a model without an
-    unsafe state every route answers safe, and none builds
+    No defense can fail where nothing unsafe is reachable: on a model
+    without an unsafe state every route answers safe, and none builds
     `model.analysis`.  Otherwise each assumes a supervisor that is safe
     without attacks, and raises `NominalUnsafeError` on a model whose
-    attack-free loop already reaches an unsafe state.
+    attack-free loop already reaches an unsafe state.  Every labeled state
+    is reachable, so an unsafe one is reachable exactly when the initial
+    labeled state lies in `Analysis.unsafe_coreach`; when it does not,
+    every route answers safe without searching.
     """
     if not model.unsafe_states:
         return False
-    reached = model.analysis.nominal_unsafe
-    if reached:
+    analysis = model.analysis
+    if reached := analysis.nominal_unsafe:
         names = sorted({state_name(model.plant_component(s)) for s in reached})
         raise NominalUnsafeError(
             "the attack-free closed loop already reaches unsafe plant state(s) "
             f"{', '.join(names)}; safe controllability assumes a supervisor "
             "that is safe without attacks"
         )
-    return True
+    return analysis.automaton.initial in analysis.unsafe_coreach
 
 
 class Verdict(Value):
@@ -129,38 +133,33 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     unsafe state is reached, or (3) an unsafe state is reachable from a
     first-detection point through uncontrollable events alone.
 
-    The observer expands only the estimates that meet `unsafe_coreach` and
-    are not certain (certainty latches, so no condition reads what a certain
-    one leads to), and none is built when the model has no unsafe state or
-    the initial labeled state is outside the co-reach: the model is then
-    safe, with an empty `x_uc`.  Condition 1 takes precedence, so the
-    observer stops at the first estimate that violates it.  Otherwise
-    conditions 2 and 3 read the diagnoser's entry states: the labeled states
-    entered on its detection edges, before the unobservable closure, whose
-    further states need post-detection events the defense governs.  An entry
-    state that can reach an unsafe state is entered from an estimate member
-    that can too, so the pruned observer has every such edge.  Condition 2
-    is an unsafe entry state; condition 3 an unsafe state in the entry
-    states' uncontrollable closure, kept to the states that can reach an
-    unsafe state; `x_uc` names their closed-loop states.  The witness search
+    The observer expands only the estimates that meet `unsafe_coreach` and are
+    not certain (certainty latches, so no condition reads what a certain one
+    leads to), and none is built when no unsafe state is reachable
+    (`_must_search`): the model is then safe, with an empty `x_uc`.  Condition
+    1 takes precedence, so the observer stops at the first estimate that
+    violates it.  Otherwise conditions 2 and 3 read the diagnoser's entry
+    states: the labeled states entered on its detection edges, before the
+    unobservable closure, whose further states need post-detection events the
+    defense governs.  An entry state that can reach an unsafe state is entered
+    from an estimate member that can too, so the pruned observer has every such
+    edge.  Condition 2 is an unsafe entry state; condition 3 an unsafe state in
+    the entry states' uncontrollable closure, kept to the states that can reach
+    an unsafe state; `x_uc` names their closed-loop states.  The witness search
     ends at a detection edge into an unsafe entry state (2) or one in the
     unsafe states' uncontrollable backward closure (3), which the shortest
-    uncontrollable run to the first unsafe state by name then completes.
-    The searches classify the estimates they meet, which the observer may
-    never have discovered, through the certainty memo the observer's
-    predicate fills.
+    uncontrollable run to the first unsafe state by name then completes.  The
+    observer's predicate and the searches classify each estimate through the
+    model's certainty memo, `Analysis.certain`.
     """
     if not _must_search(model):
         return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
     analysis = model.analysis
     aut = analysis.automaton
     live = analysis.unsafe_coreach
-    if aut.initial not in live:
-        return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
     # The attack-free loop is safe, so every unsafe labeled state is attacked.
     unsafe = analysis.unsafe
-    # One certainty memo for the observer and both witness searches.
-    certain = cache(is_certain)
+    certain = analysis.certain
 
     # Condition 1: unsafe state inside an uncertain estimate, label attacked.
     def condition1(estimate):
@@ -178,7 +177,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         # Every member of a reachable estimate is reachable paired with it,
         # so this search and the detection edge search find their move.
         parents, (node, event, target) = defended_search(
-            analysis, confused, "diagnoser witness search exceeded {limit} states", certain
+            analysis, confused, "diagnoser witness search exceeded {limit} states"
         )
         return Verdict(
             safe=False,
@@ -214,7 +213,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         return target[0] in arrivals and certain(target[1]) and not certain(node[1])
 
     parents, (node, event, target) = defended_search(
-        analysis, detecting, "detection edge search exceeded {limit} states", certain
+        analysis, detecting, "detection edge search exceeded {limit} states"
     )
     trace = path_to(parents, node) + (event,)
     if condition == UNCONTROLLABLE_UNSAFE:
@@ -261,10 +260,7 @@ def check_ae_safe_verifier(model: AttackedModel) -> Verdict:
     if not _must_search(model):
         return Verdict(safe=True, method=VERIFIER)
     analysis = model.analysis
-    product = tracker_moves(model, keep=analysis.unsafe_coreach)
-    if product is None:
-        return Verdict(safe=True, method=VERIFIER)
-    start, moves = product
+    start, moves = tracker_moves(model, keep=analysis.unsafe_coreach)
     # The attack-free loop is safe, so every unsafe labeled state is attacked.
     unsafe = analysis.unsafe
 

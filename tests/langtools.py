@@ -9,7 +9,8 @@ tests share (projection, dilation and compression of artifacts, the
 events a run may take next, an automaton's canonical document) live here
 too: the library needs none.  So do the references for the oracle, which
 stops at the first breach: the full report of every defended run, and
-the replay that names a breached run's condition.
+the replay that names a breached run's condition; and the search of the
+verifier's pairs for an attacked trace that looks attack-free.
 """
 
 from collections import deque
@@ -42,9 +43,19 @@ from desguard.automata import (
     path_to,
     state_name,
 )
-from desguard.diagnosis import ATTACKED, CERTAIN, CLEAN, SINK, Analysis, Diagnoser, classify
+from desguard.diagnosis import (
+    ATTACKED,
+    CERTAIN,
+    CLEAN,
+    SINK,
+    Analysis,
+    Diagnoser,
+    classify,
+    strip_renamed,
+    tracker_moves,
+)
 from desguard.modelio import FIRST_CERTAIN_UNSAFE, UNCERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE
-from desguard.runtime import AttackerPolicy, ExecutionState, _choices, _product, defended_moves
+from desguard.runtime import AttackerPolicy, ExecutionState, _choices, defended_moves
 
 
 def project(trace: Iterable[str], observable: Iterable[str]) -> Trace:
@@ -99,7 +110,7 @@ def enabled_choices(
     state: ExecutionState, model: AttackedModel, policy: AttackerPolicy
 ) -> frozenset[str]:
     """Events that may occur next, after safe-mode and policy filtering."""
-    return _choices(state, model, policy, _product(model)[1])[0]
+    return _choices(state, model, policy)[0]
 
 
 class RunReport(Value):
@@ -231,6 +242,71 @@ def decoded_tracked(analysis: Analysis, node: tuple) -> tuple:
     if node[0] == SINK:
         return decoded_pair(analysis, node)
     return decoded_pair(analysis, node[0]), analysis.decode(node[1])
+
+
+def recover_normal(
+    trace: Iterable[str], attack_events: frozenset[str], observable: frozenset[str]
+) -> Trace:
+    """Project a verifier trace onto the attack-free side.
+
+    Keeps shared (observable, non-attack) events and un-renames private
+    normal moves; private attacked moves are dropped.
+    """
+    out = []
+    for event in trace:
+        if event.endswith(RENAME_SUFFIX):
+            out.append(event[: -len(RENAME_SUFFIX)])
+        elif event in observable and event not in attack_events:
+            out.append(event)
+    return tuple(out)
+
+
+def confusion_witness(
+    model: AttackedModel,
+    require_event: str | None = None,
+    unsafe_only: bool = False,
+) -> tuple[Trace, Trace] | None:
+    """A pair (attack-free trace, attacked trace) with equal observations.
+
+    Searches the pairs of the tracker product, never past a sink node,
+    for one whose attacked component is labeled, optionally insisting
+    that the attacked trace contain `require_event` and/or end in an
+    unsafe state.  Returns None when the attacked behavior is never
+    observation-equivalent to attack-free behavior.
+    """
+    product = tracker_moves(model)
+    if product is None:
+        return None
+    start, pair_moves = product
+
+    def moves(node):
+        pair, satisfied = node
+        if pair[0] != SINK:
+            for event, target in pair_moves(pair):
+                yield event, (target, satisfied or event == require_event)
+
+    unsafe = model.analysis.unsafe
+
+    def confused(node):
+        (normal, attacked), satisfied = node
+        return (
+            normal != SINK
+            and attacked & 1
+            and satisfied
+            and (not unsafe_only or attacked in unsafe)
+        )
+
+    parents, found = explore(
+        [(start, require_event is None)],
+        moves,
+        confused,
+        overflow="confusion witness search exceeded {limit} states",
+    )
+    if found is None:
+        return None
+    trace = path_to(parents, found)
+    normal_trace = recover_normal(trace, model.attack_events, model.analysis.observable)
+    return normal_trace, strip_renamed(trace)
 
 
 def generates(automaton: Automaton, trace: Iterable[str]) -> bool:

@@ -26,7 +26,6 @@ from desguard.cli import main
 from desguard.diagnosis import (
     CERTAIN,
     build_diagnoser,
-    confusion_witness,
     label_compose,
 )
 from desguard.modelio import dumps_doc, model_to_doc, parse_attacked
@@ -49,6 +48,7 @@ from generators import random_automaton, random_model, random_system
 from langtools import (
     canonical_doc,
     compress,
+    confusion_witness,
     dilate,
     enumerate_traces,
     generates,

@@ -12,7 +12,7 @@ import desguard.synthesis  # noqa: F401  (the traffic generator reads lib.synthe
 from desguard import automata, diagnosis
 from desguard.attacks import MODE_AE, AttackedModel, VulnerabilitySpec, build_model, sub_attacker
 from desguard.automata import Alphabet, Automaton, blocking_states, deadlock_states, state_name
-from desguard.diagnosis import build_verifier, confusion_witness, label_compose
+from desguard.diagnosis import build_verifier, label_compose
 from desguard.runtime import AttackerPolicy, initial_state, run, run_exhaustive, step
 from desguard.safety import (
     check_ae_safe_verifier,
@@ -24,7 +24,7 @@ from generators import random_model, random_system
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402
-from langtools import canonical_doc, exhaustive_report
+from langtools import canonical_doc, confusion_witness, exhaustive_report
 
 ROUTES = (check_gf_safe_diagnoser, check_ae_safe_verifier, oracle_defense_simulation)
 

@@ -13,7 +13,6 @@ from desguard.diagnosis import (
     UNCERTAIN,
     build_diagnoser,
     build_verifier,
-    confusion_witness,
     first_entered_certain,
     label_compose,
     tracker_moves,
@@ -23,6 +22,7 @@ from generators import random_model
 from langtools import (
     canonical_doc,
     composed_verifier,
+    confusion_witness,
     decoded,
     decoded_pair,
     decoded_tracked,

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from desguard import runtime
+from desguard import diagnosis
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
 from desguard.automata import explore, state_name
 from desguard.diagnosis import CERTAIN, build_diagnoser, classify
@@ -18,7 +18,7 @@ from desguard.runtime import (
     run_exhaustive,
     step,
 )
-from desguard.safety import check_gf_safe_diagnoser
+from desguard.safety import check_gf_safe_diagnoser, oracle_defense_simulation
 
 from generators import random_model
 from langtools import diagnoser_step, enabled_choices, exhaustive_report
@@ -260,11 +260,14 @@ class TestCertaintyLatches:
 
 class TestCertaintyIsClassifiedOnce:
     """The defended product classifies each estimate once, not once per
-    node it expands."""
+    node it expands; the model's one memo serves every route and run."""
 
+    # Each fixture is taken as a new instance, whose memo starts empty.
     @pytest.mark.parametrize("make", [
-        pytest.param(lambda request: request.getfixturevalue("traffic_ae_model"), id="traffic-ae"),
-        pytest.param(lambda request: request.getfixturevalue("traffic_si_model"), id="traffic-si"),
+        pytest.param(lambda request: request.getfixturevalue("traffic_ae_model").replace(),
+                     id="traffic-ae"),
+        pytest.param(lambda request: request.getfixturevalue("traffic_si_model").replace(),
+                     id="traffic-si"),
         pytest.param(lambda _: random_model(random.Random(34), MODE_SE), id="random-se-34"),
         pytest.param(lambda _: random_model(random.Random(34), MODE_SI), id="random-si-34"),
     ])
@@ -277,7 +280,7 @@ class TestCertaintyIsClassifiedOnce:
             classified.append(estimate)
             return classify(estimate)
 
-        monkeypatch.setattr(runtime, "classify", counted)
+        monkeypatch.setattr(diagnosis, "classify", counted)
         report = run_exhaustive(model)
         assert len(classified) <= len(set(classified))
         # Premise: the search expands more nodes than it meets estimates.
@@ -293,11 +296,38 @@ class TestCertaintyIsClassifiedOnce:
             classified.append(estimate)
             return classify(estimate)
 
-        monkeypatch.setattr(runtime, "classify", counted)
+        monkeypatch.setattr(diagnosis, "classify", counted)
         states = run(model, AttackerPolicy.all_out(), 40)
         assert len(classified) == len(set(classified))
         # Premise: the run takes more steps than it meets estimates.
         assert len(states) > len(set(classified))
+
+    def test_routes_and_run_share_one_memo(self, request, monkeypatch):
+        """The diagnoser route, the oracle and a step-by-step run of one
+        model compute each estimate's certainty once between them."""
+        asked = []
+
+        def counted(estimate):
+            asked.append(estimate)
+            return classify(estimate) == CERTAIN
+
+        # The memo wraps the predicate when the analysis is built.
+        monkeypatch.setattr(diagnosis, "is_certain", counted)
+        models = [request.getfixturevalue(name).replace()
+                  for name in ("traffic_ae_model", "traffic_si_model")]
+        models += [random_model(random.Random(seed), mode)
+                   for seed in range(60) for mode in (MODE_AE, MODE_SE, MODE_SI)]
+        shared = 0
+        for model in models:
+            asked.clear()
+            check_gf_safe_diagnoser(model)
+            oracle_defense_simulation(model)
+            before_run = set(asked)
+            states = run(model, AttackerPolicy.all_out(), 40)
+            assert len(asked) == len(set(asked)), model.mode
+            shared += not before_run.isdisjoint(st.estimate for st in states)
+        # Premise: runs step through estimates the routes already classified.
+        assert shared
 
 
 class TestEngineWalksTheProduct:

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from desguard import diagnosis, runtime
-from desguard.attacks import MODE_AE, MODE_SE, MODES, VulnerabilitySpec, build_model
+from desguard import diagnosis, runtime, safety
+from desguard.attacks import MODE_AE, MODE_SE, MODES, AttackedModel, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
 from desguard.diagnosis import CERTAIN, classify, label_compose
 from desguard.safety import (
@@ -251,8 +251,8 @@ class TestDetectionEdgeWitness:
         searches = []  # per search, the nodes it expanded, in order
         product = runtime.defended_moves
 
-        def recording(analysis, live, certain=None):
-            start, moves = product(analysis, live, certain)
+        def recording(analysis, live):
+            start, moves = product(analysis, live)
             expanded = []
             searches.append(expanded)
 
@@ -344,6 +344,39 @@ class TestEmptyUnsafeCoreach:
             assert "analysis" not in vars(fresh)
             checked += 1
         assert checked >= 60
+
+    def test_unreachable_unsafe_states_stop_at_the_one_guard(self, monkeypatch):
+        """Declared unsafe states that no run reaches leave nothing to search:
+        the routes' one guard answers safe, and no route builds its product
+        or observer."""
+        # A hand-written closed loop may declare states it never reaches.
+        loop = Automaton.build(("s", "0"), [(("s", "0"), "a", ("s", "1"))], states=[("s", "2")])
+        alphabet = Alphabet.from_sets(["a"], ["a"], ["a"])
+        models = [AttackedModel(loop, alphabet, frozenset(), frozenset({("s", "2")}), MODE_AE)]
+        dead = ("unreached", "unsafe")
+        for seed in range(20):
+            for mode in MODES:
+                model = random_model(random.Random(seed), mode)
+                grown = model.model.replace(states=model.model.states | {dead})
+                models.append(model.replace(model=grown, unsafe_states=frozenset({dead})))
+
+        def refused(*_args, **_kwargs):
+            raise AssertionError("a route searched a model with no reachable unsafe state")
+
+        for module, name in [
+            (safety, "tracker_moves"),
+            (safety, "build_diagnoser"),
+            (safety, "defended_search"),
+            (runtime, "defended_search"),
+        ]:
+            monkeypatch.setattr(module, name, refused)
+        for model in models:
+            assert model.analysis.unsafe == frozenset()
+            assert [check(model) for check in ALL_CHECKS] == [
+                Verdict(True, DIAGNOSER, x_uc=frozenset()),
+                Verdict(True, VERIFIER),
+                Verdict(True, ORACLE),
+            ]
 
     def test_counter_sees_the_observer(self, monkeypatch, traffic_ae_model):
         assert traffic_ae_model.analysis.unsafe_coreach

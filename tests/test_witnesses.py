@@ -17,7 +17,6 @@ import pytest
 
 from desguard.attacks import MODE_AE, MODE_SE, MODE_SI, VulnerabilitySpec, build_model
 from desguard.automata import Alphabet, Automaton, state_name
-from desguard.diagnosis import confusion_witness
 from desguard.runtime import (
     AttackerPolicy,
     IllegalEventError,
@@ -40,7 +39,7 @@ from desguard.synthesis import (
 )
 
 from generators import random_automaton, random_model
-from langtools import canonical_doc, exhaustive_report
+from langtools import canonical_doc, confusion_witness, exhaustive_report
 
 
 def _trace(trace):
