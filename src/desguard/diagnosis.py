@@ -16,7 +16,7 @@ Besides the labeled model, `Analysis` holds the model's one
 defended product of `runtime` all read each estimate's moves from it,
 so each unobservable closure and each estimate's move map is computed
 at most once per model, and the observer's rows are the table's maps.
-So is each estimate's certainty, in the model's one memo `certain`.
+So is each estimate's class, in the model's one memo `classify`.
 `build_diagnoser` can end at the first estimate a predicate accepts, and
 expand only the estimates another accepts.  `Analysis` also holds one
 backward closure per model, the labeled states from which an unsafe
@@ -79,14 +79,14 @@ class Analysis(Value):
     unsafe); the closed-loop states the attack-free loop already reaches
     among them (`nominal_unsafe`); `unsafe_coreach` (the labeled states
     from which an unsafe state is reachable, inside which the searches for
-    a violation stay); the detector's estimate table; and `certain`, the
-    memo of `is_certain` over its estimates.  The table and the memo fill
-    lazily and are shared by the observer, the defended-run exploration
-    and step-by-step runs, so between them each closure, each estimate's
-    moves and each estimate's certainty are computed at most once per
-    model, and kept for as long as the model lives.  Diagnosers and
-    verifier searches are rebuilt per call, so a model kept alive does not
-    keep their memory alive too.  `marks` says whether the closed loop
+    a violation stay); the detector's estimate table; and `classify`, the
+    memo over its estimates of the module's `classify`, as it is when the
+    analysis is built.  The table and the memo fill lazily and are shared
+    by every route and step-by-step run, so between them each closure,
+    each estimate's moves and each estimate's class are computed at most
+    once per model, and kept for as long as the model lives.  Diagnosers
+    and verifier searches are rebuilt per call, so a model kept alive does
+    not keep their memory alive too.  `marks` says whether the closed loop
     declares a marked state.
     """
 
@@ -100,7 +100,7 @@ class Analysis(Value):
     nominal_unsafe: frozenset
     unsafe_coreach: frozenset[int]
     estimates: EstimateTable
-    certain: Callable[[frozenset], bool]
+    classify: Callable[[frozenset], str]
     marks: bool
 
     def decode(self, state: int) -> tuple:
@@ -170,7 +170,7 @@ def label_compose(model: AttackedModel) -> Analysis:
         nominal_unsafe=frozenset(names[s >> 1] for s in unsafe if not s & 1),
         unsafe_coreach=coreach(labeled, unsafe),
         estimates=EstimateTable(labeled, unobservable),
-        certain=cache(is_certain),
+        classify=cache(classify),
         marks=bool(aut.marked),
     )
 
@@ -183,11 +183,6 @@ def classify(estimate: Iterable[int]) -> str:
     if labels == {1}:
         return CERTAIN
     return UNCERTAIN
-
-
-def is_certain(estimate: frozenset) -> bool:
-    """Whether the estimate is certain: the defense has frozen control."""
-    return classify(estimate) == CERTAIN
 
 
 class Diagnoser(Value):
@@ -209,10 +204,10 @@ def build_diagnoser(
     estimate the construction ends, and one an estimate must satisfy to
     be expanded (for the diagnoser test: it meets `Analysis.unsafe_coreach`
     and is not certain).  Either leaves a partial diagnoser, whose every
-    discovered estimate is classified.
+    discovered estimate is classified by the model's memo, `Analysis.classify`.
     """
     obs = observer(analysis.automaton, analysis.unobservable, analysis.estimates, stop, expand)
-    return Diagnoser(obs, {s: classify(s) for s in obs.states})
+    return Diagnoser(obs, {s: analysis.classify(s) for s in obs.states})
 
 
 def first_entered_certain(diagnoser: Diagnoser) -> Iterator[tuple[State, str, State]]:

@@ -10,8 +10,8 @@ which ends at the first move its caller accepts.  The exhaustive check
 (`run_exhaustive`, the oracle) accepts a move into an unsafe state, and
 the diagnoser's two witness searches accept the moves their conditions
 name.  Attack opportunities are filtered through an attacker policy,
-and every estimate's moves and certainty come from the model's shared
-estimate table and certainty memo (`Analysis.estimates`, `.certain`).
+and every estimate's moves and class come from the model's shared
+estimate table and class memo (`Analysis.estimates`, `.classify`).
 The search keeps to the labeled states that can still reach an unsafe
 state (one backward closure per model).  `run` is a loop of `step`.
 """
@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .attacks import ALL_OUT, RANDOM, SCRIPTED, AttackedModel
 from .automata import Trace, Value, explore, path_to, state_name
-from .diagnosis import Analysis
+from .diagnosis import CERTAIN, Analysis
 from .modelio import FIRST_CERTAIN_UNSAFE, UNCERTAIN_UNSAFE, UNCONTROLLABLE_UNSAFE
 
 
@@ -112,7 +112,7 @@ class ExecutionState(Value):
     @property
     def safe_mode(self) -> bool:
         """Controllable events are disabled once the estimate is certain."""
-        return self.analysis.certain(self.estimate)
+        return self.analysis.classify(self.estimate) == CERTAIN
 
     @property
     def supervisor_state(self):
@@ -212,17 +212,17 @@ def defended_moves(analysis: Analysis, live: frozenset):
     where nothing is pruned.  A node reads its estimate's `moves` once;
     they hold every observable event of its labeled state, a member.
     Whether an estimate is certain is read from the model's memo,
-    `Analysis.certain`, so each estimate is classified once per model.
+    `Analysis.classify`, so each estimate is classified once per model.
     """
     aut = analysis.automaton
     estimates = analysis.estimates
     observable = analysis.observable
     controllable = analysis.controllable
-    certain = analysis.certain
+    classify = analysis.classify
 
     def moves(node):
         lstate, estimate = node
-        safe_mode = certain(estimate)
+        safe_mode = classify(estimate) == CERTAIN
         steps = estimates.moves(estimate)
         for event, target in aut.out_edges(lstate):
             if (safe_mode and event in controllable) or target not in live:
@@ -270,7 +270,7 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
     `explored` counts the nodes reached, the breached one included.  An
     unsafe start, which the search never accepts, is the empty run,
     breached before any attack and so naming no condition.  Otherwise the
-    move's two estimates name it, read through the model's certainty memo
+    move's two estimates name it, read through the model's class memo
     so that no estimate is classified twice: not certain after the move is
     condition 1, certain first on it condition 2, certain before it
     condition 3, as the diagnoser test defines them.  The attacker is
@@ -288,9 +288,9 @@ def run_exhaustive(model: AttackedModel) -> RunReport:
     if found is None:
         return RunReport(len(parents))
     node, event, target = found
-    if not analysis.certain(target[1]):
+    if analysis.classify(target[1]) != CERTAIN:
         condition = UNCERTAIN_UNSAFE
-    elif not analysis.certain(node[1]):
+    elif analysis.classify(node[1]) != CERTAIN:
         condition = FIRST_CERTAIN_UNSAFE
     else:
         condition = UNCONTROLLABLE_UNSAFE

@@ -20,10 +20,10 @@ All three must agree; the simulation is the ground truth the other two
 are checked against.  They pass one guard, `_must_search`.  A model with
 no unsafe state is safe under any defense, and all three say so without
 building its analysis.  Otherwise all three read the model's one
-estimate table and certainty memo, and assume a supervisor that is safe
-without attacks: on a model whose attack-free closed loop already
-reaches an unsafe state, each raises `NominalUnsafeError` instead of
-answering.
+analysis (the diagnoser test and the simulation its estimate table and
+class memo, `Analysis.classify`) and assume a supervisor that is safe
+without attacks: on a model whose attack-free loop already reaches an
+unsafe state, each raises `NominalUnsafeError` instead of answering.
 
 A labeled state from which no unsafe state is reachable cannot matter
 to any condition.  The two searches skip such states, computed by one
@@ -49,10 +49,10 @@ from __future__ import annotations
 from .attacks import AttackedModel
 from .automata import Trace, Value, collector_paused, coreach, explore, path_to, reach, state_name
 from .diagnosis import (
+    CERTAIN,
     SINK,
     UNCERTAIN,
     build_diagnoser,
-    classify,
     first_entered_certain,
     strip_renamed,
     tracker_moves,
@@ -149,8 +149,8 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     ends at a detection edge into an unsafe entry state (2) or one in the
     unsafe states' uncontrollable backward closure (3), which the shortest
     uncontrollable run to the first unsafe state by name then completes.  The
-    observer's predicate and the searches classify each estimate through the
-    model's certainty memo, `Analysis.certain`.
+    observer's predicates, the diagnoser's classification and the searches
+    classify each estimate through the model's one memo, `Analysis.classify`.
     """
     if not _must_search(model):
         return Verdict(safe=True, method=DIAGNOSER, x_uc=frozenset())
@@ -159,20 +159,20 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
     live = analysis.unsafe_coreach
     # The attack-free loop is safe, so every unsafe labeled state is attacked.
     unsafe = analysis.unsafe
-    certain = analysis.certain
+    classify = analysis.classify
 
     # Condition 1: unsafe state inside an uncertain estimate, label attacked.
     def condition1(estimate):
         return not unsafe.isdisjoint(estimate) and classify(estimate) == UNCERTAIN
 
     def expand(estimate):
-        return not live.isdisjoint(estimate) and not certain(estimate)
+        return not live.isdisjoint(estimate) and classify(estimate) != CERTAIN
 
     diagnoser = build_diagnoser(analysis, condition1, expand)
     if any(map(condition1, diagnoser.automaton.states)):
 
         def confused(_node, target):
-            return target[0] in unsafe and classify(target[1]) == UNCERTAIN
+            return target[0] in unsafe and condition1(target[1])
 
         # Every member of a reachable estimate is reachable paired with it,
         # so this search and the detection edge search find their move.
@@ -210,7 +210,7 @@ def check_gf_safe_diagnoser(model: AttackedModel) -> Verdict:
         arrivals = entries & coreach(aut, unsafe, uncontrollable)
 
     def detecting(node, target):
-        return target[0] in arrivals and certain(target[1]) and not certain(node[1])
+        return target[0] in arrivals and classify(node[1]) != CERTAIN == classify(target[1])
 
     parents, (node, event, target) = defended_search(
         analysis, detecting, "detection edge search exceeded {limit} states"

@@ -18,7 +18,11 @@ from desguard.runtime import (
     run_exhaustive,
     step,
 )
-from desguard.safety import check_gf_safe_diagnoser, oracle_defense_simulation
+from desguard.safety import (
+    check_ae_safe_verifier,
+    check_gf_safe_diagnoser,
+    oracle_defense_simulation,
+)
 
 from generators import random_model
 from langtools import diagnoser_step, enabled_choices, exhaustive_report
@@ -272,24 +276,24 @@ class TestCertaintyIsClassifiedOnce:
         pytest.param(lambda _: random_model(random.Random(34), MODE_SI), id="random-si-34"),
     ])
     def test_oracle_search_classifies_each_estimate_once(self, request, monkeypatch, make):
-        model = make(request)
-        model.analysis  # built before counting: the search starts after it
         classified = []
 
         def counted(estimate):
             classified.append(estimate)
             return classify(estimate)
 
+        # The memo wraps `classify` when the analysis is built, so the
+        # count is patched in before the new instance builds it.
         monkeypatch.setattr(diagnosis, "classify", counted)
+        model = make(request)
         report = run_exhaustive(model)
-        assert len(classified) <= len(set(classified))
+        assert classified
+        assert len(classified) == len(set(classified))
         # Premise: the search expands more nodes than it meets estimates.
         assert report.explored > len(set(classified))
 
     def test_run_classifies_each_estimate_once(self, monkeypatch):
         """A step-by-step run steps through one product and its one memo."""
-        model = random_model(random.Random(1), MODE_AE)
-        model.analysis
         classified = []
 
         def counted(estimate):
@@ -297,22 +301,25 @@ class TestCertaintyIsClassifiedOnce:
             return classify(estimate)
 
         monkeypatch.setattr(diagnosis, "classify", counted)
+        model = random_model(random.Random(1), MODE_AE).replace()
         states = run(model, AttackerPolicy.all_out(), 40)
+        assert classified
         assert len(classified) == len(set(classified))
         # Premise: the run takes more steps than it meets estimates.
         assert len(states) > len(set(classified))
 
     def test_routes_and_run_share_one_memo(self, request, monkeypatch):
-        """The diagnoser route, the oracle and a step-by-step run of one
-        model compute each estimate's certainty once between them."""
+        """The diagnoser route, a complete diagnoser, the verifier, the
+        oracle and a step-by-step run of one model classify each estimate
+        once between them."""
         asked = []
 
         def counted(estimate):
             asked.append(estimate)
-            return classify(estimate) == CERTAIN
+            return classify(estimate)
 
-        # The memo wraps the predicate when the analysis is built.
-        monkeypatch.setattr(diagnosis, "is_certain", counted)
+        # The memo wraps `classify` when the analysis is built.
+        monkeypatch.setattr(diagnosis, "classify", counted)
         models = [request.getfixturevalue(name).replace()
                   for name in ("traffic_ae_model", "traffic_si_model")]
         models += [random_model(random.Random(seed), mode)
@@ -321,6 +328,8 @@ class TestCertaintyIsClassifiedOnce:
         for model in models:
             asked.clear()
             check_gf_safe_diagnoser(model)
+            build_diagnoser(model.analysis)
+            check_ae_safe_verifier(model)
             oracle_defense_simulation(model)
             before_run = set(asked)
             states = run(model, AttackerPolicy.all_out(), 40)
